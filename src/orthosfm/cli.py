@@ -27,12 +27,20 @@ from .errors import (
     OrthoSfmError,
     SingularSystemError,
 )
-from .geometry import dof_balance, projected_sq_distances
+from .geometry import (
+    TETRA_EDGES,
+    TRIANGLE_EDGES,
+    dof_balance,
+    projected_sq_distances,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_SOLUTION = 2
 EXIT_DEGENERATE = 3
+
+# solver mode -> (points, frames) it reads
+_MODES = {"p3f3": (3, 3), "p3f4": (3, 4), "p4f3": (4, 3)}
 
 
 def _default_seed(value):
@@ -77,24 +85,17 @@ def cmd_recover(args) -> int:
         return EXIT_INPUT
     labels = frames[0].labels
     n_points, n_frames = len(labels), len(frames)
+    mode = args.mode
     try:
-        mode = args.mode if args.mode != "auto" else _pick_mode(n_points, n_frames)
-        if mode == "p3f3":
-            use_labels, use_frames = labels[:3], frames[:3]
-        elif mode == "p3f4":
-            use_labels, use_frames = labels[:3], frames[:4]
-        else:
-            use_labels, use_frames = labels[:4], frames[:3]
-        sq = [projected_sq_distances(f, use_labels) for f in use_frames]
-        if mode == "p3f3":
-            result = solvers.solve_p3f3(sq, tol=args.tol)
-        elif mode == "p3f4":
-            result = solvers.solve_p3f4(sq, tol=args.tol)
-        else:
-            result = solvers.solve_p4f3(sq, tol=args.tol)
+        if mode == "auto":
+            mode = _pick_mode(n_points, n_frames)
+        use_points, use_frames = _MODES[mode]
+        sq = [projected_sq_distances(f, labels[:use_points]) for f in frames[:use_frames]]
+        # looked up per call so a wrapped solver is the one that runs
+        result = getattr(solvers, "solve_" + mode)(sq, tol=args.tol)
     except (DegenerateEliminationError, SingularSystemError) as exc:
         report = {
-            "solver": args.mode,
+            "solver": mode,
             "status": "degenerate",
             "reason": str(exc),
         }
@@ -211,10 +212,9 @@ def run_noise_study(mode: str, levels, trials: int, seed: int):
     Returns a list of dict rows.  Deterministic: trial t at level index i
     draws its scene from sub-stream (i, t, 0) and its noise from (i, t, 1).
     """
-    n_points = 4 if mode == "p4f3" else 3
-    n_frames = {"p3f3": 3, "p3f4": 4, "p4f3": 3}[mode]
-    solve = {"p3f3": solvers.solve_p3f3, "p3f4": solvers.solve_p3f4,
-             "p4f3": solvers.solve_p4f3}[mode]
+    n_points, n_frames = _MODES[mode]
+    edges = TETRA_EDGES if n_points == 4 else TRIANGLE_EDGES
+    solve = getattr(solvers, "solve_" + mode)
     rows = []
     for li, level in enumerate(levels):
         errors = []
@@ -229,10 +229,8 @@ def run_noise_study(mode: str, levels, trials: int, seed: int):
                                            seed=scene_sim.subseed(seed, li, t, 1))
                 frames = scene_sim.add_noise(frames, spec)
             sq = [projected_sq_distances(f, labels) for f in frames]
-            pairs = ([("P", "Q"), ("Q", "R"), ("R", "P")] if n_points == 3 else
-                     [("P", "Q"), ("Q", "R"), ("R", "P"),
-                      ("T", "R"), ("T", "P"), ("T", "Q")])
-            truth = np.array([scene.true_sq_distance(*p) for p in pairs])
+            truth = np.array([scene.true_sq_distance(labels[i], labels[j])
+                              for i, j in edges])
             try:
                 result = solve(sq)
             except (DegenerateEliminationError, SingularSystemError):

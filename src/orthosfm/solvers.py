@@ -1,18 +1,23 @@
 """Closed-form recovery of squared 3D lengths from projected squared lengths.
 
-Three solvers are provided:
+Every frame contributes one sign-free quartic identity per triangle of
+edges.  Differencing the identities against a pivot frame cancels their
+quadratic terms and leaves rows linear in the squared lengths;
+_difference_system builds those rows for all three solvers:
 
-* solve_p3f3 -- 3 points / 3 frames, the minimal case.  Frame differences
-  linearize two of the unknowns; the remaining unknown satisfies a
-  quadratic, so there can be 0, 1 or 2 candidates.
-* solve_p3f4 -- 3 points / 4 frames.  Differencing against the first frame
-  yields a 3x3 linear system with a unique solution.
-* solve_p4f3 -- 4 points / 3 frames.  Three edge triples per frame pair
-  yield a 6x6 linear system in the six squared lengths.
+* solve_p3f3 -- 3 points / 3 frames, the minimal case.  The two rows
+  express a^2 and b^2 as affine functions of c^2; the pivot frame's
+  identity then leaves a quadratic, so there can be 0, 1 or 2 candidates.
+* solve_p3f4 -- 3 points / 4 frames: a 3x3 linear system.
+* solve_p4f3 -- 4 points / 3 frames: three edge triples per frame pair
+  give a 6x6 linear system in the six squared lengths.
 
-All solvers consume per-frame projected squared distances in the canonical
-edge order (see geometry) and return a RecoveryResult whose candidates are
-flagged for physical feasibility rather than silently dropped.
+Each solver first divides its input by the largest squared distance, so
+every threshold below is dimensionless and the answer does not depend on
+the units of the input.  All solvers consume per-frame projected squared
+distances in the canonical edge order (see geometry) and return a
+RecoveryResult whose candidates are flagged for physical feasibility
+rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -32,6 +37,11 @@ from .geometry import TetraDistances, TriangleDistances
 # Triples of 6-vector indices (a,b,c,d,f,g) forming the tetrahedron's
 # constrained triangles: (PQ,QT,TP), (TR,RQ,QT), (TR,RP,PT).
 _TETRA_TRIPLES = ((0, 5, 4), (3, 1, 5), (3, 4, 2))
+_TRIANGLE = ((0, 1, 2),)
+
+# Dimensionless thresholds on normalized input (largest squared distance 1).
+_DEGENERACY_TOL = 1e-12  # |det| of the solve_p3f3 elimination
+_SINGULAR_TOL = 1e-10    # smallest / largest singular value of a linear system
 
 
 def frame_constant(x: float, y: float, z: float) -> float:
@@ -80,48 +90,6 @@ def eq1_residual(lengths: TriangleDistances, frame_sq) -> float:
 
 
 @dataclass(frozen=True)
-class LinearizedPair:
-    """Frame-difference coefficients and the resulting elimination.
-
-    The two difference equations are
-      d_a1*A + d_b1*B + d_c1*C + d_Cst1 = 0
-      d_a2*A + d_b2*B + d_c2*C + d_Cst2 = 0
-    and eliminating A, B gives A = A_c*C + A_Cst, B = B_c*C + B_Cst.
-    """
-
-    d_a1: float
-    d_b1: float
-    d_c1: float
-    d_Cst1: float
-    d_a2: float
-    d_b2: float
-    d_c2: float
-    d_Cst2: float
-    A_c: float
-    A_Cst: float
-    B_c: float
-    B_Cst: float
-
-
-def linearized_pair(frame1_sq, frame2_sq, pivot_sq) -> LinearizedPair:
-    """Difference two frames against a pivot frame and eliminate A and B."""
-    q1, q2, qp = quad_coeffs(frame1_sq), quad_coeffs(frame2_sq), quad_coeffs(pivot_sq)
-    d_a1, d_b1, d_c1 = q1.coef_a - qp.coef_a, q1.coef_b - qp.coef_b, q1.coef_c - qp.coef_c
-    d_cst1 = q1.const - qp.const
-    d_a2, d_b2, d_c2 = q2.coef_a - qp.coef_a, q2.coef_b - qp.coef_b, q2.coef_c - qp.coef_c
-    d_cst2 = q2.const - qp.const
-    det = d_a1 * d_b2 - d_a2 * d_b1
-    if det == 0.0:
-        raise DegenerateEliminationError("frame differences are linearly dependent")
-    a_c = (-d_c1 * d_b2 + d_c2 * d_b1) / det
-    a_cst = (-d_cst1 * d_b2 + d_cst2 * d_b1) / det
-    b_c = (-d_a1 * d_c2 + d_a2 * d_c1) / det
-    b_cst = (-d_a1 * d_cst2 + d_a2 * d_cst1) / det
-    return LinearizedPair(d_a1, d_b1, d_c1, d_cst1, d_a2, d_b2, d_c2, d_cst2,
-                          a_c, a_cst, b_c, b_cst)
-
-
-@dataclass(frozen=True)
 class Candidate:
     """One recovered squared-length solution with diagnostics."""
 
@@ -153,8 +121,7 @@ def feasibility_check(candidate, frames, tol: float = 1e-9) -> bool:
     """Physical feasibility: squared lengths non-negative and at least as
     long as their projections in every frame, within tolerance."""
     cand = tuple(candidate.as_tuple() if hasattr(candidate, "as_tuple") else candidate)
-    scale = max(max(abs(v) for f in frames for v in f), 1.0)
-    slack = tol * scale
+    slack = tol * max(abs(v) for f in frames for v in f)
     if any(v < -slack for v in cand):
         return False
     for frame in frames:
@@ -162,11 +129,6 @@ def feasibility_check(candidate, frames, tol: float = 1e-9) -> bool:
             if v < proj - slack:
                 return False
     return True
-
-
-def _observation_scale(frames) -> float:
-    """Largest projected squared distance across frames; unit floor."""
-    return max(max(abs(v) for f in frames for v in f), 1.0)
 
 
 def _solve_quadratic(q2: float, q1: float, q0: float, tol: float):
@@ -202,68 +164,114 @@ def _solve_quadratic(q2: float, q1: float, q0: float, tol: float):
 
 def _newton_polish(sol, frames, iterations: int = 3):
     """Newton-polish a (A, B, C) triple on the three per-frame identities."""
-    x = np.array(sol, dtype=float)
     coeffs = [quad_coeffs(f) for f in frames]
 
     def residuals(v):
-        return np.array([
-            frame_constant(v[0] - f[0], v[1] - f[1], v[2] - f[2])
-            for f in frames
-        ])
+        return [frame_constant(v[0] - f[0], v[1] - f[1], v[2] - f[2]) for f in frames]
 
+    x = list(sol)
     r = residuals(x)
     for _ in range(iterations):
-        jac = np.empty((3, 3))
-        for i, q in enumerate(coeffs):
-            a, b, c = x
-            jac[i, 0] = 2.0 * a - 2.0 * b - 2.0 * c + q.coef_a
-            jac[i, 1] = 2.0 * b - 2.0 * a - 2.0 * c + q.coef_b
-            jac[i, 2] = 2.0 * c - 2.0 * a - 2.0 * b + q.coef_c
+        a, b, c = x
+        jac = [(2.0 * a - 2.0 * b - 2.0 * c + q.coef_a,
+                2.0 * b - 2.0 * a - 2.0 * c + q.coef_b,
+                2.0 * c - 2.0 * a - 2.0 * b + q.coef_c) for q in coeffs]
         try:
-            step = np.linalg.solve(jac, -r)
+            step = np.linalg.solve(jac, [-v for v in r]).tolist()
         except np.linalg.LinAlgError:
             break
-        x_new = x + step
+        x_new = [v + d for v, d in zip(x, step)]
         r_new = residuals(x_new)
-        if np.abs(r_new).max() >= np.abs(r).max():
+        if max(map(abs, r_new)) >= max(map(abs, r)):
             break
         x, r = x_new, r_new
-    return tuple(x)
+    return x
 
 
-def solve_p3f3(frames, tol: float = 1e-9, degeneracy_tol: float = 1e-12) -> RecoveryResult:
+def _normalized(frames, shape, name):
+    """Validate a solver's input and scale it to unit size.
+
+    Returns the frames as lists of floats divided by the largest squared
+    distance, and that scale.
+    """
+    try:
+        arr = np.asarray(frames, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise InvalidInputError(
+            f"{name} needs {shape[0]} frames of {shape[1]} squared distances")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} input must be finite")
+    scale = float(np.abs(arr).max()) or 1.0
+    return (arr / scale).tolist(), scale
+
+
+def _difference_system(norm, triples):
+    """Rows M x = r of every later frame's identities minus the first frame's.
+
+    Each edge triple's quartic identity has the same quadratic part in every
+    frame, so the difference of two frames is linear in the squared lengths.
+    One row per (later frame, triple); columns index the edges.
+    """
+    ref = [quad_coeffs([norm[0][k] for k in t]) for t in triples]
+    mat = np.zeros(((len(norm) - 1) * len(triples), len(norm[0])))
+    rhs = np.empty(len(mat))
+    row = 0
+    for frame in norm[1:]:
+        for triple, q0 in zip(triples, ref):
+            q = quad_coeffs([frame[k] for k in triple])
+            mat[row, triple] = (q.coef_a - q0.coef_a, q.coef_b - q0.coef_b,
+                                q.coef_c - q0.coef_c)
+            rhs[row] = q0.const - q.const
+            row += 1
+    return mat, rhs
+
+
+def _solve_linear(norm, triples):
+    """Solve the square difference system.
+
+    Raises SingularSystemError when its smallest singular value falls below
+    _SINGULAR_TOL times its largest.
+    """
+    mat, rhs = _difference_system(norm, triples)
+    sv = np.linalg.svd(mat, compute_uv=False)
+    if not sv[-1] > _SINGULAR_TOL * sv[0]:
+        raise SingularSystemError("frame-difference system is singular")
+    return np.linalg.solve(mat, rhs).tolist()
+
+
+def _triangle_candidate(sol, frames, tol) -> Candidate:
+    lengths = TriangleDistances(*sol)
+    residuals = tuple(eq1_residual(lengths, f) for f in frames)
+    return Candidate(lengths, feasibility_check(lengths, frames, tol), residuals)
+
+
+def solve_p3f3(frames, tol: float = 1e-9) -> RecoveryResult:
     """Recover a triangle's squared lengths from 3 frames (minimal case).
 
-    Differences against a pivot frame express A = a^2 and B = b^2 as affine
-    functions of C = c^2; substituting into the pivot frame's quartic
-    identity leaves a quadratic in C.  All three pivot choices are tried
-    and the best-conditioned elimination kept.  Returns 0, 1 or 2
-    candidates, feasibility-flagged and sorted by max residual.
+    The two difference rows against frame 1 express A = a^2 and B = b^2 as
+    affine functions of C = c^2; substituting into frame 1's quartic
+    identity leaves a quadratic in C.  Returns 0, 1 or 2 candidates,
+    feasibility-flagged and sorted by max residual.
 
-    Raises DegenerateEliminationError when every elimination is singular
+    Raises DegenerateEliminationError when the elimination is singular
     (collinear points, or frames identical up to in-plane motion).
     """
-    frames = [tuple(f) for f in frames]
-    if len(frames) != 3 or any(len(f) != 3 for f in frames):
-        raise InvalidInputError("solve_p3f3 needs 3 frames of 3 squared distances")
-    scale = _observation_scale(frames)
+    norm, scale = _normalized(frames, (3, 3), "solve_p3f3")
+    mat, rhs = _difference_system(norm, _TRIANGLE)
+    (m_a1, m_b1, m_c1), (m_a2, m_b2, m_c2) = mat.tolist()
+    r1, r2 = rhs.tolist()
+    # pivot-independent: twice the area of the frames' (coef_a, coef_b) triangle
+    det = m_a1 * m_b2 - m_a2 * m_b1
+    if abs(det) < _DEGENERACY_TOL:
+        raise DegenerateEliminationError("frame-difference elimination is singular")
+    a_c = (m_c2 * m_b1 - m_c1 * m_b2) / det
+    a0 = (r1 * m_b2 - r2 * m_b1) / det
+    b_c = (m_a2 * m_c1 - m_a1 * m_c2) / det
+    b0 = (m_a1 * r2 - m_a2 * r1) / det
 
-    best_pivot = None
-    for pivot in range(3):
-        i, j = [k for k in range(3) if k != pivot]
-        q_i, q_j, q_p = (quad_coeffs(frames[k]) for k in (i, j, pivot))
-        det = ((q_i.coef_a - q_p.coef_a) * (q_j.coef_b - q_p.coef_b)
-               - (q_j.coef_a - q_p.coef_a) * (q_i.coef_b - q_p.coef_b))
-        if best_pivot is None or abs(det) > abs(best_pivot[0]):
-            best_pivot = (det, pivot, i, j)
-    det, pivot, i, j = best_pivot
-    if abs(det) < degeneracy_tol * scale * scale:
-        raise DegenerateEliminationError(
-            "all frame-difference eliminations are singular")
-
-    pair = linearized_pair(frames[i], frames[j], frames[pivot])
-    qp = quad_coeffs(frames[pivot])
-    a_c, a0, b_c, b0 = pair.A_c, pair.A_Cst, pair.B_c, pair.B_Cst
+    qp = quad_coeffs(norm[0])
     q2 = a_c * a_c + b_c * b_c + 1.0 - 2.0 * a_c * b_c - 2.0 * a_c - 2.0 * b_c
     q1 = (2.0 * a_c * a0 + 2.0 * b_c * b0 - 2.0 * (a_c * b0 + a0 * b_c)
           - 2.0 * (a0 + b0) + qp.coef_a * a_c + qp.coef_b * b_c + qp.coef_c)
@@ -272,59 +280,13 @@ def solve_p3f3(frames, tol: float = 1e-9, degeneracy_tol: float = 1e-12) -> Reco
 
     candidates = []
     for c_sq in _solve_quadratic(q2, q1, q0, tol):
-        a_sq = a_c * c_sq + a0
-        b_sq = b_c * c_sq + b0
-        a_sq, b_sq, c_sq = _newton_polish((a_sq, b_sq, c_sq), frames)
-        lengths = TriangleDistances(a_sq, b_sq, c_sq)
-        residuals = tuple(eq1_residual(lengths, f) for f in frames)
-        feasible = feasibility_check(lengths, frames, tol)
-        candidates.append(Candidate(lengths, feasible, residuals))
+        polished = _newton_polish((a_c * c_sq + a0, b_c * c_sq + b0, c_sq), norm)
+        candidates.append(_triangle_candidate([v * scale for v in polished], frames, tol))
     candidates.sort(key=lambda c: c.max_residual)
     return RecoveryResult(tuple(candidates))
 
 
-def solve_pivoted(matrix, rhs, singular_tol: float = 1e-10):
-    """Solve a small dense square system by partially pivoted elimination.
-
-    Raises SingularSystemError when a pivot falls below singular_tol times
-    the largest row norm.  Two iterative-refinement passes with extended-
-    precision residuals tighten the forward error.
-    """
-    a = np.array(matrix, dtype=float)
-    b = np.array(rhs, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
-        raise InvalidInputError("solve_pivoted needs a square system")
-    row_scale = max(float(np.abs(a).sum(axis=1).max()), 1e-300)
-
-    work = np.hstack([a, b[:, None]])
-    for col in range(n):
-        piv = col + int(np.abs(work[col:, col]).argmax())
-        if abs(work[piv, col]) < singular_tol * row_scale:
-            raise SingularSystemError(
-                f"pivot {abs(work[piv, col]):.3g} below threshold")
-        if piv != col:
-            work[[col, piv]] = work[[piv, col]]
-        factors = work[col + 1:, col] / work[col, col]
-        work[col + 1:, col:] -= factors[:, None] * work[col, col:]
-    x = np.empty(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (work[row, n] - work[row, row + 1:n] @ x[row + 1:]) / work[row, row]
-
-    # refinement: residual in extended precision
-    a_l = a.astype(np.longdouble)
-    b_l = b.astype(np.longdouble)
-    for _ in range(2):
-        r = np.asarray(b_l - a_l @ x.astype(np.longdouble), dtype=float)
-        try:
-            dx = np.linalg.solve(a, r)
-        except np.linalg.LinAlgError:
-            break
-        x = x + dx
-    return x
-
-
-def solve_p3f4(frames, tol: float = 1e-9, singular_tol: float = 1e-10) -> RecoveryResult:
+def solve_p3f4(frames, tol: float = 1e-9) -> RecoveryResult:
     """Recover a triangle's squared lengths from 4 frames (linear case).
 
     Subtracting the first frame's quartic identity from each of the other
@@ -333,24 +295,12 @@ def solve_p3f4(frames, tol: float = 1e-9, singular_tol: float = 1e-10) -> Recove
 
     Raises SingularSystemError for degenerate motion (e.g. repeated frames).
     """
-    frames = [tuple(f) for f in frames]
-    if len(frames) != 4 or any(len(f) != 3 for f in frames):
-        raise InvalidInputError("solve_p3f4 needs 4 frames of 3 squared distances")
-    q0 = quad_coeffs(frames[0])
-    mat = np.empty((3, 3))
-    rhs = np.empty(3)
-    for row, frame in enumerate(frames[1:]):
-        q = quad_coeffs(frame)
-        mat[row] = (q.coef_a - q0.coef_a, q.coef_b - q0.coef_b, q.coef_c - q0.coef_c)
-        rhs[row] = -(q.const - q0.const)
-    sol = solve_pivoted(mat, rhs, singular_tol)
-    lengths = TriangleDistances(*sol)
-    residuals = tuple(eq1_residual(lengths, f) for f in frames)
-    feasible = feasibility_check(lengths, frames, tol)
-    return RecoveryResult((Candidate(lengths, feasible, residuals),))
+    norm, scale = _normalized(frames, (4, 3), "solve_p3f4")
+    sol = [v * scale for v in _solve_linear(norm, _TRIANGLE)]
+    return RecoveryResult((_triangle_candidate(sol, frames, tol),))
 
 
-def solve_p4f3(frames, tol: float = 1e-9, singular_tol: float = 1e-10) -> RecoveryResult:
+def solve_p4f3(frames, tol: float = 1e-9) -> RecoveryResult:
     """Recover a tetrahedron's six squared lengths from 3 frames.
 
     Each frame constrains three edge triples -- (a,g,f), (d,b,g), (d,f,c) --
@@ -359,30 +309,15 @@ def solve_p4f3(frames, tol: float = 1e-9, singular_tol: float = 1e-10) -> Recove
 
     Raises SingularSystemError for degenerate motion or configurations.
     """
-    frames = [tuple(f) for f in frames]
-    if len(frames) != 3 or any(len(f) != 6 for f in frames):
-        raise InvalidInputError("solve_p4f3 needs 3 frames of 6 squared distances")
-    mat = np.zeros((6, 6))
-    rhs = np.empty(6)
-    row = 0
-    for frame in frames[1:]:
-        for triple in _TETRA_TRIPLES:
-            q = quad_coeffs([frame[k] for k in triple])
-            q0 = quad_coeffs([frames[0][k] for k in triple])
-            mat[row, :] = 0.0
-            mat[row, triple[0]] = q.coef_a - q0.coef_a
-            mat[row, triple[1]] = q.coef_b - q0.coef_b
-            mat[row, triple[2]] = q.coef_c - q0.coef_c
-            rhs[row] = -(q.const - q0.const)
-            row += 1
-    sol = solve_pivoted(mat, rhs, singular_tol)
-    lengths = TetraDistances(*sol)
+    norm, scale = _normalized(frames, (3, 6), "solve_p4f3")
+    sol = [v * scale for v in _solve_linear(norm, _TETRA_TRIPLES)]
     residuals = []
     for frame in frames:
         worst = 0.0
-        for triple in _TETRA_TRIPLES + ((0, 1, 2),):
-            tri = TriangleDistances(sol[triple[0]], sol[triple[1]], sol[triple[2]])
+        for triple in _TETRA_TRIPLES + _TRIANGLE:
+            tri = TriangleDistances(*(sol[k] for k in triple))
             worst = max(worst, abs(eq1_residual(tri, [frame[k] for k in triple])))
         residuals.append(worst)
+    lengths = TetraDistances(*sol)
     feasible = feasibility_check(lengths, frames, tol)
     return RecoveryResult((Candidate(lengths, feasible, tuple(residuals)),))

@@ -89,7 +89,7 @@ def b_of_c_coeffs(frame1_sq, frame2_sq) -> BofCCoeffs:
     q1, q2 = quad_coeffs(frame1_sq), quad_coeffs(frame2_sq)
     denom = q1.coef_a - q2.coef_a
     scale = max(abs(v) for f in (frame1_sq, frame2_sq) for v in f)
-    if abs(denom) < 1e-12 * max(scale, 1.0):
+    if abs(denom) <= 1e-12 * scale:
         raise DegenerateEliminationError("a^2 coefficients coincide between frames")
     p = -(q1.coef_b - q2.coef_b) / denom
     q = -(q1.coef_c - q2.coef_c) / denom
@@ -275,7 +275,7 @@ def _scored_residual(frame1, frame2, assignment, tol) -> float:
     1.5x the longest RP projection, grow geometrically while infeasible."""
     c_sq = _assumed_c_sq(frame1, frame2, assignment)
     if c_sq == 0.0:
-        c_sq = max(frame1.scale_sq(), frame2.scale_sq(), 1.0)
+        c_sq = max(frame1.scale_sq(), frame2.scale_sq())
     for _ in range(C_MAX_STEPS):
         try:
             return collinearity_residual_4pt(frame1, frame2, assignment, c_sq, tol)

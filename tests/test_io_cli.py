@@ -132,6 +132,17 @@ class TestCliRecover:
         assert code == cli.EXIT_DEGENERATE
         assert json.loads(out.read_text())["status"] == "degenerate"
 
+    def test_auto_degenerate_reports_chosen_mode(self, tmp_path):
+        frames = sim.render(golden_scene(4))
+        frames[2] = frames[1]
+        f = tmp_path / "frames.csv"
+        f.write_text(io_files.frames_to_csv(frames))
+        out = tmp_path / "report.json"
+        assert cli.main(["recover", str(f), "--out", str(out)]) == cli.EXIT_DEGENERATE
+        report = json.loads(out.read_text())
+        assert report["status"] == "degenerate"
+        assert report["solver"] == "p3f4"
+
 
 class TestCliMatch:
     def test_rigid_consistent(self, tmp_path):

@@ -12,7 +12,25 @@ from orthosfm.errors import (
     SingularSystemError,
 )
 
-from conftest import GOLDEN_SQ, frames_sq, golden_scene, true_sq
+from conftest import GOLDEN_SQ, TETRA_PAIRS, TRIANGLE_PAIRS, frames_sq, golden_scene, true_sq
+
+SOLVER_SHAPES = ((sol.solve_p3f3, 3, 3), (sol.solve_p3f4, 3, 4), (sol.solve_p4f3, 4, 3))
+OFF_UNIT_SCALES = (1e-6, 1e-3, 1e3, 1e6)
+
+
+def assert_roundtrip(solve, n_points, n_frames, scale):
+    """Each of 200 seeded scenes, coordinates multiplied by `scale`, yields a
+    feasible candidate within 1e-9 relative of the true squared lengths."""
+    pairs = TETRA_PAIRS if n_points == 4 else TRIANGLE_PAIRS
+    for seed in range(200):
+        scene = sim.gen_scene(n_points, n_frames, seed)
+        truth = true_sq(scene, pairs) * scale ** 2
+        frames = [[v * scale ** 2 for v in f] for f in frames_sq(scene)]
+        result = solve(frames)
+        assert result.feasible_candidates, (seed, scale)
+        err = min(np.abs(np.array(c.lengths.as_tuple()) - truth).max()
+                  for c in result.feasible_candidates)
+        assert err < 1e-9 * truth.max(), (seed, scale)
 
 
 class TestFrameConstant:
@@ -103,33 +121,6 @@ class TestSolveQuadratic:
         assert roots[1] == pytest.approx(1e8, rel=1e-9)
 
 
-class TestSolvePivoted:
-    def test_matches_numpy(self, rng):
-        for _ in range(50):
-            a = rng.normal(size=(4, 4))
-            b = rng.normal(size=4)
-            got = sol.solve_pivoted(a, b)
-            expect = np.linalg.solve(a, b)
-            assert np.allclose(got, expect, rtol=1e-10, atol=1e-12)
-
-    def test_singular_raises(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularSystemError):
-            sol.solve_pivoted(a, np.array([1.0, 2.0]))
-
-    def test_requires_square(self):
-        with pytest.raises(InvalidInputError):
-            sol.solve_pivoted(np.ones((2, 3)), np.ones(2))
-
-    def test_ill_conditioned_refinement(self):
-        # Hilbert-like system with a known constructed solution
-        n = 6
-        a = np.array([[1.0 / (i + j + 1) for j in range(n)] for i in range(n)])
-        x_true = np.arange(1.0, n + 1.0)
-        got = sol.solve_pivoted(a, a @ x_true)
-        assert np.abs(got - x_true).max() < 1e-6
-
-
 class TestFeasibility:
     def test_truth_is_feasible(self):
         scene = golden_scene(3)
@@ -152,16 +143,11 @@ class TestSolveP3F3:
         assert np.abs(got - GOLDEN_SQ).max() < 1e-9 * max(GOLDEN_SQ)
 
     def test_roundtrip_seeded(self):
-        for seed in range(200):
-            scene = sim.gen_scene(3, 3, seed)
-            truth = true_sq(scene)
-            result = sol.solve_p3f3(frames_sq(scene))
-            assert result.feasible_candidates
-            errs = [
-                np.abs(np.array(c.lengths.as_tuple()) - truth).max()
-                for c in result.feasible_candidates
-            ]
-            assert min(errs) < 1e-9 * truth.max()
+        assert_roundtrip(sol.solve_p3f3, 3, 3, 1.0)
+
+    @pytest.mark.parametrize("scale", OFF_UNIT_SCALES)
+    def test_roundtrip_seeded_at_scale(self, scale):
+        assert_roundtrip(sol.solve_p3f3, 3, 3, scale)
 
     def test_candidate_residuals_small_at_solution(self):
         scene = golden_scene(3, seed=7)
@@ -209,12 +195,11 @@ class TestSolveP3F4:
         assert len(sol.solve_p3f4(frames_sq(scene)).candidates) == 1
 
     def test_roundtrip_seeded(self):
-        for seed in range(200):
-            scene = sim.gen_scene(3, 4, seed)
-            truth = true_sq(scene)
-            best = sol.solve_p3f4(frames_sq(scene)).best
-            got = np.array(best.lengths.as_tuple())
-            assert np.abs(got - truth).max() < 1e-9 * truth.max()
+        assert_roundtrip(sol.solve_p3f4, 3, 4, 1.0)
+
+    @pytest.mark.parametrize("scale", OFF_UNIT_SCALES)
+    def test_roundtrip_seeded_at_scale(self, scale):
+        assert_roundtrip(sol.solve_p3f4, 3, 4, scale)
 
     def test_repeated_frame_singular(self):
         scene = golden_scene(4)
@@ -230,14 +215,11 @@ class TestSolveP3F4:
 
 class TestSolveP4F3:
     def test_roundtrip_seeded(self):
-        from conftest import TETRA_PAIRS
-        for seed in range(200):
-            scene = sim.gen_scene(4, 3, seed)
-            truth = true_sq(scene, TETRA_PAIRS)
-            best = sol.solve_p4f3(frames_sq(scene)).best
-            got = np.array(best.lengths.as_tuple())
-            assert np.abs(got - truth).max() < 1e-9 * truth.max()
-            assert best.feasible
+        assert_roundtrip(sol.solve_p4f3, 4, 3, 1.0)
+
+    @pytest.mark.parametrize("scale", OFF_UNIT_SCALES)
+    def test_roundtrip_seeded_at_scale(self, scale):
+        assert_roundtrip(sol.solve_p4f3, 4, 3, scale)
 
     def test_residuals_cover_all_faces(self):
         scene = sim.gen_scene(4, 3, 11)
@@ -256,23 +238,18 @@ class TestSolveP4F3:
             sol.solve_p4f3([GOLDEN_SQ] * 3)
 
 
-class TestLinearizedPair:
-    def test_elimination_consistency(self):
-        # The affine expressions A(C), B(C) must satisfy both difference rows
-        # at the true C.
-        scene = golden_scene(3, seed=9)
-        frames = frames_sq(scene)
-        pair = sol.linearized_pair(frames[1], frames[2], frames[0])
-        c_true = GOLDEN_SQ[2]
-        a_pred = pair.A_c * c_true + pair.A_Cst
-        b_pred = pair.B_c * c_true + pair.B_Cst
-        for d_a, d_b, d_c, d_cst in (
-            (pair.d_a1, pair.d_b1, pair.d_c1, pair.d_Cst1),
-            (pair.d_a2, pair.d_b2, pair.d_c2, pair.d_Cst2),
-        ):
-            res = d_a * a_pred + d_b * b_pred + d_c * c_true + d_cst
-            assert abs(res) < 1e-8 * max(GOLDEN_SQ) ** 2
+class TestSolverInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("solve, n_points, n_frames", SOLVER_SHAPES)
+    def test_non_finite_rejected(self, solve, n_points, n_frames, bad):
+        frames = [list(f) for f in frames_sq(sim.gen_scene(n_points, n_frames, 4))]
+        frames[1][2] = bad
+        with pytest.raises(InvalidInputError):
+            solve(frames)
 
-    def test_dependent_frames_raise(self):
-        with pytest.raises(DegenerateEliminationError):
-            sol.linearized_pair(GOLDEN_SQ, GOLDEN_SQ, GOLDEN_SQ)
+    @pytest.mark.parametrize("solve, n_points, n_frames", SOLVER_SHAPES)
+    def test_ragged_input_rejected(self, solve, n_points, n_frames):
+        frames = [list(f) for f in frames_sq(sim.gen_scene(n_points, n_frames, 4))]
+        frames[0].pop()
+        with pytest.raises(InvalidInputError):
+            solve(frames)

@@ -225,6 +225,16 @@ class TestRigidityScore:
         broken = geo.FrameObservation(tuple(pts))
         assert tf.rigidity_score(frame1, broken) > 1e-3 * scale_of(frame1, broken)
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4])
+    def test_rigid_consistent_at_any_scale(self, scale):
+        for seed in range(100):
+            frame1, frame2 = (
+                geo.FrameObservation(tuple(
+                    (lab, geo.Point2(p.x * scale, p.y * scale)) for lab, p in f.points))
+                for f in two_frames(sim.gen_scene(4, 2, seed)))
+            score = tf.rigidity_score(frame1, frame2)
+            assert score <= tf.DEFAULT_RIGIDITY_TOL * scale_of(frame1, frame2), seed
+
 
 class TestResidual5pt:
     def test_zero_for_rigid(self):
