@@ -118,6 +118,7 @@ def cmd_recover(args) -> int:
             "information": balance.information,
             "recoverable": balance.recoverable,
         },
+        "used": {"points": list(labels[:use_points]), "frames": len(sq)},
         "candidates": [
             {
                 "lengths_sq": dict(zip(names, c.lengths.as_tuple())),
@@ -144,6 +145,7 @@ def cmd_match(args) -> int:
         return EXIT_INPUT
     frame1, frame2 = frames
     report = {"command": "match", "unlabeled": bool(args.unlabeled)}
+    code = EXIT_OK
     try:
         if args.unlabeled:
             match = two_frame.match_points(
@@ -152,6 +154,7 @@ def cmd_match(args) -> int:
             report["best_residual"] = match.best_residual
             report["margin"] = match.margin
             report["n_scored"] = match.n_scored
+            report["n_infeasible"] = sum(math.isinf(r) for _, r in match.ranking)
             report["ranking"] = [
                 {"targets": list(a.target_labels), "residual": r}
                 for a, r in match.ranking
@@ -163,28 +166,23 @@ def cmd_match(args) -> int:
             report["rigidity_residual"] = score
             report["verdict"] = "consistent" if consistent else "inconsistent"
             if not consistent:
-                report["timing_s"] = time.perf_counter() - start
-                _write(io_files.report_to_json(report), args.out)
-                return EXIT_NO_SOLUTION
+                code = EXIT_NO_SOLUTION
     except NoConsistentAssignmentError as exc:
         report["status"] = "no_consistent_assignment"
         report["reason"] = str(exc)
-        _write(io_files.report_to_json(report), args.out)
-        return EXIT_NO_SOLUTION
+        code = EXIT_NO_SOLUTION
     except NoSolutionError as exc:
         # no assumed length admits a rigid reading: decisively inconsistent
         report["verdict"] = "inconsistent"
         report["reason"] = str(exc)
-        _write(io_files.report_to_json(report), args.out)
-        return EXIT_NO_SOLUTION
+        code = EXIT_NO_SOLUTION
     except (DegenerateBasisError, DegenerateEliminationError) as exc:
         report["status"] = "degenerate"
         report["reason"] = str(exc)
-        _write(io_files.report_to_json(report), args.out)
-        return EXIT_DEGENERATE
+        code = EXIT_DEGENERATE
     report["timing_s"] = time.perf_counter() - start
     _write(io_files.report_to_json(report), args.out)
-    return EXIT_OK
+    return code
 
 
 def cmd_simulate(args) -> int:

@@ -155,6 +155,22 @@ def _signed_depth_pair(c_dep: float, b_dep: float, a_dep: float) -> tuple:
     return z_p, z_q
 
 
+def _cross(u, v) -> np.ndarray:
+    """u x v for 3-vectors: np.cross's products and differences, without
+    its axis handling."""
+    return np.array([u[1] * v[2] - u[2] * v[1],
+                     u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
+
+
+def _in_frame_basis(p, q, r, scale):
+    """Columns P - R and Q - R, or None when P, Q, R are nearly collinear."""
+    basis = np.column_stack([p - r, q - r])
+    if abs(np.linalg.det(basis)) < 1e-12 * scale * scale:
+        return None
+    return basis
+
+
 def _point_line_distance(pt, anchor, other) -> float:
     d = other - anchor
     nd = np.linalg.norm(d)
@@ -218,8 +234,8 @@ def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation
     if not roots:
         raise NoSolutionError("no non-negative b^2 root for assumed c")
 
-    basis1 = np.column_stack([p1 - r1, q1 - r1])
-    if abs(np.linalg.det(basis1)) < 1e-12 * scale * scale:
+    basis1 = _in_frame_basis(p1, q1, r1, scale)
+    if basis1 is None:
         raise DegenerateBasisError("P1, Q1, R1 nearly collinear")
     basis2 = np.column_stack([p2 - r2, q2 - r2])
 
@@ -234,7 +250,7 @@ def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation
         zp1, zq1 = _signed_depth_pair(c_sq - c1s, b_sq - b1s, a_sq - a1s)
         rp1 = np.array([*(p1 - r1), zp1])
         rq1 = np.array([*(q1 - r1), zq1])
-        n1 = np.cross(rp1, rq1)
+        n1 = _cross(rp1, rq1)
         n1_norm = np.linalg.norm(n1)
         if n1_norm < 1e-12 * scale * scale:
             raise DegenerateBasisError("embedded triangle degenerate")
@@ -246,7 +262,7 @@ def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation
         for flip in (1.0, -1.0):
             rp2 = np.array([*(p2 - r2), flip * zp2])
             rq2 = np.array([*(q2 - r2), flip * zq2])
-            n2 = np.cross(rp2, rq2)
+            n2 = _cross(rp2, rq2)
             n2_norm = np.linalg.norm(n2)
             if n2_norm < 1e-12 * scale * scale:
                 continue
@@ -261,26 +277,61 @@ def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation
     return best
 
 
-def _assumed_c_sq(frame1, frame2, assignment) -> float:
-    r1 = frame1.get(assignment.source_labels[2]).as_array()
-    p1 = frame1.get(assignment.source_labels[0]).as_array()
-    r2 = frame2.get(assignment.target_labels[2]).as_array()
-    p2 = frame2.get(assignment.target_labels[0]).as_array()
-    longest = max(_sq(r1 - p1), _sq(r2 - p2))
-    return C_START_FACTOR ** 2 * longest
+def _c_walk(coeffs: BofCCoeffs, c_sq: float, minima, tol):
+    """The assumed-length policy: starting from c_sq, grow c geometrically for
+    C_MAX_STEPS steps.
+
+    Yields (c_sq, roots) for each step on which some b^2 root leaves the
+    lengths (a^2, b^2, c^2) no shorter than minima, with those roots in
+    ascending order; steps without such a root are skipped.
+    """
+    min_a, min_b, min_c = minima
+    for _ in range(C_MAX_STEPS):
+        try:
+            roots = solve_b_given_c(coeffs, c_sq, tol)
+        except NoSolutionError:
+            roots = ()
+        kept = tuple(b_sq for b_sq in roots
+                     if not (coeffs.a_sq_of(b_sq, c_sq) < min_a
+                             or b_sq < min_b or c_sq < min_c))
+        if kept:
+            yield c_sq, kept
+        c_sq *= C_GROW_FACTOR ** 2
 
 
 def _scored_residual(frame1, frame2, assignment, tol) -> float:
-    """collinearity_residual_4pt with the deterministic c policy: start at
-    1.5x the longest RP projection, grow geometrically while infeasible."""
-    c_sq = _assumed_c_sq(frame1, frame2, assignment)
+    """collinearity_residual_4pt under the assumed-length policy: c starts at
+    1.5x the longest RP projection and grows geometrically while infeasible.
+
+    The walk over c is screened in floats with the assignment's invariants,
+    and collinearity_residual_4pt runs only on steps where the screen finds
+    a b^2 root whose lengths dominate their projections.  The screen skips
+    only steps on which that function would raise NoSolutionError: when
+    P1, Q1, R1 are nearly collinear every step with a non-negative root is
+    kept, so DegenerateBasisError comes from the same step as without the
+    screen.  Residuals and exception types are therefore exactly those of
+    calling the function at every step.
+    """
+    p1, q1, r1, _ = _get4(frame1, assignment.source_labels)
+    p2, q2, r2, _ = _get4(frame2, assignment.target_labels)
+    sq1 = (_sq(p1 - q1), _sq(q1 - r1), _sq(r1 - p1))
+    sq2 = (_sq(p2 - q2), _sq(q2 - r2), _sq(r2 - p2))
+    scale_sq = max(frame1.scale_sq(), frame2.scale_sq())
+    c_sq = C_START_FACTOR ** 2 * max(sq1[2], sq2[2])
     if c_sq == 0.0:
-        c_sq = max(frame1.scale_sq(), frame2.scale_sq())
-    for _ in range(C_MAX_STEPS):
+        c_sq = scale_sq
+    coeffs = b_of_c_coeffs(sq1, sq2)
+    scale = math.sqrt(max(scale_sq, 1e-300))
+    if _in_frame_basis(p1, q1, r1, scale) is None:
+        minima = (-math.inf,) * 3
+    else:
+        slack = tol * scale * scale
+        minima = tuple(max(s1, s2) - slack for s1, s2 in zip(sq1, sq2))
+    for c_sq, _ in _c_walk(coeffs, c_sq, minima, tol):
         try:
             return collinearity_residual_4pt(frame1, frame2, assignment, c_sq, tol)
         except NoSolutionError:
-            c_sq *= C_GROW_FACTOR ** 2
+            pass  # both reflection branches degenerate for every root
     raise NoSolutionError("no feasible assumed length found for assignment")
 
 
@@ -613,17 +664,11 @@ def base_interpretation_from_frames(frame1: FrameObservation,
     if c_sq == 0.0:
         c_sq = scale * scale
 
+    minima = (max(a1s, a2s), max(b1s, b2s), max(c1s, c2s))
     best = None
-    for _ in range(C_MAX_STEPS):
-        try:
-            roots = solve_b_given_c(coeffs, c_sq, tol)
-        except NoSolutionError:
-            roots = ()
+    for c_sq, roots in _c_walk(coeffs, c_sq, minima, tol):
         for b_sq in roots:
             a_sq = coeffs.a_sq_of(b_sq, c_sq)
-            if a_sq < max(a1s, a2s) or b_sq < max(b1s, b2s) \
-                    or c_sq < max(c1s, c2s):
-                continue
             zp1, zq1 = _signed_depth_pair(c_sq - c1s, b_sq - b1s, a_sq - a1s)
             e1 = np.array([[*p1, zp1], [*q1, zq1], [*r1, 0.0]])
             zp2, zq2 = _signed_depth_pair(c_sq - c2s, b_sq - b2s, a_sq - a2s)
@@ -637,7 +682,6 @@ def base_interpretation_from_frames(frame1: FrameObservation,
                     best = (residual, interp)
         if best is not None and best[0] < tol * scale * 10:
             return best[1]
-        c_sq *= C_GROW_FACTOR ** 2
     if best is not None and best[0] < 1e-6 * scale:
         return best[1]
     raise InconsistentLengthsError(

@@ -144,6 +144,17 @@ class TestCliRecover:
         assert report["solver"] == "p3f4"
 
 
+    def test_reports_used_data(self, tmp_path):
+        # 3 points over 6 frames: p3f4 reads the first 4 frames
+        f = tmp_path / "frames.csv"
+        write_frames(f, golden_scene(6))
+        out = tmp_path / "report.json"
+        assert cli.main(["recover", str(f), "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["dof"]["frames"] == 6
+        assert report["used"] == {"points": ["P", "Q", "R"], "frames": 4}
+
+
 class TestCliMatch:
     def test_rigid_consistent(self, tmp_path):
         f = tmp_path / "frames.csv"
@@ -178,6 +189,32 @@ class TestCliMatch:
         code = cli.main(["match", str(f), "--out", str(out)])
         assert code == cli.EXIT_NO_SOLUTION
         assert json.loads(out.read_text())["verdict"] == "inconsistent"
+
+    def test_unlabeled_counts_infeasible(self, tmp_path):
+        f = tmp_path / "frames.csv"
+        write_frames(f, sim.gen_scene(5, 2, 44))
+        out = tmp_path / "report.json"
+        assert cli.main(["match", str(f), "--unlabeled", "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads(out.read_text())
+        inf = sum(r["residual"] == float("inf") for r in report["ranking"])
+        assert report["n_infeasible"] == inf
+        assert len(report["ranking"]) == report["n_scored"]
+
+    def test_non_rigid_report_has_timing(self, tmp_path):
+        scene = sim.gen_scene(4, 2, 5)
+        frames = sim.render(scene)
+        rng = np.random.default_rng(0)
+        moved = geo.FrameObservation(tuple(
+            (lab, geo.Point2(*(p.as_array() + rng.uniform(0.3, 0.6, 2))))
+            for lab, p in frames[1].points))
+        f = tmp_path / "frames.csv"
+        f.write_text(io_files.frames_to_csv([frames[0], moved]))
+        out = tmp_path / "report.json"
+        code = cli.main(["match", str(f), "--unlabeled", "--out", str(out)])
+        assert code == cli.EXIT_NO_SOLUTION
+        report = json.loads(out.read_text())
+        assert report["status"] == "no_consistent_assignment"
+        assert report["timing_s"] >= 0.0
 
     def test_needs_two_frames(self, tmp_path, capsys):
         f = tmp_path / "frames.csv"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -343,3 +344,142 @@ class TestBaseInterpretationFromFrames:
             interp = tf.base_interpretation_from_frames(frame1, frame2)
             r1, r2 = interp.reprojection_residuals(frame1, frame2)
             assert max(r1, r2) < 1e-7 * scale_of(frame1, frame2)
+
+
+def unscreened_residual(frame1, frame2, assignment, tol=1e-9):
+    """The assumed-length walk without a screen: the full residual at every
+    step of the c grid until one does not raise NoSolutionError."""
+    r1 = frame1.get(assignment.source_labels[2]).as_array()
+    p1 = frame1.get(assignment.source_labels[0]).as_array()
+    r2 = frame2.get(assignment.target_labels[2]).as_array()
+    p2 = frame2.get(assignment.target_labels[0]).as_array()
+    c_sq = tf.C_START_FACTOR ** 2 * max(float((r1 - p1) @ (r1 - p1)),
+                                        float((r2 - p2) @ (r2 - p2)))
+    if c_sq == 0.0:
+        c_sq = max(frame1.scale_sq(), frame2.scale_sq())
+    for _ in range(tf.C_MAX_STEPS):
+        try:
+            return tf.collinearity_residual_4pt(frame1, frame2, assignment, c_sq, tol)
+        except NoSolutionError:
+            c_sq *= tf.C_GROW_FACTOR ** 2
+    raise NoSolutionError("no feasible assumed length found for assignment")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NoSolutionError, DegenerateBasisError, DegenerateEliminationError) as exc:
+        return type(exc)
+
+
+def moved_one(frame, seed):
+    rng = np.random.default_rng(seed)
+    pts = list(frame.points)
+    k = int(rng.integers(len(pts)))
+    lab, p = pts[k]
+    pts[k] = (lab, geo.Point2(*(p.as_array() + rng.normal(0.0, 0.3, 2))))
+    return geo.FrameObservation(tuple(pts))
+
+
+def nearly_collinear(frame, seed):
+    """R moved to within a tiny offset of the line through P and Q."""
+    rng = np.random.default_rng(seed)
+    pts = list(frame.points)
+    p, q = pts[0][1].as_array(), pts[1][1].as_array()
+    d = q - p
+    r = p + rng.uniform(-1.0, 2.0) * d + 10.0 ** rng.uniform(-16, -9) * np.array([-d[1], d[0]])
+    pts[2] = (pts[2][0], geo.Point2(*r))
+    return geo.FrameObservation(tuple(pts))
+
+
+def frame_of(pts):
+    return geo.FrameObservation(tuple(
+        (lab, geo.Point2(*map(float, p))) for lab, p in zip("PQRT", pts)))
+
+
+def collinear_near_elimination_limit(seed):
+    """Random frames with collinear P1, Q1, R1 and R2 placed so that the two
+    frames' a^2 coefficients differ by 1e-12 to 1e-6: b_of_c_coeffs barely
+    succeeds and its a^2 back-substitution loses most of its digits."""
+    rng = np.random.default_rng(seed)
+    pts1, pts2 = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+    pts1[2] = pts1[0] + rng.uniform(-1.0, 2.0) * (pts1[1] - pts1[0])
+    a1, b1, c1 = (float(v @ v) for v in (pts1[0] - pts1[1], pts1[1] - pts1[2],
+                                          pts1[2] - pts1[0]))
+    a2 = float((pts2[0] - pts2[1]) @ (pts2[0] - pts2[1]))
+    # |R2 - Q2|^2 + |R2 - P2|^2 = 2|R2 - M|^2 + a2/2, M the midpoint of P2 Q2
+    target = a2 + (b1 + c1 - a1) + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -6)
+    radius_sq = (target - a2 / 2.0) / 2.0
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    pts2[2] = (pts2[0] + pts2[1]) / 2.0 \
+        + math.sqrt(max(radius_sq, 0.0)) * np.array([math.cos(angle), math.sin(angle)])
+    return frame_of(pts1), frame_of(pts2)
+
+
+def pq_in_image_plane(seed):
+    """Random frames whose edge PQ keeps its length and |QR|^2 - |RP|^2 its
+    value: every assumed c has a root with a^2 equal to the projected |PQ|^2,
+    so the dominance test on a^2 is decided by rounding and the slack."""
+    rng = np.random.default_rng(seed)
+    pts1, pts2 = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    turn = np.array([[math.cos(angle), -math.sin(angle)],
+                     [math.sin(angle), math.cos(angle)]])
+    shift = rng.normal(size=2)
+    pts2[:3] = pts1[:3] @ turn.T + shift
+    d = pts2[1] - pts2[0]
+    pts2[2] += rng.uniform(-2.0, 2.0) * np.array([-d[1], d[0]]) / np.linalg.norm(d)
+    return frame_of(pts1), frame_of(pts2)
+
+
+class TestScreenedWalk:
+    @staticmethod
+    def pairs():
+        for seed in range(100):
+            frame1, frame2 = two_frames(sim.gen_scene(4, 2, seed))
+            yield frame1, frame2
+            yield frame1, moved_one(frame2, seed)
+        for seed in range(10):
+            frame1, frame2 = two_frames(sim.gen_scene(4, 2, seed))
+            yield nearly_collinear(frame1, seed), frame2
+
+    def test_same_as_unscreened_walk(self):
+        kinds = set()
+        for frame1, frame2 in self.pairs():
+            for perm in itertools.permutations(frame2.labels):
+                assignment = tf.Assignment(tuple(zip(frame1.labels, perm)))
+                expect = outcome(unscreened_residual, frame1, frame2, assignment)
+                got = outcome(tf._scored_residual, frame1, frame2, assignment, 1e-9)
+                assert got == expect, (assignment, expect, got)
+                kinds.add(expect if isinstance(expect, type) else float)
+        assert kinds == {float, NoSolutionError, DegenerateBasisError}
+
+    @pytest.mark.parametrize("make_pair, kind", [
+        (collinear_near_elimination_limit, DegenerateBasisError),
+        (pq_in_image_plane, float)])
+    def test_same_as_unscreened_walk_at_rounding_limits(self, make_pair, kind):
+        # roots that fail the dominance test by rounding alone: only the
+        # slack and the collinear-basis rule keep the screen exact here
+        kinds = set()
+        for seed in range(200):
+            frame1, frame2 = make_pair(seed)
+            assignment = identity_assignment()
+            expect = outcome(unscreened_residual, frame1, frame2, assignment)
+            got = outcome(tf._scored_residual, frame1, frame2, assignment, 1e-9)
+            assert got == expect, (seed, expect, got)
+            kinds.add(expect if isinstance(expect, type) else float)
+        assert kind in kinds
+
+    def test_rigid_match_calls_residual_once_per_assignment(self, monkeypatch):
+        calls = []
+        residual = tf.collinearity_residual_4pt
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return residual(*args, **kwargs)
+
+        monkeypatch.setattr(tf, "collinearity_residual_4pt", counted)
+        frame1, frame2 = two_frames(sim.gen_scene(4, 2, 3))
+        report = tf.match_points(frame1, frame2)
+        assert report.n_scored == 24
+        assert 0 < len(calls) <= 24
