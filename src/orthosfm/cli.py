@@ -161,8 +161,7 @@ def cmd_match(args) -> int:
             ]
         else:
             score = two_frame.rigidity_score(frame1, frame2)
-            scale = math.sqrt(max(frame1.scale_sq(), frame2.scale_sq()))
-            consistent = score <= args.threshold * scale
+            consistent = score <= args.threshold * two_frame._pair_scale(frame1, frame2)
             report["rigidity_residual"] = score
             report["verdict"] = "consistent" if consistent else "inconsistent"
             if not consistent:

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InconsistentLengthsError, InvalidInputError, MissingLabelError
 
-ORTHONORMALITY_TOL = 1e-12
+ORTHONORMALITY_TOL = 1e-9
 
 # Edge order conventions: consecutive label pairs measured by
 # projected_sq_distances.  Index into the label list (P, Q, R[, T]).
@@ -82,9 +83,9 @@ class RigidMotion:
         if not (np.isfinite(rot).all() and np.isfinite(tr).all()):
             raise InvalidInputError("non-finite RigidMotion")
         err = np.abs(rot.T @ rot - np.eye(3)).max()
-        if err > 1e-9:
+        if err > ORTHONORMALITY_TOL:
             raise InvalidInputError(f"rotation not orthonormal (err={err:.3g})")
-        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
+        if abs(np.linalg.det(rot) - 1.0) > ORTHONORMALITY_TOL:
             raise InvalidInputError("rotation must be proper (det +1)")
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tr)
@@ -120,7 +121,11 @@ class FrameObservation:
         raise MissingLabelError(f"label {label!r} absent from frame")
 
     def scale_sq(self) -> float:
-        """Squared diameter of the observation set (tolerance scaling)."""
+        """Squared diameter of the observation set, computed on first use."""
+        return self._scale_sq
+
+    @cached_property
+    def _scale_sq(self) -> float:
         arr = np.array([[p.x, p.y] for _, p in self.points])
         diff = arr[:, None, :] - arr[None, :, :]
         return float((diff ** 2).sum(axis=2).max())
@@ -270,7 +275,7 @@ def embed_depths(true_sq: TriangleDistances, frame_sq, tol: float = 1e-9):
     """
     true_vals = true_sq.as_tuple()
     frame_vals = tuple(frame_sq)
-    scale_sq = max(max(abs(v) for v in true_vals), max(abs(v) for v in frame_vals), 1e-300)
+    scale_sq = max(max(abs(v) for v in true_vals), max(abs(v) for v in frame_vals))
     mags = []
     for t, f in zip(true_vals, frame_vals):
         deficit = t - f
@@ -286,7 +291,7 @@ def embed_depths(true_sq: TriangleDistances, frame_sq, tol: float = 1e-9):
             if best is None or closure < best[0]:
                 best = (closure, (u, sv * v, sw * w))
     closure, branch = best
-    if closure > tol * max(math.sqrt(scale_sq), 1.0) * 10:
+    if closure > tol * math.sqrt(scale_sq) * 10:
         raise InconsistentLengthsError(
             f"no sign assignment closes the depth loop (gap {closure:.3g})")
     other = tuple(-x for x in branch)

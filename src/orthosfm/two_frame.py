@@ -8,7 +8,8 @@ predict a line in the second frame that the fourth point's image must lie
 on.  The distance to that line (collinearity_residual_4pt) scores
 candidate assignments (match_points) or, with known labels, serves as a
 rigidity test (rigidity_score).  Five points make the prediction fully
-linear (residual_5pt).
+linear (residual_5pt).  Each function divides its points once by the frame
+pair's scale (_pair_scale), so every threshold here is dimensionless.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     NoSolutionError,
 )
 from .geometry import (
+    TRIANGLE_EDGES,
     FrameObservation,
     Point3,
     RigidMotion,
@@ -88,8 +90,8 @@ def b_of_c_coeffs(frame1_sq, frame2_sq) -> BofCCoeffs:
     """
     q1, q2 = quad_coeffs(frame1_sq), quad_coeffs(frame2_sq)
     denom = q1.coef_a - q2.coef_a
-    scale = max(abs(v) for f in (frame1_sq, frame2_sq) for v in f)
-    if abs(denom) <= 1e-12 * scale:
+    magnitude = max(abs(v) for f in (frame1_sq, frame2_sq) for v in f)
+    if abs(denom) <= 1e-12 * magnitude:
         raise DegenerateEliminationError("a^2 coefficients coincide between frames")
     p = -(q1.coef_b - q2.coef_b) / denom
     q = -(q1.coef_c - q2.coef_c) / denom
@@ -108,6 +110,10 @@ def b_of_c_coeffs(frame1_sq, frame2_sq) -> BofCCoeffs:
 def solve_b_given_c(coeffs: BofCCoeffs, c_sq: float, tol: float = 1e-9) -> tuple:
     """Non-negative roots b^2 of the biquadratic for an assumed c^2.
 
+    The thresholds assume coefficients from frames of unit size, as every
+    caller in the package passes.  solvers._solve_quadratic is no substitute:
+    its tol-relative linear test would take the walk's large c as linear.
+
     Raises NoSolutionError when the discriminant is decisively negative
     (the assumed c is below the feasible range and must be increased).
     """
@@ -116,8 +122,8 @@ def solve_b_given_c(coeffs: BofCCoeffs, c_sq: float, tol: float = 1e-9) -> tuple
     lin = c_sq * coeffs.f_cb + coeffs.f_b
     const = c_sq * coeffs.f_c + c_sq * c_sq * coeffs.f_c2 + coeffs.f_Cst
     lead = coeffs.f_b2
-    coeff_scale = max(lin * lin, abs(4.0 * lead * const), 1e-300)
-    if abs(lead) < 1e-14 * math.sqrt(coeff_scale):
+    coeff_scale = max(lin * lin, abs(4.0 * lead * const))
+    if abs(lead) <= 1e-14 * math.sqrt(coeff_scale):
         if lin == 0.0:
             raise NoSolutionError("degenerate biquadratic")
         roots = (-const / lin,)
@@ -132,10 +138,6 @@ def solve_b_given_c(coeffs: BofCCoeffs, c_sq: float, tol: float = 1e-9) -> tuple
             sq = math.sqrt(disc)
             roots = ((-lin + sq) / (2.0 * lead), (-lin - sq) / (2.0 * lead))
     return tuple(sorted(b for b in roots if b >= 0.0))
-
-
-def _get4(frame: FrameObservation, labels) -> list:
-    return [frame.get(lab).as_array() for lab in labels]
 
 
 def _sq(v) -> float:
@@ -161,14 +163,6 @@ def _cross(u, v) -> np.ndarray:
     return np.array([u[1] * v[2] - u[2] * v[1],
                      u[2] * v[0] - u[0] * v[2],
                      u[0] * v[1] - u[1] * v[0]])
-
-
-def _in_frame_basis(p, q, r, scale):
-    """Columns P - R and Q - R, or None when P, Q, R are nearly collinear."""
-    basis = np.column_stack([p - r, q - r])
-    if abs(np.linalg.det(basis)) < 1e-12 * scale * scale:
-        return None
-    return basis
 
 
 def _point_line_distance(pt, anchor, other) -> float:
@@ -204,6 +198,63 @@ class Assignment:
         return dict(self.pairs)
 
 
+def _pair_scale(frame1: FrameObservation, frame2: FrameObservation) -> float:
+    """The larger observation diameter of a frame pair (1 if it is zero)."""
+    return math.sqrt(max(frame1.scale_sq(), frame2.scale_sq())) or 1.0
+
+
+def _read(frame: FrameObservation, labels) -> np.ndarray:
+    return np.array([[pt.x, pt.y] for pt in map(frame.get, labels)])
+
+
+class _TrianglePair:
+    """An assignment's points in both frames divided once by the pair's scale,
+    and what the triangle P, Q, R gives in those units.  Assumed lengths must
+    dominate their projections up to tol, except when P1, Q1, R1 are nearly
+    collinear (basis1 is None): then every length passes, so that the
+    residual raises DegenerateBasisError."""
+
+    def __init__(self, frame1, frame2, labels1, labels2, tol):
+        self.scale, self.tol = _pair_scale(frame1, frame2), tol
+        raw1, raw2 = _read(frame1, labels1), _read(frame2, labels2)
+        # the walk's first assumed c^2, in caller units
+        self.c_start = C_START_FACTOR ** 2 * max(
+            _sq(raw1[2] - raw1[0]), _sq(raw2[2] - raw2[0])) or self.scale ** 2
+        self.pts1, self.pts2 = raw1 / self.scale, raw2 / self.scale
+        self.sq1, self.sq2 = (tuple(_sq(pts[i] - pts[j]) for i, j in TRIANGLE_EDGES)
+                              for pts in (self.pts1, self.pts2))
+        self.coeffs = b_of_c_coeffs(self.sq1, self.sq2)
+        p1, q1, r1 = self.pts1[:3]
+        self.basis1 = np.column_stack([p1 - r1, q1 - r1])
+        if abs(np.linalg.det(self.basis1)) < 1e-12:
+            self.basis1 = None
+            self.minima = (-math.inf,) * 3
+        else:
+            self.minima = tuple(max(s1, s2) - tol for s1, s2 in zip(self.sq1, self.sq2))
+
+    def unit_c_sq(self, c_sq: float) -> float:
+        """An assumed c^2 in caller units, in the pair's units."""
+        return c_sq / (self.scale * self.scale)
+
+    def roots(self, c_sq: float) -> tuple:
+        """The b^2 roots at a unit c^2 whose lengths (a^2, b^2, c^2) are no
+        shorter than self.minima, in ascending order."""
+        try:
+            roots = solve_b_given_c(self.coeffs, c_sq, self.tol)
+        except NoSolutionError:
+            return ()
+        min_a, min_b, min_c = self.minima
+        return tuple(b_sq for b_sq in roots
+                     if not (self.coeffs.a_sq_of(b_sq, c_sq) < min_a
+                             or b_sq < min_b or c_sq < min_c))
+
+    def depths(self, b_sq: float, c_sq: float) -> tuple:
+        """(z_P, z_Q) over frame 1 and over frame 2 for a root b^2 at c^2."""
+        a_sq = self.coeffs.a_sq_of(b_sq, c_sq)
+        return tuple(_signed_depth_pair(c_sq - c, b_sq - b, a_sq - a)
+                     for a, b, c in (self.sq1, self.sq2))
+
+
 def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation,
                               assignment: Assignment, c_sq: float,
                               tol: float = 1e-9) -> float:
@@ -212,59 +263,44 @@ def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation
     The first three correspondences (P, Q, R) plus an assumed squared length
     c^2 = |RP|^2 fix a two-frame triangle interpretation.  The fourth
     point's first-frame ray is expressed through two reference points: T_a
-    in the plane RPQ and T_b shifted one unit along RP x RQ.  Mapping both
-    into the second frame predicts a line that must contain T2.  The
-    minimum over the two b-branches and the second frame's reflection
-    branches is returned.
+    in the plane RPQ and T_b shifted along RP x RQ by the frame pair's
+    scale.  Mapping both into the second frame predicts a line that must
+    contain T2.  The minimum over the two b-branches and the second frame's
+    reflection branches is returned.
 
     Raises DegenerateBasisError for collinear P, Q, R and propagates
     NoSolutionError when the assumed c admits no triangle.
     """
-    src = assignment.source_labels
-    dst = assignment.target_labels
-    p1, q1, r1, t1 = _get4(frame1, src)
-    p2, q2, r2, t2 = _get4(frame2, dst)
-
-    a1s, b1s, c1s = _sq(p1 - q1), _sq(q1 - r1), _sq(r1 - p1)
-    a2s, b2s, c2s = _sq(p2 - q2), _sq(q2 - r2), _sq(r2 - p2)
-    scale = math.sqrt(max(frame1.scale_sq(), frame2.scale_sq(), 1e-300))
-
-    coeffs = b_of_c_coeffs((a1s, b1s, c1s), (a2s, b2s, c2s))
-    roots = solve_b_given_c(coeffs, c_sq, tol)
+    pair = _TrianglePair(frame1, frame2, assignment.source_labels,
+                         assignment.target_labels, tol)
+    c_sq = pair.unit_c_sq(c_sq)
+    roots = pair.roots(c_sq)
     if not roots:
-        raise NoSolutionError("no non-negative b^2 root for assumed c")
-
-    basis1 = _in_frame_basis(p1, q1, r1, scale)
-    if basis1 is None:
+        raise NoSolutionError("no b^2 root dominating the projections for assumed c")
+    if pair.basis1 is None:
         raise DegenerateBasisError("P1, Q1, R1 nearly collinear")
+    p1, q1, r1, t1 = pair.pts1
+    p2, q2, r2, t2 = pair.pts2
     basis2 = np.column_stack([p2 - r2, q2 - r2])
+    st_a = np.linalg.solve(pair.basis1, t1 - r1)
 
-    slack = tol * scale * scale
     best = None
     for b_sq in roots:
-        a_sq = coeffs.a_sq_of(b_sq, c_sq)
-        # the assumed lengths must dominate their projections in both frames
-        if a_sq < max(a1s, a2s) - slack or b_sq < max(b1s, b2s) - slack \
-                or c_sq < max(c1s, c2s) - slack:
-            continue
-        zp1, zq1 = _signed_depth_pair(c_sq - c1s, b_sq - b1s, a_sq - a1s)
+        (zp1, zq1), (zp2, zq2) = pair.depths(b_sq, c_sq)
         rp1 = np.array([*(p1 - r1), zp1])
         rq1 = np.array([*(q1 - r1), zq1])
         n1 = _cross(rp1, rq1)
         n1_norm = np.linalg.norm(n1)
-        if n1_norm < 1e-12 * scale * scale:
+        if n1_norm < 1e-12:
             raise DegenerateBasisError("embedded triangle degenerate")
         n1 /= n1_norm
-        st_a = np.linalg.solve(basis1, t1 - r1)
-        st_b = np.linalg.solve(basis1, t1 - r1 - n1[:2])
-
-        zp2, zq2 = _signed_depth_pair(c_sq - c2s, b_sq - b2s, a_sq - a2s)
+        st_b = np.linalg.solve(pair.basis1, t1 - r1 - n1[:2])
         for flip in (1.0, -1.0):
             rp2 = np.array([*(p2 - r2), flip * zp2])
             rq2 = np.array([*(q2 - r2), flip * zq2])
             n2 = _cross(rp2, rq2)
             n2_norm = np.linalg.norm(n2)
-            if n2_norm < 1e-12 * scale * scale:
+            if n2_norm < 1e-12:
                 continue
             n2 /= n2_norm
             t2_a = r2 + basis2 @ st_a
@@ -274,28 +310,20 @@ def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation
                 best = dist
     if best is None:
         raise NoSolutionError("assumed c infeasible for every branch")
-    return best
+    return best * pair.scale
 
 
-def _c_walk(coeffs: BofCCoeffs, c_sq: float, minima, tol):
-    """The assumed-length policy: starting from c_sq, grow c geometrically for
-    C_MAX_STEPS steps.
-
-    Yields (c_sq, roots) for each step on which some b^2 root leaves the
-    lengths (a^2, b^2, c^2) no shorter than minima, with those roots in
-    ascending order; steps without such a root are skipped.
-    """
-    min_a, min_b, min_c = minima
+def _c_walk(pair: _TrianglePair):
+    """The assumed-length policy: c^2 starts at pair.c_start and grows
+    geometrically for C_MAX_STEPS steps, in caller units so that
+    _scored_residual can pass each c^2 on unchanged.  Yields (c_sq, unit
+    c_sq, roots) for each step on which pair.roots finds any."""
+    c_sq = pair.c_start
     for _ in range(C_MAX_STEPS):
-        try:
-            roots = solve_b_given_c(coeffs, c_sq, tol)
-        except NoSolutionError:
-            roots = ()
-        kept = tuple(b_sq for b_sq in roots
-                     if not (coeffs.a_sq_of(b_sq, c_sq) < min_a
-                             or b_sq < min_b or c_sq < min_c))
-        if kept:
-            yield c_sq, kept
+        unit_c_sq = pair.unit_c_sq(c_sq)
+        roots = pair.roots(unit_c_sq)
+        if roots:
+            yield c_sq, unit_c_sq, roots
         c_sq *= C_GROW_FACTOR ** 2
 
 
@@ -303,31 +331,13 @@ def _scored_residual(frame1, frame2, assignment, tol) -> float:
     """collinearity_residual_4pt under the assumed-length policy: c starts at
     1.5x the longest RP projection and grows geometrically while infeasible.
 
-    The walk over c is screened in floats with the assignment's invariants,
-    and collinearity_residual_4pt runs only on steps where the screen finds
-    a b^2 root whose lengths dominate their projections.  The screen skips
-    only steps on which that function would raise NoSolutionError: when
-    P1, Q1, R1 are nearly collinear every step with a non-negative root is
-    kept, so DegenerateBasisError comes from the same step as without the
-    screen.  Residuals and exception types are therefore exactly those of
-    calling the function at every step.
+    The walk skips only the steps on which that function's own root filter,
+    on the same setup, leaves no root and so raises NoSolutionError:
+    results are exactly those of calling it at every step.
     """
-    p1, q1, r1, _ = _get4(frame1, assignment.source_labels)
-    p2, q2, r2, _ = _get4(frame2, assignment.target_labels)
-    sq1 = (_sq(p1 - q1), _sq(q1 - r1), _sq(r1 - p1))
-    sq2 = (_sq(p2 - q2), _sq(q2 - r2), _sq(r2 - p2))
-    scale_sq = max(frame1.scale_sq(), frame2.scale_sq())
-    c_sq = C_START_FACTOR ** 2 * max(sq1[2], sq2[2])
-    if c_sq == 0.0:
-        c_sq = scale_sq
-    coeffs = b_of_c_coeffs(sq1, sq2)
-    scale = math.sqrt(max(scale_sq, 1e-300))
-    if _in_frame_basis(p1, q1, r1, scale) is None:
-        minima = (-math.inf,) * 3
-    else:
-        slack = tol * scale * scale
-        minima = tuple(max(s1, s2) - slack for s1, s2 in zip(sq1, sq2))
-    for c_sq, _ in _c_walk(coeffs, c_sq, minima, tol):
+    pair = _TrianglePair(frame1, frame2, assignment.source_labels,
+                         assignment.target_labels, tol)
+    for c_sq, _, _ in _c_walk(pair):
         try:
             return collinearity_residual_4pt(frame1, frame2, assignment, c_sq, tol)
         except NoSolutionError:
@@ -392,8 +402,7 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     if len(labels1) < 4:
         raise InvalidInputError("matching needs at least 4 points")
     probe = _probe_labels(frame1)
-    scale = math.sqrt(max(frame1.scale_sq(), frame2.scale_sq()))
-    threshold = rigidity_tol * scale
+    scale = _pair_scale(frame1, frame2)
 
     scored = []
     for perm in itertools.permutations(labels2, 4):
@@ -406,9 +415,9 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     # deterministic: sort by residual, ties by target label order
     scored.sort(key=lambda item: (item[1], item[0].target_labels))
     best, best_residual = scored[0]
-    if not math.isfinite(best_residual) or best_residual > threshold:
+    if best_residual / scale > rigidity_tol:
         raise NoConsistentAssignmentError(
-            f"best residual {best_residual:.3g} exceeds threshold {threshold:.3g}")
+            f"best residual {best_residual / scale:.3g} of the image scale exceeds threshold")
     margin = (scored[1][1] - best_residual) if len(scored) > 1 else math.inf
 
     full = best.as_dict()
@@ -426,7 +435,7 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
             scored_rest.append((res, cand))
         scored_rest.sort()
         res, cand = scored_rest[0]
-        if res > threshold:
+        if res / scale > rigidity_tol:
             raise NoConsistentAssignmentError(
                 f"point {lab!r}: best residual {res:.3g} exceeds threshold")
         full[lab] = cand
@@ -468,20 +477,19 @@ def residual_5pt(frame1: FrameObservation, frame2: FrameObservation,
     labels = tuple(labels)
     if len(labels) != 5:
         raise InvalidInputError("residual_5pt needs exactly 5 labels")
-    p1, q1, r1, t1, s1 = (frame1.get(lab).as_array() for lab in labels)
-    p2, q2, r2, t2, s2 = (frame2.get(lab).as_array() for lab in labels)
-    scale_sq = max(frame1.scale_sq(), frame2.scale_sq(), 1e-300)
+    scale = _pair_scale(frame1, frame2)
+    p1, q1, r1, t1, s1 = _read(frame1, labels) / scale
+    p2, q2, r2, t2, s2 = _read(frame2, labels) / scale
 
     basis_a = np.column_stack([p1 - t1, q1 - t1])
     basis_b = np.column_stack([p1 - r1, q1 - r1])
-    if abs(np.linalg.det(basis_a)) < 1e-12 * scale_sq \
-            or abs(np.linalg.det(basis_b)) < 1e-12 * scale_sq:
+    if abs(np.linalg.det(basis_a)) < 1e-12 or abs(np.linalg.det(basis_b)) < 1e-12:
         raise DegenerateBasisError("in-frame plane basis nearly parallel")
     uv_a = np.linalg.solve(basis_a, s1 - t1)
     uv_b = np.linalg.solve(basis_b, s1 - r1)
     s2_a = t2 + np.column_stack([p2 - t2, q2 - t2]) @ uv_a
     s2_b = r2 + np.column_stack([p2 - r2, q2 - r2]) @ uv_b
-    return _point_line_distance(s2, s2_a, s2_b)
+    return _point_line_distance(s2, s2_a, s2_b) * scale
 
 
 @dataclass(frozen=True)
@@ -547,8 +555,8 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
     Raises DegenerateBasisError for in-plane motion (rays already parallel).
     """
     res1, res2 = base.reprojection_residuals(frame1, frame2)
-    scale = math.sqrt(max(frame1.scale_sq(), frame2.scale_sq(), 1e-300))
-    if max(res1, res2) > max(tol * scale * 100, 1e-7 * scale):
+    scale = _pair_scale(frame1, frame2)
+    if max(res1, res2) / scale > max(tol * 100, 1e-7):
         raise InvalidInputError(
             f"base interpretation does not reproduce the frames "
             f"(residuals {res1:.3g}, {res2:.3g})")
@@ -579,7 +587,7 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
             target = frame1.get(lab).as_array()
             s = float(dir_xy @ (target - moved[:2])) / float(dir_xy @ dir_xy)
             y = moved + s * new_dir
-            if np.linalg.norm(y[:2] - target) > max(tol * scale * 100, 1e-6 * scale):
+            if np.linalg.norm(y[:2] - target) / scale > max(tol * 100, 1e-6):
                 ok = False
                 break
             new_points.append((lab, Point3(*map(float, y))))
@@ -652,37 +660,23 @@ def base_interpretation_from_frames(frame1: FrameObservation,
     labels = frame1.labels
     if len(labels) < 3:
         raise InvalidInputError("need at least 3 points")
-    lp, lq, lr = labels[:3]
-    p1, q1, r1 = (frame1.get(lab).as_array() for lab in (lp, lq, lr))
-    p2, q2, r2 = (frame2.get(lab).as_array() for lab in (lp, lq, lr))
-    a1s, b1s, c1s = _sq(p1 - q1), _sq(q1 - r1), _sq(r1 - p1)
-    a2s, b2s, c2s = _sq(p2 - q2), _sq(q2 - r2), _sq(r2 - p2)
-    scale = math.sqrt(max(frame1.scale_sq(), frame2.scale_sq(), 1e-300))
-
-    coeffs = b_of_c_coeffs((a1s, b1s, c1s), (a2s, b2s, c2s))
-    c_sq = C_START_FACTOR ** 2 * max(c1s, c2s)
-    if c_sq == 0.0:
-        c_sq = scale * scale
-
-    minima = (max(a1s, a2s), max(b1s, b2s), max(c1s, c2s))
+    pair = _TrianglePair(frame1, frame2, labels[:3], labels[:3], tol)
     best = None
-    for c_sq, roots in _c_walk(coeffs, c_sq, minima, tol):
+    for _, c_sq, roots in _c_walk(pair):
         for b_sq in roots:
-            a_sq = coeffs.a_sq_of(b_sq, c_sq)
-            zp1, zq1 = _signed_depth_pair(c_sq - c1s, b_sq - b1s, a_sq - a1s)
-            e1 = np.array([[*p1, zp1], [*q1, zq1], [*r1, 0.0]])
-            zp2, zq2 = _signed_depth_pair(c_sq - c2s, b_sq - b2s, a_sq - a2s)
+            (zp1, zq1), (zp2, zq2) = pair.depths(b_sq, c_sq)
+            e1 = np.column_stack([pair.pts1, (zp1, zq1, 0.0)])
             for flip in (1.0, -1.0):
-                e2 = np.array([[*p2, flip * zp2], [*q2, flip * zq2], [*r2, 0.0]])
+                e2 = np.column_stack([pair.pts2, (flip * zp2, flip * zq2, 0.0)])
                 cand = _fit_interpretation(frame1, frame2, e1, e2, tol)
                 if cand is None:
                     continue
                 residual, interp = cand
                 if best is None or residual < best[0]:
                     best = (residual, interp)
-        if best is not None and best[0] < tol * scale * 10:
+        if best is not None and best[0] < tol * 10:
             return best[1]
-    if best is not None and best[0] < 1e-6 * scale:
+    if best is not None and best[0] < 1e-6:
         return best[1]
     raise InconsistentLengthsError(
         "no rigid two-frame interpretation found for these observations")
@@ -691,8 +685,10 @@ def base_interpretation_from_frames(frame1: FrameObservation,
 def _fit_interpretation(frame1, frame2, e1: np.ndarray, e2: np.ndarray, tol):
     """Kabsch-fit a proper rotation e1 -> e2 and lift all frame points.
 
-    Returns (worst reprojection residual, Interpretation) or None when the
-    embeddings require an improper motion.
+    e1 and e2 are triangle embeddings in the frame pair's units
+    (_pair_scale).  Returns (worst reprojection residual in those units,
+    Interpretation in the frames' units) or None when the embeddings
+    require an improper motion.
     """
     cen1, cen2 = e1.mean(axis=0), e2.mean(axis=0)
     h = (e1 - cen1).T @ (e2 - cen2)
@@ -702,24 +698,19 @@ def _fit_interpretation(frame1, frame2, e1: np.ndarray, e2: np.ndarray, tol):
     if abs(np.linalg.det(rot) - 1.0) > 1e-9:
         return None
     fit_err = np.abs(rot @ (e1 - cen1).T - (e2 - cen2).T).max()
-    scale = math.sqrt(max(frame1.scale_sq(), frame2.scale_sq(), 1e-300))
-    if fit_err > max(tol * scale * 100, 1e-6 * scale):
+    if fit_err > max(tol * 100, 1e-6):
         return None
     translation = (cen2 - rot @ cen1)[:2]
-    motion = RigidMotion(rot, translation)
+    scale = _pair_scale(frame1, frame2)
 
-    points = []
-    worst = 0.0
+    labels = frame1.labels
+    img1, img2 = _read(frame1, labels), _read(frame2, labels)
     rxy = rot[:2, :]  # top 2x3 block maps lifted points to image xy
-    for lab in frame1.labels:
-        i1 = frame1.get(lab).as_array()
-        i2 = frame2.get(lab).as_array()
-        # solve for depth z on the first-frame ray that lands on i2
-        col = rxy[:, 2]
-        rhs = i2 - translation - rxy[:, :2] @ i1
-        denom = float(col @ col)
-        z = float(col @ rhs) / denom if denom > 1e-18 else 0.0
-        resid = np.linalg.norm(rhs - z * col)
-        worst = max(worst, float(resid))
-        points.append((lab, Point3(float(i1[0]), float(i1[1]), z)))
-    return worst, Interpretation(tuple(points), motion)
+    col = rxy[:, 2]
+    # the depth on each first-frame ray that lands on its second-frame image
+    rhs = (img2 - img1 @ rxy[:, :2].T) / scale - translation
+    z = rhs @ col / (col @ col) if col @ col > 1e-18 else np.zeros(len(labels))
+    worst = float(np.linalg.norm(rhs - np.outer(z, col), axis=1).max())
+    points = tuple((lab, Point3(x, y, depth * scale))
+                   for lab, (x, y), depth in zip(labels, img1, z))
+    return worst, Interpretation(points, RigidMotion(rot, translation * scale))

@@ -45,6 +45,12 @@ def true_sq(scene: sim.Scene, pairs=TRIANGLE_PAIRS):
     return np.array([scene.true_sq_distance(a, b) for a, b in pairs])
 
 
+def scaled(frame, s):
+    """The frame with every image coordinate multiplied by s."""
+    return geo.FrameObservation(tuple(
+        (lab, geo.Point2(p.x * s, p.y * s)) for lab, p in frame.points))
+
+
 def observation_scale(frames):
     """Diameter of the observation set across frames."""
     return math.sqrt(max(f.scale_sq() for f in frames))

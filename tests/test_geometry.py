@@ -162,6 +162,16 @@ class TestEmbedDepths:
         with pytest.raises(InconsistentLengthsError):
             geo.embed_depths(tri, (5.0, 9.0, 12.6878))
 
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3])
+    def test_open_depth_loop_raises_at_any_scale(self, s):
+        # deficits (1, 1, 3.99)*s^2: the depth loop misses closure by
+        # about 0.25% of the triangle's size, in any units
+        tri = geo.TriangleDistances(2.0 * s * s, 5.0 * s * s, 5.0 * s * s)
+        with pytest.raises(InconsistentLengthsError):
+            geo.embed_depths(tri, (1.0 * s * s, 4.0 * s * s, 1.01 * s * s))
+        b1, _ = geo.embed_depths(tri, (1.0 * s * s, 4.0 * s * s, 1.0 * s * s))
+        assert abs(sum(b1)) < 1e-12 * s
+
 
 class TestInvariants:
     def test_projection_contraction(self):

@@ -8,7 +8,7 @@ from orthosfm import geometry as geo
 from orthosfm import scene_sim as sim
 from orthosfm.errors import InvalidInputError
 
-from conftest import golden_scene
+from conftest import golden_scene, scaled
 
 
 class TestSceneJson:
@@ -159,6 +159,14 @@ class TestCliMatch:
     def test_rigid_consistent(self, tmp_path):
         f = tmp_path / "frames.csv"
         write_frames(f, sim.gen_scene(4, 2, 40))
+        out = tmp_path / "report.json"
+        assert cli.main(["match", str(f), "--out", str(out)]) == cli.EXIT_OK
+        assert json.loads(out.read_text())["verdict"] == "consistent"
+
+    def test_rigid_consistent_at_large_scale(self, tmp_path):
+        frames = [scaled(f, 1e8) for f in sim.render(sim.gen_scene(4, 2, 40))]
+        f = tmp_path / "frames.csv"
+        f.write_text(io_files.frames_to_csv(frames))
         out = tmp_path / "report.json"
         assert cli.main(["match", str(f), "--out", str(out)]) == cli.EXIT_OK
         assert json.loads(out.read_text())["verdict"] == "consistent"

@@ -15,7 +15,11 @@ from orthosfm.errors import (
     NoSolutionError,
 )
 
-from conftest import frames_sq, true_sq
+from conftest import frames_sq, scaled, true_sq
+
+
+# image scales for the unit-invariance sweeps
+SCALE_SWEEP = [1e-12, 1e-8, 1.0, 1e4, 1e6, 1e8, 1e10]
 
 
 def two_frames(scene):
@@ -210,6 +214,17 @@ class TestMatchPoints:
         with pytest.raises(InvalidInputError):
             tf.match_points(frame1, frame2)
 
+    @pytest.mark.parametrize("scale", SCALE_SWEEP)
+    def test_shuffled_five_points_at_any_scale(self, scale):
+        for seed in range(5):
+            frame1, frame2 = (
+                scaled(f, scale) for f in two_frames(sim.gen_scene(5, 2, seed)))
+            relabel = dict(zip(frame2.labels,
+                               np.random.default_rng(seed).permutation(frame2.labels)))
+            shuffled = geo.FrameObservation(tuple(
+                (relabel[lab], p) for lab, p in frame2.points))
+            assert tf.match_points(frame1, shuffled).full_assignment == relabel, seed
+
 
 class TestRigidityScore:
     def test_small_for_rigid(self):
@@ -226,13 +241,11 @@ class TestRigidityScore:
         broken = geo.FrameObservation(tuple(pts))
         assert tf.rigidity_score(frame1, broken) > 1e-3 * scale_of(frame1, broken)
 
-    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8])
     def test_rigid_consistent_at_any_scale(self, scale):
         for seed in range(100):
             frame1, frame2 = (
-                geo.FrameObservation(tuple(
-                    (lab, geo.Point2(p.x * scale, p.y * scale)) for lab, p in f.points))
-                for f in two_frames(sim.gen_scene(4, 2, seed)))
+                scaled(f, scale) for f in two_frames(sim.gen_scene(4, 2, seed)))
             score = tf.rigidity_score(frame1, frame2)
             assert score <= tf.DEFAULT_RIGIDITY_TOL * scale_of(frame1, frame2), seed
 
@@ -252,6 +265,13 @@ class TestResidual5pt:
         pts[4] = (lab, geo.Point2(p.x + 0.4, p.y + 0.3))
         broken = geo.FrameObservation(tuple(pts))
         assert tf.residual_5pt(frame1, broken) > 1e-3 * scale_of(frame1, broken)
+
+    @pytest.mark.parametrize("scale", SCALE_SWEEP)
+    def test_zero_for_rigid_at_any_scale(self, scale):
+        for seed in range(50):
+            frame1, frame2 = (
+                scaled(f, scale) for f in two_frames(sim.gen_scene(5, 2, seed)))
+            assert tf.residual_5pt(frame1, frame2) < 1e-9 * scale, seed
 
     def test_needs_five_labels(self):
         scene = sim.gen_scene(4, 2, 2)
@@ -344,6 +364,15 @@ class TestBaseInterpretationFromFrames:
             interp = tf.base_interpretation_from_frames(frame1, frame2)
             r1, r2 = interp.reprojection_residuals(frame1, frame2)
             assert max(r1, r2) < 1e-7 * scale_of(frame1, frame2)
+
+    @pytest.mark.parametrize("scale", SCALE_SWEEP)
+    def test_reproduces_frames_at_any_scale(self, scale):
+        for seed in range(10):
+            frame1, frame2 = (
+                scaled(f, scale) for f in two_frames(sim.gen_scene(4, 2, seed)))
+            interp = tf.base_interpretation_from_frames(frame1, frame2)
+            r1, r2 = interp.reprojection_residuals(frame1, frame2)
+            assert max(r1, r2) < 1e-7 * scale, seed
 
 
 def unscreened_residual(frame1, frame2, assignment, tol=1e-9):
