@@ -120,15 +120,39 @@ class FrameObservation:
                 return pt
         raise MissingLabelError(f"label {label!r} absent from frame")
 
+    def locate(self, label) -> tuple:
+        """(index, x, y) of a label, from a table built on first use.
+
+        Raises MissingLabelError when the label is absent from the frame.
+        """
+        try:
+            return self._locations[label]
+        except KeyError:
+            raise MissingLabelError(f"label {label!r} absent from frame") from None
+
+    def sq_distances(self) -> tuple:
+        """Squared image distance between every two points, n rows of n
+        floats indexed as in locate, computed on first use."""
+        return self._sq_distances
+
     def scale_sq(self) -> float:
         """Squared diameter of the observation set, computed on first use."""
         return self._scale_sq
 
     @cached_property
-    def _scale_sq(self) -> float:
+    def _locations(self) -> dict:
+        return {lab: (i, p.x, p.y) for i, (lab, p) in enumerate(self.points)}
+
+    @cached_property
+    def _sq_distances(self) -> tuple:
         arr = np.array([[p.x, p.y] for _, p in self.points])
         diff = arr[:, None, :] - arr[None, :, :]
-        return float((diff ** 2).sum(axis=2).max())
+        # vecdot rounds each entry exactly as d @ d does on one difference d
+        return tuple(map(tuple, np.vecdot(diff, diff).tolist()))
+
+    @cached_property
+    def _scale_sq(self) -> float:
+        return max(map(max, self._sq_distances))
 
 
 @dataclass(frozen=True)

@@ -135,13 +135,11 @@ def solve_b_given_c(coeffs: BofCCoeffs, c_sq: float, tol: float = 1e-9) -> tuple
             else:
                 raise NoSolutionError("negative discriminant for assumed c")
         else:
-            sq = math.sqrt(disc)
-            roots = ((-lin + sq) / (2.0 * lead), (-lin - sq) / (2.0 * lead))
+            # the root of larger magnitude from the sum that cannot cancel,
+            # the other from the product of the roots, const / lead
+            half = -(lin + math.copysign(math.sqrt(disc), lin)) / 2.0
+            roots = (half / lead, const / half) if half else (0.0,)
     return tuple(sorted(b for b in roots if b >= 0.0))
-
-
-def _sq(v) -> float:
-    return float(v @ v)
 
 
 def _signed_depth_pair(c_dep: float, b_dep: float, a_dep: float) -> tuple:
@@ -157,20 +155,14 @@ def _signed_depth_pair(c_dep: float, b_dep: float, a_dep: float) -> tuple:
     return z_p, z_q
 
 
-def _cross(u, v) -> np.ndarray:
-    """u x v for 3-vectors: np.cross's products and differences, without
-    its axis handling."""
-    return np.array([u[1] * v[2] - u[2] * v[1],
-                     u[2] * v[0] - u[0] * v[2],
-                     u[0] * v[1] - u[1] * v[0]])
-
-
-def _point_line_distance(pt, anchor, other) -> float:
-    d = other - anchor
-    nd = np.linalg.norm(d)
+def _line_distance(px, py, ax, ay, bx, by) -> float:
+    """Distance of (px, py) to the line through (ax, ay) and (bx, by), or to
+    (ax, ay) when the two are closer than 1e-12."""
+    dx, dy = bx - ax, by - ay
+    nd = math.hypot(dx, dy)
     if nd < 1e-12:
-        return float(np.linalg.norm(pt - anchor))
-    return float(abs(d[0] * (pt - anchor)[1] - d[1] * (pt - anchor)[0]) / nd)
+        return math.hypot(px - ax, py - ay)
+    return abs(dx * (py - ay) - dy * (px - ax)) / nd
 
 
 @dataclass(frozen=True)
@@ -204,30 +196,43 @@ def _pair_scale(frame1: FrameObservation, frame2: FrameObservation) -> float:
 
 
 def _read(frame: FrameObservation, labels) -> np.ndarray:
-    return np.array([[pt.x, pt.y] for pt in map(frame.get, labels)])
+    return np.array([frame.locate(lab)[1:] for lab in labels])
+
+
+def _unit_triangle(frame: FrameObservation, labels, scale: float):
+    """The labels' (x, y) divided by scale, the squared projections of PQ,
+    QR, RP divided by scale^2, and the squared projection of RP as the
+    frame's table holds it."""
+    idx, pts = [], []
+    for lab in labels:
+        i, x, y = frame.locate(lab)
+        idx.append(i)
+        pts.append((x / scale, y / scale))
+    table, scale_sq = frame.sq_distances(), scale * scale
+    sq = tuple(table[idx[i]][idx[j]] / scale_sq for i, j in TRIANGLE_EDGES)
+    return pts, sq, table[idx[2]][idx[0]]
 
 
 class _TrianglePair:
     """An assignment's points in both frames divided once by the pair's scale,
-    and what the triangle P, Q, R gives in those units.  Assumed lengths must
-    dominate their projections up to tol, except when P1, Q1, R1 are nearly
-    collinear (basis1 is None): then every length passes, so that the
-    residual raises DegenerateBasisError."""
+    and what the triangle P, Q, R gives in those units, all in Python floats
+    read from the frames' tables.  Assumed lengths must dominate their
+    projections up to tol, except when P1, Q1, R1 are nearly collinear (det1
+    is None): then every length passes, so that the residual raises
+    DegenerateBasisError."""
 
     def __init__(self, frame1, frame2, labels1, labels2, tol):
         self.scale, self.tol = _pair_scale(frame1, frame2), tol
-        raw1, raw2 = _read(frame1, labels1), _read(frame2, labels2)
+        self.pts1, self.sq1, rp1 = _unit_triangle(frame1, labels1, self.scale)
+        self.pts2, self.sq2, rp2 = _unit_triangle(frame2, labels2, self.scale)
         # the walk's first assumed c^2, in caller units
-        self.c_start = C_START_FACTOR ** 2 * max(
-            _sq(raw1[2] - raw1[0]), _sq(raw2[2] - raw2[0])) or self.scale ** 2
-        self.pts1, self.pts2 = raw1 / self.scale, raw2 / self.scale
-        self.sq1, self.sq2 = (tuple(_sq(pts[i] - pts[j]) for i, j in TRIANGLE_EDGES)
-                              for pts in (self.pts1, self.pts2))
+        self.c_start = C_START_FACTOR ** 2 * max(rp1, rp2) or self.scale ** 2
         self.coeffs = b_of_c_coeffs(self.sq1, self.sq2)
-        p1, q1, r1 = self.pts1[:3]
-        self.basis1 = np.column_stack([p1 - r1, q1 - r1])
-        if abs(np.linalg.det(self.basis1)) < 1e-12:
-            self.basis1 = None
+        (px, py), (qx, qy), (rx, ry) = self.pts1[:3]
+        # det [RP RQ] over frame 1: the z component of RP x RQ at any depths
+        self.det1 = (px - rx) * (qy - ry) - (py - ry) * (qx - rx)
+        if abs(self.det1) < 1e-12:
+            self.det1 = None
             self.minima = (-math.inf,) * 3
         else:
             self.minima = tuple(max(s1, s2) - tol for s1, s2 in zip(self.sq1, self.sq2))
@@ -277,35 +282,36 @@ def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation
     roots = pair.roots(c_sq)
     if not roots:
         raise NoSolutionError("no b^2 root dominating the projections for assumed c")
-    if pair.basis1 is None:
+    det1 = pair.det1
+    if det1 is None:
         raise DegenerateBasisError("P1, Q1, R1 nearly collinear")
-    p1, q1, r1, t1 = pair.pts1
-    p2, q2, r2, t2 = pair.pts2
-    basis2 = np.column_stack([p2 - r2, q2 - r2])
-    st_a = np.linalg.solve(pair.basis1, t1 - r1)
+    (p1x, p1y), (q1x, q1y), (r1x, r1y), (t1x, t1y) = pair.pts1
+    (p2x, p2y), (q2x, q2y), (r2x, r2y), (t2x, t2y) = pair.pts2
+    # RP (u) and RQ (v) over each frame, the basis; RT (w) over frame 1
+    u1x, u1y, v1x, v1y = p1x - r1x, p1y - r1y, q1x - r1x, q1y - r1y
+    u2x, u2y, v2x, v2y = p2x - r2x, p2y - r2y, q2x - r2x, q2y - r2y
+    w1x, w1y = t1x - r1x, t1y - r1y
+    # T_a's coordinates in the frame-1 basis by Cramer's rule, mapped to frame 2
+    sa, ta = (w1x * v1y - w1y * v1x) / det1, (u1x * w1y - u1y * w1x) / det1
+    t2ax, t2ay = r2x + sa * u2x + ta * v2x, r2y + sa * u2y + ta * v2y
 
     best = None
     for b_sq in roots:
         (zp1, zq1), (zp2, zq2) = pair.depths(b_sq, c_sq)
-        rp1 = np.array([*(p1 - r1), zp1])
-        rq1 = np.array([*(q1 - r1), zq1])
-        n1 = _cross(rp1, rq1)
-        n1_norm = np.linalg.norm(n1)
-        if n1_norm < 1e-12:
-            raise DegenerateBasisError("embedded triangle degenerate")
-        n1 /= n1_norm
-        st_b = np.linalg.solve(pair.basis1, t1 - r1 - n1[:2])
+        # unit normal of RP x RQ over frame 1; its norm is at least |det1|
+        n1x, n1y = u1y * zq1 - zp1 * v1y, zp1 * v1x - u1x * zq1
+        n1_norm = math.hypot(n1x, n1y, det1)
+        wbx, wby = w1x - n1x / n1_norm, w1y - n1y / n1_norm
+        sb, tb = (wbx * v1y - wby * v1x) / det1, (u1x * wby - u1y * wbx) / det1
         for flip in (1.0, -1.0):
-            rp2 = np.array([*(p2 - r2), flip * zp2])
-            rq2 = np.array([*(q2 - r2), flip * zq2])
-            n2 = _cross(rp2, rq2)
-            n2_norm = np.linalg.norm(n2)
+            zp, zq = flip * zp2, flip * zq2
+            n2x, n2y = u2y * zq - zp * v2y, zp * v2x - u2x * zq
+            n2_norm = math.hypot(n2x, n2y, u2x * v2y - u2y * v2x)
             if n2_norm < 1e-12:
                 continue
-            n2 /= n2_norm
-            t2_a = r2 + basis2 @ st_a
-            t2_b = r2 + basis2 @ st_b + n2[:2]
-            dist = _point_line_distance(t2, t2_a, t2_b)
+            t2bx = r2x + sb * u2x + tb * v2x + n2x / n2_norm
+            t2by = r2y + sb * u2y + tb * v2y + n2y / n2_norm
+            dist = _line_distance(t2x, t2y, t2ax, t2ay, t2bx, t2by)
             if best is None or dist < best:
                 best = dist
     if best is None:
@@ -489,7 +495,7 @@ def residual_5pt(frame1: FrameObservation, frame2: FrameObservation,
     uv_b = np.linalg.solve(basis_b, s1 - r1)
     s2_a = t2 + np.column_stack([p2 - t2, q2 - t2]) @ uv_a
     s2_b = r2 + np.column_stack([p2 - r2, q2 - r2]) @ uv_b
-    return _point_line_distance(s2, s2_a, s2_b) * scale
+    return _line_distance(*s2.tolist(), *s2_a.tolist(), *s2_b.tolist()) * scale
 
 
 @dataclass(frozen=True)
@@ -652,7 +658,12 @@ def base_interpretation_from_frames(frame1: FrameObservation,
     The assumed |RP| follows the same deterministic policy as the matcher;
     the triangle is embedded in both frames, the proper rotation between
     the embeddings recovered, and any further points placed on their
-    first-frame rays at the depth that reproduces the second frame.
+    first-frame rays at the depth that reproduces the second frame.  The
+    first candidate in walk order (c, then b^2 ascending, then the second
+    frame's reflection) that reproduces the frames to tol*10 is returned:
+    for a rigid pair every candidate at a feasible c is exact up to
+    rounding, so choosing the smallest residual would let rounding, and
+    with it the units, pick the body.
 
     Raises InconsistentLengthsError when no branch reproduces the frames
     (the two frames are not images of one rigid body).
@@ -671,11 +682,10 @@ def base_interpretation_from_frames(frame1: FrameObservation,
                 cand = _fit_interpretation(frame1, frame2, e1, e2, tol)
                 if cand is None:
                     continue
-                residual, interp = cand
-                if best is None or residual < best[0]:
-                    best = (residual, interp)
-        if best is not None and best[0] < tol * 10:
-            return best[1]
+                if cand[0] < tol * 10:
+                    return cand[1]
+                if best is None or cand[0] < best[0]:
+                    best = cand
     if best is not None and best[0] < 1e-6:
         return best[1]
     raise InconsistentLengthsError(

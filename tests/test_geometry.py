@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,40 @@ class TestProjectedSqDistances:
             ("P", geo.Point2(0, 0)), ("Q", geo.Point2(1, 0)), ("R", geo.Point2(0, 1))))
         with pytest.raises(MissingLabelError):
             geo.projected_sq_distances(frame, ("P", "Q", "Z"))
+
+
+def random_frame(rng, labels="PQRTUV"):
+    return geo.FrameObservation(tuple(
+        (lab, geo.Point2(*rng.normal(size=2))) for lab in labels))
+
+
+class TestFrameObservationTables:
+    def test_scale_sq_is_table_max(self, rng):
+        frame = random_frame(rng)
+        assert frame.scale_sq() == max(max(row) for row in frame.sq_distances())
+
+    def test_table_rounds_as_matmul(self, rng):
+        # the matcher's first assumed c^2 is read from this table and must
+        # equal d @ d on the raw difference d
+        frame = random_frame(rng)
+        table = frame.sq_distances()
+        for (i, (_, a)), (j, (_, b)) in itertools.product(enumerate(frame.points), repeat=2):
+            d = a.as_array() - b.as_array()
+            assert table[i][j] == float(d @ d)
+
+    def test_locate(self, rng):
+        frame = random_frame(rng)
+        for i, (lab, p) in enumerate(frame.points):
+            assert frame.locate(lab) == (i, p.x, p.y)
+        with pytest.raises(MissingLabelError):
+            frame.locate("Z")
+
+    def test_tables_leave_equality_and_hash(self, rng):
+        frame = random_frame(rng)
+        same = geo.FrameObservation(frame.points)
+        frame.scale_sq(), frame.locate("P")  # builds both tables on frame only
+        assert frame == same and hash(frame) == hash(same)
+        assert frame != random_frame(rng)
 
 
 class TestDofBalance:

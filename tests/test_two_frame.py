@@ -163,6 +163,18 @@ class TestCollinearityResidual:
         with pytest.raises(DegenerateBasisError):
             tf.collinearity_residual_4pt(f1, frame2, identity_assignment(), 100.0)
 
+    @pytest.mark.parametrize("factor", [0.7, 1.1, 10.0])
+    def test_non_rigid_residual_in_any_units(self, factor):
+        # the biquadratic's leading coefficient is ~5e-7 here and its roots
+        # ~1.2 and ~6e6 apart, so a textbook small root loses ~7 digits
+        frame1, frame2 = two_frames(sim.gen_scene(4, 2, 19))
+        assignment = tf.Assignment((("P", "R"), ("Q", "Q"), ("R", "P"), ("T", "T")))
+        res = tf._scored_residual(frame1, frame2, assignment, 1e-9)
+        got = tf._scored_residual(
+            scaled(frame1, factor), scaled(frame2, factor), assignment, 1e-9)
+        assert res > 1e-3 * scale_of(frame1, frame2)
+        assert got / factor == pytest.approx(res, rel=1e-13)
+
 
 class TestMatchPoints:
     def test_recovers_identity_assignment(self):
@@ -374,6 +386,21 @@ class TestBaseInterpretationFromFrames:
             r1, r2 = interp.reprojection_residuals(frame1, frame2)
             assert max(r1, r2) < 1e-7 * scale, seed
 
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 0.7, 3.0, 1e3, 1e6])
+    def test_same_body_in_any_units(self, n, scale):
+        # every candidate of a rigid pair is exact up to rounding, so only a
+        # units-free choice among them returns the same body at every scale
+        def depths(frame1, frame2):
+            interp = tf.base_interpretation_from_frames(frame1, frame2)
+            return np.array([p.z for _, p in interp.points])
+
+        for seed in range(100):
+            frame1, frame2 = two_frames(sim.gen_scene(n, 2, seed))
+            expect = depths(frame1, frame2)
+            got = depths(scaled(frame1, scale), scaled(frame2, scale)) / scale
+            assert np.abs(got - expect).max() < 1e-9 * np.abs(expect).max(), seed
+
 
 def unscreened_residual(frame1, frame2, assignment, tol=1e-9):
     """The assumed-length walk without a screen: the full residual at every
@@ -512,3 +539,19 @@ class TestScreenedWalk:
         report = tf.match_points(frame1, frame2)
         assert report.n_scored == 24
         assert 0 < len(calls) <= 24
+
+    def test_rigid_five_point_match_calls_residual_once_per_assignment(
+            self, monkeypatch):
+        calls = []
+        residual = tf.collinearity_residual_4pt
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return residual(*args, **kwargs)
+
+        monkeypatch.setattr(tf, "collinearity_residual_4pt", counted)
+        frame1, frame2 = two_frames(sim.gen_scene(5, 2, 3))
+        report = tf.match_points(frame1, frame2)
+        # one greedy-extension candidate: the fifth point's only partner
+        assert report.n_scored == 120
+        assert 0 < len(calls) <= 120 + 1
