@@ -9,7 +9,7 @@ they are essentially meaningless -- the practical moral is that this
 method needs accurate point tracks.
 """
 
-from orthosfm.cli import run_noise_study
+from orthosfm.scene_sim import run_noise_study
 
 LEVELS = [0.0, 0.001, 0.01, 0.1]
 TRIALS = 300

@@ -27,27 +27,29 @@ from .errors import (
     OrthoSfmError,
     SingularSystemError,
 )
-from .geometry import (
-    TETRA_EDGES,
-    TRIANGLE_EDGES,
-    dof_balance,
-    projected_sq_distances,
-)
+from .geometry import dof_balance, projected_sq_distances
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_SOLUTION = 2
 EXIT_DEGENERATE = 3
 
-# solver mode -> (points, frames) it reads
-_MODES = {"p3f3": (3, 3), "p3f4": (3, 4), "p4f3": (4, 3)}
 
+def _default_seed(value) -> int:
+    """--seed if given, else ORTHOSFM_SEED if set, else 0.
 
-def _default_seed(value):
-    if value is not None:
-        return int(value)
-    env = os.environ.get("ORTHOSFM_SEED")
-    return int(env) if env else 0
+    Raises InvalidInputError unless the seed is a non-negative integer.
+    """
+    source = "--seed"
+    if value is None:
+        source, value = "ORTHOSFM_SEED", os.environ.get("ORTHOSFM_SEED") or "0"
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise InvalidInputError(f"{source} must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _write(text: str, out):
@@ -89,7 +91,7 @@ def cmd_recover(args) -> int:
     try:
         if mode == "auto":
             mode = _pick_mode(n_points, n_frames)
-        use_points, use_frames = _MODES[mode]
+        use_points, use_frames = solvers.MODES[mode]
         sq = [projected_sq_distances(f, labels[:use_points]) for f in frames[:use_frames]]
         # looked up per call so a wrapped solver is the one that runs
         result = getattr(solvers, "solve_" + mode)(sq, tol=args.tol)
@@ -185,14 +187,18 @@ def cmd_match(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seed = _default_seed(args.seed)
     if args.points < 3 or args.frames < 2:
         print("error: need --points >= 3 and --frames >= 2", file=sys.stderr)
         return EXIT_INPUT
+    try:
+        seed = _default_seed(args.seed)
+        spec = scene_sim.NoiseSpec(level=args.noise, seed=scene_sim.subseed(seed, 10**6))
+    except InvalidInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     scene = scene_sim.gen_scene(args.points, args.frames, seed)
     frames = scene_sim.render(scene)
-    if args.noise > 0:
-        spec = scene_sim.NoiseSpec(level=args.noise, seed=scene_sim.subseed(seed, 10**6))
+    if spec.level > 0:
         frames = scene_sim.add_noise(frames, spec)
     prefix = args.out or f"scene_{seed}"
     with open(prefix + ".scene.json", "w", encoding="utf-8") as fh:
@@ -203,71 +209,25 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def run_noise_study(mode: str, levels, trials: int, seed: int):
-    """Per-level relative-error statistics of recovered squared lengths.
-
-    Returns a list of dict rows.  Deterministic: trial t at level index i
-    draws its scene from sub-stream (i, t, 0) and its noise from (i, t, 1).
-    """
-    n_points, n_frames = _MODES[mode]
-    edges = TETRA_EDGES if n_points == 4 else TRIANGLE_EDGES
-    solve = getattr(solvers, "solve_" + mode)
-    rows = []
-    for li, level in enumerate(levels):
-        errors = []
-        failures = 0
-        for t in range(trials):
-            scene = scene_sim.gen_scene(n_points, n_frames,
-                                        scene_sim.subseed(seed, li, t, 0))
-            labels = scene.labels[:n_points]
-            frames = scene_sim.render(scene)
-            if level > 0:
-                spec = scene_sim.NoiseSpec(level=level,
-                                           seed=scene_sim.subseed(seed, li, t, 1))
-                frames = scene_sim.add_noise(frames, spec)
-            sq = [projected_sq_distances(f, labels) for f in frames]
-            truth = np.array([scene.true_sq_distance(labels[i], labels[j])
-                              for i, j in edges])
-            try:
-                result = solve(sq)
-            except (DegenerateEliminationError, SingularSystemError):
-                failures += 1
-                continue
-            if not result.candidates:
-                failures += 1
-                continue
-            best = min(
-                result.candidates,
-                key=lambda c: np.abs(np.array(c.lengths.as_tuple()) - truth).max())
-            rec = np.array(best.lengths.as_tuple())
-            errors.extend(np.abs(rec - truth) / np.abs(truth))
-        errors = np.array(errors) if errors else np.array([np.nan])
-        rows.append({
-            "level": level,
-            "trials": trials,
-            "failures": failures,
-            "median_rel_error": float(np.median(errors)),
-            "mean_rel_error": float(np.mean(errors)),
-            "p95_rel_error": float(np.percentile(errors, 95)),
-        })
-    return rows
+_STUDY_COLUMNS = ("level", "trials", "failures", "median_rel_error", "mean_rel_error",
+                  "p95_rel_error", "failures_degenerate", "failures_no_candidate")
 
 
 def cmd_noise_study(args) -> int:
-    seed = _default_seed(args.seed)
-    if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
     try:
         levels = [float(v) for v in args.levels.split(",") if v.strip()]
     except ValueError:
         print("error: --levels must be comma-separated numbers", file=sys.stderr)
         return EXIT_INPUT
-    rows = run_noise_study(args.mode, levels, args.trials, seed)
-    lines = ["level,trials,failures,median_rel_error,mean_rel_error,p95_rel_error"]
+    try:
+        seed = _default_seed(args.seed)
+        rows = scene_sim.run_noise_study(args.mode, levels, args.trials, seed)
+    except InvalidInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    lines = [",".join(_STUDY_COLUMNS)]
     for row in rows:
-        lines.append("{level},{trials},{failures},{median_rel_error!r},"
-                     "{mean_rel_error!r},{p95_rel_error!r}".format(**row))
+        lines.append(",".join(repr(row[col]) for col in _STUDY_COLUMNS))
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -80,19 +80,43 @@ class RigidMotion:
         tr = np.asarray(self.translation, dtype=float)
         if rot.shape != (3, 3) or tr.shape != (2,):
             raise InvalidInputError("RigidMotion needs a 3x3 rotation and a 2-vector")
-        if not (np.isfinite(rot).all() and np.isfinite(tr).all()):
-            raise InvalidInputError("non-finite RigidMotion")
-        err = np.abs(rot.T @ rot - np.eye(3)).max()
-        if err > ORTHONORMALITY_TOL:
-            raise InvalidInputError(f"rotation not orthonormal (err={err:.3g})")
-        if abs(np.linalg.det(rot) - 1.0) > ORTHONORMALITY_TOL:
-            raise InvalidInputError("rotation must be proper (det +1)")
+        check_motions(rot, tr)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tr)
 
     @staticmethod
     def identity() -> "RigidMotion":
         return RigidMotion(np.eye(3), np.zeros(2))
+
+    @classmethod
+    def stack(cls, rotations: np.ndarray, translations: np.ndarray) -> tuple:
+        """One motion per row of an (M, 3, 3) rotation stack and an (M, 2)
+        translation stack, checked once over the whole stack."""
+        rot = np.array(rotations, dtype=float)
+        tr = np.array(translations, dtype=float)
+        if rot.shape[1:] != (3, 3) or tr.shape != (len(rot), 2):
+            raise InvalidInputError("RigidMotion.stack needs (M, 3, 3) and (M, 2) arrays")
+        check_motions(rot, tr)
+        motions = []
+        for r, t in zip(rot, tr):
+            motion = object.__new__(cls)
+            object.__setattr__(motion, "rotation", r)
+            object.__setattr__(motion, "translation", t)
+            motions.append(motion)
+        return tuple(motions)
+
+
+def check_motions(rotations: np.ndarray, translations: np.ndarray) -> None:
+    """Raise InvalidInputError unless every rotation of a stack (or a single
+    3x3 rotation) is finite, orthonormal and proper (det +1) and every
+    translation is finite."""
+    if not (np.isfinite(rotations).all() and np.isfinite(translations).all()):
+        raise InvalidInputError("non-finite RigidMotion")
+    err = np.abs(np.swapaxes(rotations, -1, -2) @ rotations - np.eye(3)).max(initial=0.0)
+    if err > ORTHONORMALITY_TOL:
+        raise InvalidInputError(f"rotation not orthonormal (err={err:.3g})")
+    if np.abs(np.linalg.det(rotations) - 1.0).max(initial=0.0) > ORTHONORMALITY_TOL:
+        raise InvalidInputError("rotation must be proper (det +1)")
 
 
 @dataclass(frozen=True)

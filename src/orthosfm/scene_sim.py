@@ -1,10 +1,17 @@
-"""Ground-truth scene generation and rendering.
+"""Ground-truth scene generation, rendering and the Monte-Carlo noise study.
 
 Random rigid point bodies, random unrestricted motions, orthographic frame
 rendering, and calibrated multiplicative noise.  Everything is
 deterministic given an explicit 64-bit seed; per-trial sub-streams are
 derived with numpy's SeedSequence spawn keys so parallel Monte-Carlo runs
 reproduce serial ones.
+
+One array core does the work for any number of scenes at once: bodies are
+(N, p, 3) arrays, rotations (N, k, 3, 3), translations (N, k, 2) and images
+(N, k, p, 2).  Each stream still makes its own draws in its own order, so a
+scene is the same whether it is simulated alone or in a stack.  gen_body,
+gen_motion, gen_scene, render and add_noise are thin adapters that turn
+the arrays into the public value types; run_noise_study stays on arrays.
 """
 
 from __future__ import annotations
@@ -14,14 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from . import solvers
+from .errors import DegenerateEliminationError, InvalidInputError, SingularSystemError
 from .geometry import (
+    TETRA_EDGES,
+    TRIANGLE_EDGES,
     FrameObservation,
     Point2,
     Point3,
     RigidMotion,
-    apply_motion,
-    project,
+    check_motions,
 )
 
 DEFAULT_LABELS = ("P", "Q", "R", "T", "S")
@@ -32,6 +41,7 @@ MIN_ROTATION_ANGLE = 0.1        # radians
 MIN_AXIS_TILT = 0.1             # |axis_xy|; axis ~ e_z means in-plane motion
 
 _COND_MARGIN = 0.05             # genericity margin for generated bodies
+_MAX_ATTEMPTS = 1000            # draws per stream before resampling gives up
 
 
 @dataclass(frozen=True)
@@ -63,7 +73,8 @@ class NoiseSpec:
     """Relative per-coordinate measurement noise.
 
     level is the maximum relative perturbation for the uniform distribution;
-    for gaussian it is treated as a 3-sigma bound.
+    for gaussian it is treated as a 3-sigma bound.  It must be finite and
+    non-negative.
     """
 
     level: float
@@ -71,16 +82,11 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.level < 0:
-            raise InvalidInputError("noise level must be >= 0")
+        if not (math.isfinite(self.level) and self.level >= 0):
+            raise InvalidInputError(
+                f"noise level must be finite and >= 0, got {self.level!r}")
         if self.distribution not in ("uniform", "gaussian"):
             raise InvalidInputError(f"unknown distribution {self.distribution!r}")
-
-
-def _as_seedseq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 def _labels_for(n: int) -> tuple:
@@ -89,45 +95,14 @@ def _labels_for(n: int) -> tuple:
     return DEFAULT_LABELS + tuple(f"X{i}" for i in range(n - len(DEFAULT_LABELS)))
 
 
-def _is_generic(pts: np.ndarray) -> bool:
-    """Non-collinear for 3 points; additionally non-coplanar for >= 4."""
-    centered = pts - pts.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[1] < _COND_MARGIN * sv[0]:
-        return False
-    if len(pts) >= 4 and sv[2] < _COND_MARGIN * sv[0]:
-        return False
-    return True
-
-
-def gen_body(n: int, seed, _reject_first: int = 0) -> tuple:
-    """Sample n labeled points in the unit cube, resampling until the
-    configuration is non-collinear (non-coplanar for n >= 4).
-
-    _reject_first is a test hook forcing that many initial draws to be
-    discarded as if degenerate.
-    """
-    if n < 3:
-        raise InvalidInputError("need at least 3 points")
-    rng = np.random.default_rng(_as_seedseq(seed))
-    labels = _labels_for(n)
-    for attempt in range(1000):
-        pts = rng.uniform(0.0, 1.0, size=(n, 3))
-        if attempt < _reject_first:
-            continue
-        if _is_generic(pts):
-            return tuple(
-                (lab, Point3(*map(float, p))) for lab, p in zip(labels, pts))
-    raise AssertionError("body resampling failed 1000 times")  # pragma: no cover
-
-
-def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+def subseed(seed, *key) -> np.random.SeedSequence:
+    """Deterministic sub-stream derivation: identical (seed, key) pairs give
+    identical streams regardless of drawing order.  Accepts an int or an
+    already-derived SeedSequence (keys concatenate)."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=tuple(seed.spawn_key) + tuple(key))
+    return np.random.SeedSequence(int(seed), spawn_key=tuple(key))
 
 
 def rotation_angle_axis(rot: np.ndarray) -> tuple:
@@ -143,33 +118,145 @@ def rotation_angle_axis(rot: np.ndarray) -> tuple:
     return angle, axis / norm
 
 
+# ---------------------------------------------------------------- array core
+
+def _redraw(seqs, draw, usable) -> np.ndarray:
+    """One accepted draw per stream, stacked.
+
+    draw(rng, attempt) makes a stream's draw number `attempt` (0-based) from
+    a fresh Generator; usable(stack) says which draws of a stack to keep.  A
+    rejected stream is replayed from its start for its next attempt, so each
+    stream yields exactly what a loop redrawing from its own Generator would.
+    """
+    out = None
+    pending = np.arange(len(seqs))
+    for attempt in range(_MAX_ATTEMPTS):
+        stack = np.array([draw(np.random.default_rng(seqs[i]), attempt) for i in pending])
+        if out is None:
+            out = stack
+        else:
+            out[pending] = stack
+        pending = pending[~usable(stack)]
+        if not len(pending):
+            return out
+    raise AssertionError(f"resampling failed {_MAX_ATTEMPTS} times")  # pragma: no cover
+
+
+def _generic(bodies: np.ndarray) -> np.ndarray:
+    """Per body of an (N, n, 3) stack: non-collinear, and for n >= 4 also
+    non-coplanar, by a singular-value margin."""
+    sv = np.linalg.svd(bodies - bodies.mean(axis=1, keepdims=True), compute_uv=False)
+    ok = sv[:, 1] >= _COND_MARGIN * sv[:, 0]
+    if bodies.shape[1] >= 4:
+        ok &= sv[:, 2] >= _COND_MARGIN * sv[:, 0]
+    return ok
+
+
+def _bodies(seqs, n: int) -> np.ndarray:
+    """(N, n, 3): n points in the unit cube per stream, redrawn until generic."""
+    def draw(rng, attempt):
+        for _ in range(attempt + 1):
+            pts = rng.uniform(0.0, 1.0, size=(n, 3))
+        return pts
+    return _redraw(seqs, draw, _generic)
+
+
+def _rotations(quats: np.ndarray) -> np.ndarray:
+    """(M, 3, 3) rotations of an (M, 4) stack of quaternions (w, x, y, z),
+    each normalized first."""
+    w, x, y, z = (quats / np.sqrt(np.vecdot(quats, quats))[:, None]).T
+    return np.moveaxis(np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]), -1, 0)
+
+
+def _usable_rotations(rots: np.ndarray) -> np.ndarray:
+    """Per rotation: it turns by at least MIN_ROTATION_ANGLE about an axis
+    tilted by at least MIN_AXIS_TILT from the viewing direction."""
+    cosines = ((np.trace(rots, axis1=1, axis2=2) - 1.0) / 2.0).tolist()
+    axes = np.stack([rots[:, 2, 1] - rots[:, 1, 2], rots[:, 0, 2] - rots[:, 2, 0],
+                     rots[:, 1, 0] - rots[:, 0, 1]], axis=1)
+    norms = np.sqrt(np.vecdot(axes, axes)).tolist()
+    ok = []
+    # math.acos and math.hypot, not np.arccos and np.hypot: those round
+    # differently, and a moved rejection would change the stream's scene
+    for rot, cos, (ax, ay, _), norm in zip(rots, cosines, axes.tolist(), norms):
+        if norm < 1e-12:
+            angle, (ax, ay, _) = rotation_angle_axis(rot)
+        else:
+            angle = math.acos(min(1.0, max(-1.0, cos)))
+            ax, ay = ax / norm, ay / norm
+        ok.append(angle >= MIN_ROTATION_ANGLE and math.hypot(ax, ay) >= MIN_AXIS_TILT)
+    return np.array(ok)
+
+
+def _motions(seqs) -> tuple:
+    """Rotations (M, 3, 3), uniform on SO(3), and translations (M, 2),
+    uniform in [-1, 1]^2, one per stream; a stream's rotation is redrawn
+    until usable and its translation is drawn after it."""
+    def draw(rng, attempt):
+        for _ in range(attempt + 1):
+            quat = rng.normal(size=4)
+        return np.concatenate((quat, rng.uniform(-1.0, 1.0, size=2)))
+    drawn = _redraw(seqs, draw, lambda stack: _usable_rotations(_rotations(stack[:, :4])))
+    return _rotations(drawn[:, :4]), drawn[:, 4:]
+
+
+def _scenes(n_points: int, n_frames: int, seed, keys) -> tuple:
+    """Bodies (N, p, 3), rotations (N, k, 3, 3) and translations (N, k, 2)
+    of one scene per key, as gen_scene(subseed(seed, *key)) draws it: the
+    body from sub-stream 0, the motion of frame j >= 1 from sub-stream j,
+    and the identity in frame 0."""
+    bodies = _bodies([subseed(seed, *key, 0) for key in keys], n_points)
+    rots = np.tile(np.eye(3), (len(keys), n_frames, 1, 1))
+    trans = np.zeros((len(keys), n_frames, 2))
+    if n_frames > 1:
+        r, t = _motions([subseed(seed, *key, j) for key in keys for j in range(1, n_frames)])
+        rots[:, 1:] = r.reshape(len(keys), n_frames - 1, 3, 3)
+        trans[:, 1:] = t.reshape(len(keys), n_frames - 1, 2)
+    return bodies, rots, trans
+
+
+def _images(bodies: np.ndarray, rots: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """(N, k, p, 2) orthographic images of (N, p, 3) bodies under each
+    scene's k motions, in one matmul."""
+    moved = (rots[:, :, None] @ bodies[:, None, :, :, None])[..., 0]
+    return moved[..., :2] + trans[:, :, None, :]
+
+
+def _noise(seqs, spec: NoiseSpec, shape) -> np.ndarray:
+    """Relative noise of the given shape from each stream, stacked."""
+    eps = []
+    for seq in seqs:
+        rng = np.random.default_rng(seq)
+        if spec.distribution == "uniform":
+            eps.append(rng.uniform(-spec.level, spec.level, size=shape))
+        else:
+            eps.append(rng.normal(0.0, spec.level / 3.0, size=shape))
+    return np.array(eps)
+
+
+# ---------------------------------------------------------------- adapters
+
+def _labeled_body(pts: np.ndarray) -> tuple:
+    return tuple((lab, Point3(*p)) for lab, p in zip(_labels_for(len(pts)), pts.tolist()))
+
+
+def gen_body(n: int, seed) -> tuple:
+    """Sample n labeled points in the unit cube, resampling until the
+    configuration is non-collinear (non-coplanar for n >= 4)."""
+    if n < 3:
+        raise InvalidInputError("need at least 3 points")
+    return _labeled_body(_bodies([seed], n)[0])
+
+
 def gen_motion(seed) -> RigidMotion:
     """A rigid motion with rotation uniform on SO(3) and translation uniform
     in [-1, 1]^2, rejecting near-degenerate motions (tiny rotation, or an
     axis so close to the viewing direction that the motion is in-plane)."""
-    rng = np.random.default_rng(_as_seedseq(seed))
-    for _ in range(1000):
-        q = rng.normal(size=4)
-        q /= np.linalg.norm(q)
-        rot = _quat_to_matrix(q)
-        angle, axis = rotation_angle_axis(rot)
-        if angle < MIN_ROTATION_ANGLE:
-            continue
-        if math.hypot(axis[0], axis[1]) < MIN_AXIS_TILT:
-            continue
-        translation = rng.uniform(-1.0, 1.0, size=2)
-        return RigidMotion(rot, translation)
-    raise AssertionError("motion resampling failed 1000 times")  # pragma: no cover
-
-
-def subseed(seed, *key) -> np.random.SeedSequence:
-    """Deterministic sub-stream derivation: identical (seed, key) pairs give
-    identical streams regardless of drawing order.  Accepts an int or an
-    already-derived SeedSequence (keys concatenate)."""
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(
-            seed.entropy, spawn_key=tuple(seed.spawn_key) + tuple(key))
-    return np.random.SeedSequence(int(seed), spawn_key=tuple(key))
+    return RigidMotion.stack(*_motions([seed]))[0]
 
 
 def gen_scene(n_points: int, n_frames: int, seed) -> Scene:
@@ -177,22 +264,25 @@ def gen_scene(n_points: int, n_frames: int, seed) -> Scene:
     first (frame 1 observes the unmoved body)."""
     if n_frames < 1:
         raise InvalidInputError("need at least 1 frame")
-    body = gen_body(n_points, subseed(seed, 0))
-    motions = [RigidMotion.identity()]
-    for j in range(1, n_frames):
-        motions.append(gen_motion(subseed(seed, j)))
+    if n_points < 3:
+        raise InvalidInputError("need at least 3 points")
+    bodies, rots, trans = _scenes(n_points, n_frames, seed, [()])
     provenance = seed.entropy if isinstance(seed, np.random.SeedSequence) else int(seed)
-    return Scene(body=body, motions=tuple(motions), seed=int(provenance))
+    return Scene(body=_labeled_body(bodies[0]), motions=RigidMotion.stack(rots[0], trans[0]),
+                 seed=int(provenance))
+
+
+def _frame(labels, coords) -> FrameObservation:
+    return FrameObservation(tuple((lab, Point2(x, y)) for lab, (x, y) in zip(labels, coords)))
 
 
 def render(scene: Scene) -> list:
     """Orthographic frames of the scene: frame j projects motion_j(body)."""
-    frames = []
-    for motion in scene.motions:
-        pts = tuple(
-            (lab, project(apply_motion(motion, p))) for lab, p in scene.body)
-        frames.append(FrameObservation(pts))
-    return frames
+    body = np.array([[p.x, p.y, p.z] for _, p in scene.body])
+    rots = np.array([m.rotation for m in scene.motions])
+    trans = np.array([m.translation for m in scene.motions])
+    images = _images(body[None], rots[None], trans[None])[0]
+    return [_frame(scene.labels, frame) for frame in images.tolist()]
 
 
 def add_noise(frames, spec: NoiseSpec) -> list:
@@ -203,17 +293,75 @@ def add_noise(frames, spec: NoiseSpec) -> list:
     """
     if spec.level == 0.0:
         return [FrameObservation(f.points) for f in frames]
-    rng = np.random.default_rng(_as_seedseq(spec.seed))
-    noisy = []
-    for frame in frames:
-        coords = np.array([[p.x, p.y] for _, p in frame.points])
-        if spec.distribution == "uniform":
-            eps = rng.uniform(-spec.level, spec.level, size=coords.shape)
-        else:
-            eps = rng.normal(0.0, spec.level / 3.0, size=coords.shape)
-        coords = coords * (1.0 + eps)
-        pts = tuple(
-            (lab, Point2(float(x), float(y)))
-            for (lab, _), (x, y) in zip(frame.points, coords))
-        noisy.append(FrameObservation(pts))
-    return noisy
+    coords = np.array([[p.x, p.y] for f in frames for _, p in f.points])
+    noisy = (coords * (1.0 + _noise([spec.seed], spec, coords.shape)[0])).tolist()
+    out, start = [], 0
+    for f in frames:
+        out.append(_frame(f.labels, noisy[start:start + len(f.points)]))
+        start += len(f.points)
+    return out
+
+
+# ---------------------------------------------------------------- noise study
+
+def run_noise_study(mode: str, levels, trials: int, seed: int) -> list:
+    """Per-level relative-error statistics of recovered squared lengths.
+
+    Returns a list of dict rows.  Deterministic: trial t at level index i
+    draws its scene from sub-stream (i, t, 0) and its noise from (i, t, 1).
+    Every level simulates all of its trials as one stack; the solver then
+    runs once per trial.  failures counts the trials without an answer:
+    failures_degenerate those whose system was degenerate or singular,
+    failures_no_candidate those that gave no candidate.
+    """
+    n_points, n_frames = solvers.MODES[mode]
+    if trials < 1:
+        raise InvalidInputError("trials must be >= 1")
+    levels = list(levels)
+    specs = [NoiseSpec(level) for level in levels]
+    first, second = np.array(TETRA_EDGES if n_points == 4 else TRIANGLE_EDGES).T
+    # looked up per study so a wrapped solver is the one that runs
+    solve = getattr(solvers, "solve_" + mode)
+    rows = []
+    for li, (level, spec) in enumerate(zip(levels, specs)):
+        bodies, rots, trans = _scenes(
+            n_points, n_frames, seed, [(li, t, 0) for t in range(trials)])
+        check_motions(rots, trans)
+        images = _images(bodies, rots, trans)
+        if spec.level > 0:
+            noise_seqs = [subseed(seed, li, t, 1) for t in range(trials)]
+            images = images * (1.0 + _noise(noise_seqs, spec, images.shape[1:]))
+        d = images[:, :, first] - images[:, :, second]
+        # dx*dx + dy*dy as projected_sq_distances rounds it; np.vecdot on
+        # 2-vectors does not
+        frames_sq = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).tolist()
+        d = bodies[:, first] - bodies[:, second]
+        truths = np.vecdot(d, d)
+        errors = []
+        degenerate = no_candidate = 0
+        for sq, truth in zip(frames_sq, truths):
+            try:
+                result = solve(sq)
+            except (DegenerateEliminationError, SingularSystemError):
+                degenerate += 1
+                continue
+            if not result.candidates:
+                no_candidate += 1
+                continue
+            best = min(
+                result.candidates,
+                key=lambda c: np.abs(np.array(c.lengths.as_tuple()) - truth).max())
+            rec = np.array(best.lengths.as_tuple())
+            errors.extend(np.abs(rec - truth) / np.abs(truth))
+        errors = np.array(errors) if errors else np.array([np.nan])
+        rows.append({
+            "level": level,
+            "trials": trials,
+            "failures": degenerate + no_candidate,
+            "median_rel_error": float(np.median(errors)),
+            "mean_rel_error": float(np.mean(errors)),
+            "p95_rel_error": float(np.percentile(errors, 95)),
+            "failures_degenerate": degenerate,
+            "failures_no_candidate": no_candidate,
+        })
+    return rows

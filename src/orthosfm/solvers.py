@@ -39,6 +39,9 @@ from .geometry import TetraDistances, TriangleDistances
 _TETRA_TRIPLES = ((0, 5, 4), (3, 1, 5), (3, 4, 2))
 _TRIANGLE = ((0, 1, 2),)
 
+# solver mode -> (points, frames) it reads
+MODES = {"p3f3": (3, 3), "p3f4": (3, 4), "p4f3": (4, 3)}
+
 # Dimensionless thresholds on normalized input (largest squared distance 1).
 _DEGENERACY_TOL = 1e-12  # |det| of the solve_p3f3 elimination
 _SINGULAR_TOL = 1e-10    # smallest / largest singular value of a linear system

@@ -116,7 +116,7 @@ def test_criterion_5_noise_study():
     """Median rel error < 2% at level 0.001 over 1000 trials; p95 monotone."""
     start = time.perf_counter()
     levels = [0.001, 0.01, 0.1]
-    rows = cli.run_noise_study("p3f4", levels, trials=1000, seed=202)
+    rows = sim.run_noise_study("p3f4", levels, trials=1000, seed=202)
     elapsed = time.perf_counter() - start
     med = rows[0]["median_rel_error"]
     p95 = [row["p95_rel_error"] for row in rows]

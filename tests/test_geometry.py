@@ -63,6 +63,30 @@ class TestApplyMotion:
             geo.RigidMotion(np.eye(3) * 1.001, np.zeros(2))
 
 
+class TestRigidMotionStack:
+    def test_same_as_one_by_one(self):
+        motions = [sim.gen_motion(seed) for seed in range(5)]
+        rots = np.array([m.rotation for m in motions])
+        trans = np.array([m.translation for m in motions])
+        for got, want in zip(geo.RigidMotion.stack(rots, trans), motions):
+            assert np.array_equal(got.rotation, want.rotation)
+            assert np.array_equal(got.translation, want.translation)
+        assert geo.RigidMotion.stack(np.empty((0, 3, 3)), np.empty((0, 2))) == ()
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.diag([1.0, 1.0, -1.0]), "proper"),
+        (np.eye(3) * 1.001, "orthonormal"),
+        (np.full((3, 3), np.nan), "non-finite")])
+    def test_one_bad_row_rejects_the_stack(self, bad, message):
+        rots = np.array([np.eye(3), bad, np.eye(3)])
+        with pytest.raises(InvalidInputError, match=message):
+            geo.RigidMotion.stack(rots, np.zeros((3, 2)))
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(InvalidInputError):
+            geo.RigidMotion.stack(np.array([np.eye(3)] * 2), np.zeros((3, 2)))
+
+
 class TestProjectedSqDistances:
     def test_three_four_five(self):
         frame = geo.FrameObservation((

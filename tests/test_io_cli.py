@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -276,6 +277,37 @@ class TestCliSimulate:
     def test_rejects_bad_counts(self, capsys):
         assert cli.main(["simulate", "--points", "2", "--frames", "3"]) == cli.EXIT_INPUT
 
+    def test_output_bytes_pinned(self, tmp_path, capsys):
+        # digests of the files written before the simulator moved onto arrays
+        prefix = str(tmp_path / "pin")
+        assert cli.main(["simulate", "--points", "4", "--frames", "50", "--noise", "0.01",
+                         "--seed", "3", "--out", prefix]) == cli.EXIT_OK
+        digests = {suffix: hashlib.sha256((tmp_path / f"pin.{suffix}").read_bytes()).hexdigest()
+                   for suffix in ("scene.json", "frames.csv")}
+        assert digests == {
+            "scene.json": "4a93b6672d789fdaa34beb60f84132ec5c39888ba8090a0303b4dab849db5ead",
+            "frames.csv": "968144d36228f6ee313d662e62dbd532370e46bf75584464fca1bca849aabbf6",
+        }
+
+    @pytest.mark.parametrize("noise", ["-0.5", "nan", "inf"])
+    def test_rejects_invalid_noise(self, tmp_path, capsys, noise):
+        prefix = tmp_path / "bad"
+        assert cli.main(["simulate", "--points", "3", "--frames", "3", "--noise", noise,
+                         "--out", str(prefix)]) == cli.EXIT_INPUT
+        assert "noise level" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rejects_negative_seed(self, tmp_path, capsys):
+        assert cli.main(["simulate", "--points", "3", "--frames", "3", "--seed", "-1",
+                         "--out", str(tmp_path / "bad")]) == cli.EXIT_INPUT
+        assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_rejects_bad_env_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ORTHOSFM_SEED", "abc")
+        assert cli.main(["simulate", "--points", "3", "--frames", "3",
+                         "--out", str(tmp_path / "bad")]) == cli.EXIT_INPUT
+        assert "ORTHOSFM_SEED must be a non-negative integer" in capsys.readouterr().err
+
 
 class TestCliNoiseStudy:
     def test_csv_output(self, tmp_path):
@@ -291,6 +323,37 @@ class TestCliNoiseStudy:
 
     def test_bad_levels(self, capsys):
         assert cli.main(["noise-study", "--levels", "a,b"]) == cli.EXIT_INPUT
+
+    def test_failure_columns_follow_the_first_six(self, tmp_path):
+        out = tmp_path / "study.csv"
+        assert cli.main(["noise-study", "--mode", "p3f3", "--levels", "0,0.1",
+                         "--trials", "20", "--seed", "1", "--out", str(out)]) == cli.EXIT_OK
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert header == ["level", "trials", "failures", "median_rel_error",
+                          "mean_rel_error", "p95_rel_error",
+                          "failures_degenerate", "failures_no_candidate"]
+        for row in rows:
+            assert int(row[2]) == int(row[6]) + int(row[7])
+        assert int(rows[1][7]) > 0
+
+    @pytest.mark.parametrize("levels", ["-0.1", "nan", "0.01,inf"])
+    def test_rejects_invalid_levels(self, capsys, levels):
+        assert cli.main(["noise-study", "--levels", levels, "--trials", "2"]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "noise level" in captured.err and captured.out == ""
+
+    def test_rejects_negative_seed(self, capsys):
+        assert cli.main(["noise-study", "--trials", "2", "--seed", "-1"]) == cli.EXIT_INPUT
+        assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_rejects_bad_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORTHOSFM_SEED", "abc")
+        assert cli.main(["noise-study", "--trials", "2"]) == cli.EXIT_INPUT
+        assert "ORTHOSFM_SEED must be a non-negative integer" in capsys.readouterr().err
+
+    def test_rejects_no_trials(self, capsys):
+        assert cli.main(["noise-study", "--trials", "0"]) == cli.EXIT_INPUT
+        assert "trials must be >= 1" in capsys.readouterr().err
 
 
 class TestCliAmbiguity:

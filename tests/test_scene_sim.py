@@ -5,7 +5,136 @@ import pytest
 
 from orthosfm import geometry as geo
 from orthosfm import scene_sim as sim
-from orthosfm.errors import InvalidInputError
+from orthosfm import solvers
+from orthosfm.errors import (
+    DegenerateEliminationError,
+    InvalidInputError,
+    SingularSystemError,
+)
+
+
+# ------------------------------------------------------------------
+# Reference: the per-point simulator and noise-study loop that the array
+# core replaced, one Generator, one RigidMotion and one Point per object.
+# `rejected` counts the draws each generator threw away.
+
+def reference_is_generic(pts):
+    centered = pts - pts.mean(axis=0)
+    sv = np.linalg.svd(centered, compute_uv=False)
+    if sv[1] < 0.05 * sv[0]:
+        return False
+    if len(pts) >= 4 and sv[2] < 0.05 * sv[0]:
+        return False
+    return True
+
+
+def reference_gen_body(n, seed, rejected):
+    rng = np.random.default_rng(seed)
+    labels = sim._labels_for(n)
+    while True:
+        pts = rng.uniform(0.0, 1.0, size=(n, 3))
+        if reference_is_generic(pts):
+            return tuple((lab, geo.Point3(*map(float, p))) for lab, p in zip(labels, pts))
+        rejected["body"] += 1
+
+
+def reference_quat_to_matrix(q):
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def reference_gen_motion(seed, rejected):
+    rng = np.random.default_rng(seed)
+    while True:
+        q = rng.normal(size=4)
+        q /= np.linalg.norm(q)
+        rot = reference_quat_to_matrix(q)
+        angle, axis = sim.rotation_angle_axis(rot)
+        if angle < sim.MIN_ROTATION_ANGLE or \
+                math.hypot(axis[0], axis[1]) < sim.MIN_AXIS_TILT:
+            rejected["motion"] += 1
+            continue
+        return geo.RigidMotion(rot, rng.uniform(-1.0, 1.0, size=2))
+
+
+def reference_gen_scene(n_points, n_frames, seed, rejected):
+    body = reference_gen_body(n_points, sim.subseed(seed, 0), rejected)
+    motions = [geo.RigidMotion.identity()] + [
+        reference_gen_motion(sim.subseed(seed, j), rejected) for j in range(1, n_frames)]
+    provenance = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
+    return sim.Scene(body=body, motions=tuple(motions), seed=int(provenance))
+
+
+def reference_render(scene):
+    return [geo.FrameObservation(tuple(
+        (lab, geo.project(geo.apply_motion(motion, p))) for lab, p in scene.body))
+        for motion in scene.motions]
+
+
+def reference_add_noise(frames, spec):
+    rng = np.random.default_rng(spec.seed)
+    noisy = []
+    for frame in frames:
+        coords = np.array([[p.x, p.y] for _, p in frame.points])
+        if spec.distribution == "uniform":
+            eps = rng.uniform(-spec.level, spec.level, size=coords.shape)
+        else:
+            eps = rng.normal(0.0, spec.level / 3.0, size=coords.shape)
+        coords = coords * (1.0 + eps)
+        noisy.append(geo.FrameObservation(tuple(
+            (lab, geo.Point2(float(x), float(y)))
+            for (lab, _), (x, y) in zip(frame.points, coords))))
+    return noisy
+
+
+def reference_noise_study(mode, levels, trials, seed, rejected):
+    n_points, n_frames = solvers.MODES[mode]
+    edges = geo.TETRA_EDGES if n_points == 4 else geo.TRIANGLE_EDGES
+    solve = getattr(solvers, "solve_" + mode)
+    rows = []
+    for li, level in enumerate(levels):
+        errors = []
+        degenerate = no_candidate = 0
+        for t in range(trials):
+            scene = reference_gen_scene(
+                n_points, n_frames, sim.subseed(seed, li, t, 0), rejected)
+            labels = scene.labels
+            frames = reference_render(scene)
+            if level > 0:
+                frames = reference_add_noise(frames, sim.NoiseSpec(
+                    level=level, seed=sim.subseed(seed, li, t, 1)))
+            sq = [geo.projected_sq_distances(f, labels) for f in frames]
+            truth = np.array([scene.true_sq_distance(labels[i], labels[j])
+                              for i, j in edges])
+            try:
+                result = solve(sq)
+            except (DegenerateEliminationError, SingularSystemError):
+                degenerate += 1
+                continue
+            if not result.candidates:
+                no_candidate += 1
+                continue
+            best = min(
+                result.candidates,
+                key=lambda c: np.abs(np.array(c.lengths.as_tuple()) - truth).max())
+            rec = np.array(best.lengths.as_tuple())
+            errors.extend(np.abs(rec - truth) / np.abs(truth))
+        errors = np.array(errors) if errors else np.array([np.nan])
+        rows.append({
+            "level": level,
+            "trials": trials,
+            "failures": degenerate + no_candidate,
+            "median_rel_error": float(np.median(errors)),
+            "mean_rel_error": float(np.mean(errors)),
+            "p95_rel_error": float(np.percentile(errors, 95)),
+            "failures_degenerate": degenerate,
+            "failures_no_candidate": no_candidate,
+        })
+    return rows
 
 
 class TestGenBody:
@@ -32,8 +161,18 @@ class TestGenBody:
             sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
             assert sv[2] >= 0.05 * sv[0]  # non-coplanar margin
 
-    def test_reject_hook_changes_draw(self):
-        assert sim.gen_body(3, 5) != sim.gen_body(3, 5, _reject_first=1)
+    def test_rejected_first_draw_is_redrawn(self):
+        # find a stream whose first 3-point draw fails the genericity test;
+        # gen_body must return that stream's second draw
+        for seed in range(1000):
+            draws = np.random.default_rng(seed).uniform(0.0, 1.0, size=(2, 3, 3))
+            if not reference_is_generic(draws[0]):
+                break
+        else:
+            pytest.fail("no rejected first draw in seeds 0-999")
+        assert reference_is_generic(draws[1])
+        assert sim.gen_body(3, seed) == tuple(
+            (lab, geo.Point3(*p)) for lab, p in zip("PQR", draws[1].tolist()))
 
     def test_needs_three_points(self):
         with pytest.raises(InvalidInputError):
@@ -181,3 +320,101 @@ class TestAddNoise:
             sim.NoiseSpec(level=-0.1)
         with pytest.raises(InvalidInputError):
             sim.NoiseSpec(level=0.1, distribution="cauchy")
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_spec_rejects_non_finite_and_negative(self, level):
+        with pytest.raises(InvalidInputError, match="noise level"):
+            sim.NoiseSpec(level=level)
+
+
+class TestSameAsPerPointSimulator:
+    """The array core against the per-point reference above, with ==."""
+
+    def test_scenes_frames_and_noise(self):
+        rejected = {"body": 0, "motion": 0}
+        for seed in range(200):
+            # every (points, frames) pair of 3-6 x 1-6 within 24 seeds
+            n_points, n_frames = 3 + seed % 4, 1 + (seed // 4) % 6
+            expect = reference_gen_scene(n_points, n_frames, seed, rejected)
+            scene = sim.gen_scene(n_points, n_frames, seed)
+            assert scene.body == expect.body and scene.seed == expect.seed
+            assert len(scene.motions) == n_frames
+            for got, want in zip(scene.motions, expect.motions):
+                assert np.array_equal(got.rotation, want.rotation)
+                assert np.array_equal(got.translation, want.translation)
+            frames = sim.render(scene)
+            assert frames == reference_render(expect)
+            for distribution in ("uniform", "gaussian"):
+                spec = sim.NoiseSpec(0.01, distribution, sim.subseed(seed, 10**6))
+                assert sim.add_noise(frames, spec) == reference_add_noise(frames, spec)
+        # the seeds reach the redraw path of both generators
+        assert rejected["body"] > 0 and rejected["motion"] > 0, rejected
+
+    def test_single_draw_adapters(self):
+        rejected = {"body": 0, "motion": 0}
+        for seed in range(200):
+            assert sim.gen_body(3 + seed % 4, seed) == \
+                reference_gen_body(3 + seed % 4, seed, rejected)
+            got, want = sim.gen_motion(seed), reference_gen_motion(seed, rejected)
+            assert np.array_equal(got.rotation, want.rotation)
+            assert np.array_equal(got.translation, want.translation)
+        assert rejected["body"] > 0 and rejected["motion"] > 0, rejected
+
+    def test_noise_on_frames_of_different_sizes(self):
+        frames = [geo.FrameObservation(tuple(
+            (f"X{i}", geo.Point2(1.0 + i, 2.0 - j)) for i in range(n)))
+            for j, n in enumerate((3, 7, 4))]
+        for distribution in ("uniform", "gaussian"):
+            spec = sim.NoiseSpec(0.2, distribution, 11)
+            assert sim.add_noise(frames, spec) == reference_add_noise(frames, spec)
+
+    @pytest.mark.parametrize("mode", ["p3f3", "p3f4", "p4f3"])
+    def test_noise_study_rows(self, mode):
+        levels = [0.0, 0.001, 0.01, 0.1]
+        rejected = {"body": 0, "motion": 0}
+        expect = reference_noise_study(mode, levels, 40, 17, rejected)
+        assert sim.run_noise_study(mode, levels, 40, 17) == expect
+        assert rejected["body"] + rejected["motion"] > 0, rejected
+
+
+class TestRunNoiseStudy:
+    def test_failures_split_by_reason(self, monkeypatch):
+        # a stand-in solver: degenerate, singular, no candidate, then real
+        real = solvers.solve_p3f4
+        calls = []
+
+        def solve(sq):
+            calls.append(sq)
+            kind = len(calls) % 4
+            if kind == 1:
+                raise DegenerateEliminationError("stand-in")
+            if kind == 2:
+                raise SingularSystemError("stand-in")
+            if kind == 3:
+                return solvers.RecoveryResult(())
+            return real(sq)
+
+        monkeypatch.setattr(solvers, "solve_p3f4", solve)
+        rows = sim.run_noise_study("p3f4", [0.0, 0.01], 8, 3)
+        assert len(calls) == 16  # the looked-up solver, once per trial
+        for row in rows:
+            assert (row["failures_degenerate"], row["failures_no_candidate"],
+                    row["failures"]) == (4, 2, 6)
+
+    def test_real_failures_have_no_candidate(self):
+        rows = sim.run_noise_study("p3f3", [0.0, 0.1], 50, 1)
+        assert rows[0]["failures"] == 0
+        assert rows[1]["failures"] == rows[1]["failures_no_candidate"] > 0
+        assert rows[1]["failures_degenerate"] == 0
+
+    @pytest.mark.parametrize("levels", [[0.01, -0.1], [math.nan], [math.inf]])
+    def test_invalid_level_raises_before_any_trial(self, levels, monkeypatch):
+        def solve(sq):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(solvers, "solve_p3f4", solve)
+        with pytest.raises(InvalidInputError, match="noise level"):
+            sim.run_noise_study("p3f4", levels, 5, 0)
+
+    def test_needs_a_trial(self):
+        with pytest.raises(InvalidInputError, match="trials"):
+            sim.run_noise_study("p3f4", [0.01], 0, 0)
