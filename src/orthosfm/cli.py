@@ -162,12 +162,17 @@ def cmd_match(args) -> int:
                 for a, r in match.ranking
             ]
         else:
-            score = two_frame.rigidity_score(frame1, frame2)
+            labels = frame1.labels[:4]
+            report["used"] = {"points": list(labels)}
+            score = two_frame.rigidity_score(frame1, frame2, labels)
             consistent = score <= args.threshold * two_frame._pair_scale(frame1, frame2)
             report["rigidity_residual"] = score
             report["verdict"] = "consistent" if consistent else "inconsistent"
             if not consistent:
                 code = EXIT_NO_SOLUTION
+    except InvalidInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except NoConsistentAssignmentError as exc:
         report["status"] = "no_consistent_assignment"
         report["reason"] = str(exc)

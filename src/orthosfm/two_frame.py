@@ -7,9 +7,14 @@ support is point identification: with four points, three correspondences
 predict a line in the second frame that the fourth point's image must lie
 on.  The distance to that line (collinearity_residual_4pt) scores
 candidate assignments (match_points) or, with known labels, serves as a
-rigidity test (rigidity_score).  Five points make the prediction fully
-linear (residual_5pt).  Each function divides its points once by the frame
-pair's scale (_pair_scale), so every threshold here is dimensionless.
+rigidity test (rigidity_score).  For a rigid pair that distance is zero at
+every admissible assumed length |RP|^2, so one is enough: 1.5x the longest
+projection when it admits a triangle, else one probe between consecutive
+zeros of a few quadratics in |RP|^2 decides in O(1) whether any larger
+length does (_assumed_length).  Each assignment is set up once.  Five
+points make the prediction fully linear (residual_5pt).  Each function
+divides its points once by the frame pair's scale (_pair_scale), so every
+threshold here is dimensionless.
 """
 
 from __future__ import annotations
@@ -36,13 +41,11 @@ from .geometry import (
     apply_motion,
     project,
 )
-from .solvers import quad_coeffs
+from .solvers import _solve_quadratic, quad_coeffs
 
-# Assumed-length policy for the 4-point scorer: start at 1.5x the longest
-# projection of edge RP and grow geometrically while infeasible.
+# Assumed-length policy for the 4-point scorer: |RP| is assumed 1.5x its
+# longest projection whenever that admits a triangle (see _assumed_length).
 C_START_FACTOR = 1.5
-C_GROW_FACTOR = 1.25
-C_MAX_STEPS = 40
 
 DEFAULT_RIGIDITY_TOL = 1e-6     # relative to the observation diameter
 
@@ -213,6 +216,76 @@ def _unit_triangle(frame: FrameObservation, labels, scale: float):
     return pts, sq, table[idx[2]][idx[0]]
 
 
+def _admissible_roots(coeffs: BofCCoeffs, minima: tuple, c_sq: float, tol: float) -> tuple:
+    """The b^2 roots at a unit c^2 whose lengths (a^2, b^2, c^2) are no
+    shorter than minima, in ascending order."""
+    try:
+        roots = solve_b_given_c(coeffs, c_sq, tol)
+    except NoSolutionError:
+        return ()
+    min_a, min_b, min_c = minima
+    return tuple(b_sq for b_sq in roots
+                 if not (coeffs.a_sq_of(b_sq, c_sq) < min_a
+                         or b_sq < min_b or c_sq < min_c))
+
+
+def _length_boundaries(coeffs: BofCCoeffs, minima: tuple) -> tuple:
+    """Every unit c^2 at which the admissible b^2 roots can change.
+
+    The roots move continuously with c^2, so a root enters or leaves the
+    admissible set only where it appears (the discriminant in b^2 vanishes),
+    escapes to infinity (the b^2 leading coefficient does not depend on c^2,
+    so only where the linear one vanishes and the equation is linear), or
+    crosses b^2 = max(min_b, 0) or a^2 = min_a.  Each is a zero of a
+    quadratic in c^2.  The c^2 minimum never binds above the policy's start.
+    """
+    k = coeffs
+    min_a, min_b, _ = minima
+    b_min = max(min_b, 0.0)
+    quadratics = [
+        # discriminant of the biquadratic in b^2
+        (k.f_cb * k.f_cb - 4.0 * k.f_b2 * k.f_c2,
+         2.0 * k.f_cb * k.f_b - 4.0 * k.f_b2 * k.f_c,
+         k.f_b * k.f_b - 4.0 * k.f_b2 * k.f_Cst),
+        # the biquadratic at b^2 = b_min
+        (k.f_c2, k.f_c + k.f_cb * b_min,
+         k.f_b2 * b_min * b_min + k.f_b * b_min + k.f_Cst),
+        # the linear coefficient
+        (0.0, k.f_cb, k.f_b),
+    ]
+    if min_a > -math.inf:
+        # times p^2 on the line p*b^2 = u - q*c^2 where a^2 = min_a
+        p, q, u = k.p, k.q, min_a - k.r
+        quadratics.append((
+            k.f_b2 * q * q - p * k.f_cb * q + p * p * k.f_c2,
+            -2.0 * k.f_b2 * u * q + p * (k.f_cb * u - k.f_b * q) + p * p * k.f_c,
+            k.f_b2 * u * u + p * k.f_b * u + p * p * k.f_Cst))
+    # with no tolerance: the exact zeros, a degree drop only at a zero coefficient
+    return tuple(z for quad in quadratics for z in _solve_quadratic(*quad, 0.0))
+
+
+def _assumed_length(coeffs: BofCCoeffs, minima: tuple, c_start: float, tol: float):
+    """The assumed-length policy: (unit c^2, its admissible b^2 roots).
+
+    c^2 is c_start whenever it admits a root.  Otherwise admissibility is
+    constant between consecutive _length_boundaries above c_start, so one
+    probe in each such interval decides it: the midpoint of the first
+    admissible interval is taken, or twice its lower end when it is
+    unbounded.  Raises NoSolutionError when no c^2 >= c_start is admissible.
+    """
+    roots = _admissible_roots(coeffs, minima, c_start, tol)
+    if roots:
+        return c_start, roots
+    ends = sorted({z for z in _length_boundaries(coeffs, minima) if c_start < z < math.inf})
+    probes = [(lo + hi) / 2.0 for lo, hi in zip([c_start] + ends, ends)]
+    probes.append(2.0 * (ends[-1] if ends else c_start))
+    for c_sq in probes:
+        roots = _admissible_roots(coeffs, minima, c_sq, tol)
+        if roots:
+            return c_sq, roots
+    raise NoSolutionError("no feasible assumed length found for assignment")
+
+
 class _TrianglePair:
     """An assignment's points in both frames divided once by the pair's scale,
     and what the triangle P, Q, R gives in those units, all in Python floats
@@ -225,8 +298,6 @@ class _TrianglePair:
         self.scale, self.tol = _pair_scale(frame1, frame2), tol
         self.pts1, self.sq1, rp1 = _unit_triangle(frame1, labels1, self.scale)
         self.pts2, self.sq2, rp2 = _unit_triangle(frame2, labels2, self.scale)
-        # the walk's first assumed c^2, in caller units
-        self.c_start = C_START_FACTOR ** 2 * max(rp1, rp2) or self.scale ** 2
         self.coeffs = b_of_c_coeffs(self.sq1, self.sq2)
         (px, py), (qx, qy), (rx, ry) = self.pts1[:3]
         # det [RP RQ] over frame 1: the z component of RP x RQ at any depths
@@ -236,22 +307,21 @@ class _TrianglePair:
             self.minima = (-math.inf,) * 3
         else:
             self.minima = tuple(max(s1, s2) - tol for s1, s2 in zip(self.sq1, self.sq2))
+        # the policy's first c^2, formed in caller units and then divided
+        c_start = C_START_FACTOR ** 2 * max(rp1, rp2) or self.scale ** 2
+        self.c_start = self.unit_c_sq(c_start)
 
     def unit_c_sq(self, c_sq: float) -> float:
         """An assumed c^2 in caller units, in the pair's units."""
         return c_sq / (self.scale * self.scale)
 
     def roots(self, c_sq: float) -> tuple:
-        """The b^2 roots at a unit c^2 whose lengths (a^2, b^2, c^2) are no
-        shorter than self.minima, in ascending order."""
-        try:
-            roots = solve_b_given_c(self.coeffs, c_sq, self.tol)
-        except NoSolutionError:
-            return ()
-        min_a, min_b, min_c = self.minima
-        return tuple(b_sq for b_sq in roots
-                     if not (self.coeffs.a_sq_of(b_sq, c_sq) < min_a
-                             or b_sq < min_b or c_sq < min_c))
+        """The admissible b^2 roots at a unit c^2, ascending."""
+        return _admissible_roots(self.coeffs, self.minima, c_sq, self.tol)
+
+    def assumed_length(self) -> tuple:
+        """(unit c^2, roots) under the assumed-length policy."""
+        return _assumed_length(self.coeffs, self.minima, self.c_start, self.tol)
 
     def depths(self, b_sq: float, c_sq: float) -> tuple:
         """(z_P, z_Q) over frame 1 and over frame 2 for a root b^2 at c^2."""
@@ -261,7 +331,7 @@ class _TrianglePair:
 
 
 def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation,
-                              assignment: Assignment, c_sq: float,
+                              assignment: Assignment, c_sq: float | None = None,
                               tol: float = 1e-9) -> float:
     """Distance of the fourth point's second-frame image to its predicted line.
 
@@ -271,17 +341,21 @@ def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation
     in the plane RPQ and T_b shifted along RP x RQ by the frame pair's
     scale.  Mapping both into the second frame predicts a line that must
     contain T2.  The minimum over the two b-branches and the second frame's
-    reflection branches is returned.
+    reflection branches is returned.  With c_sq None the assumed length
+    follows the policy of _assumed_length.
 
-    Raises DegenerateBasisError for collinear P, Q, R and propagates
-    NoSolutionError when the assumed c admits no triangle.
+    Raises DegenerateBasisError for collinear P, Q, R and NoSolutionError
+    when the assumed c (or, under the policy, every c) admits no triangle.
     """
     pair = _TrianglePair(frame1, frame2, assignment.source_labels,
                          assignment.target_labels, tol)
-    c_sq = pair.unit_c_sq(c_sq)
-    roots = pair.roots(c_sq)
-    if not roots:
-        raise NoSolutionError("no b^2 root dominating the projections for assumed c")
+    if c_sq is None:
+        c_sq, roots = pair.assumed_length()
+    else:
+        c_sq = pair.unit_c_sq(c_sq)
+        roots = pair.roots(c_sq)
+        if not roots:
+            raise NoSolutionError("no b^2 root dominating the projections for assumed c")
     det1 = pair.det1
     if det1 is None:
         raise DegenerateBasisError("P1, Q1, R1 nearly collinear")
@@ -317,38 +391,6 @@ def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation
     if best is None:
         raise NoSolutionError("assumed c infeasible for every branch")
     return best * pair.scale
-
-
-def _c_walk(pair: _TrianglePair):
-    """The assumed-length policy: c^2 starts at pair.c_start and grows
-    geometrically for C_MAX_STEPS steps, in caller units so that
-    _scored_residual can pass each c^2 on unchanged.  Yields (c_sq, unit
-    c_sq, roots) for each step on which pair.roots finds any."""
-    c_sq = pair.c_start
-    for _ in range(C_MAX_STEPS):
-        unit_c_sq = pair.unit_c_sq(c_sq)
-        roots = pair.roots(unit_c_sq)
-        if roots:
-            yield c_sq, unit_c_sq, roots
-        c_sq *= C_GROW_FACTOR ** 2
-
-
-def _scored_residual(frame1, frame2, assignment, tol) -> float:
-    """collinearity_residual_4pt under the assumed-length policy: c starts at
-    1.5x the longest RP projection and grows geometrically while infeasible.
-
-    The walk skips only the steps on which that function's own root filter,
-    on the same setup, leaves no root and so raises NoSolutionError:
-    results are exactly those of calling it at every step.
-    """
-    pair = _TrianglePair(frame1, frame2, assignment.source_labels,
-                         assignment.target_labels, tol)
-    for c_sq, _, _ in _c_walk(pair):
-        try:
-            return collinearity_residual_4pt(frame1, frame2, assignment, c_sq, tol)
-        except NoSolutionError:
-            pass  # both reflection branches degenerate for every root
-    raise NoSolutionError("no feasible assumed length found for assignment")
 
 
 @dataclass(frozen=True)
@@ -414,7 +456,7 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     for perm in itertools.permutations(labels2, 4):
         assignment = Assignment(tuple(zip(probe, perm)))
         try:
-            residual = _scored_residual(frame1, frame2, assignment, tol)
+            residual = collinearity_residual_4pt(frame1, frame2, assignment, None, tol)
         except (NoSolutionError, DegenerateBasisError, DegenerateEliminationError):
             residual = math.inf
         scored.append((assignment, residual))
@@ -434,8 +476,8 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
         scored_rest = []
         for cand in remaining2:
             try:
-                res = _scored_residual(
-                    frame1, frame2, Assignment(base + ((lab, cand),)), tol)
+                res = collinearity_residual_4pt(
+                    frame1, frame2, Assignment(base + ((lab, cand),)), None, tol)
             except (NoSolutionError, DegenerateBasisError, DegenerateEliminationError):
                 res = math.inf
             scored_rest.append((res, cand))
@@ -443,7 +485,8 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
         res, cand = scored_rest[0]
         if res / scale > rigidity_tol:
             raise NoConsistentAssignmentError(
-                f"point {lab!r}: best residual {res:.3g} exceeds threshold")
+                f"point {lab!r}: best residual {res / scale:.3g} of the image scale "
+                "exceeds threshold")
         full[lab] = cand
         remaining2.remove(cand)
     return MatchReport(
@@ -464,7 +507,7 @@ def rigidity_score(frame1: FrameObservation, frame2: FrameObservation,
     if len(labels) != 4:
         raise InvalidInputError("rigidity_score needs exactly 4 labels")
     assignment = Assignment(tuple((lab, lab) for lab in labels))
-    return _scored_residual(frame1, frame2, assignment, tol)
+    return collinearity_residual_4pt(frame1, frame2, assignment, None, tol)
 
 
 def residual_5pt(frame1: FrameObservation, frame2: FrameObservation,
@@ -658,11 +701,11 @@ def base_interpretation_from_frames(frame1: FrameObservation,
     The assumed |RP| follows the same deterministic policy as the matcher;
     the triangle is embedded in both frames, the proper rotation between
     the embeddings recovered, and any further points placed on their
-    first-frame rays at the depth that reproduces the second frame.  The
-    first candidate in walk order (c, then b^2 ascending, then the second
-    frame's reflection) that reproduces the frames to tol*10 is returned:
-    for a rigid pair every candidate at a feasible c is exact up to
-    rounding, so choosing the smallest residual would let rounding, and
+    first-frame rays at the depth that reproduces the second frame.  At the
+    policy's single c^2, the first candidate in order (b^2 ascending, then
+    the second frame's reflection) that reproduces the frames to tol*10 is
+    returned: for a rigid pair every candidate at a feasible c is exact up
+    to rounding, so choosing the smallest residual would let rounding, and
     with it the units, pick the body.
 
     Raises InconsistentLengthsError when no branch reproduces the frames
@@ -672,20 +715,23 @@ def base_interpretation_from_frames(frame1: FrameObservation,
     if len(labels) < 3:
         raise InvalidInputError("need at least 3 points")
     pair = _TrianglePair(frame1, frame2, labels[:3], labels[:3], tol)
+    try:
+        c_sq, roots = pair.assumed_length()
+    except NoSolutionError:
+        roots = ()
     best = None
-    for _, c_sq, roots in _c_walk(pair):
-        for b_sq in roots:
-            (zp1, zq1), (zp2, zq2) = pair.depths(b_sq, c_sq)
-            e1 = np.column_stack([pair.pts1, (zp1, zq1, 0.0)])
-            for flip in (1.0, -1.0):
-                e2 = np.column_stack([pair.pts2, (flip * zp2, flip * zq2, 0.0)])
-                cand = _fit_interpretation(frame1, frame2, e1, e2, tol)
-                if cand is None:
-                    continue
-                if cand[0] < tol * 10:
-                    return cand[1]
-                if best is None or cand[0] < best[0]:
-                    best = cand
+    for b_sq in roots:
+        (zp1, zq1), (zp2, zq2) = pair.depths(b_sq, c_sq)
+        e1 = np.column_stack([pair.pts1, (zp1, zq1, 0.0)])
+        for flip in (1.0, -1.0):
+            e2 = np.column_stack([pair.pts2, (flip * zp2, flip * zq2, 0.0)])
+            cand = _fit_interpretation(frame1, frame2, e1, e2, tol)
+            if cand is None:
+                continue
+            if cand[0] < tol * 10:
+                return cand[1]
+            if best is None or cand[0] < best[0]:
+                best = cand
     if best is not None and best[0] < 1e-6:
         return best[1]
     raise InconsistentLengthsError(

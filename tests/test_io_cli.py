@@ -230,6 +230,21 @@ class TestCliMatch:
         write_frames(f, sim.gen_scene(4, 3, 43))
         assert cli.main(["match", str(f)]) == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("mode", [[], ["--unlabeled"]])
+    def test_three_points_input_error(self, tmp_path, capsys, mode):
+        f = tmp_path / "frames.csv"
+        write_frames(f, sim.gen_scene(3, 2, 45))
+        assert cli.main(["match", str(f), *mode]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_labeled_reports_used_points(self, tmp_path):
+        f = tmp_path / "frames.csv"
+        write_frames(f, sim.gen_scene(6, 2, 46))
+        out = tmp_path / "report.json"
+        assert cli.main(["match", str(f), "--out", str(out)]) == cli.EXIT_OK
+        assert json.loads(out.read_text())["used"] == {"points": ["P", "Q", "R", "T"]}
+
 
 class TestCliSimulate:
     def test_writes_both_files(self, tmp_path, capsys):

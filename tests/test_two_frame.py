@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthosfm import geometry as geo
 from orthosfm import scene_sim as sim
@@ -169,9 +171,9 @@ class TestCollinearityResidual:
         # ~1.2 and ~6e6 apart, so a textbook small root loses ~7 digits
         frame1, frame2 = two_frames(sim.gen_scene(4, 2, 19))
         assignment = tf.Assignment((("P", "R"), ("Q", "Q"), ("R", "P"), ("T", "T")))
-        res = tf._scored_residual(frame1, frame2, assignment, 1e-9)
-        got = tf._scored_residual(
-            scaled(frame1, factor), scaled(frame2, factor), assignment, 1e-9)
+        res = tf.collinearity_residual_4pt(frame1, frame2, assignment, None, 1e-9)
+        got = tf.collinearity_residual_4pt(
+            scaled(frame1, factor), scaled(frame2, factor), assignment, None, 1e-9)
         assert res > 1e-3 * scale_of(frame1, frame2)
         assert got / factor == pytest.approx(res, rel=1e-13)
 
@@ -219,6 +221,23 @@ class TestMatchPoints:
             for lab, p in frame2.points)
         with pytest.raises(NoConsistentAssignmentError):
             tf.match_points(frame1, geo.FrameObservation(pts))
+
+    def test_extension_refusal_quotes_relative_residual(self):
+        # the probe quadruple stays rigid; only the extra point leaves the body
+        frame1, frame2 = (scaled(f, 1e3) for f in two_frames(sim.gen_scene(5, 2, 8)))
+        probe = tf._probe_labels(frame1)
+        (extra,) = set(frame1.labels) - set(probe)
+        moved = geo.FrameObservation(tuple(
+            (lab, geo.Point2(p.x + 300.0, p.y) if lab == extra else p)
+            for lab, p in frame2.points))
+        base = tuple((lab, lab) for lab in probe[:3])
+        res = tf.collinearity_residual_4pt(
+            frame1, moved, tf.Assignment(base + ((extra, extra),)))
+        with pytest.raises(NoConsistentAssignmentError) as exc:
+            tf.match_points(frame1, moved)
+        relative = res / tf._pair_scale(frame1, moved)
+        assert f"point {extra!r}: best residual {relative:.3g} of the image scale" \
+            in str(exc.value)
 
     def test_needs_four_points(self):
         scene = sim.gen_scene(3, 2, 1)
@@ -402,9 +421,13 @@ class TestBaseInterpretationFromFrames:
             assert np.abs(got - expect).max() < 1e-9 * np.abs(expect).max(), seed
 
 
-def unscreened_residual(frame1, frame2, assignment, tol=1e-9):
-    """The assumed-length walk without a screen: the full residual at every
-    step of the c grid until one does not raise NoSolutionError."""
+# the geometric c^2 grid that the closed-form policy replaced: the reference
+C_GROW_FACTOR = 1.25
+C_MAX_STEPS = 40
+
+
+def grid_c_sq(frame1, frame2, assignment):
+    """The grid's c^2 values in caller units, from the policy's start."""
     r1 = frame1.get(assignment.source_labels[2]).as_array()
     p1 = frame1.get(assignment.source_labels[0]).as_array()
     r2 = frame2.get(assignment.target_labels[2]).as_array()
@@ -413,11 +436,19 @@ def unscreened_residual(frame1, frame2, assignment, tol=1e-9):
                                         float((r2 - p2) @ (r2 - p2)))
     if c_sq == 0.0:
         c_sq = max(frame1.scale_sq(), frame2.scale_sq())
-    for _ in range(tf.C_MAX_STEPS):
+    for _ in range(C_MAX_STEPS):
+        yield c_sq
+        c_sq *= C_GROW_FACTOR ** 2
+
+
+def unscreened_residual(frame1, frame2, assignment, tol=1e-9):
+    """The assumed-length walk without a screen: the full residual at every
+    step of the c grid until one does not raise NoSolutionError."""
+    for c_sq in grid_c_sq(frame1, frame2, assignment):
         try:
             return tf.collinearity_residual_4pt(frame1, frame2, assignment, c_sq, tol)
         except NoSolutionError:
-            c_sq *= tf.C_GROW_FACTOR ** 2
+            pass
     raise NoSolutionError("no feasible assumed length found for assignment")
 
 
@@ -505,7 +536,7 @@ class TestScreenedWalk:
             for perm in itertools.permutations(frame2.labels):
                 assignment = tf.Assignment(tuple(zip(frame1.labels, perm)))
                 expect = outcome(unscreened_residual, frame1, frame2, assignment)
-                got = outcome(tf._scored_residual, frame1, frame2, assignment, 1e-9)
+                got = outcome(tf.collinearity_residual_4pt, frame1, frame2, assignment, None, 1e-9)
                 assert got == expect, (assignment, expect, got)
                 kinds.add(expect if isinstance(expect, type) else float)
         assert kinds == {float, NoSolutionError, DegenerateBasisError}
@@ -521,37 +552,93 @@ class TestScreenedWalk:
             frame1, frame2 = make_pair(seed)
             assignment = identity_assignment()
             expect = outcome(unscreened_residual, frame1, frame2, assignment)
-            got = outcome(tf._scored_residual, frame1, frame2, assignment, 1e-9)
+            got = outcome(tf.collinearity_residual_4pt, frame1, frame2, assignment, None, 1e-9)
             assert got == expect, (seed, expect, got)
             kinds.add(expect if isinstance(expect, type) else float)
         assert kind in kinds
 
-    def test_rigid_match_calls_residual_once_per_assignment(self, monkeypatch):
-        calls = []
+    @staticmethod
+    def counted(monkeypatch):
+        """The c^2 argument of every residual call made through the module
+        global, and the number of _TrianglePair setups."""
+        calls, setups = [], []
         residual = tf.collinearity_residual_4pt
 
         def counted(*args, **kwargs):
             calls.append(args[3])
             return residual(*args, **kwargs)
 
+        class CountedPair(tf._TrianglePair):
+            def __init__(self, *args):
+                setups.append(args[2:4])
+                super().__init__(*args)
+
         monkeypatch.setattr(tf, "collinearity_residual_4pt", counted)
+        monkeypatch.setattr(tf, "_TrianglePair", CountedPair)
+        return calls, setups
+
+    def test_rigid_match_calls_residual_once_per_assignment(self, monkeypatch):
+        calls, setups = self.counted(monkeypatch)
         frame1, frame2 = two_frames(sim.gen_scene(4, 2, 3))
         report = tf.match_points(frame1, frame2)
         assert report.n_scored == 24
-        assert 0 < len(calls) <= 24
+        assert calls == [None] * report.n_scored
+        assert len(setups) == report.n_scored
 
     def test_rigid_five_point_match_calls_residual_once_per_assignment(
             self, monkeypatch):
-        calls = []
-        residual = tf.collinearity_residual_4pt
-
-        def counted(*args, **kwargs):
-            calls.append(args[3])
-            return residual(*args, **kwargs)
-
-        monkeypatch.setattr(tf, "collinearity_residual_4pt", counted)
+        calls, setups = self.counted(monkeypatch)
         frame1, frame2 = two_frames(sim.gen_scene(5, 2, 3))
         report = tf.match_points(frame1, frame2)
-        # one greedy-extension candidate: the fifth point's only partner
         assert report.n_scored == 120
-        assert 0 < len(calls) <= 120 + 1
+        # plus one greedy-extension assignment: the fifth point's only partner
+        assert calls == [None] * (report.n_scored + 1)
+        assert len(setups) == report.n_scored + 1
+
+    def test_rigidity_score_sets_up_once(self, monkeypatch):
+        calls, setups = self.counted(monkeypatch)
+        frame1, frame2 = two_frames(sim.gen_scene(4, 2, 3))
+        tf.rigidity_score(frame1, frame2)
+        assert calls == [None] and len(setups) == 1
+
+
+class TestAssumedLength:
+    # b^4 = c^2 - 4 with a^2 = 10 - b^2: roots appear at c^2 = 4, and
+    # a^2 >= 0 keeps them only up to c^2 = 104
+    COEFFS = tf.BofCCoeffs(f_cb=0.0, f_c=-1.0, f_b=0.0, f_Cst=4.0, f_b2=1.0,
+                           f_c2=0.0, p=-1.0, q=0.0, r=10.0)
+
+    def test_start_kept_when_admissible(self):
+        assert tf._assumed_length(self.COEFFS, (0.0, 0.0, 0.0), 5.0, 1e-9) == (5.0, (1.0,))
+
+    def test_midpoint_of_bounded_interval(self):
+        c_sq, roots = tf._assumed_length(self.COEFFS, (0.0, 0.0, 0.0), 1.0, 1e-9)
+        assert c_sq == (4.0 + 104.0) / 2.0
+        assert roots == pytest.approx((math.sqrt(50.0),), rel=1e-15)
+
+    def test_twice_the_lower_end_when_unbounded(self):
+        no_a = (-math.inf, 0.0, 0.0)
+        assert tf._assumed_length(self.COEFFS, no_a, 1.0, 1e-9) == (8.0, (2.0,))
+
+    def test_no_admissible_interval_raises(self):
+        # b^2 >= 20 needs c^2 >= 404, where a^2 < 0
+        with pytest.raises(NoSolutionError):
+            tf._assumed_length(self.COEFFS, (0.0, 20.0, 0.0), 1.0, 1e-9)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16))
+    def test_no_admissible_length_agrees_with_grid(self, coords):
+        pts = np.array(coords).reshape(2, 4, 2)
+        frame1, frame2 = frame_of(pts[0]), frame_of(pts[1])
+        try:
+            pair = tf._TrianglePair(frame1, frame2, "PQRT", "PQRT", 1e-9)
+        except DegenerateEliminationError:
+            return
+        grid = any(pair.roots(pair.unit_c_sq(c_sq))
+                   for c_sq in grid_c_sq(frame1, frame2, identity_assignment()))
+        try:
+            pair.assumed_length()
+        except NoSolutionError:
+            assert not grid
+        else:
+            assert grid
