@@ -115,7 +115,7 @@ def solve_b_given_c(coeffs: BofCCoeffs, c_sq: float, tol: float = 1e-9) -> tuple
 
     The thresholds assume coefficients from frames of unit size, as every
     caller in the package passes.  solvers._solve_quadratic is no substitute:
-    its tol-relative linear test would take the walk's large c as linear.
+    its tol-relative linear test would take a large assumed c as linear.
 
     Raises NoSolutionError when the discriminant is decisively negative
     (the assumed c is below the feasible range and must be increased).
@@ -238,6 +238,10 @@ def _length_boundaries(coeffs: BofCCoeffs, minima: tuple) -> tuple:
     so only where the linear one vanishes and the equation is linear), or
     crosses b^2 = max(min_b, 0) or a^2 = min_a.  Each is a zero of a
     quadratic in c^2.  The c^2 minimum never binds above the policy's start.
+    Not included: the c^2 where solve_b_given_c's tolerances switch (a
+    slightly negative discriminant kept as a double root, a leading
+    coefficient below 1e-14 of the others taken as zero), which sit within
+    rounding of a boundary above or only exist for near-linear biquadratics.
     """
     k = coeffs
     min_a, min_b, _ = minima

@@ -536,7 +536,8 @@ class TestScreenedWalk:
             for perm in itertools.permutations(frame2.labels):
                 assignment = tf.Assignment(tuple(zip(frame1.labels, perm)))
                 expect = outcome(unscreened_residual, frame1, frame2, assignment)
-                got = outcome(tf.collinearity_residual_4pt, frame1, frame2, assignment, None, 1e-9)
+                got = outcome(tf.collinearity_residual_4pt,
+                              frame1, frame2, assignment, None, 1e-9)
                 assert got == expect, (assignment, expect, got)
                 kinds.add(expect if isinstance(expect, type) else float)
         assert kinds == {float, NoSolutionError, DegenerateBasisError}
