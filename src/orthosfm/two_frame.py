@@ -240,8 +240,9 @@ def _length_boundaries(coeffs: BofCCoeffs, minima: tuple) -> tuple:
     quadratic in c^2.  The c^2 minimum never binds above the policy's start.
     Not included: the c^2 where solve_b_given_c's tolerances switch (a
     slightly negative discriminant kept as a double root, a leading
-    coefficient below 1e-14 of the others taken as zero), which sit within
-    rounding of a boundary above or only exist for near-linear biquadratics.
+    coefficient below 1e-14 of the others taken as zero): the first lies
+    within rounding of a discriminant zero, the second occurs only in
+    near-linear biquadratics.
     """
     k = coeffs
     min_a, min_b, _ = minima
