@@ -3,7 +3,8 @@
 Library surface:
 
 * geometry  -- value types, projection, rigid motion, DOF balance, depth embedding
-* solvers   -- the closed-form 3-frame and linear 4-frame / 4-point solvers
+* solvers   -- the closed-form 3-frame and linear 4-frame / 4-point solvers:
+  one batched core over stacks of problems, with one-problem adapters
 * two_frame -- point matching, rigidity testing, and the two-frame ambiguity
 * scene_sim -- ground-truth simulation and noise injection
 * io_files  -- scene/frames/report file formats
@@ -25,10 +26,12 @@ from .geometry import (
     projected_sq_distances,
 )
 from .solvers import (
+    BatchResult,
     Candidate,
     RecoveryResult,
     eq1_residual,
     feasibility_check,
+    solve_batch,
     solve_p3f3,
     solve_p3f4,
     solve_p4f3,

@@ -139,6 +139,8 @@ def cmd_recover(args) -> int:
 def cmd_match(args) -> int:
     start = time.perf_counter()
     try:
+        # the labeled path compares the threshold here, not in two_frame
+        solvers.check_tolerance("--threshold", args.threshold)
         frames = _read_frames(args.frames_file)
         if len(frames) != 2:
             raise InvalidInputError("match needs exactly 2 frames")

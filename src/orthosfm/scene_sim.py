@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solvers
-from .errors import DegenerateEliminationError, InvalidInputError, SingularSystemError
+from .errors import InvalidInputError
 from .geometry import (
     TETRA_EDGES,
     TRIANGLE_EDGES,
@@ -309,10 +309,11 @@ def run_noise_study(mode: str, levels, trials: int, seed: int) -> list:
 
     Returns a list of dict rows.  Deterministic: trial t at level index i
     draws its scene from sub-stream (i, t, 0) and its noise from (i, t, 1).
-    Every level simulates all of its trials as one stack; the solver then
-    runs once per trial.  failures counts the trials without an answer:
-    failures_degenerate those whose system was degenerate or singular,
-    failures_no_candidate those that gave no candidate.
+    Every level simulates all of its trials as one stack and solves them in
+    one solvers.solve_batch call.  A trial's answer is its candidate closest
+    to the truth in max absolute error.  failures counts the trials without
+    an answer: failures_degenerate those whose system was degenerate or
+    singular, failures_no_candidate those that gave no candidate.
     """
     n_points, n_frames = solvers.MODES[mode]
     if trials < 1:
@@ -320,8 +321,8 @@ def run_noise_study(mode: str, levels, trials: int, seed: int) -> list:
     levels = list(levels)
     specs = [NoiseSpec(level) for level in levels]
     first, second = np.array(TETRA_EDGES if n_points == 4 else TRIANGLE_EDGES).T
-    # looked up per study so a wrapped solver is the one that runs
-    solve = getattr(solvers, "solve_" + mode)
+    # looked up per study so a wrapped core is the one that runs
+    solve = solvers.solve_batch
     rows = []
     for li, (level, spec) in enumerate(zip(levels, specs)):
         bodies, rots, trans = _scenes(
@@ -334,26 +335,22 @@ def run_noise_study(mode: str, levels, trials: int, seed: int) -> list:
         d = images[:, :, first] - images[:, :, second]
         # dx*dx + dy*dy as projected_sq_distances rounds it; np.vecdot on
         # 2-vectors does not
-        frames_sq = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).tolist()
+        batch = solve(mode, d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
         d = bodies[:, first] - bodies[:, second]
         truths = np.vecdot(d, d)
-        errors = []
-        degenerate = no_candidate = 0
-        for sq, truth in zip(frames_sq, truths):
-            try:
-                result = solve(sq)
-            except (DegenerateEliminationError, SingularSystemError):
-                degenerate += 1
-                continue
-            if not result.candidates:
-                no_candidate += 1
-                continue
-            best = min(
-                result.candidates,
-                key=lambda c: np.abs(np.array(c.lengths.as_tuple()) - truth).max())
-            rec = np.array(best.lengths.as_tuple())
-            errors.extend(np.abs(rec - truth) / np.abs(truth))
-        errors = np.array(errors) if errors else np.array([np.nan])
+        # each answered trial's first candidate with the smallest max error,
+        # as min() picks it
+        keys = np.abs(batch.lengths - truths[batch.row]).max(axis=1).tolist()
+        best = {}
+        for i, (trial, key) in enumerate(zip(batch.row.tolist(), keys)):
+            if trial not in best or key < keys[best[trial]]:
+                best[trial] = i
+        truth = truths[list(best)]
+        errors = (np.abs(batch.lengths[list(best.values())] - truth) / np.abs(truth)).ravel()
+        if not len(errors):
+            errors = np.array([np.nan])
+        degenerate = int(np.count_nonzero(batch.degenerate))
+        no_candidate = trials - degenerate - len(best)
         rows.append({
             "level": level,
             "trials": trials,

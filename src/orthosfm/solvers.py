@@ -3,21 +3,23 @@
 Every frame contributes one sign-free quartic identity per triangle of
 edges.  Differencing the identities against a pivot frame cancels their
 quadratic terms and leaves rows linear in the squared lengths;
-_difference_system builds those rows for all three solvers:
+_difference_system builds those rows for all three modes:
 
-* solve_p3f3 -- 3 points / 3 frames, the minimal case.  The two rows
-  express a^2 and b^2 as affine functions of c^2; the pivot frame's
-  identity then leaves a quadratic, so there can be 0, 1 or 2 candidates.
-* solve_p3f4 -- 3 points / 4 frames: a 3x3 linear system.
-* solve_p4f3 -- 4 points / 3 frames: three edge triples per frame pair
-  give a 6x6 linear system in the six squared lengths.
+* p3f3 -- 3 points / 3 frames, the minimal case.  The two rows express
+  a^2 and b^2 as affine functions of c^2; the pivot frame's identity then
+  leaves a quadratic, so there can be 0, 1 or 2 candidates.
+* p3f4 -- 3 points / 4 frames: a 3x3 linear system.
+* p4f3 -- 4 points / 3 frames: three edge triples per frame pair give a
+  6x6 linear system in the six squared lengths.
 
-Each solver first divides its input by the largest squared distance, so
-every threshold below is dimensionless and the answer does not depend on
-the units of the input.  All solvers consume per-frame projected squared
-distances in the canonical edge order (see geometry) and return a
-RecoveryResult whose candidates are flagged for physical feasibility
-rather than silently dropped.
+One batched core, solve_batch, solves a whole (N, k, e) stack of problems
+of one mode: N problems of k frames of e projected squared distances in
+the canonical edge order (see geometry).  It divides each problem by its
+largest squared distance, so every threshold below is dimensionless and the
+answer does not depend on the units of the input.  solve_p3f3, solve_p3f4
+and solve_p4f3 run it on a one-row stack and return a RecoveryResult whose
+candidates are flagged for physical feasibility rather than silently
+dropped.  Each row of a stack gets exactly the floats it gets on its own.
 """
 
 from __future__ import annotations
@@ -43,8 +45,18 @@ _TRIANGLE = ((0, 1, 2),)
 MODES = {"p3f3": (3, 3), "p3f4": (3, 4), "p4f3": (4, 3)}
 
 # Dimensionless thresholds on normalized input (largest squared distance 1).
-_DEGENERACY_TOL = 1e-12  # |det| of the solve_p3f3 elimination
+_DEGENERACY_TOL = 1e-12  # |det| of the p3f3 elimination
 _SINGULAR_TOL = 1e-10    # smallest / largest singular value of a linear system
+
+
+def check_tolerance(name: str, value) -> None:
+    """Raise InvalidInputError unless value is a finite number >= 0."""
+    try:
+        valid = math.isfinite(value) and value >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise InvalidInputError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def frame_constant(x: float, y: float, z: float) -> float:
@@ -69,6 +81,8 @@ class QuadCoeffs3:
 
 
 def quad_coeffs(frame_sq) -> QuadCoeffs3:
+    """Coefficients of one frame's identity; elementwise, so three array
+    columns give arrays of coefficients."""
     x, y, z = frame_sq
     return QuadCoeffs3(
         coef_a=2.0 * (-x + y + z),
@@ -120,18 +134,36 @@ class RecoveryResult:
         return self.candidates[0] if self.candidates else None
 
 
-def feasibility_check(candidate, frames, tol: float = 1e-9) -> bool:
+@dataclass(frozen=True)
+class BatchResult:
+    """Every candidate of a stack of N problems, flat, in RecoveryResult order.
+
+    Candidate i belongs to problem row[i]; rows ascend, and a row's
+    candidates are sorted by max |residual|.  degenerate[n] says problem n's
+    system was degenerate (p3f3) or singular (p3f4, p4f3); such a problem
+    has no candidates.
+    """
+
+    row: np.ndarray          # (M,) problem index
+    lengths: np.ndarray      # (M, e) squared lengths, in the input's units
+    feasible: np.ndarray     # (M,) bool
+    residuals: np.ndarray    # (M, k) per-frame quartic-identity residuals
+    degenerate: np.ndarray   # (N,) bool
+
+
+def feasibility_check(candidate, frames, tol: float = 1e-9):
     """Physical feasibility: squared lengths non-negative and at least as
-    long as their projections in every frame, within tolerance."""
-    cand = tuple(candidate.as_tuple() if hasattr(candidate, "as_tuple") else candidate)
-    slack = tol * max(abs(v) for f in frames for v in f)
-    if any(v < -slack for v in cand):
-        return False
-    for frame in frames:
-        for v, proj in zip(cand, frame):
-            if v < proj - slack:
-                return False
-    return True
+    long as their projections in every frame, within tolerance.
+
+    Takes one candidate (e values) with its (k, e) frames, or stacks of
+    shape (M, e) and (M, k, e) for one flag per candidate.
+    """
+    cand = np.asarray(candidate.as_tuple() if hasattr(candidate, "as_tuple") else candidate,
+                      dtype=float)
+    frames = np.asarray(frames, dtype=float)
+    slack = tol * np.abs(frames).max(axis=(-2, -1))[..., None]
+    return ~((cand < -slack).any(axis=-1)
+             | (cand[..., None, :] < frames - slack[..., None]).any(axis=(-2, -1)))
 
 
 def _solve_quadratic(q2: float, q1: float, q0: float, tol: float):
@@ -165,89 +197,239 @@ def _solve_quadratic(q2: float, q1: float, q0: float, tol: float):
     return tuple(sorted(set(roots)))
 
 
-def _newton_polish(sol, frames, iterations: int = 3):
-    """Newton-polish a (A, B, C) triple on the three per-frame identities."""
-    coeffs = [quad_coeffs(f) for f in frames]
-
-    def residuals(v):
-        return [frame_constant(v[0] - f[0], v[1] - f[1], v[2] - f[2]) for f in frames]
-
-    x = list(sol)
-    r = residuals(x)
-    for _ in range(iterations):
-        a, b, c = x
-        jac = [(2.0 * a - 2.0 * b - 2.0 * c + q.coef_a,
-                2.0 * b - 2.0 * a - 2.0 * c + q.coef_b,
-                2.0 * c - 2.0 * a - 2.0 * b + q.coef_c) for q in coeffs]
-        try:
-            step = np.linalg.solve(jac, [-v for v in r]).tolist()
-        except np.linalg.LinAlgError:
-            break
-        x_new = [v + d for v, d in zip(x, step)]
-        r_new = residuals(x_new)
-        if max(map(abs, r_new)) >= max(map(abs, r)):
-            break
-        x, r = x_new, r_new
-    return x
+def _first_max(values, start):
+    """max(start, *values) taken as Python's max takes it: a later value
+    replaces the running one only if it is greater, so a NaN never does."""
+    for v in values:
+        start = np.where(v > start, v, start)
+    return start
 
 
-def _normalized(frames, shape, name):
-    """Validate a solver's input and scale it to unit size.
+def _max_abs(rows):
+    """Per row of an (M, k) array, max(abs(r) for r in row) as Python has it."""
+    mags = np.abs(rows).T
+    return _first_max(mags[1:], mags[0])
 
-    Returns the frames as lists of floats divided by the largest squared
-    distance, and that scale.
+
+def _columns(arr, triple=(0, 1, 2)):
+    """Views of the three columns of arr's last axis named by triple, to
+    unpack into quad_coeffs' or frame_constant's arguments."""
+    return tuple(arr[..., k] for k in triple)
+
+
+def _normalized(stack, shape, name, tol):
+    """Validate a stack of solver inputs and scale each problem to unit size.
+
+    Returns the (N,) + shape input as floats, the same divided by each
+    problem's largest |squared distance| (1 for an all-zero problem), and
+    those (N,) scales.
     """
     try:
-        arr = np.asarray(frames, dtype=float)
+        raw = np.asarray(stack, dtype=float)
     except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.shape != shape:
+        raw = None
+    if raw is None or raw.ndim != 3 or raw.shape[1:] != shape:
         raise InvalidInputError(
             f"{name} needs {shape[0]} frames of {shape[1]} squared distances")
-    if not np.isfinite(arr).all():
+    if not np.isfinite(raw).all():
         raise InvalidInputError(f"{name} input must be finite")
-    scale = float(np.abs(arr).max()) or 1.0
-    return (arr / scale).tolist(), scale
+    check_tolerance("tol", tol)
+    scale = np.abs(raw).max(axis=(1, 2))
+    scale = np.where(scale == 0, 1.0, scale)
+    return raw, raw / scale[:, None, None], scale
 
 
 def _difference_system(norm, triples):
-    """Rows M x = r of every later frame's identities minus the first frame's.
+    """Rows M x = r of every later frame's identities minus the first frame's,
+    for each problem of an (N, k, e) stack: mat (N, rows, e), rhs (N, rows).
 
     Each edge triple's quartic identity has the same quadratic part in every
     frame, so the difference of two frames is linear in the squared lengths.
     One row per (later frame, triple); columns index the edges.
     """
-    ref = [quad_coeffs([norm[0][k] for k in t]) for t in triples]
-    mat = np.zeros(((len(norm) - 1) * len(triples), len(norm[0])))
-    rhs = np.empty(len(mat))
+    n, k, e = norm.shape
+    ref = [quad_coeffs(_columns(norm[:, 0], t)) for t in triples]
+    mat = np.zeros((n, (k - 1) * len(triples), e))
+    rhs = np.empty(mat.shape[:2])
     row = 0
-    for frame in norm[1:]:
+    for f in range(1, k):
         for triple, q0 in zip(triples, ref):
-            q = quad_coeffs([frame[k] for k in triple])
-            mat[row, triple] = (q.coef_a - q0.coef_a, q.coef_b - q0.coef_b,
-                                q.coef_c - q0.coef_c)
-            rhs[row] = q0.const - q.const
+            q = quad_coeffs(_columns(norm[:, f], triple))
+            a, b, c = triple
+            mat[:, row, a] = q.coef_a - q0.coef_a
+            mat[:, row, b] = q.coef_b - q0.coef_b
+            mat[:, row, c] = q.coef_c - q0.coef_c
+            rhs[:, row] = q0.const - q.const
             row += 1
     return mat, rhs
 
 
-def _solve_linear(norm, triples):
-    """Solve the square difference system.
+def _solve_linear(mat, rhs):
+    """Solve each square difference system of a stack.
 
-    Raises SingularSystemError when its smallest singular value falls below
-    _SINGULAR_TOL times its largest.
+    A system is singular when its smallest singular value falls below
+    _SINGULAR_TOL times its largest.  Returns the indices of the other
+    problems, their (M, e) solutions, and the (N,) singular flags.
     """
-    mat, rhs = _difference_system(norm, triples)
     sv = np.linalg.svd(mat, compute_uv=False)
-    if not sv[-1] > _SINGULAR_TOL * sv[0]:
+    singular = ~(sv[:, -1] > _SINGULAR_TOL * sv[:, 0])
+    row = np.flatnonzero(~singular)
+    return row, np.linalg.solve(mat[row], rhs[row, :, None])[..., 0], singular
+
+
+def _solve_each(mats, rhs):
+    """np.linalg.solve over a stack, and which systems it solved.
+
+    A singular matrix makes numpy refuse the whole stack; the stack is then
+    solved one system at a time, so only the singular ones fail (NaN rows).
+    """
+    try:
+        return np.linalg.solve(mats, rhs[..., None])[..., 0], np.ones(len(mats), dtype=bool)
+    except np.linalg.LinAlgError:
+        steps, ok = np.full(rhs.shape, np.nan), np.ones(len(mats), dtype=bool)
+        for i in range(len(mats)):
+            try:
+                steps[i] = np.linalg.solve(mats[i:i + 1], rhs[i:i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return steps, ok
+
+
+def _identity_values(sol, frames):
+    """(M, k) quartic-identity values of (M, 3) triples on (M, k, 3) frames."""
+    return frame_constant(*_columns(sol[:, None, :] - frames))
+
+
+def _newton_polish(sol, frames, iterations: int = 3):
+    """Newton-polish (M, 3) triples (A, B, C), each on the three identities
+    of its own (3, 3) frames.
+
+    A candidate stops at its first step whose Jacobian is singular or that
+    does not lower its max |residual|; the others go on.
+    """
+    q = quad_coeffs(_columns(frames))
+    coefs = np.stack((q.coef_a, q.coef_b, q.coef_c), axis=-1)
+    x = sol.copy()
+    r = _identity_values(x, frames)
+    active = np.arange(len(x))
+    for _ in range(iterations):
+        if not len(active):
+            break
+        a, b, c = x[active].T
+        base = np.stack((2.0 * a - 2.0 * b - 2.0 * c,
+                         2.0 * b - 2.0 * a - 2.0 * c,
+                         2.0 * c - 2.0 * a - 2.0 * b), axis=-1)
+        step, ok = _solve_each(base[:, None, :] + coefs[active], -r[active])
+        x_new = x[active] + step
+        r_new = _identity_values(x_new, frames[active])
+        ok &= ~(_max_abs(r_new) >= _max_abs(r[active]))
+        active = active[ok]
+        x[active], r[active] = x_new[ok], r_new[ok]
+    return x
+
+
+def _eliminate_p3f3(mat, rhs, norm, tol):
+    """The p3f3 closed form (see solve_p3f3) on a stack, each quadratic's
+    roots Newton-polished.  Returns the candidates' problem indices, their
+    normalized (M, 3) lengths, and the (N,) degenerate flags.
+    """
+    (m_a1, m_b1, _), (m_a2, m_b2, _) = mat.transpose(1, 2, 0)
+    # pivot-independent: twice the area of the frames' (coef_a, coef_b) triangle
+    det = m_a1 * m_b2 - m_a2 * m_b1
+    degenerate = np.abs(det) < _DEGENERACY_TOL
+    ok = np.flatnonzero(~degenerate)
+    (m_a1, m_b1, m_c1), (m_a2, m_b2, m_c2) = mat[ok].transpose(1, 2, 0)
+    r1, r2 = rhs[ok].T
+    det = det[ok]
+    a_c = (m_c2 * m_b1 - m_c1 * m_b2) / det
+    a0 = (r1 * m_b2 - r2 * m_b1) / det
+    b_c = (m_a2 * m_c1 - m_a1 * m_c2) / det
+    b0 = (m_a1 * r2 - m_a2 * r1) / det
+
+    qp = quad_coeffs(_columns(norm[ok, 0]))
+    q2 = a_c * a_c + b_c * b_c + 1.0 - 2.0 * a_c * b_c - 2.0 * a_c - 2.0 * b_c
+    q1 = (2.0 * a_c * a0 + 2.0 * b_c * b0 - 2.0 * (a_c * b0 + a0 * b_c)
+          - 2.0 * (a0 + b0) + qp.coef_a * a_c + qp.coef_b * b_c + qp.coef_c)
+    q0 = (a0 * a0 + b0 * b0 - 2.0 * a0 * b0 + qp.const
+          + qp.coef_a * a0 + qp.coef_b * b0)
+
+    source, c_sq = [], []
+    for i, coeffs in enumerate(zip(q2.tolist(), q1.tolist(), q0.tolist())):
+        for root in _solve_quadratic(*coeffs, tol):
+            source.append(i)
+            c_sq.append(root)
+    source, c_sq = np.array(source, dtype=int), np.array(c_sq)
+    start = np.stack((a_c[source] * c_sq + a0[source], b_c[source] * c_sq + b0[source], c_sq),
+                     axis=-1)
+    row = ok[source]
+    return row, _newton_polish(start, norm[row]), degenerate
+
+
+def _residuals(lengths, frames, triples):
+    """(M, k) per-frame residuals: a triangle's signed identity value, or
+    for a tetrahedron the largest |value| over its four faces."""
+    if triples == _TRIANGLE:
+        return _identity_values(lengths, frames)
+    faces = [np.abs(_identity_values(lengths[:, list(t)], frames[..., list(t)]))
+             for t in triples + _TRIANGLE]
+    return _first_max(faces, np.zeros(frames.shape[:2]))
+
+
+def _by_max_residual(row, residuals):
+    """Candidate order with each row's candidates sorted stably by max
+    |residual|, as list.sort orders them.  A row has at most two candidates
+    (p3f3's quadratic), which list.sort swaps iff the second key is smaller.
+    """
+    key = _max_abs(residuals)
+    swap = np.flatnonzero((row[1:] == row[:-1]) & (key[1:] < key[:-1]))
+    order = np.arange(len(row))
+    order[swap], order[swap + 1] = swap + 1, swap
+    return order
+
+
+def solve_batch(mode: str, stack, tol: float = 1e-9) -> BatchResult:
+    """Solve an (N, k, e) stack of one mode's problems in one pass.
+
+    Problem n's candidates, feasibility flags and residuals are exactly
+    those solve_<mode>(stack[n], tol) returns; a problem solve_<mode> would
+    refuse as degenerate or singular is flagged in degenerate instead.
+
+    Raises InvalidInputError for an unknown mode, a stack of the wrong
+    shape, non-finite input, or a tol that is not finite and >= 0.
+    """
+    if mode not in MODES:
+        raise InvalidInputError(f"unknown solver mode {mode!r}")
+    n_points, n_frames = MODES[mode]
+    triples = _TETRA_TRIPLES if n_points == 4 else _TRIANGLE
+    raw, norm, scale = _normalized(
+        stack, (n_frames, 6 if n_points == 4 else 3), "solve_" + mode, tol)
+    # huge input overflows to inf and nan silently, as Python floats do
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat, rhs = _difference_system(norm, triples)
+        if mode == "p3f3":
+            row, sol, degenerate = _eliminate_p3f3(mat, rhs, norm, tol)
+        else:
+            row, sol, degenerate = _solve_linear(mat, rhs)
+        lengths = sol * scale[row, None]
+        residuals = _residuals(lengths, raw[row], triples)
+        feasible = feasibility_check(lengths, raw[row], tol)
+        order = _by_max_residual(row, residuals)
+    return BatchResult(row[order], lengths[order], feasible[order], residuals[order],
+                       degenerate)
+
+
+def _solve_one(mode, frames, tol) -> RecoveryResult:
+    """solve_batch on the one-row stack [frames], as a RecoveryResult."""
+    batch = solve_batch(mode, [frames], tol)
+    if batch.degenerate[0]:
+        if mode == "p3f3":
+            raise DegenerateEliminationError("frame-difference elimination is singular")
         raise SingularSystemError("frame-difference system is singular")
-    return np.linalg.solve(mat, rhs).tolist()
-
-
-def _triangle_candidate(sol, frames, tol) -> Candidate:
-    lengths = TriangleDistances(*sol)
-    residuals = tuple(eq1_residual(lengths, f) for f in frames)
-    return Candidate(lengths, feasibility_check(lengths, frames, tol), residuals)
+    make = TetraDistances if mode == "p4f3" else TriangleDistances
+    return RecoveryResult(tuple(
+        Candidate(make(*lengths), feasible, tuple(residuals))
+        for lengths, feasible, residuals in zip(
+            batch.lengths.tolist(), batch.feasible.tolist(), batch.residuals.tolist())))
 
 
 def solve_p3f3(frames, tol: float = 1e-9) -> RecoveryResult:
@@ -261,32 +443,7 @@ def solve_p3f3(frames, tol: float = 1e-9) -> RecoveryResult:
     Raises DegenerateEliminationError when the elimination is singular
     (collinear points, or frames identical up to in-plane motion).
     """
-    norm, scale = _normalized(frames, (3, 3), "solve_p3f3")
-    mat, rhs = _difference_system(norm, _TRIANGLE)
-    (m_a1, m_b1, m_c1), (m_a2, m_b2, m_c2) = mat.tolist()
-    r1, r2 = rhs.tolist()
-    # pivot-independent: twice the area of the frames' (coef_a, coef_b) triangle
-    det = m_a1 * m_b2 - m_a2 * m_b1
-    if abs(det) < _DEGENERACY_TOL:
-        raise DegenerateEliminationError("frame-difference elimination is singular")
-    a_c = (m_c2 * m_b1 - m_c1 * m_b2) / det
-    a0 = (r1 * m_b2 - r2 * m_b1) / det
-    b_c = (m_a2 * m_c1 - m_a1 * m_c2) / det
-    b0 = (m_a1 * r2 - m_a2 * r1) / det
-
-    qp = quad_coeffs(norm[0])
-    q2 = a_c * a_c + b_c * b_c + 1.0 - 2.0 * a_c * b_c - 2.0 * a_c - 2.0 * b_c
-    q1 = (2.0 * a_c * a0 + 2.0 * b_c * b0 - 2.0 * (a_c * b0 + a0 * b_c)
-          - 2.0 * (a0 + b0) + qp.coef_a * a_c + qp.coef_b * b_c + qp.coef_c)
-    q0 = (a0 * a0 + b0 * b0 - 2.0 * a0 * b0 + qp.const
-          + qp.coef_a * a0 + qp.coef_b * b0)
-
-    candidates = []
-    for c_sq in _solve_quadratic(q2, q1, q0, tol):
-        polished = _newton_polish((a_c * c_sq + a0, b_c * c_sq + b0, c_sq), norm)
-        candidates.append(_triangle_candidate([v * scale for v in polished], frames, tol))
-    candidates.sort(key=lambda c: c.max_residual)
-    return RecoveryResult(tuple(candidates))
+    return _solve_one("p3f3", frames, tol)
 
 
 def solve_p3f4(frames, tol: float = 1e-9) -> RecoveryResult:
@@ -298,9 +455,7 @@ def solve_p3f4(frames, tol: float = 1e-9) -> RecoveryResult:
 
     Raises SingularSystemError for degenerate motion (e.g. repeated frames).
     """
-    norm, scale = _normalized(frames, (4, 3), "solve_p3f4")
-    sol = [v * scale for v in _solve_linear(norm, _TRIANGLE)]
-    return RecoveryResult((_triangle_candidate(sol, frames, tol),))
+    return _solve_one("p3f4", frames, tol)
 
 
 def solve_p4f3(frames, tol: float = 1e-9) -> RecoveryResult:
@@ -312,15 +467,4 @@ def solve_p4f3(frames, tol: float = 1e-9) -> RecoveryResult:
 
     Raises SingularSystemError for degenerate motion or configurations.
     """
-    norm, scale = _normalized(frames, (3, 6), "solve_p4f3")
-    sol = [v * scale for v in _solve_linear(norm, _TETRA_TRIPLES)]
-    residuals = []
-    for frame in frames:
-        worst = 0.0
-        for triple in _TETRA_TRIPLES + _TRIANGLE:
-            tri = TriangleDistances(*(sol[k] for k in triple))
-            worst = max(worst, abs(eq1_residual(tri, [frame[k] for k in triple])))
-        residuals.append(worst)
-    lengths = TetraDistances(*sol)
-    feasible = feasibility_check(lengths, frames, tol)
-    return RecoveryResult((Candidate(lengths, feasible, tuple(residuals)),))
+    return _solve_one("p4f3", frames, tol)

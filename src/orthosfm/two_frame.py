@@ -41,7 +41,7 @@ from .geometry import (
     apply_motion,
     project,
 )
-from .solvers import _solve_quadratic, quad_coeffs
+from .solvers import _solve_quadratic, check_tolerance, quad_coeffs
 
 # Assumed-length policy for the 4-point scorer: |RP| is assumed 1.5x its
 # longest projection whenever that admits a triangle (see _assumed_length).
@@ -447,8 +447,11 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     the same line prediction.
 
     Raises NoConsistentAssignmentError when every assignment's residual
-    exceeds the rigidity threshold.
+    exceeds the rigidity threshold, and InvalidInputError unless tol and
+    rigidity_tol are finite and >= 0.
     """
+    check_tolerance("tol", tol)
+    check_tolerance("rigidity_tol", rigidity_tol)
     labels1, labels2 = frame1.labels, frame2.labels
     if len(labels1) != len(labels2):
         raise InvalidInputError("frames must have equal cardinality")
@@ -504,8 +507,10 @@ def rigidity_score(frame1: FrameObservation, frame2: FrameObservation,
     """Collinearity residual under the identity assignment.
 
     Small means the four labeled points move as one rigid body between the
-    frames; large means at least one point moves independently.
+    frames; large means at least one point moves independently.  Raises
+    InvalidInputError unless tol is finite and >= 0.
     """
+    check_tolerance("tol", tol)
     if labels is None:
         labels = frame1.labels[:4]
     labels = tuple(labels)

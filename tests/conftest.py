@@ -12,6 +12,9 @@ from orthosfm import scene_sim as sim
 # exactly (4, 9, 12.6878), i.e. a = 2, b = 3, c = 3.562 (to 4 digits).
 GOLDEN_SQ = (4.0, 9.0, 12.6878)
 
+# image scales for the unit-invariance sweeps
+SCALE_SWEEP = [1e-12, 1e-8, 1.0, 1e4, 1e6, 1e8, 1e10]
+
 TRIANGLE_PAIRS = (("P", "Q"), ("Q", "R"), ("R", "P"))
 TETRA_PAIRS = TRIANGLE_PAIRS + (("T", "R"), ("T", "P"), ("T", "Q"))
 

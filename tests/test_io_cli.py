@@ -156,6 +156,18 @@ class TestCliRecover:
         assert report["used"] == {"points": ["P", "Q", "R"], "frames": 4}
 
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_rejects_invalid_tol(self, tmp_path, capsys, tol):
+        f = tmp_path / "frames.csv"
+        write_frames(f, sim.gen_scene(3, 3, 4))
+        out = tmp_path / "report.json"
+        assert cli.main(["recover", str(f), "--mode", "p3f3", f"--tol={tol}",
+                         "--out", str(out)]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: tol must be finite and >= 0") and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestCliMatch:
     def test_rigid_consistent(self, tmp_path):
         f = tmp_path / "frames.csv"
@@ -244,6 +256,19 @@ class TestCliMatch:
         out = tmp_path / "report.json"
         assert cli.main(["match", str(f), "--out", str(out)]) == cli.EXIT_OK
         assert json.loads(out.read_text())["used"] == {"points": ["P", "Q", "R", "T"]}
+
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("mode", [[], ["--unlabeled"]])
+    def test_rejects_invalid_threshold(self, tmp_path, capsys, mode, threshold):
+        f = tmp_path / "frames.csv"
+        write_frames(f, sim.gen_scene(5, 2, 47))
+        out = tmp_path / "report.json"
+        assert cli.main(["match", str(f), *mode, f"--threshold={threshold}",
+                         "--out", str(out)]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: --threshold must be finite and >= 0")
+        assert not out.exists()
 
 
 class TestCliSimulate:
@@ -335,6 +360,17 @@ class TestCliNoiseStudy:
         assert len(lines) == 3
         zero_row = lines[1].split(",")
         assert float(zero_row[3]) < 1e-9  # exact data recovers exactly
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("p3f3", "998fcfebce75664647d553a946da90c7f78ea224a11ccd39a381fe4406a44a8d"),
+        ("p3f4", "8a65042b0e66847b418c724c68f8011631c5d4a7c04059bdf9ffdd6daba1f0c5"),
+        ("p4f3", "fe28fa7f5827b2bbdce73580e709c5387bea19acccdc7265a7d38bc3a028a386"),
+    ])
+    def test_output_bytes_pinned(self, capsys, mode, digest):
+        # digests of the output written when every trial was solved on its own
+        assert cli.main(["noise-study", "--mode", mode, "--levels", "0,0.001,0.01,0.1",
+                         "--trials", "50", "--seed", "3"]) == cli.EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_bad_levels(self, capsys):
         assert cli.main(["noise-study", "--levels", "a,b"]) == cli.EXIT_INPUT

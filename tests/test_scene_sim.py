@@ -379,24 +379,22 @@ class TestSameAsPerPointSimulator:
 
 class TestRunNoiseStudy:
     def test_failures_split_by_reason(self, monkeypatch):
-        # a stand-in solver: degenerate, singular, no candidate, then real
-        real = solvers.solve_p3f4
+        # a stand-in core: per level, trials 0, 1 mod 4 degenerate, 2 mod 4
+        # without a candidate, the rest as the real core answers them
+        real = solvers.solve_batch
         calls = []
 
-        def solve(sq):
-            calls.append(sq)
-            kind = len(calls) % 4
-            if kind == 1:
-                raise DegenerateEliminationError("stand-in")
-            if kind == 2:
-                raise SingularSystemError("stand-in")
-            if kind == 3:
-                return solvers.RecoveryResult(())
-            return real(sq)
+        def solve(mode, stack, tol=1e-9):
+            calls.append(len(stack))
+            batch = real(mode, stack, tol)
+            keep = batch.row % 4 == 3
+            return solvers.BatchResult(
+                batch.row[keep], batch.lengths[keep], batch.feasible[keep],
+                batch.residuals[keep], np.arange(len(stack)) % 4 < 2)
 
-        monkeypatch.setattr(solvers, "solve_p3f4", solve)
+        monkeypatch.setattr(solvers, "solve_batch", solve)
         rows = sim.run_noise_study("p3f4", [0.0, 0.01], 8, 3)
-        assert len(calls) == 16  # the looked-up solver, once per trial
+        assert calls == [8, 8]  # the looked-up core, once per level
         for row in rows:
             assert (row["failures_degenerate"], row["failures_no_candidate"],
                     row["failures"]) == (4, 2, 6)
@@ -409,9 +407,9 @@ class TestRunNoiseStudy:
 
     @pytest.mark.parametrize("levels", [[0.01, -0.1], [math.nan], [math.inf]])
     def test_invalid_level_raises_before_any_trial(self, levels, monkeypatch):
-        def solve(sq):
+        def solve(mode, stack, tol=1e-9):
             raise AssertionError("a trial ran")
-        monkeypatch.setattr(solvers, "solve_p3f4", solve)
+        monkeypatch.setattr(solvers, "solve_batch", solve)
         with pytest.raises(InvalidInputError, match="noise level"):
             sim.run_noise_study("p3f4", levels, 5, 0)
 

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthosfm import geometry as geo
 from orthosfm import solvers as sol
@@ -12,7 +15,15 @@ from orthosfm.errors import (
     SingularSystemError,
 )
 
-from conftest import GOLDEN_SQ, TETRA_PAIRS, TRIANGLE_PAIRS, frames_sq, golden_scene, true_sq
+from conftest import (
+    GOLDEN_SQ,
+    SCALE_SWEEP,
+    TETRA_PAIRS,
+    TRIANGLE_PAIRS,
+    frames_sq,
+    golden_scene,
+    true_sq,
+)
 
 SOLVER_SHAPES = ((sol.solve_p3f3, 3, 3), (sol.solve_p3f4, 3, 4), (sol.solve_p4f3, 4, 3))
 OFF_UNIT_SCALES = (1e-6, 1e-3, 1e3, 1e6)
@@ -253,3 +264,306 @@ class TestSolverInput:
         frames[0].pop()
         with pytest.raises(InvalidInputError):
             solve(frames)
+
+
+# ------------------------------------------------------------------------------
+# Reference: the scalar solvers that ran one problem at a time in Python floats
+# before the batched core, kept here verbatim so the core is checked with ==.
+
+def reference_feasibility_check(candidate, frames, tol=1e-9):
+    cand = tuple(candidate.as_tuple() if hasattr(candidate, "as_tuple") else candidate)
+    slack = tol * max(abs(v) for f in frames for v in f)
+    if any(v < -slack for v in cand):
+        return False
+    for frame in frames:
+        for v, proj in zip(cand, frame):
+            if v < proj - slack:
+                return False
+    return True
+
+
+def reference_newton_polish(sol_, frames, iterations=3):
+    coeffs = [sol.quad_coeffs(f) for f in frames]
+
+    def residuals(v):
+        return [sol.frame_constant(v[0] - f[0], v[1] - f[1], v[2] - f[2]) for f in frames]
+
+    x = list(sol_)
+    r = residuals(x)
+    for _ in range(iterations):
+        a, b, c = x
+        jac = [(2.0 * a - 2.0 * b - 2.0 * c + q.coef_a,
+                2.0 * b - 2.0 * a - 2.0 * c + q.coef_b,
+                2.0 * c - 2.0 * a - 2.0 * b + q.coef_c) for q in coeffs]
+        try:
+            step = np.linalg.solve(jac, [-v for v in r]).tolist()
+        except np.linalg.LinAlgError:
+            break
+        x_new = [v + d for v, d in zip(x, step)]
+        r_new = residuals(x_new)
+        if max(map(abs, r_new)) >= max(map(abs, r)):
+            break
+        x, r = x_new, r_new
+    return x
+
+
+def reference_normalized(frames, shape, name):
+    try:
+        arr = np.asarray(frames, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape:
+        raise InvalidInputError(
+            f"{name} needs {shape[0]} frames of {shape[1]} squared distances")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} input must be finite")
+    scale = float(np.abs(arr).max()) or 1.0
+    return (arr / scale).tolist(), scale
+
+
+def reference_difference_system(norm, triples):
+    ref = [sol.quad_coeffs([norm[0][k] for k in t]) for t in triples]
+    mat = np.zeros(((len(norm) - 1) * len(triples), len(norm[0])))
+    rhs = np.empty(len(mat))
+    row = 0
+    for frame in norm[1:]:
+        for triple, q0 in zip(triples, ref):
+            q = sol.quad_coeffs([frame[k] for k in triple])
+            mat[row, triple] = (q.coef_a - q0.coef_a, q.coef_b - q0.coef_b,
+                                q.coef_c - q0.coef_c)
+            rhs[row] = q0.const - q.const
+            row += 1
+    return mat, rhs
+
+
+def reference_solve_linear(norm, triples):
+    mat, rhs = reference_difference_system(norm, triples)
+    sv = np.linalg.svd(mat, compute_uv=False)
+    if not sv[-1] > 1e-10 * sv[0]:
+        raise SingularSystemError("frame-difference system is singular")
+    return np.linalg.solve(mat, rhs).tolist()
+
+
+def reference_triangle_candidate(sol_, frames, tol):
+    lengths = geo.TriangleDistances(*sol_)
+    residuals = tuple(sol.eq1_residual(lengths, f) for f in frames)
+    return sol.Candidate(lengths, reference_feasibility_check(lengths, frames, tol), residuals)
+
+
+def reference_solve_p3f3(frames, tol=1e-9):
+    norm, scale = reference_normalized(frames, (3, 3), "solve_p3f3")
+    mat, rhs = reference_difference_system(norm, ((0, 1, 2),))
+    (m_a1, m_b1, m_c1), (m_a2, m_b2, m_c2) = mat.tolist()
+    r1, r2 = rhs.tolist()
+    det = m_a1 * m_b2 - m_a2 * m_b1
+    if abs(det) < 1e-12:
+        raise DegenerateEliminationError("frame-difference elimination is singular")
+    a_c = (m_c2 * m_b1 - m_c1 * m_b2) / det
+    a0 = (r1 * m_b2 - r2 * m_b1) / det
+    b_c = (m_a2 * m_c1 - m_a1 * m_c2) / det
+    b0 = (m_a1 * r2 - m_a2 * r1) / det
+
+    qp = sol.quad_coeffs(norm[0])
+    q2 = a_c * a_c + b_c * b_c + 1.0 - 2.0 * a_c * b_c - 2.0 * a_c - 2.0 * b_c
+    q1 = (2.0 * a_c * a0 + 2.0 * b_c * b0 - 2.0 * (a_c * b0 + a0 * b_c)
+          - 2.0 * (a0 + b0) + qp.coef_a * a_c + qp.coef_b * b_c + qp.coef_c)
+    q0 = (a0 * a0 + b0 * b0 - 2.0 * a0 * b0 + qp.const
+          + qp.coef_a * a0 + qp.coef_b * b0)
+
+    candidates = []
+    for c_sq in sol._solve_quadratic(q2, q1, q0, tol):
+        polished = reference_newton_polish((a_c * c_sq + a0, b_c * c_sq + b0, c_sq), norm)
+        candidates.append(
+            reference_triangle_candidate([v * scale for v in polished], frames, tol))
+    candidates.sort(key=lambda c: c.max_residual)
+    return sol.RecoveryResult(tuple(candidates))
+
+
+def reference_solve_p3f4(frames, tol=1e-9):
+    norm, scale = reference_normalized(frames, (4, 3), "solve_p3f4")
+    sol_ = [v * scale for v in reference_solve_linear(norm, ((0, 1, 2),))]
+    return sol.RecoveryResult((reference_triangle_candidate(sol_, frames, tol),))
+
+
+def reference_solve_p4f3(frames, tol=1e-9):
+    norm, scale = reference_normalized(frames, (3, 6), "solve_p4f3")
+    sol_ = [v * scale for v in reference_solve_linear(norm, sol._TETRA_TRIPLES)]
+    residuals = []
+    for frame in frames:
+        worst = 0.0
+        for triple in sol._TETRA_TRIPLES + ((0, 1, 2),):
+            tri = geo.TriangleDistances(*(sol_[k] for k in triple))
+            worst = max(worst, abs(sol.eq1_residual(tri, [frame[k] for k in triple])))
+        residuals.append(worst)
+    lengths = geo.TetraDistances(*sol_)
+    feasible = reference_feasibility_check(lengths, frames, tol)
+    return sol.RecoveryResult((sol.Candidate(lengths, feasible, tuple(residuals)),))
+
+
+ADAPTERS = {"p3f3": (sol.solve_p3f3, reference_solve_p3f3),
+            "p3f4": (sol.solve_p3f4, reference_solve_p3f4),
+            "p4f3": (sol.solve_p4f3, reference_solve_p4f3)}
+
+
+def outcome(solve, frames, tol=1e-9):
+    """Everything a solver call shows: each candidate's lengths, feasible flag
+    and residuals in order, or the exception type and message."""
+    try:
+        result = solve(frames, tol)
+    except (InvalidInputError, DegenerateEliminationError, SingularSystemError) as exc:
+        return type(exc), str(exc)
+    for c in result.candidates:
+        assert type(c.feasible) is bool and all(type(r) is float for r in c.residuals)
+    return tuple((type(c.lengths), c.lengths.as_tuple(), c.feasible, c.residuals)
+                 for c in result.candidates)
+
+
+def seeded_frames(mode, seed, scale=1.0, level=0.0):
+    n_points, n_frames = sol.MODES[mode]
+    scene = sim.gen_scene(n_points, n_frames, seed)
+    frames = sim.render(scene)
+    if level:
+        frames = sim.add_noise(frames, sim.NoiseSpec(level, seed=sim.subseed(seed, 1)))
+    return [[v * scale ** 2 for v in geo.projected_sq_distances(f, scene.labels)]
+            for f in frames]
+
+
+class TestSameAsScalarSolvers:
+    """The one-row adapters against the scalar reference above, with ==."""
+
+    @pytest.mark.parametrize("mode", sorted(sol.MODES))
+    def test_seeded_roundtrip_at_every_scale(self, mode):
+        solve, reference = ADAPTERS[mode]
+        for scale in sorted(set(SCALE_SWEEP) | set(OFF_UNIT_SCALES)):
+            for seed in range(100):
+                frames = seeded_frames(mode, seed, scale)
+                assert outcome(solve, frames) == outcome(reference, frames), (seed, scale)
+
+    @pytest.mark.parametrize("mode", sorted(sol.MODES))
+    def test_noisy_scenes(self, mode):
+        solve, reference = ADAPTERS[mode]
+        counts = set()
+        for level in (0.001, 0.003, 0.01, 0.03, 0.1):
+            for seed in range(100):
+                frames = seeded_frames(mode, seed, level=level)
+                got = outcome(solve, frames)
+                assert got == outcome(reference, frames), (seed, level)
+                counts.add(len(got))
+        # p3f3 meets scenes without a root as well as with two
+        assert counts == ({0, 2} if mode == "p3f3" else {1}), counts
+
+    @pytest.mark.parametrize("mode", sorted(sol.MODES))
+    def test_refusals(self, mode):
+        solve, reference = ADAPTERS[mode]
+        n_points, n_frames = sol.MODES[mode]
+        frames = seeded_frames(mode, 5)
+        repeated = [list(f) for f in frames]
+        repeated[2] = repeated[1]
+        cases = [repeated, [[0.0] * len(frames[0])] * n_frames, frames[:-1],
+                 [f[:-1] for f in frames], [[math.nan] + f[1:] for f in frames]]
+        for frames_ in cases:
+            got = outcome(solve, frames_)
+            assert isinstance(got[0], type) and got == outcome(reference, frames_)
+        for tol in (1e-12, 1e-6, 0.0):
+            assert outcome(solve, frames, tol) == outcome(reference, frames, tol)
+
+    @pytest.mark.parametrize("mode", sorted(sol.MODES))
+    def test_overflowing_input(self, mode):
+        # the identity of lengths near the float limit overflows to inf and
+        # nan; repr tells nan and -0.0 apart where == cannot
+        solve, reference = ADAPTERS[mode]
+        n_points, n_frames = sol.MODES[mode]
+        rng = np.random.default_rng(3)
+        overflowed = 0
+        for _ in range(300):
+            frames = (rng.uniform(-1.0, 1.0, size=(n_frames, 6 if n_points == 4 else 3))
+                      * 10.0 ** rng.integers(150, 308)).tolist()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = outcome(solve, frames)
+            assert repr(got) == repr(outcome(reference, frames))
+            overflowed += any(not math.isfinite(v * v)
+                              for cand in got if len(cand) == 4 for v in cand[1])
+        assert overflowed > 30, overflowed
+
+    @settings(max_examples=300, deadline=None)
+    @given(mode=st.sampled_from(sorted(sol.MODES)),
+           values=st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18),
+           exponent=st.integers(-30, 30))
+    def test_random_finite_input(self, mode, values, exponent):
+        solve, reference = ADAPTERS[mode]
+        n_points, n_frames = sol.MODES[mode]
+        edges = 6 if n_points == 4 else 3
+        frames = (np.array(values[:n_frames * edges]).reshape(n_frames, edges)
+                  * 10.0 ** exponent).tolist()
+        assert outcome(solve, frames) == outcome(reference, frames)
+        positive = [[abs(v) for v in f] for f in frames]
+        assert outcome(solve, positive) == outcome(reference, positive)
+
+
+def stack_rows(batch, n):
+    """Problem n's part of a BatchResult, in outcome()'s form."""
+    if batch.degenerate[n]:
+        return "degenerate"
+    keep = batch.row == n
+    return tuple(zip(batch.lengths[keep].tolist(), batch.feasible[keep].tolist(),
+                     batch.residuals[keep].tolist()))
+
+
+def alone(solve, frames):
+    try:
+        result = solve(frames)
+    except (DegenerateEliminationError, SingularSystemError):
+        return "degenerate"
+    return tuple((list(c.lengths.as_tuple()), c.feasible, list(c.residuals))
+                 for c in result.candidates)
+
+
+class TestStackEqualsRows:
+    @pytest.mark.parametrize("mode", sorted(sol.MODES))
+    def test_mixed_stack(self, mode):
+        solve = ADAPTERS[mode][0]
+        n_points, n_frames = sol.MODES[mode]
+        stack = []
+        for seed in range(40):
+            frames = seeded_frames(mode, seed, level=(0.0, 0.01, 0.1)[seed % 3])
+            if seed % 5 == 0:  # a repeated frame: degenerate or singular
+                frames[2] = frames[1]
+            stack.append(frames)
+        stack.append([[0.0] * len(stack[0][0])] * n_frames)
+        batch = sol.solve_batch(mode, stack)
+        got = [stack_rows(batch, n) for n in range(len(stack))]
+        assert got == [alone(solve, frames) for frames in stack]
+        assert got.count("degenerate") >= 9
+        counts = {len(rows) for rows in got if rows != "degenerate"}
+        assert counts == ({0, 2} if mode == "p3f3" else {1}), counts
+        assert np.all(np.diff(batch.row) >= 0)
+
+    def test_singular_jacobian_stops_only_its_candidate(self):
+        # identical frames make one candidate's Jacobian exactly singular
+        frames = np.array([seeded_frames("p3f3", 3), [list(GOLDEN_SQ)] * 3])
+        frames /= np.abs(frames).max(axis=(1, 2))[:, None, None]
+        start = np.array([[0.5, 0.7, 0.9], [1.0, 2.0, 3.0]])
+        got = sol._newton_polish(start, frames)
+        for i in range(2):
+            assert got[i].tolist() == reference_newton_polish(start[i].tolist(),
+                                                              frames[i].tolist())
+        assert got[1].tolist() == start[1].tolist()
+        assert got[0].tolist() != start[0].tolist()
+
+    def test_invalid_stack(self):
+        with pytest.raises(InvalidInputError, match="unknown solver mode"):
+            sol.solve_batch("p5f5", np.zeros((1, 3, 3)))
+        with pytest.raises(InvalidInputError, match="needs 3 frames of 3"):
+            sol.solve_batch("p3f3", np.zeros((3, 3)))
+        with pytest.raises(InvalidInputError, match="finite"):
+            sol.solve_batch("p3f3", np.full((2, 3, 3), math.inf))
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, "1e-9"])
+    @pytest.mark.parametrize("mode", sorted(sol.MODES))
+    def test_rejected(self, mode, tol):
+        solve = ADAPTERS[mode][0]
+        with pytest.raises(InvalidInputError, match="tol must be finite and >= 0"):
+            solve(seeded_frames(mode, 4), tol)

@@ -17,11 +17,7 @@ from orthosfm.errors import (
     NoSolutionError,
 )
 
-from conftest import frames_sq, scaled, true_sq
-
-
-# image scales for the unit-invariance sweeps
-SCALE_SWEEP = [1e-12, 1e-8, 1.0, 1e4, 1e6, 1e8, 1e10]
+from conftest import SCALE_SWEEP, frames_sq, scaled, true_sq
 
 
 def two_frames(scene):
@@ -279,6 +275,16 @@ class TestRigidityScore:
                 scaled(f, scale) for f in two_frames(sim.gen_scene(4, 2, seed)))
             score = tf.rigidity_score(frame1, frame2)
             assert score <= tf.DEFAULT_RIGIDITY_TOL * scale_of(frame1, frame2), seed
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_tolerances_must_be_finite_and_non_negative(self, bad):
+        frame1, frame2 = two_frames(sim.gen_scene(5, 2, 14))
+        with pytest.raises(InvalidInputError, match="tol must be finite"):
+            tf.rigidity_score(frame1, frame2, tol=bad)
+        with pytest.raises(InvalidInputError, match="^tol must be finite"):
+            tf.match_points(frame1, frame2, tol=bad)
+        with pytest.raises(InvalidInputError, match="rigidity_tol must be finite"):
+            tf.match_points(frame1, frame2, rigidity_tol=bad)
 
 
 class TestResidual5pt:
