@@ -27,7 +27,7 @@ from .errors import (
     OrthoSfmError,
     SingularSystemError,
 )
-from .geometry import dof_balance, projected_sq_distances
+from .geometry import DEFAULT_TOL, dof_balance, projected_sq_distances
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -253,6 +253,9 @@ def cmd_ambiguity(args) -> int:
     except ValueError:
         print("error: --angles must be comma-separated radians", file=sys.stderr)
         return EXIT_INPUT
+    if not all(map(math.isfinite, angles)):
+        print(f"error: --angles must be finite, got {args.angles}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         base = two_frame.base_interpretation_from_frames(frame1, frame2)
         members = two_frame.ambiguity_family(frame1, frame2, base, angles)
@@ -302,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="recover squared 3D lengths from a frames file")
     p.add_argument("frames_file")
     p.add_argument("--mode", choices=["p3f3", "p3f4", "p4f3", "auto"], default="auto")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out")
     p.set_defaults(func=cmd_recover)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InconsistentLengthsError, InvalidInputError, MissingLabelError
 
+DEFAULT_TOL = 1e-9    # relative; the solvers' default and the two-frame layer's
 ORTHONORMALITY_TOL = 1e-9
 
 # Edge order conventions: consecutive label pairs measured by
@@ -308,39 +309,45 @@ def dof_balance(p: int, k: int) -> DofBalance:
     return DofBalance(unknowns=-1 + 3 * p + 5 * (k - 1), information=2 * k * p)
 
 
-def embed_depths(true_sq: TriangleDistances, frame_sq, tol: float = 1e-9):
+def depth_pair(a_dep: float, b_dep: float, c_dep: float) -> tuple:
+    """Depths (z_P, z_Q) over R, z_P >= 0, from the deficits of PQ, QR, RP.
+
+    z_P^2 = c_dep, z_Q^2 = b_dep, (z_P - z_Q)^2 = a_dep; the product
+    z_P*z_Q = (c_dep + b_dep - a_dep)/2 fixes the relative sign.
+    """
+    z_p = math.sqrt(max(c_dep, 0.0))
+    z_q = math.sqrt(max(b_dep, 0.0))
+    if (c_dep + b_dep - a_dep) < 0.0:
+        z_q = -z_q
+    return z_p, z_q
+
+
+def embed_depths(true_sq: TriangleDistances, frame_sq):
     """Per-edge depth offsets consistent with one frame's projections.
 
     Given true squared lengths (a^2, b^2, c^2) and the frame's projected
     squared lengths, recovers (dz_PQ, dz_QR, dz_RP) -- the depth change
-    across each edge -- as the signed square roots of the per-edge deficits.
-    The three offsets must close to zero around the triangle; exactly one
-    sign assignment (up to a global flip) achieves that, and both reflection
-    branches are returned.
+    across each edge -- as the signed square roots of the per-edge deficits,
+    signed by depth_pair.  The three offsets must close to zero around the
+    triangle; both reflection branches are returned, dz_PQ >= 0 first.
 
-    Raises InconsistentLengthsError when no sign assignment closes within
+    Raises InconsistentLengthsError when the offsets do not close within
     tolerance, or when a projection exceeds its true length.
     """
     true_vals = true_sq.as_tuple()
     frame_vals = tuple(frame_sq)
     scale_sq = max(max(abs(v) for v in true_vals), max(abs(v) for v in frame_vals))
-    mags = []
-    for t, f in zip(true_vals, frame_vals):
-        deficit = t - f
-        if deficit < -tol * scale_sq:
+    deficits = [t - f for t, f in zip(true_vals, frame_vals)]
+    for deficit in deficits:
+        if deficit < -DEFAULT_TOL * scale_sq:
             raise InconsistentLengthsError(
                 f"projected length exceeds true length (deficit {deficit:.3g})")
-        mags.append(math.sqrt(max(deficit, 0.0)))
-    u, v, w = mags
-    best = None
-    for sv in (1.0, -1.0):
-        for sw in (1.0, -1.0):
-            closure = abs(u + sv * v + sw * w)
-            if best is None or closure < best[0]:
-                best = (closure, (u, sv * v, sw * w))
-    closure, branch = best
-    if closure > tol * math.sqrt(scale_sq) * 10:
+    z_p, z_q = depth_pair(*deficits)
+    # the reflection in which the depth rises from P to Q
+    sign = 1.0 if z_q - z_p >= 0.0 else -1.0
+    branch = (math.sqrt(max(deficits[0], 0.0)), -sign * z_q, sign * z_p)
+    closure = abs(sum(branch))
+    if closure > DEFAULT_TOL * math.sqrt(scale_sq) * 10:
         raise InconsistentLengthsError(
-            f"no sign assignment closes the depth loop (gap {closure:.3g})")
-    other = tuple(-x for x in branch)
-    return branch, other
+            f"the depth offsets do not close the loop (gap {closure:.3g})")
+    return branch, tuple(-x for x in branch)

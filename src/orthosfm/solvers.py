@@ -34,7 +34,7 @@ from .errors import (
     InvalidInputError,
     SingularSystemError,
 )
-from .geometry import TetraDistances, TriangleDistances
+from .geometry import DEFAULT_TOL, TetraDistances, TriangleDistances
 
 # Triples of 6-vector indices (a,b,c,d,f,g) forming the tetrahedron's
 # constrained triangles: (PQ,QT,TP), (TR,RQ,QT), (TR,RP,PT).
@@ -151,7 +151,7 @@ class BatchResult:
     degenerate: np.ndarray   # (N,) bool
 
 
-def feasibility_check(candidate, frames, tol: float = 1e-9):
+def feasibility_check(candidate, frames, tol: float = DEFAULT_TOL):
     """Physical feasibility: squared lengths non-negative and at least as
     long as their projections in every frame, within tolerance.
 
@@ -197,18 +197,15 @@ def _solve_quadratic(q2: float, q1: float, q0: float, tol: float):
     return tuple(sorted(set(roots)))
 
 
-def _first_max(values, start):
-    """max(start, *values) taken as Python's max takes it: a later value
-    replaces the running one only if it is greater, so a NaN never does."""
-    for v in values:
-        start = np.where(v > start, v, start)
-    return start
-
-
 def _max_abs(rows):
-    """Per row of an (M, k) array, max(abs(r) for r in row) as Python has it."""
+    """Per row of an (M, k) array, max(abs(r) for r in row) as Python's max
+    takes it: a later value replaces the running one only if it is greater,
+    so a NaN never does."""
     mags = np.abs(rows).T
-    return _first_max(mags[1:], mags[0])
+    top = mags[0]
+    for v in mags[1:]:
+        top = np.where(v > top, v, top)
+    return top
 
 
 def _columns(arr, triple=(0, 1, 2)):
@@ -367,12 +364,13 @@ def _eliminate_p3f3(mat, rhs, norm, tol):
 
 def _residuals(lengths, frames, triples):
     """(M, k) per-frame residuals: a triangle's signed identity value, or
-    for a tetrahedron the largest |value| over its four faces."""
+    for a tetrahedron the largest |value| over its four faces, NaN when a
+    face's value overflows to NaN."""
     if triples == _TRIANGLE:
         return _identity_values(lengths, frames)
     faces = [np.abs(_identity_values(lengths[:, list(t)], frames[..., list(t)]))
              for t in triples + _TRIANGLE]
-    return _first_max(faces, np.zeros(frames.shape[:2]))
+    return np.maximum.reduce(faces)
 
 
 def _by_max_residual(row, residuals):
@@ -387,7 +385,7 @@ def _by_max_residual(row, residuals):
     return order
 
 
-def solve_batch(mode: str, stack, tol: float = 1e-9) -> BatchResult:
+def solve_batch(mode: str, stack, tol: float = DEFAULT_TOL) -> BatchResult:
     """Solve an (N, k, e) stack of one mode's problems in one pass.
 
     Problem n's candidates, feasibility flags and residuals are exactly
@@ -432,7 +430,7 @@ def _solve_one(mode, frames, tol) -> RecoveryResult:
             batch.lengths.tolist(), batch.feasible.tolist(), batch.residuals.tolist())))
 
 
-def solve_p3f3(frames, tol: float = 1e-9) -> RecoveryResult:
+def solve_p3f3(frames, tol: float = DEFAULT_TOL) -> RecoveryResult:
     """Recover a triangle's squared lengths from 3 frames (minimal case).
 
     The two difference rows against frame 1 express A = a^2 and B = b^2 as
@@ -446,7 +444,7 @@ def solve_p3f3(frames, tol: float = 1e-9) -> RecoveryResult:
     return _solve_one("p3f3", frames, tol)
 
 
-def solve_p3f4(frames, tol: float = 1e-9) -> RecoveryResult:
+def solve_p3f4(frames, tol: float = DEFAULT_TOL) -> RecoveryResult:
     """Recover a triangle's squared lengths from 4 frames (linear case).
 
     Subtracting the first frame's quartic identity from each of the other
@@ -458,7 +456,7 @@ def solve_p3f4(frames, tol: float = 1e-9) -> RecoveryResult:
     return _solve_one("p3f4", frames, tol)
 
 
-def solve_p4f3(frames, tol: float = 1e-9) -> RecoveryResult:
+def solve_p4f3(frames, tol: float = DEFAULT_TOL) -> RecoveryResult:
     """Recover a tetrahedron's six squared lengths from 3 frames.
 
     Each frame constrains three edge triples -- (a,g,f), (d,b,g), (d,f,c) --

@@ -11,10 +11,12 @@ rigidity test (rigidity_score).  For a rigid pair that distance is zero at
 every admissible assumed length |RP|^2, so one is enough: 1.5x the longest
 projection when it admits a triangle, else one probe between consecutive
 zeros of a few quadratics in |RP|^2 decides in O(1) whether any larger
-length does (_assumed_length).  Each assignment is set up once.  Five
-points make the prediction fully linear (residual_5pt).  Each function
-divides its points once by the frame pair's scale (_pair_scale), so every
-threshold here is dimensionless.
+length does (_assumed_length).  Each assignment is set up once, and its
+depths come from geometry.depth_pair.  Five points make the prediction
+fully linear (residual_5pt).  Each function divides its points once by the
+frame pair's scale (_pair_scale), so every threshold here is dimensionless.
+The thresholds are named once, in the table below, and none of them is a
+parameter: match_points' rigidity_tol is the one tolerance a caller sets.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ from .errors import (
     NoSolutionError,
 )
 from .geometry import (
+    DEFAULT_TOL,
     TRIANGLE_EDGES,
     FrameObservation,
     Point3,
     RigidMotion,
     apply_motion,
+    depth_pair,
     project,
 )
 from .solvers import _solve_quadratic, check_tolerance, quad_coeffs
@@ -48,6 +52,16 @@ from .solvers import _solve_quadratic, check_tolerance, quad_coeffs
 C_START_FACTOR = 1.5
 
 DEFAULT_RIGIDITY_TOL = 1e-6     # relative to the observation diameter
+
+# Thresholds on points divided by the pair's scale.  DEFAULT_TOL is the slack
+# of a b^2 root's discriminant and of its lengths over their projections.
+DEGENERACY_EPS = 1e-12    # zero below: basis |det|, |RP x RQ|, line, a^2 coefficient gap
+LINEAR_EPS = 1e-14        # zero below: b^2 leading coefficient per the others' scale
+AXIS_EPS = 1e-9           # zero below: ambiguity axis, rotated ray direction
+DEPTH_AXIS_EPS = 1e-18    # zero below: |rotated depth axis in the image|^2
+BASE_REPROJECTION = 100 * DEFAULT_TOL   # worst reprojection of a base ambiguity_family takes
+EXACT_REPROJECTION = 10 * DEFAULT_TOL   # ... of a base candidate returned at once
+REPROJECTION_BOUND = 1e-6               # ... of any other fit, member or base candidate kept
 
 
 @dataclass(frozen=True)
@@ -94,7 +108,7 @@ def b_of_c_coeffs(frame1_sq, frame2_sq) -> BofCCoeffs:
     q1, q2 = quad_coeffs(frame1_sq), quad_coeffs(frame2_sq)
     denom = q1.coef_a - q2.coef_a
     magnitude = max(abs(v) for f in (frame1_sq, frame2_sq) for v in f)
-    if abs(denom) <= 1e-12 * magnitude:
+    if abs(denom) <= DEGENERACY_EPS * magnitude:
         raise DegenerateEliminationError("a^2 coefficients coincide between frames")
     p = -(q1.coef_b - q2.coef_b) / denom
     q = -(q1.coef_c - q2.coef_c) / denom
@@ -110,7 +124,7 @@ def b_of_c_coeffs(frame1_sq, frame2_sq) -> BofCCoeffs:
     )
 
 
-def solve_b_given_c(coeffs: BofCCoeffs, c_sq: float, tol: float = 1e-9) -> tuple:
+def solve_b_given_c(coeffs: BofCCoeffs, c_sq: float) -> tuple:
     """Non-negative roots b^2 of the biquadratic for an assumed c^2.
 
     The thresholds assume coefficients from frames of unit size, as every
@@ -126,14 +140,14 @@ def solve_b_given_c(coeffs: BofCCoeffs, c_sq: float, tol: float = 1e-9) -> tuple
     const = c_sq * coeffs.f_c + c_sq * c_sq * coeffs.f_c2 + coeffs.f_Cst
     lead = coeffs.f_b2
     coeff_scale = max(lin * lin, abs(4.0 * lead * const))
-    if abs(lead) <= 1e-14 * math.sqrt(coeff_scale):
+    if abs(lead) <= LINEAR_EPS * math.sqrt(coeff_scale):
         if lin == 0.0:
             raise NoSolutionError("degenerate biquadratic")
         roots = (-const / lin,)
     else:
         disc = lin * lin - 4.0 * lead * const
         if disc < 0.0:
-            if disc > -tol * coeff_scale:
+            if disc > -DEFAULT_TOL * coeff_scale:
                 roots = (-lin / (2.0 * lead),)
             else:
                 raise NoSolutionError("negative discriminant for assumed c")
@@ -145,25 +159,12 @@ def solve_b_given_c(coeffs: BofCCoeffs, c_sq: float, tol: float = 1e-9) -> tuple
     return tuple(sorted(b for b in roots if b >= 0.0))
 
 
-def _signed_depth_pair(c_dep: float, b_dep: float, a_dep: float) -> tuple:
-    """Depths (z_P, z_Q) over a frame given the three edge deficits.
-
-    z_P^2 = c_dep, z_Q^2 = b_dep, (z_P - z_Q)^2 = a_dep; the product
-    z_P*z_Q = (c_dep + b_dep - a_dep)/2 fixes the relative sign.
-    """
-    z_p = math.sqrt(max(c_dep, 0.0))
-    z_q = math.sqrt(max(b_dep, 0.0))
-    if (c_dep + b_dep - a_dep) < 0.0:
-        z_q = -z_q
-    return z_p, z_q
-
-
 def _line_distance(px, py, ax, ay, bx, by) -> float:
     """Distance of (px, py) to the line through (ax, ay) and (bx, by), or to
-    (ax, ay) when the two are closer than 1e-12."""
+    (ax, ay) when the two are closer than DEGENERACY_EPS."""
     dx, dy = bx - ax, by - ay
     nd = math.hypot(dx, dy)
-    if nd < 1e-12:
+    if nd < DEGENERACY_EPS:
         return math.hypot(px - ax, py - ay)
     return abs(dx * (py - ay) - dy * (px - ax)) / nd
 
@@ -216,11 +217,11 @@ def _unit_triangle(frame: FrameObservation, labels, scale: float):
     return pts, sq, table[idx[2]][idx[0]]
 
 
-def _admissible_roots(coeffs: BofCCoeffs, minima: tuple, c_sq: float, tol: float) -> tuple:
+def _admissible_roots(coeffs: BofCCoeffs, minima: tuple, c_sq: float) -> tuple:
     """The b^2 roots at a unit c^2 whose lengths (a^2, b^2, c^2) are no
     shorter than minima, in ascending order."""
     try:
-        roots = solve_b_given_c(coeffs, c_sq, tol)
+        roots = solve_b_given_c(coeffs, c_sq)
     except NoSolutionError:
         return ()
     min_a, min_b, min_c = minima
@@ -240,7 +241,7 @@ def _length_boundaries(coeffs: BofCCoeffs, minima: tuple) -> tuple:
     quadratic in c^2.  The c^2 minimum never binds above the policy's start.
     Not included: the c^2 where solve_b_given_c's tolerances switch (a
     slightly negative discriminant kept as a double root, a leading
-    coefficient below 1e-14 of the others taken as zero): the first lies
+    coefficient below LINEAR_EPS of the others taken as zero): the first lies
     within rounding of a discriminant zero, the second occurs only in
     near-linear biquadratics.
     """
@@ -269,7 +270,7 @@ def _length_boundaries(coeffs: BofCCoeffs, minima: tuple) -> tuple:
     return tuple(z for quad in quadratics for z in _solve_quadratic(*quad, 0.0))
 
 
-def _assumed_length(coeffs: BofCCoeffs, minima: tuple, c_start: float, tol: float):
+def _assumed_length(coeffs: BofCCoeffs, minima: tuple, c_start: float):
     """The assumed-length policy: (unit c^2, its admissible b^2 roots).
 
     c^2 is c_start whenever it admits a root.  Otherwise admissibility is
@@ -278,14 +279,14 @@ def _assumed_length(coeffs: BofCCoeffs, minima: tuple, c_start: float, tol: floa
     admissible interval is taken, or twice its lower end when it is
     unbounded.  Raises NoSolutionError when no c^2 >= c_start is admissible.
     """
-    roots = _admissible_roots(coeffs, minima, c_start, tol)
+    roots = _admissible_roots(coeffs, minima, c_start)
     if roots:
         return c_start, roots
     ends = sorted({z for z in _length_boundaries(coeffs, minima) if c_start < z < math.inf})
     probes = [(lo + hi) / 2.0 for lo, hi in zip([c_start] + ends, ends)]
     probes.append(2.0 * (ends[-1] if ends else c_start))
     for c_sq in probes:
-        roots = _admissible_roots(coeffs, minima, c_sq, tol)
+        roots = _admissible_roots(coeffs, minima, c_sq)
         if roots:
             return c_sq, roots
     raise NoSolutionError("no feasible assumed length found for assignment")
@@ -295,23 +296,23 @@ class _TrianglePair:
     """An assignment's points in both frames divided once by the pair's scale,
     and what the triangle P, Q, R gives in those units, all in Python floats
     read from the frames' tables.  Assumed lengths must dominate their
-    projections up to tol, except when P1, Q1, R1 are nearly collinear (det1
-    is None): then every length passes, so that the residual raises
-    DegenerateBasisError."""
+    projections up to DEFAULT_TOL, except when P1, Q1, R1 are nearly
+    collinear (det1 is None): then every length passes, so that the residual
+    raises DegenerateBasisError."""
 
-    def __init__(self, frame1, frame2, labels1, labels2, tol):
-        self.scale, self.tol = _pair_scale(frame1, frame2), tol
+    def __init__(self, frame1, frame2, labels1, labels2):
+        self.scale = _pair_scale(frame1, frame2)
         self.pts1, self.sq1, rp1 = _unit_triangle(frame1, labels1, self.scale)
         self.pts2, self.sq2, rp2 = _unit_triangle(frame2, labels2, self.scale)
         self.coeffs = b_of_c_coeffs(self.sq1, self.sq2)
         (px, py), (qx, qy), (rx, ry) = self.pts1[:3]
         # det [RP RQ] over frame 1: the z component of RP x RQ at any depths
         self.det1 = (px - rx) * (qy - ry) - (py - ry) * (qx - rx)
-        if abs(self.det1) < 1e-12:
+        if abs(self.det1) < DEGENERACY_EPS:
             self.det1 = None
             self.minima = (-math.inf,) * 3
         else:
-            self.minima = tuple(max(s1, s2) - tol for s1, s2 in zip(self.sq1, self.sq2))
+            self.minima = tuple(max(s) - DEFAULT_TOL for s in zip(self.sq1, self.sq2))
         # the policy's first c^2, formed in caller units and then divided
         c_start = C_START_FACTOR ** 2 * max(rp1, rp2) or self.scale ** 2
         self.c_start = self.unit_c_sq(c_start)
@@ -322,22 +323,21 @@ class _TrianglePair:
 
     def roots(self, c_sq: float) -> tuple:
         """The admissible b^2 roots at a unit c^2, ascending."""
-        return _admissible_roots(self.coeffs, self.minima, c_sq, self.tol)
+        return _admissible_roots(self.coeffs, self.minima, c_sq)
 
     def assumed_length(self) -> tuple:
         """(unit c^2, roots) under the assumed-length policy."""
-        return _assumed_length(self.coeffs, self.minima, self.c_start, self.tol)
+        return _assumed_length(self.coeffs, self.minima, self.c_start)
 
     def depths(self, b_sq: float, c_sq: float) -> tuple:
         """(z_P, z_Q) over frame 1 and over frame 2 for a root b^2 at c^2."""
         a_sq = self.coeffs.a_sq_of(b_sq, c_sq)
-        return tuple(_signed_depth_pair(c_sq - c, b_sq - b, a_sq - a)
+        return tuple(depth_pair(a_sq - a, b_sq - b, c_sq - c)
                      for a, b, c in (self.sq1, self.sq2))
 
 
 def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation,
-                              assignment: Assignment, c_sq: float | None = None,
-                              tol: float = 1e-9) -> float:
+                              assignment: Assignment, c_sq: float | None = None) -> float:
     """Distance of the fourth point's second-frame image to its predicted line.
 
     The first three correspondences (P, Q, R) plus an assumed squared length
@@ -353,7 +353,7 @@ def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation
     when the assumed c (or, under the policy, every c) admits no triangle.
     """
     pair = _TrianglePair(frame1, frame2, assignment.source_labels,
-                         assignment.target_labels, tol)
+                         assignment.target_labels)
     if c_sq is None:
         c_sq, roots = pair.assumed_length()
     else:
@@ -386,7 +386,7 @@ def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation
             zp, zq = flip * zp2, flip * zq2
             n2x, n2y = u2y * zq - zp * v2y, zp * v2x - u2x * zq
             n2_norm = math.hypot(n2x, n2y, u2x * v2y - u2y * v2x)
-            if n2_norm < 1e-12:
+            if n2_norm < DEGENERACY_EPS:
                 continue
             t2bx = r2x + sb * u2x + tb * v2x + n2x / n2_norm
             t2by = r2y + sb * u2y + tb * v2y + n2y / n2_norm
@@ -435,7 +435,6 @@ def _probe_labels(frame: FrameObservation) -> tuple:
 
 
 def match_points(frame1: FrameObservation, frame2: FrameObservation,
-                 tol: float = 1e-9,
                  rigidity_tol: float = DEFAULT_RIGIDITY_TOL) -> MatchReport:
     """Recover the point-to-point correspondence between two frames of one
     rigid body with unknown identities.
@@ -447,10 +446,9 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     the same line prediction.
 
     Raises NoConsistentAssignmentError when every assignment's residual
-    exceeds the rigidity threshold, and InvalidInputError unless tol and
-    rigidity_tol are finite and >= 0.
+    exceeds the rigidity threshold, and InvalidInputError unless
+    rigidity_tol is finite and >= 0.
     """
-    check_tolerance("tol", tol)
     check_tolerance("rigidity_tol", rigidity_tol)
     labels1, labels2 = frame1.labels, frame2.labels
     if len(labels1) != len(labels2):
@@ -464,7 +462,7 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     for perm in itertools.permutations(labels2, 4):
         assignment = Assignment(tuple(zip(probe, perm)))
         try:
-            residual = collinearity_residual_4pt(frame1, frame2, assignment, None, tol)
+            residual = collinearity_residual_4pt(frame1, frame2, assignment, None)
         except (NoSolutionError, DegenerateBasisError, DegenerateEliminationError):
             residual = math.inf
         scored.append((assignment, residual))
@@ -485,7 +483,7 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
         for cand in remaining2:
             try:
                 res = collinearity_residual_4pt(
-                    frame1, frame2, Assignment(base + ((lab, cand),)), None, tol)
+                    frame1, frame2, Assignment(base + ((lab, cand),)), None)
             except (NoSolutionError, DegenerateBasisError, DegenerateEliminationError):
                 res = math.inf
             scored_rest.append((res, cand))
@@ -503,21 +501,19 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
 
 
 def rigidity_score(frame1: FrameObservation, frame2: FrameObservation,
-                   labels=None, tol: float = 1e-9) -> float:
+                   labels=None) -> float:
     """Collinearity residual under the identity assignment.
 
     Small means the four labeled points move as one rigid body between the
-    frames; large means at least one point moves independently.  Raises
-    InvalidInputError unless tol is finite and >= 0.
+    frames; large means at least one point moves independently.
     """
-    check_tolerance("tol", tol)
     if labels is None:
         labels = frame1.labels[:4]
     labels = tuple(labels)
     if len(labels) != 4:
         raise InvalidInputError("rigidity_score needs exactly 4 labels")
     assignment = Assignment(tuple((lab, lab) for lab in labels))
-    return collinearity_residual_4pt(frame1, frame2, assignment, None, tol)
+    return collinearity_residual_4pt(frame1, frame2, assignment, None)
 
 
 def residual_5pt(frame1: FrameObservation, frame2: FrameObservation,
@@ -542,7 +538,8 @@ def residual_5pt(frame1: FrameObservation, frame2: FrameObservation,
 
     basis_a = np.column_stack([p1 - t1, q1 - t1])
     basis_b = np.column_stack([p1 - r1, q1 - r1])
-    if abs(np.linalg.det(basis_a)) < 1e-12 or abs(np.linalg.det(basis_b)) < 1e-12:
+    if (abs(np.linalg.det(basis_a)) < DEGENERACY_EPS
+            or abs(np.linalg.det(basis_b)) < DEGENERACY_EPS):
         raise DegenerateBasisError("in-frame plane basis nearly parallel")
     uv_a = np.linalg.solve(basis_a, s1 - t1)
     uv_b = np.linalg.solve(basis_b, s1 - r1)
@@ -596,8 +593,7 @@ def _axis_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
 
 
 def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
-                     base: Interpretation, angles,
-                     tol: float = 1e-9) -> list:
+                     base: Interpretation, angles) -> list:
     """Construct distinct 3D interpretations all reprojecting onto both frames.
 
     The second frame's projection rays, pulled back through the base
@@ -611,11 +607,16 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
     Angles whose rotated rays become parallel to the first-frame rays are
     skipped (returned as members with points=None and a parallel flag).
 
-    Raises DegenerateBasisError for in-plane motion (rays already parallel).
+    Raises DegenerateBasisError for in-plane motion (rays already parallel)
+    and InvalidInputError for a non-finite angle.
     """
+    angles = [float(angle) for angle in angles]
+    for angle in angles:
+        if not math.isfinite(angle):
+            raise InvalidInputError(f"angles must be finite, got {angle!r}")
     res1, res2 = base.reprojection_residuals(frame1, frame2)
     scale = _pair_scale(frame1, frame2)
-    if max(res1, res2) / scale > max(tol * 100, 1e-7):
+    if max(res1, res2) / scale > BASE_REPROJECTION:
         raise InvalidInputError(
             f"base interpretation does not reproduce the frames "
             f"(residuals {res1:.3g}, {res2:.3g})")
@@ -623,7 +624,7 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
     d = rot.T @ np.array([0.0, 0.0, 1.0])
     axis = np.cross(np.array([0.0, 0.0, 1.0]), d)
     axis_norm = np.linalg.norm(axis)
-    if axis_norm < 1e-9:
+    if axis_norm < AXIS_EPS:
         raise DegenerateBasisError(
             "motion is in-plane: ambiguity axis undefined")
     axis /= axis_norm
@@ -631,12 +632,12 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
 
     members = []
     for angle in angles:
-        spin = _axis_rotation(axis, float(angle))
+        spin = _axis_rotation(axis, angle)
         new_dir = spin @ d
         dir_xy = new_dir[:2]
         nd = np.linalg.norm(dir_xy)
-        if nd < 1e-9:
-            members.append(AmbiguityMember(float(angle), None, None))
+        if nd < AXIS_EPS:
+            members.append(AmbiguityMember(angle, None, None))
             continue
         new_points = []
         ok = True
@@ -646,18 +647,18 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
             target = frame1.get(lab).as_array()
             s = float(dir_xy @ (target - moved[:2])) / float(dir_xy @ dir_xy)
             y = moved + s * new_dir
-            if np.linalg.norm(y[:2] - target) / scale > max(tol * 100, 1e-6):
+            if np.linalg.norm(y[:2] - target) / scale > REPROJECTION_BOUND:
                 ok = False
                 break
             new_points.append((lab, Point3(*map(float, y))))
         if not ok:
-            members.append(AmbiguityMember(float(angle), None, None))
+            members.append(AmbiguityMember(angle, None, None))
             continue
         new_rot = rot @ spin.T
         shift = rot @ anchor - new_rot @ anchor
         new_tr = base.motion.translation + shift[:2]
         members.append(AmbiguityMember(
-            float(angle), tuple(new_points), RigidMotion(new_rot, new_tr)))
+            angle, tuple(new_points), RigidMotion(new_rot, new_tr)))
     return members
 
 
@@ -703,8 +704,7 @@ def interpretation_from_scene(scene) -> Interpretation:
 
 
 def base_interpretation_from_frames(frame1: FrameObservation,
-                                    frame2: FrameObservation,
-                                    tol: float = 1e-9) -> Interpretation:
+                                    frame2: FrameObservation) -> Interpretation:
     """Construct some consistent 3D interpretation of two frames of a rigid
     body, using the first three points as the gauge triangle.
 
@@ -713,10 +713,10 @@ def base_interpretation_from_frames(frame1: FrameObservation,
     the embeddings recovered, and any further points placed on their
     first-frame rays at the depth that reproduces the second frame.  At the
     policy's single c^2, the first candidate in order (b^2 ascending, then
-    the second frame's reflection) that reproduces the frames to tol*10 is
-    returned: for a rigid pair every candidate at a feasible c is exact up
-    to rounding, so choosing the smallest residual would let rounding, and
-    with it the units, pick the body.
+    the second frame's reflection) that reproduces the frames to
+    EXACT_REPROJECTION is returned: for a rigid pair every candidate at a
+    feasible c is exact up to rounding, so choosing the smallest residual
+    would let rounding, and with it the units, pick the body.
 
     Raises InconsistentLengthsError when no branch reproduces the frames
     (the two frames are not images of one rigid body).
@@ -724,7 +724,7 @@ def base_interpretation_from_frames(frame1: FrameObservation,
     labels = frame1.labels
     if len(labels) < 3:
         raise InvalidInputError("need at least 3 points")
-    pair = _TrianglePair(frame1, frame2, labels[:3], labels[:3], tol)
+    pair = _TrianglePair(frame1, frame2, labels[:3], labels[:3])
     try:
         c_sq, roots = pair.assumed_length()
     except NoSolutionError:
@@ -735,36 +735,33 @@ def base_interpretation_from_frames(frame1: FrameObservation,
         e1 = np.column_stack([pair.pts1, (zp1, zq1, 0.0)])
         for flip in (1.0, -1.0):
             e2 = np.column_stack([pair.pts2, (flip * zp2, flip * zq2, 0.0)])
-            cand = _fit_interpretation(frame1, frame2, e1, e2, tol)
+            cand = _fit_interpretation(frame1, frame2, e1, e2)
             if cand is None:
                 continue
-            if cand[0] < tol * 10:
+            if cand[0] < EXACT_REPROJECTION:
                 return cand[1]
             if best is None or cand[0] < best[0]:
                 best = cand
-    if best is not None and best[0] < 1e-6:
+    if best is not None and best[0] < REPROJECTION_BOUND:
         return best[1]
     raise InconsistentLengthsError(
         "no rigid two-frame interpretation found for these observations")
 
 
-def _fit_interpretation(frame1, frame2, e1: np.ndarray, e2: np.ndarray, tol):
+def _fit_interpretation(frame1, frame2, e1: np.ndarray, e2: np.ndarray):
     """Kabsch-fit a proper rotation e1 -> e2 and lift all frame points.
 
     e1 and e2 are triangle embeddings in the frame pair's units
     (_pair_scale).  Returns (worst reprojection residual in those units,
-    Interpretation in the frames' units) or None when the embeddings
-    require an improper motion.
+    Interpretation in the frames' units), or None when the fit misses e2.
     """
     cen1, cen2 = e1.mean(axis=0), e2.mean(axis=0)
     h = (e1 - cen1).T @ (e2 - cen2)
     u, _, vt = np.linalg.svd(h)
     det = np.linalg.det(vt.T @ u.T)
     rot = vt.T @ np.diag([1.0, 1.0, det]) @ u.T
-    if abs(np.linalg.det(rot) - 1.0) > 1e-9:
-        return None
     fit_err = np.abs(rot @ (e1 - cen1).T - (e2 - cen2).T).max()
-    if fit_err > max(tol * 100, 1e-6):
+    if fit_err > REPROJECTION_BOUND:
         return None
     translation = (cen2 - rot @ cen1)[:2]
     scale = _pair_scale(frame1, frame2)
@@ -775,7 +772,7 @@ def _fit_interpretation(frame1, frame2, e1: np.ndarray, e2: np.ndarray, tol):
     col = rxy[:, 2]
     # the depth on each first-frame ray that lands on its second-frame image
     rhs = (img2 - img1 @ rxy[:, :2].T) / scale - translation
-    z = rhs @ col / (col @ col) if col @ col > 1e-18 else np.zeros(len(labels))
+    z = rhs @ col / (col @ col) if col @ col > DEPTH_AXIS_EPS else np.zeros(len(labels))
     worst = float(np.linalg.norm(rhs - np.outer(z, col), axis=1).max())
     points = tuple((lab, Point3(x, y, depth * scale))
                    for lab, (x, y), depth in zip(labels, img1, z))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from orthosfm import geometry as geo
 from orthosfm import scene_sim as sim
 from orthosfm.errors import InconsistentLengthsError, InvalidInputError, MissingLabelError
 
-from conftest import frames_sq
+from conftest import SCALE_SWEEP, TRIANGLE_PAIRS, frames_sq
 
 
 class TestProject:
@@ -231,6 +232,85 @@ class TestEmbedDepths:
             geo.embed_depths(tri, (1.0 * s * s, 4.0 * s * s, 1.01 * s * s))
         b1, _ = geo.embed_depths(tri, (1.0 * s * s, 4.0 * s * s, 1.0 * s * s))
         assert abs(sum(b1)) < 1e-12 * s
+
+
+# Reference: embed_depths as it was before it used geometry.depth_pair, with
+# its own search over the four sign assignments, kept verbatim.
+def reference_embed_depths(true_sq, frame_sq, tol=1e-9):
+    true_vals = true_sq.as_tuple()
+    frame_vals = tuple(frame_sq)
+    scale_sq = max(max(abs(v) for v in true_vals), max(abs(v) for v in frame_vals))
+    mags = []
+    for t, f in zip(true_vals, frame_vals):
+        deficit = t - f
+        if deficit < -tol * scale_sq:
+            raise InconsistentLengthsError(
+                f"projected length exceeds true length (deficit {deficit:.3g})")
+        mags.append(math.sqrt(max(deficit, 0.0)))
+    u, v, w = mags
+    best = None
+    for sv in (1.0, -1.0):
+        for sw in (1.0, -1.0):
+            closure = abs(u + sv * v + sw * w)
+            if best is None or closure < best[0]:
+                best = (closure, (u, sv * v, sw * w))
+    closure, branch = best
+    if closure > tol * math.sqrt(scale_sq) * 10:
+        raise InconsistentLengthsError(
+            f"no sign assignment closes the depth loop (gap {closure:.3g})")
+    other = tuple(-x for x in branch)
+    return branch, other
+
+
+def embedding(embed, true_sq, frame_sq):
+    try:
+        return embed(true_sq, frame_sq)
+    except InconsistentLengthsError as exc:
+        return type(exc)
+
+
+class TestEmbedDepthsSameAsSignSearch:
+    def test_seeded_frames_at_every_scale(self):
+        kinds = set()
+        for seed in range(200):
+            scene = sim.gen_scene(3, 3, seed)
+            # every frame against its own body, and against the next seed's
+            bodies = (scene, sim.gen_scene(3, 3, seed + 1))
+            for body, sq in itertools.product(bodies, frames_sq(scene)):
+                for s in SCALE_SWEEP:
+                    tri = geo.TriangleDistances(
+                        *(body.true_sq_distance(*e) * s * s for e in TRIANGLE_PAIRS))
+                    frame = [v * s * s for v in sq]
+                    got = embedding(geo.embed_depths, tri, frame)
+                    assert got == embedding(reference_embed_depths, tri, frame), (seed, s)
+                    kinds.add(got if isinstance(got, type) else tuple)
+        assert kinds == {tuple, InconsistentLengthsError}
+
+    @pytest.mark.parametrize("edge", range(3))
+    def test_edge_parallel_to_image_plane(self, edge):
+        # PQ, QR or RP keeps its length in the image: two sign assignments
+        # close the loop, so the two versions may pick different ones (or
+        # return the branches in the other order); both must be exact
+        rng = np.random.default_rng(edge)
+        for _ in range(300):
+            xy, z = rng.uniform(-1.0, 1.0, (3, 2)), rng.uniform(-1.0, 1.0, 3)
+            i, j = TRIANGLE_PAIRS[edge]
+            z[ord(j) - ord("P")] = z[ord(i) - ord("P")]
+            pts = dict(zip("PQR", np.column_stack([xy, z])))
+            truth = tuple(pts[b][2] - pts[a][2] for a, b in TRIANGLE_PAIRS)
+            for s in SCALE_SWEEP:
+                tri = geo.TriangleDistances(
+                    *(float((pts[a] - pts[b]) @ (pts[a] - pts[b])) * s * s
+                      for a, b in TRIANGLE_PAIRS))
+                frame = [float((pts[a][:2] - pts[b][:2]) @ (pts[a][:2] - pts[b][:2])) * s * s
+                         for a, b in TRIANGLE_PAIRS]
+                for embed in (geo.embed_depths, reference_embed_depths):
+                    branch, other = embed(tri, frame)
+                    assert other == tuple(-v for v in branch)
+                    assert abs(sum(branch)) <= 1e-8 * math.sqrt(max(tri.as_tuple()))
+                    err = min(max(abs(g - t * s) for g, t in zip(b, truth))
+                              for b in (branch, other))
+                    assert err < 1e-12 * s, (edge, s, branch, truth)
 
 
 class TestInvariants:

@@ -428,6 +428,17 @@ class TestCliAmbiguity:
         write_frames(f, sim.gen_scene(3, 3, 51))
         assert cli.main(["ambiguity", str(f)]) == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_angles(self, tmp_path, capsys, angle):
+        f = tmp_path / "frames.csv"
+        write_frames(f, sim.gen_scene(3, 2, 4))
+        out = tmp_path / "family.csv"
+        assert cli.main(["ambiguity", str(f), f"--angles=0,{angle}",
+                         "--out", str(out)]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: --angles must be finite") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestCliDof:
     def test_recoverable(self, capsys):

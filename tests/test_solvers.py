@@ -244,6 +244,14 @@ class TestSolveP4F3:
         with pytest.raises(SingularSystemError):
             sol.solve_p4f3(frames)
 
+    def test_overflowing_face_gives_nan_residuals(self):
+        # image coordinates of order 1e80: every face identity overflows to
+        # nan, which a residual of 0.0 would pass off as an exact fit
+        scene = sim.gen_scene(4, 3, 5)
+        frames = [[v * 1e160 for v in f] for f in frames_sq(scene)]
+        (cand,) = sol.solve_p4f3(frames).candidates
+        assert all(math.isnan(r) for r in cand.residuals), cand.residuals
+
     def test_wrong_shape(self):
         with pytest.raises(InvalidInputError):
             sol.solve_p4f3([GOLDEN_SQ] * 3)
@@ -393,7 +401,9 @@ def reference_solve_p4f3(frames, tol=1e-9):
         worst = 0.0
         for triple in sol._TETRA_TRIPLES + ((0, 1, 2),):
             tri = geo.TriangleDistances(*(sol_[k] for k in triple))
-            worst = max(worst, abs(sol.eq1_residual(tri, [frame[k] for k in triple])))
+            face = abs(sol.eq1_residual(tri, [frame[k] for k in triple]))
+            # a face that overflows to nan makes the frame's residual nan
+            worst = face if math.isnan(face) else max(worst, face)
         residuals.append(worst)
     lengths = geo.TetraDistances(*sol_)
     feasible = reference_feasibility_check(lengths, frames, tol)

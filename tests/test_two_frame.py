@@ -167,9 +167,9 @@ class TestCollinearityResidual:
         # ~1.2 and ~6e6 apart, so a textbook small root loses ~7 digits
         frame1, frame2 = two_frames(sim.gen_scene(4, 2, 19))
         assignment = tf.Assignment((("P", "R"), ("Q", "Q"), ("R", "P"), ("T", "T")))
-        res = tf.collinearity_residual_4pt(frame1, frame2, assignment, None, 1e-9)
+        res = tf.collinearity_residual_4pt(frame1, frame2, assignment, None)
         got = tf.collinearity_residual_4pt(
-            scaled(frame1, factor), scaled(frame2, factor), assignment, None, 1e-9)
+            scaled(frame1, factor), scaled(frame2, factor), assignment, None)
         assert res > 1e-3 * scale_of(frame1, frame2)
         assert got / factor == pytest.approx(res, rel=1e-13)
 
@@ -279,10 +279,6 @@ class TestRigidityScore:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_tolerances_must_be_finite_and_non_negative(self, bad):
         frame1, frame2 = two_frames(sim.gen_scene(5, 2, 14))
-        with pytest.raises(InvalidInputError, match="tol must be finite"):
-            tf.rigidity_score(frame1, frame2, tol=bad)
-        with pytest.raises(InvalidInputError, match="^tol must be finite"):
-            tf.match_points(frame1, frame2, tol=bad)
         with pytest.raises(InvalidInputError, match="rigidity_tol must be finite"):
             tf.match_points(frame1, frame2, rigidity_tol=bad)
 
@@ -373,6 +369,14 @@ class TestAmbiguityFamily:
         with pytest.raises(InvalidInputError):
             tf.ambiguity_family(frame1, frame2, bad, [0.1])
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        scene = sim.gen_scene(3, 2, 4)
+        frame1, frame2 = two_frames(scene)
+        base = tf.interpretation_from_scene(scene)
+        with pytest.raises(InvalidInputError, match="angles must be finite"):
+            tf.ambiguity_family(frame1, frame2, base, [0.0, angle])
+
 
 class TestReferenceAmbiguity:
     def test_reference_depths(self):
@@ -447,12 +451,12 @@ def grid_c_sq(frame1, frame2, assignment):
         c_sq *= C_GROW_FACTOR ** 2
 
 
-def unscreened_residual(frame1, frame2, assignment, tol=1e-9):
+def unscreened_residual(frame1, frame2, assignment):
     """The assumed-length walk without a screen: the full residual at every
     step of the c grid until one does not raise NoSolutionError."""
     for c_sq in grid_c_sq(frame1, frame2, assignment):
         try:
-            return tf.collinearity_residual_4pt(frame1, frame2, assignment, c_sq, tol)
+            return tf.collinearity_residual_4pt(frame1, frame2, assignment, c_sq)
         except NoSolutionError:
             pass
     raise NoSolutionError("no feasible assumed length found for assignment")
@@ -543,7 +547,7 @@ class TestScreenedWalk:
                 assignment = tf.Assignment(tuple(zip(frame1.labels, perm)))
                 expect = outcome(unscreened_residual, frame1, frame2, assignment)
                 got = outcome(tf.collinearity_residual_4pt,
-                              frame1, frame2, assignment, None, 1e-9)
+                              frame1, frame2, assignment, None)
                 assert got == expect, (assignment, expect, got)
                 kinds.add(expect if isinstance(expect, type) else float)
         assert kinds == {float, NoSolutionError, DegenerateBasisError}
@@ -559,7 +563,7 @@ class TestScreenedWalk:
             frame1, frame2 = make_pair(seed)
             assignment = identity_assignment()
             expect = outcome(unscreened_residual, frame1, frame2, assignment)
-            got = outcome(tf.collinearity_residual_4pt, frame1, frame2, assignment, None, 1e-9)
+            got = outcome(tf.collinearity_residual_4pt, frame1, frame2, assignment, None)
             assert got == expect, (seed, expect, got)
             kinds.add(expect if isinstance(expect, type) else float)
         assert kind in kinds
@@ -616,21 +620,21 @@ class TestAssumedLength:
                            f_c2=0.0, p=-1.0, q=0.0, r=10.0)
 
     def test_start_kept_when_admissible(self):
-        assert tf._assumed_length(self.COEFFS, (0.0, 0.0, 0.0), 5.0, 1e-9) == (5.0, (1.0,))
+        assert tf._assumed_length(self.COEFFS, (0.0, 0.0, 0.0), 5.0) == (5.0, (1.0,))
 
     def test_midpoint_of_bounded_interval(self):
-        c_sq, roots = tf._assumed_length(self.COEFFS, (0.0, 0.0, 0.0), 1.0, 1e-9)
+        c_sq, roots = tf._assumed_length(self.COEFFS, (0.0, 0.0, 0.0), 1.0)
         assert c_sq == (4.0 + 104.0) / 2.0
         assert roots == pytest.approx((math.sqrt(50.0),), rel=1e-15)
 
     def test_twice_the_lower_end_when_unbounded(self):
         no_a = (-math.inf, 0.0, 0.0)
-        assert tf._assumed_length(self.COEFFS, no_a, 1.0, 1e-9) == (8.0, (2.0,))
+        assert tf._assumed_length(self.COEFFS, no_a, 1.0) == (8.0, (2.0,))
 
     def test_no_admissible_interval_raises(self):
         # b^2 >= 20 needs c^2 >= 404, where a^2 < 0
         with pytest.raises(NoSolutionError):
-            tf._assumed_length(self.COEFFS, (0.0, 20.0, 0.0), 1.0, 1e-9)
+            tf._assumed_length(self.COEFFS, (0.0, 20.0, 0.0), 1.0)
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16))
@@ -638,7 +642,7 @@ class TestAssumedLength:
         pts = np.array(coords).reshape(2, 4, 2)
         frame1, frame2 = frame_of(pts[0]), frame_of(pts[1])
         try:
-            pair = tf._TrianglePair(frame1, frame2, "PQRT", "PQRT", 1e-9)
+            pair = tf._TrianglePair(frame1, frame2, "PQRT", "PQRT")
         except DegenerateEliminationError:
             return
         grid = any(pair.roots(pair.unit_c_sq(c_sq))
