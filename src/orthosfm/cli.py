@@ -5,6 +5,11 @@ Subcommands: recover, match, simulate, noise-study, ambiguity, dof.
 Exit codes are a stable contract: 0 success, 1 input error, 2 no
 solution/assignment, 3 degenerate input.  All randomized commands are
 reproducible from --seed alone (env ORTHOSFM_SEED is the fallback).
+
+numpy runs with one OpenBLAS thread unless OPENBLAS_NUM_THREADS is already
+set: the systems solved here are far too small for BLAS to split, and an idle
+worker thread only burns CPU.  Importing the library (``import orthosfm``)
+leaves the environment alone; only this module sets the default.
 """
 
 from __future__ import annotations
@@ -15,10 +20,13 @@ import os
 import sys
 import time
 
-import numpy as np
+# before numpy loads: OpenBLAS reads this once, when it starts its pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import io_files, scene_sim, solvers, two_frame
-from .errors import (
+import numpy as np  # noqa: E402
+
+from . import io_files, scene_sim, solvers, two_frame  # noqa: E402
+from .errors import (  # noqa: E402
     DegenerateBasisError,
     DegenerateEliminationError,
     InvalidInputError,
@@ -27,7 +35,7 @@ from .errors import (
     OrthoSfmError,
     SingularSystemError,
 )
-from .geometry import DEFAULT_TOL, dof_balance, projected_sq_distances
+from .geometry import DEFAULT_TOL, dof_balance, projected_sq_distances  # noqa: E402
 
 EXIT_OK = 0
 EXIT_INPUT = 1

@@ -14,6 +14,7 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,6 +24,7 @@ from .errors import InconsistentLengthsError, InvalidInputError, MissingLabelErr
 
 DEFAULT_TOL = 1e-9    # relative; the solvers' default and the two-frame layer's
 ORTHONORMALITY_TOL = 1e-9
+_DEFICIT_ULPS = 64    # rounding of a difference of squared lengths, in ulps of the largest
 
 # Edge order conventions: consecutive label pairs measured by
 # projected_sq_distances.  Index into the label list (P, Q, R[, T]).
@@ -347,7 +349,10 @@ def embed_depths(true_sq: TriangleDistances, frame_sq):
     sign = 1.0 if z_q - z_p >= 0.0 else -1.0
     branch = (math.sqrt(max(deficits[0], 0.0)), -sign * z_q, sign * z_p)
     closure = abs(sum(branch))
-    if closure > DEFAULT_TOL * math.sqrt(scale_sq) * 10:
+    # a deficit near zero is known to some ulps of scale_sq and its square
+    # root to the square root of that, so even consistent lengths close the
+    # loop only to about sqrt(rounding) * scale
+    if closure > 3.0 * math.sqrt(_DEFICIT_ULPS * sys.float_info.epsilon * scale_sq):
         raise InconsistentLengthsError(
             f"the depth offsets do not close the loop (gap {closure:.3g})")
     return branch, tuple(-x for x in branch)

@@ -46,7 +46,7 @@ MODES = {"p3f3": (3, 3), "p3f4": (3, 4), "p4f3": (4, 3)}
 
 # Dimensionless thresholds on normalized input (largest squared distance 1).
 _DEGENERACY_TOL = 1e-12  # |det| of the p3f3 elimination
-_SINGULAR_TOL = 1e-10    # smallest / largest singular value of a linear system
+_SINGULAR_TOL = 1e-10    # smallest singular value / max(largest, 1) of a linear system
 
 
 def check_tolerance(name: str, value) -> None:
@@ -265,11 +265,14 @@ def _solve_linear(mat, rhs):
     """Solve each square difference system of a stack.
 
     A system is singular when its smallest singular value falls below
-    _SINGULAR_TOL times its largest.  Returns the indices of the other
+    _SINGULAR_TOL times its largest, or times 1 when the largest is below
+    1: the input is normalized to 1, so a matrix of rounding noise (every
+    frame the same up to a turn about the view axis) is singular however
+    well its noise is conditioned.  Returns the indices of the other
     problems, their (M, e) solutions, and the (N,) singular flags.
     """
     sv = np.linalg.svd(mat, compute_uv=False)
-    singular = ~(sv[:, -1] > _SINGULAR_TOL * sv[:, 0])
+    singular = ~(sv[:, -1] > _SINGULAR_TOL * np.maximum(sv[:, 0], 1.0))
     row = np.flatnonzero(~singular)
     return row, np.linalg.solve(mat[row], rhs[row, :, None])[..., 0], singular
 

@@ -59,6 +59,26 @@ def observation_scale(frames):
     return math.sqrt(max(f.scale_sq() for f in frames))
 
 
+def view_axis_frames(n_points: int, n_frames: int, seed: int):
+    """Exact frames of a random body whose later frames only turn about the
+    view axis (by 0.3-1.2 rad) and shift in the image plane.
+
+    Every frame then has the same projected distances, so the lengths cannot
+    be recovered: a solver must call the input degenerate.
+    """
+    rng = np.random.default_rng(seed)
+    rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    image = (rng.normal(size=(n_points, 3)) @ rotation.T)[:, :2]
+    frames = [image]
+    for theta in rng.uniform(0.3, 1.2, n_frames - 1):
+        turn = np.array([[math.cos(theta), math.sin(theta)],
+                         [-math.sin(theta), math.cos(theta)]])
+        frames.append(image @ turn + rng.uniform(-1.0, 1.0, 2))
+    return [geo.FrameObservation(tuple((lab, geo.Point2(*xy)) for lab, xy in
+                                       zip("PQRT", frame.tolist())))
+            for frame in frames]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -40,6 +40,29 @@ def test_pairs_by_seed_and_groups_by_hundred():
     assert record["groups"]["noise-study seeds 101-101"]["end_to_end"]["ops_per_s"]["pairs"]["won"] == 1
 
 
+def test_gain_rule_and_bound():
+    # ops_per_s: 9 of 10 pairs won by far more than the before IQR;
+    # latency_p50_ms: 30% worse against a bound of 25%
+    before = [result(s, 10.0 + s / 10, 100.0) for s in range(1, 11)]
+    after = [result(s, 9.0 if s == 1 else 20.0, 130.0) for s in range(1, 11)]
+    metrics = bench_summary.summarize("x", before, after, SPEC)["groups"][
+        "noise-study seeds 1-10"]["end_to_end"]
+    ops, p50 = metrics["ops_per_s"], metrics["latency_p50_ms"]
+    assert ops["pairs"]["won"] == 9 and ops["gain_rule_met"] and not ops["beyond_bound"]
+    assert p50["beyond_bound"] and not p50["gain_rule_met"]
+    # 8 of 10 pairs won misses the rule however large the gain; a gain the
+    # before IQR covers misses it however many pairs are won
+    after[1] = result(2, 9.0, 100.0)
+    eight = bench_summary.summarize("x", before, after, SPEC)["groups"][
+        "noise-study seeds 1-10"]["end_to_end"]
+    assert eight["ops_per_s"]["pairs"]["won"] == 8 and not eight["ops_per_s"]["gain_rule_met"]
+    close = [result(s, 10.0 + s / 10 + 0.05, 80.0) for s in range(1, 11)]
+    near = bench_summary.summarize("x", before, close, SPEC)["groups"][
+        "noise-study seeds 1-10"]["end_to_end"]
+    assert near["ops_per_s"]["pairs"]["won"] == 10 and not near["ops_per_s"]["gain_rule_met"]
+    assert near["latency_p50_ms"]["gain_rule_met"] and not near["latency_p50_ms"]["beyond_bound"]
+
+
 def test_traced_runs_report_unreached_spans(tmp_path, capsys):
     layers = [{"a.us": {"value": 5.0, "reached": True}, "b.us": {"value": 0, "reached": False}},
               {"a.us": {"value": 2.0, "reached": True}, "b.us": {"value": 3.0, "reached": True}}]

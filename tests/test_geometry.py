@@ -233,6 +233,25 @@ class TestEmbedDepths:
         b1, _ = geo.embed_depths(tri, (1.0 * s * s, 4.0 * s * s, 1.0 * s * s))
         assert abs(sum(b1)) < 1e-12 * s
 
+    def test_near_tie_edges_accepted_at_every_scale(self):
+        # an edge nearly parallel to the image plane has a deficit near zero,
+        # whose square root carries sqrt(rounding): consistent lengths must
+        # still close the loop
+        rng = np.random.default_rng(11)
+        for k in range(900):
+            pts = rng.uniform(-1.0, 1.0, (3, 3))
+            i, j = geo.TRIANGLE_EDGES[k % 3]
+            tie = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, -6) if k % 2 else 0.0
+            pts[j, 2] = pts[i, 2] + tie
+            truth = [pts[b, 2] - pts[a, 2] for a, b in geo.TRIANGLE_EDGES]
+            for s in SCALE_SWEEP:
+                tri = geo.TriangleDistances(*(float((pts[a] - pts[b]) @ (pts[a] - pts[b])) * s * s
+                                              for a, b in geo.TRIANGLE_EDGES))
+                frame = [float((pts[a, :2] - pts[b, :2]) @ (pts[a, :2] - pts[b, :2])) * s * s
+                         for a, b in geo.TRIANGLE_EDGES]
+                branches = geo.embed_depths(tri, frame)
+                err = min(max(abs(g - t * s) for g, t in zip(b, truth)) for b in branches)
+                assert err < 1e-7 * s, (k, s, err)
 
 # Reference: embed_depths as it was before it used geometry.depth_pair, with
 # its own search over the four sign assignments, kept verbatim.

@@ -9,7 +9,7 @@ from orthosfm import geometry as geo
 from orthosfm import scene_sim as sim
 from orthosfm.errors import InvalidInputError
 
-from conftest import golden_scene, scaled
+from conftest import golden_scene, scaled, view_axis_frames
 
 
 class TestSceneJson:
@@ -132,6 +132,15 @@ class TestCliRecover:
         code = cli.main(["recover", str(f), "--mode", "p3f3", "--out", str(out)])
         assert code == cli.EXIT_DEGENERATE
         assert json.loads(out.read_text())["status"] == "degenerate"
+
+    def test_view_axis_motion_exits_degenerate(self, tmp_path):
+        # frames 2-4 differ from frame 1 by a turn about the view axis only
+        f, out = tmp_path / "frames.csv", tmp_path / "report.json"
+        codes = []
+        for seed in range(100):
+            f.write_text(io_files.frames_to_csv(view_axis_frames(3, 4, seed)))
+            codes.append(cli.main(["recover", str(f), "--out", str(out)]))
+        assert codes == [cli.EXIT_DEGENERATE] * 100
 
     def test_auto_degenerate_reports_chosen_mode(self, tmp_path):
         frames = sim.render(golden_scene(4))

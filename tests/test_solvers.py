@@ -23,6 +23,7 @@ from conftest import (
     frames_sq,
     golden_scene,
     true_sq,
+    view_axis_frames,
 )
 
 SOLVER_SHAPES = ((sol.solve_p3f3, 3, 3), (sol.solve_p3f4, 3, 4), (sol.solve_p4f3, 4, 3))
@@ -548,6 +549,17 @@ class TestStackEqualsRows:
         counts = {len(rows) for rows in got if rows != "degenerate"}
         assert counts == ({0, 2} if mode == "p3f3" else {1}), counts
         assert np.all(np.diff(batch.row) >= 0)
+
+    @pytest.mark.parametrize("mode", sorted(sol.MODES))
+    def test_view_axis_motion_is_degenerate(self, mode):
+        # every difference row is rounding noise, which a test of
+        # sigma_min / sigma_max alone can pass as well conditioned
+        n_points, n_frames = sol.MODES[mode]
+        stack = [[geo.projected_sq_distances(f, "PQRT"[:n_points])
+                  for f in view_axis_frames(n_points, n_frames, seed)]
+                 for seed in range(300)]
+        batch = sol.solve_batch(mode, stack)
+        assert batch.degenerate.all() and batch.row.size == 0
 
     def test_singular_jacobian_stops_only_its_candidate(self):
         # identical frames make one candidate's Jacobian exactly singular

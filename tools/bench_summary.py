@@ -8,10 +8,13 @@ Each file is a result.json written by ``orthobench/run.py`` (under
 the next run of that workload overwrites it).  Untraced runs are grouped by
 workload and by hundred of their seed, so a recheck on seeds 101-110 stays
 apart from seeds 1-10.  For every group and every end-to-end metric of
-BENCHMARK.json the record holds the median and quartiles of each side and,
-over the runs paired by seed, how many pairs the after side won.  Traced runs
-give each side's median of every per-layer metric, or "not reached".
-Standard library only.
+BENCHMARK.json the record holds the median and quartiles of each side,
+over the runs paired by seed how many pairs the after side won, and two
+verdicts: gain_rule_met (at least 9 in 10 pairs won, ties counting for
+neither, and a median gain larger than the before side's interquartile
+range) and beyond_bound (the median worse by more than the metric's bound).
+Traced runs give each side's median of every per-layer metric, or "not
+reached".  Standard library only.
 """
 
 from __future__ import annotations
@@ -43,15 +46,19 @@ def _end_to_end(before, after, spec):
         gains = [sign * (b["end_to_end"][name]["value"] - a["end_to_end"][name]["value"])
                  for a, b in pairs]
         old_spread, new_spread = _spread(old), _spread(new)
+        change = new_spread["median"] / old_spread["median"] - 1.0
+        won = sum(g > 0 for g in gains)
+        exceeds = (sign * (new_spread["median"] - old_spread["median"])
+                   > old_spread["q3"] - old_spread["q1"])
         metrics[name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "before": old_spread, "after": new_spread,
-            "relative_change": new_spread["median"] / old_spread["median"] - 1.0,
-            "pairs": {"won": sum(g > 0 for g in gains), "lost": sum(g < 0 for g in gains),
+            "relative_change": change,
+            "pairs": {"won": won, "lost": sum(g < 0 for g in gains),
                       "tied": sum(g == 0 for g in gains)},
-            "median_gain_exceeds_before_iqr":
-                sign * (new_spread["median"] - old_spread["median"])
-                > old_spread["q3"] - old_spread["q1"],
+            "median_gain_exceeds_before_iqr": exceeds,
+            "gain_rule_met": bool(gains) and 10 * won >= 9 * len(gains) and exceeds,
+            "beyond_bound": -sign * change > metric["bound"],
         }
     return metrics
 
