@@ -7,9 +7,13 @@ a predictable line; the distance to that line scores candidate
 correspondences.  This script:
 
   1. shuffles the labels of a second frame and recovers the true
-     point-to-point assignment by scoring all 24 ordered candidates, and
-  2. uses the same residual as a rigidity test, flagging a frame pair in
-     which one point moved independently of the body.
+     point-to-point assignment by scoring all 24 ordered candidates,
+  2. does the same for six points, where the matcher is linear: under
+     orthography the depth drops out of x2 = A x1 + r z1 + t, so four
+     probe correspondences fix every other point's epipolar line, and all
+     360 probe assignments are ranked in one batched pass, and
+  3. uses the 4-point residual as a rigidity test, flagging a frame pair
+     in which one point moved independently of the body.
 """
 
 import numpy as np
@@ -47,7 +51,24 @@ print("recovered: "
 print("correct!" if report.full_assignment == relabel else "MISMATCH")
 print()
 
-# --- part 2: rigidity verdict ----------------------------------------------
+# --- part 2: six points, ranked by affine epipolar lines --------------------
+scene6 = gen_scene(n_points=6, n_frames=2, seed=SEED)
+first, second = render(scene6)
+labels6 = list(second.labels)
+relabel6 = dict(zip(labels6, rng.permutation(labels6)))
+shuffled6 = FrameObservation(tuple(
+    (relabel6[lab], p) for lab, p in second.points))
+
+report6 = match_points(first, shuffled6)
+print(f"six points: {report6.n_scored} probe assignments ranked by "
+      f"{report6.score!r}; best {report6.best_residual:.2e}, "
+      f"margin {report6.margin:.2e}")
+print("recovered: "
+      + ", ".join(f"{a}->{b}" for a, b in report6.full_assignment.items()))
+print("correct!" if report6.full_assignment == relabel6 else "MISMATCH")
+print()
+
+# --- part 3: rigidity verdict ----------------------------------------------
 score = rigidity_score(frame1, frame2)
 print(f"rigidity residual, intact body:        {score:.2e}")
 

@@ -163,13 +163,14 @@ def cmd_match(args) -> int:
             match = two_frame.match_points(
                 frame1, frame2, rigidity_tol=args.threshold)
             report["assignment"] = {str(k): str(v) for k, v in match.full_assignment.items()}
+            report["score"] = match.score
             report["best_residual"] = match.best_residual
             report["margin"] = match.margin
             report["n_scored"] = match.n_scored
             report["n_infeasible"] = sum(math.isinf(r) for _, r in match.ranking)
             report["ranking"] = [
-                {"targets": list(a.target_labels), "residual": r}
-                for a, r in match.ranking
+                {"targets": list(targets), "residual": r}
+                for targets, r in match.ranking
             ]
         else:
             labels = frame1.labels[:4]

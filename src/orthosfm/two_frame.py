@@ -13,7 +13,13 @@ projection when it admits a triangle, else one probe between consecutive
 zeros of a few quadratics in |RP|^2 decides in O(1) whether any larger
 length does (_assumed_length).  Each assignment is set up once, and its
 depths come from geometry.depth_pair.  Five points make the prediction
-fully linear (residual_5pt).  Each function divides its points once by the
+fully linear (residual_5pt): orthography drops the depth from
+x2 = A*x1 + r*z1 + t, which leaves one affine epipolar equation per
+correspondence.  So for n >= 5 match_points ranks all probe assignments in
+one batched pass over those equations and gives only the winner's probe
+quadruple the 4-point test; a motion without a depth term (a turn about
+the view axis) or a collinear frame leaves the epipolar direction undefined
+and is refused as degenerate.  Each function divides its points once by the
 frame pair's scale (_pair_scale), so every threshold here is dimensionless.
 The thresholds are named once, in the table below, and none of them is a
 parameter: match_points' rigidity_tol is the one tolerance a caller sets.
@@ -62,6 +68,7 @@ DEPTH_AXIS_EPS = 1e-18    # zero below: |rotated depth axis in the image|^2
 BASE_REPROJECTION = 100 * DEFAULT_TOL   # worst reprojection of a base ambiguity_family takes
 EXACT_REPROJECTION = 10 * DEFAULT_TOL   # ... of a base candidate returned at once
 REPROJECTION_BOUND = 1e-6               # ... of any other fit, member or base candidate kept
+AFFINE_RANK_EPS = 1e-12   # rank deficient below: sigma_4 / sigma_1 of an epipolar stack
 
 
 @dataclass(frozen=True)
@@ -400,14 +407,32 @@ def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Scored assignments for two unlabeled frames."""
+    """The scored assignments of two unlabeled frames and the winner.
 
-    ranking: tuple          # of (Assignment, residual), ascending
+    Every ordered assignment of the four probe labels (best.source_labels)
+    into the second frame is scored by the test that score names, and
+    ranking lists them as (target labels, score) in the frames' units,
+    ascending, ties by target labels:
+      "collinearity_4pt" (n = 4): the fourth probe's distance to the line
+        its three partners predict, inf when no assumed length admits the
+        assignment (collinearity_residual_4pt);
+      "affine_epipolar" (n >= 5): over the points outside the probe, the
+        worst distance from a point's nearest unused target to its epipolar
+        line under the affine motion the probes fix, inf when that line is
+        undefined.
+    best is the winning probe assignment (see match_points) and
+    best_residual its score: for n = 4 the first in the ranking, for n >= 5
+    the first whose full assignment is one-to-one and whose probe quadruple
+    passes the 4-point test.
+    """
+
+    ranking: tuple          # of (target labels, score), ascending
     best: Assignment
     best_residual: float
-    margin: float           # runner-up residual minus best residual
+    margin: float           # the best other assignment's score minus best_residual
     n_scored: int
-    full_assignment: dict   # all labels, incl. greedily matched extras
+    full_assignment: dict   # all labels
+    score: str              # "collinearity_4pt" or "affine_epipolar"
 
 
 def _probe_labels(frame: FrameObservation) -> tuple:
@@ -434,32 +459,151 @@ def _probe_labels(frame: FrameObservation) -> tuple:
     return max(itertools.combinations(labels, 4), key=hull_area)
 
 
+def _unit_points(frame: FrameObservation, labels, scale: float) -> np.ndarray:
+    """The labels' (x, y) less the frame's centroid, divided by scale.
+
+    Raises DegenerateBasisError when the frame's points lie on one line:
+    then no image basis exists for the line prediction.
+    """
+    pts = _read(frame, labels)
+    pts = (pts - pts.mean(axis=0)) / scale
+    spread = np.linalg.svd(pts, compute_uv=False)
+    if spread[1] <= DEGENERACY_EPS * spread[0]:
+        raise DegenerateBasisError("every point of a frame lies on one line")
+    return pts
+
+
+def _epipolar_null_vectors(probe1: np.ndarray, pts2: np.ndarray,
+                           perms: np.ndarray) -> np.ndarray:
+    """Per assignment, the unit (a, b, c, d, e) with a*x2 + b*y2 + c*x1 +
+    d*y1 + e = 0 on its four probe correspondences: the affine epipolar
+    constraint, which orthography leaves once the depth is eliminated from
+    x2 = A*x1 + r*z1 + t.  One batched SVD of the (N, 4, 5) stack.
+
+    Raises DegenerateBasisError when any stack has rank below 4 (sigma_4 at
+    most AFFINE_RANK_EPS * sigma_1): the motion has no depth term (a turn
+    about the view axis) or four targets are collinear, so the epipolar
+    direction is undefined and a wrong assignment could rank first.
+    """
+    rows = np.empty((len(perms), 4, 5))
+    rows[..., :2] = pts2[perms]
+    rows[..., 2:4] = probe1
+    rows[..., 4] = 1.0
+    _, sv, vt = np.linalg.svd(rows)
+    deficient = int(np.count_nonzero(sv[:, 3] <= AFFINE_RANK_EPS * sv[:, 0]))
+    if deficient:
+        raise DegenerateBasisError(
+            f"{deficient} of {len(perms)} assignments fit an affine motion without "
+            "a depth term: epipolar direction undefined")
+    return vt[:, 4]
+
+
+def _epipolar_distances(null: np.ndarray, rest1: np.ndarray, pts2: np.ndarray,
+                        perms: np.ndarray) -> tuple:
+    """For each assignment (row of null and perms) and each first-frame point
+    of rest1: the index of its nearest second-frame point outside the
+    assignment's targets, and that point's distance to its epipolar line
+    (inf when the line is undefined).  Each is an (N, len(rest1)) array; no
+    (N, len(rest1), n) tensor is formed."""
+    n_perms = len(perms)
+    used = np.zeros((n_perms, len(pts2)), dtype=bool)
+    used[np.arange(n_perms)[:, None], perms] = True
+    nearest = np.empty((n_perms, len(rest1)), dtype=np.intp)
+    dist = np.empty((n_perms, len(rest1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_norm = 1.0 / np.hypot(null[:, 0], null[:, 1])
+        along = (np.outer(null[:, 0], pts2[:, 0])
+                 + np.outer(null[:, 1], pts2[:, 1])) * inv_norm[:, None]
+        for i, (x1, y1) in enumerate(rest1):
+            offset = (null[:, 2] * x1 + null[:, 3] * y1 + null[:, 4]) * inv_norm
+            to_line = np.abs(along + offset[:, None])
+            to_line[used] = np.inf
+            nearest[:, i] = to_line.argmin(axis=1)
+            dist[:, i] = to_line.min(axis=1)
+    dist[np.isnan(dist)] = np.inf
+    return nearest, dist
+
+
 def match_points(frame1: FrameObservation, frame2: FrameObservation,
                  rigidity_tol: float = DEFAULT_RIGIDITY_TOL) -> MatchReport:
     """Recover the point-to-point correspondence between two frames of one
     rigid body with unknown identities.
 
-    Four probe points are chosen in the first frame and every ordered
-    4-point assignment into the second frame is scored by the fourth
-    point's distance to its predicted line: n(n-1)(n-2)(n-3) assignments
-    for n points.  Remaining points (n > 4) are then matched greedily by
-    the same line prediction.
+    Four probe points are chosen in the first frame and each of the
+    n(n-1)(n-2)(n-3) ordered assignments of them into the second frame is
+    scored (see MatchReport).  For n = 4 the score is the 4-point line
+    prediction.  For n >= 5 one batched pass scores them all by the affine
+    epipolar lines the probes fix.  The ranking is then walked in order: the
+    first assignment whose nearest-target extension is one-to-one and whose
+    probe quadruple passes the 4-point test wins (the affine test alone
+    admits non-rigid affine motions), and the first score above rigidity_tol
+    ends the walk with a refusal that names that assignment's worst point.
 
-    Raises NoConsistentAssignmentError when every assignment's residual
-    exceeds the rigidity threshold, and InvalidInputError unless
+    Raises DegenerateBasisError when a frame's points are collinear or an
+    assignment's stack is rank-deficient (_epipolar_null_vectors),
+    NoConsistentAssignmentError when no assignment passes within
+    rigidity_tol of the pair's scale, and InvalidInputError unless
     rigidity_tol is finite and >= 0.
     """
     check_tolerance("rigidity_tol", rigidity_tol)
     labels1, labels2 = frame1.labels, frame2.labels
-    if len(labels1) != len(labels2):
+    n = len(labels1)
+    if n != len(labels2):
         raise InvalidInputError("frames must have equal cardinality")
-    if len(labels1) < 4:
+    if n < 4:
         raise InvalidInputError("matching needs at least 4 points")
     probe = _probe_labels(frame1)
+    rest = [lab for lab in labels1 if lab not in probe]
+    targets = sorted(labels2)
     scale = _pair_scale(frame1, frame2)
+    pts1 = _unit_points(frame1, list(probe) + rest, scale)
+    pts2 = _unit_points(frame2, targets, scale)
+    # lexicographic in the sorted targets, so that a stable sort by score
+    # leaves ties in target-label order
+    perm_labels = list(itertools.permutations(targets, 4))
+    perms = np.array(list(itertools.permutations(range(n), 4)))
+    null = _epipolar_null_vectors(pts1[:4], pts2, perms)
+    if n == 4:
+        return _match_four(frame1, frame2, probe, perm_labels, scale, rigidity_tol)
 
+    nearest, dist = _epipolar_distances(null, pts1[4:], pts2, perms)
+    scores = dist.max(axis=1)
+    order = np.argsort(scores, kind="stable").tolist()
+    for k in order:
+        best = Assignment(tuple(zip(probe, perm_labels[k])))
+        if not scores[k] <= rigidity_tol:
+            worst = int(dist[k].argmax())
+            raise NoConsistentAssignmentError(
+                f"point {rest[worst]!r}: epipolar distance {dist[k, worst]:.3g} of the "
+                f"image scale exceeds threshold (best-ranked probe assignment "
+                f"{best.as_dict()})")
+        if len(set(nearest[k].tolist())) < len(rest):
+            continue
+        try:
+            residual = collinearity_residual_4pt(frame1, frame2, best, None)
+        except (NoSolutionError, DegenerateBasisError, DegenerateEliminationError):
+            continue
+        if residual / scale <= rigidity_tol:
+            break
+    else:
+        raise NoConsistentAssignmentError(
+            "no assignment within threshold has a rigid probe quadruple and a "
+            "one-to-one extension")
+    full = best.as_dict()
+    full.update((lab, targets[j]) for lab, j in zip(rest, nearest[k].tolist()))
+    residuals = scores * scale
+    return MatchReport(
+        ranking=tuple(zip((perm_labels[j] for j in order), residuals[order].tolist())),
+        best=best, best_residual=float(residuals[k]),
+        margin=float(np.delete(residuals, k).min() - residuals[k]), n_scored=len(perms),
+        full_assignment=full, score="affine_epipolar")
+
+
+def _match_four(frame1, frame2, probe, perm_labels, scale, rigidity_tol) -> MatchReport:
+    """match_points for n = 4: each assignment scored by the 4-point line
+    prediction."""
     scored = []
-    for perm in itertools.permutations(labels2, 4):
+    for perm in perm_labels:
         assignment = Assignment(tuple(zip(probe, perm)))
         try:
             residual = collinearity_residual_4pt(frame1, frame2, assignment, None)
@@ -472,32 +616,10 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     if best_residual / scale > rigidity_tol:
         raise NoConsistentAssignmentError(
             f"best residual {best_residual / scale:.3g} of the image scale exceeds threshold")
-    margin = (scored[1][1] - best_residual) if len(scored) > 1 else math.inf
-
-    full = best.as_dict()
-    remaining1 = [lab for lab in labels1 if lab not in best.source_labels]
-    remaining2 = [lab for lab in labels2 if lab not in best.target_labels]
-    base = best.pairs[:3]
-    for lab in remaining1:
-        scored_rest = []
-        for cand in remaining2:
-            try:
-                res = collinearity_residual_4pt(
-                    frame1, frame2, Assignment(base + ((lab, cand),)), None)
-            except (NoSolutionError, DegenerateBasisError, DegenerateEliminationError):
-                res = math.inf
-            scored_rest.append((res, cand))
-        scored_rest.sort()
-        res, cand = scored_rest[0]
-        if res / scale > rigidity_tol:
-            raise NoConsistentAssignmentError(
-                f"point {lab!r}: best residual {res / scale:.3g} of the image scale "
-                "exceeds threshold")
-        full[lab] = cand
-        remaining2.remove(cand)
     return MatchReport(
-        ranking=tuple(scored), best=best, best_residual=best_residual,
-        margin=margin, n_scored=len(scored), full_assignment=full)
+        ranking=tuple((a.target_labels, r) for a, r in scored), best=best,
+        best_residual=best_residual, margin=scored[1][1] - best_residual,
+        n_scored=len(scored), full_assignment=best.as_dict(), score="collinearity_4pt")
 
 
 def rigidity_score(frame1: FrameObservation, frame2: FrameObservation,

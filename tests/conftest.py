@@ -79,6 +79,34 @@ def view_axis_frames(n_points: int, n_frames: int, seed: int):
             for frame in frames]
 
 
+def view_axis_pair(n_points: int, seed: int, tilt: float = 0.0):
+    """Two exact frames of a random n-point body: the second turned by
+    0.3-1.2 rad about an axis tilted by `tilt` rad off the view axis, shifted
+    in the image plane, and relabeled by a seeded permutation.
+
+    At tilt 0 the motion has no depth term, so the affine epipolar direction
+    is undefined and a matcher must call the pair degenerate.  Returns the
+    two frames and the true relabeling.
+    """
+    rng = np.random.default_rng(seed)
+    rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    body = rng.normal(size=(n_points, 3)) @ rotation.T
+    azimuth, theta = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.3, 1.2)
+    axis = np.array([math.sin(tilt) * math.cos(azimuth),
+                     math.sin(tilt) * math.sin(azimuth), math.cos(tilt)])
+    cross = np.array([[0.0, -axis[2], axis[1]],
+                      [axis[2], 0.0, -axis[0]],
+                      [-axis[1], axis[0], 0.0]])
+    turn = np.eye(3) + math.sin(theta) * cross + (1.0 - math.cos(theta)) * (cross @ cross)
+    images = (body[:, :2], (body @ turn.T)[:, :2] + rng.uniform(-1.0, 1.0, 2))
+    labels = [f"L{i}" for i in range(n_points)]
+    relabel = dict(zip(labels, (labels[i] for i in rng.permutation(n_points))))
+    frame1, frame2 = (geo.FrameObservation(tuple(
+        (name(lab), geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))
+        for name, image in ((str, images[0]), (relabel.get, images[1])))
+    return frame1, frame2, relabel
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -9,7 +9,7 @@ from orthosfm import geometry as geo
 from orthosfm import scene_sim as sim
 from orthosfm.errors import InvalidInputError
 
-from conftest import golden_scene, scaled, view_axis_frames
+from conftest import golden_scene, scaled, view_axis_frames, view_axis_pair
 
 
 class TestSceneJson:
@@ -229,6 +229,36 @@ class TestCliMatch:
         inf = sum(r["residual"] == float("inf") for r in report["ranking"])
         assert report["n_infeasible"] == inf
         assert len(report["ranking"]) == report["n_scored"]
+
+    @pytest.mark.parametrize("n, score", [(4, "collinearity_4pt"), (5, "affine_epipolar")])
+    def test_unlabeled_names_its_score(self, tmp_path, n, score):
+        f = tmp_path / "frames.csv"
+        write_frames(f, sim.gen_scene(n, 2, 44))
+        out = tmp_path / "report.json"
+        assert cli.main(["match", str(f), "--unlabeled", "--out", str(out)]) == cli.EXIT_OK
+        assert json.loads(out.read_text())["score"] == score
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_unlabeled_view_axis_motion_exits_degenerate(self, tmp_path, n):
+        for seed in range(5):
+            f = tmp_path / f"frames-{seed}.csv"
+            f.write_text(io_files.frames_to_csv(view_axis_pair(n, seed)[:2]))
+            out = tmp_path / f"report-{seed}.json"
+            code = cli.main(["match", str(f), "--unlabeled", "--out", str(out)])
+            assert code == cli.EXIT_DEGENERATE, seed
+            assert json.loads(out.read_text())["status"] == "degenerate"
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_unlabeled_collinear_first_frame_exits_degenerate(self, tmp_path, n):
+        _, frame2 = sim.render(sim.gen_scene(n, 2, 48))
+        frame1 = geo.FrameObservation(tuple(
+            (lab, geo.Point2(0.5 * k, 3.0 - k)) for k, lab in enumerate(frame2.labels)))
+        f = tmp_path / "frames.csv"
+        f.write_text(io_files.frames_to_csv([frame1, frame2]))
+        out = tmp_path / "report.json"
+        code = cli.main(["match", str(f), "--unlabeled", "--out", str(out)])
+        assert code == cli.EXIT_DEGENERATE
+        assert "on one line" in json.loads(out.read_text())["reason"]
 
     def test_non_rigid_report_has_timing(self, tmp_path):
         scene = sim.gen_scene(4, 2, 5)

@@ -17,7 +17,7 @@ from orthosfm.errors import (
     NoSolutionError,
 )
 
-from conftest import SCALE_SWEEP, frames_sq, scaled, true_sq
+from conftest import SCALE_SWEEP, frames_sq, scaled, true_sq, view_axis_pair
 
 
 def two_frames(scene):
@@ -174,6 +174,59 @@ class TestCollinearityResidual:
         assert got / factor == pytest.approx(res, rel=1e-13)
 
 
+def reference_match(frame1, frame2, rigidity_tol=tf.DEFAULT_RIGIDITY_TOL):
+    """The matcher that the batched affine-epipolar pass replaced for n >= 5:
+    every ordered probe assignment scored by the 4-point residual, then each
+    further point matched greedily by the same line prediction.  Returns the
+    full assignment or raises NoConsistentAssignmentError."""
+    labels1, labels2 = frame1.labels, frame2.labels
+    probe = tf._probe_labels(frame1)
+    scale = tf._pair_scale(frame1, frame2)
+
+    def residual(assignment):
+        got = outcome(tf.collinearity_residual_4pt, frame1, frame2, assignment, None)
+        return math.inf if isinstance(got, type) else got
+
+    scored = sorted(((residual(a), a.target_labels, a) for a in (
+        tf.Assignment(tuple(zip(probe, perm)))
+        for perm in itertools.permutations(labels2, 4))), key=lambda item: item[:2])
+    best_residual, _, best = scored[0]
+    if best_residual / scale > rigidity_tol:
+        raise NoConsistentAssignmentError("probe")
+    full = best.as_dict()
+    remaining2 = [lab for lab in labels2 if lab not in best.target_labels]
+    for lab in (lab for lab in labels1 if lab not in best.source_labels):
+        res, cand = min((residual(tf.Assignment(best.pairs[:3] + ((lab, cand),))), cand)
+                        for cand in remaining2)
+        if res / scale > rigidity_tol:
+            raise NoConsistentAssignmentError(lab)
+        full[lab] = cand
+        remaining2.remove(cand)
+    return full
+
+
+def match_outcome(match, frame1, frame2):
+    """A matcher's full assignment, or the type of the error it raised."""
+    try:
+        result = match(frame1, frame2)
+    except (NoConsistentAssignmentError, DegenerateBasisError) as exc:
+        return type(exc)
+    return result if isinstance(result, dict) else result.full_assignment
+
+
+def shuffled_pair(n, seed, scale=1.0, move=False):
+    """Frames 1 and 2 of gen_scene(n, 2, seed) at the given scale, the second
+    relabeled by a seeded permutation and, if move, one point of it shifted
+    off the body.  Returns the frames and the true relabeling."""
+    frame1, frame2 = (scaled(f, scale) for f in two_frames(sim.gen_scene(n, 2, seed)))
+    if move:
+        frame2 = scaled(moved_one(scaled(frame2, 1.0 / scale), seed), scale)
+    relabel = dict(zip(frame2.labels,
+                       np.random.default_rng(seed).permutation(frame2.labels).tolist()))
+    return frame1, geo.FrameObservation(tuple(
+        (relabel[lab], p) for lab, p in frame2.points)), relabel
+
+
 class TestMatchPoints:
     def test_recovers_identity_assignment(self):
         hits = 0
@@ -218,22 +271,50 @@ class TestMatchPoints:
         with pytest.raises(NoConsistentAssignmentError):
             tf.match_points(frame1, geo.FrameObservation(pts))
 
-    def test_extension_refusal_quotes_relative_residual(self):
-        # the probe quadruple stays rigid; only the extra point leaves the body
+    def test_refusal_names_moved_point_with_epipolar_distance(self):
+        # the probe quadruple stays rigid; only the extra point leaves the
+        # body.  residual_5pt predicts the same epipolar line by intersecting
+        # the point's ray with two probe planes: the refusal quotes the
+        # best-ranked distance above the threshold among all assignments
         frame1, frame2 = (scaled(f, 1e3) for f in two_frames(sim.gen_scene(5, 2, 8)))
         probe = tf._probe_labels(frame1)
         (extra,) = set(frame1.labels) - set(probe)
         moved = geo.FrameObservation(tuple(
             (lab, geo.Point2(p.x + 300.0, p.y) if lab == extra else p)
             for lab, p in frame2.points))
-        base = tuple((lab, lab) for lab in probe[:3])
-        res = tf.collinearity_residual_4pt(
-            frame1, moved, tf.Assignment(base + ((extra, extra),)))
+        scale = tf._pair_scale(frame1, moved)
+        distances = []
+        for perm in itertools.permutations(moved.labels):
+            relabel = dict(zip(perm, frame1.labels))
+            relabeled = geo.FrameObservation(tuple(
+                (relabel[lab], p) for lab, p in moved.points))
+            distances.append(
+                tf.residual_5pt(frame1, relabeled, probe + (extra,)) / scale)
+        expect = min(d for d in distances if d > tf.DEFAULT_RIGIDITY_TOL)
         with pytest.raises(NoConsistentAssignmentError) as exc:
             tf.match_points(frame1, moved)
-        relative = res / tf._pair_scale(frame1, moved)
-        assert f"point {extra!r}: best residual {relative:.3g} of the image scale" \
-            in str(exc.value)
+        assert str(exc.value).startswith(
+            f"point {extra!r}: epipolar distance {expect:.3g} of the image scale "
+            "exceeds threshold")
+
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_five_or_more_points_rank_by_affine_epipolar_lines(self, n):
+        frame1, frame2, relabel = shuffled_pair(n, 3)
+        report = tf.match_points(frame1, frame2)
+        assert report.score == "affine_epipolar"
+        assert report.full_assignment == relabel
+        assert report.n_scored == len(report.ranking) == n * (n - 1) * (n - 2) * (n - 3)
+        assert report.ranking == tuple(sorted(report.ranking, key=lambda r: (r[1], r[0])))
+        assert (report.best.target_labels, report.best_residual) == report.ranking[0]
+        assert report.best_residual < 1e-9 * scale_of(frame1, frame2)
+        assert report.margin == report.ranking[1][1] - report.best_residual
+
+    def test_four_points_rank_by_collinearity(self):
+        frame1, frame2, relabel = shuffled_pair(4, 12)
+        report = tf.match_points(frame1, frame2)
+        assert report.score == "collinearity_4pt"
+        assert report.full_assignment == relabel
+        assert report.ranking[0] == (report.best.target_labels, report.best_residual)
 
     def test_needs_four_points(self):
         scene = sim.gen_scene(3, 2, 1)
@@ -251,6 +332,108 @@ class TestMatchPoints:
             shuffled = geo.FrameObservation(tuple(
                 (relabel[lab], p) for lab, p in frame2.points))
             assert tf.match_points(frame1, shuffled).full_assignment == relabel, seed
+
+
+class TestSameAsExhaustiveSearch:
+    """match_points at n >= 5 against reference_match, the exhaustive 4-point
+    search with greedy extension that it replaced."""
+
+    @pytest.mark.parametrize("scale", SCALE_SWEEP)
+    def test_seeded_pairs_at_every_scale(self, scale):
+        kinds = set()
+        for n in (5, 6, 7):
+            for move in (False, True):
+                for seed in range(4):
+                    frame1, frame2, relabel = shuffled_pair(n, seed, scale, move)
+                    expect = match_outcome(reference_match, frame1, frame2)
+                    got = match_outcome(tf.match_points, frame1, frame2)
+                    assert got == expect, (n, move, seed)
+                    kinds.add("correct" if expect == relabel else expect)
+        assert kinds == {"correct", NoConsistentAssignmentError}
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([5, 6, 7]), seed=st.integers(0, 2**31),
+           scale=st.sampled_from(SCALE_SWEEP), move=st.booleans())
+    def test_same_outcome_as_reference(self, n, seed, scale, move):
+        frame1, frame2, _ = shuffled_pair(n, seed, scale, move)
+        assert match_outcome(tf.match_points, frame1, frame2) \
+            == match_outcome(reference_match, frame1, frame2)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_affine_motion_that_is_not_rigid(self, n):
+        # a stretched body passes the affine epipolar test under the true
+        # assignment; only the 4-point metric test refuses it
+        for seed in range(10):
+            body = sim.gen_body(n, seed)
+            stretch = np.diag(np.random.default_rng(seed).uniform(0.5, 1.5, 3))
+            motion = sim.gen_motion(seed)
+            frame1 = geo.FrameObservation(tuple(
+                (lab, geo.Point2(p.x, p.y)) for lab, p in body))
+            moved = (np.array([p.as_array() for _, p in body]) @ stretch.T
+                     @ motion.rotation.T)[:, :2] + motion.translation
+            frame2 = geo.FrameObservation(tuple(
+                (lab, geo.Point2(*xy)) for (lab, _), xy in zip(body, moved.tolist())))
+            expect = match_outcome(reference_match, frame1, frame2)
+            assert expect is NoConsistentAssignmentError, seed
+            assert match_outcome(tf.match_points, frame1, frame2) == expect, seed
+
+    def test_two_points_on_one_epipolar_line(self):
+        # Y lies in the plane of X's first-frame ray and the second view
+        # direction, so both share one epipolar line; with X's image moved off
+        # it, both points' nearest target is Y's: the extension is not
+        # one-to-one and the true probe assignment must not win
+        kinds = []
+        for seed in range(10):
+            probe = np.array([p.as_array() for _, p in sim.gen_body(4, seed)])
+            motion = sim.gen_motion(seed)
+            x = probe.mean(axis=0) + np.array([0.0, 0.0, 0.3])
+            y = x + 0.2 * np.array([0.0, 0.0, 1.0]) + 0.1 * motion.rotation[2]
+            body = np.vstack([probe, x, y])
+            image2 = (body @ motion.rotation.T)[:, :2] + motion.translation
+            ray = motion.rotation[:2, 2] / np.linalg.norm(motion.rotation[:2, 2])
+            image2[4] += 0.05 * np.array([-ray[1], ray[0]])
+            labels = ("P", "Q", "R", "T", "X", "Y")
+            frame1, frame2 = (geo.FrameObservation(tuple(
+                (lab, geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))
+                for image in (body[:, :2], image2))
+            if set(tf._probe_labels(frame1)) != set("PQRT"):
+                continue  # X or Y is a probe: the construction needs them outside
+            expect = match_outcome(reference_match, frame1, frame2)
+            assert match_outcome(tf.match_points, frame1, frame2) == expect, seed
+            kinds.append(expect)
+        assert kinds == [NoConsistentAssignmentError] * len(kinds) and len(kinds) >= 5
+
+    @pytest.mark.parametrize("tilt", [1e-6, 1e-4, 1e-2])
+    def test_axis_near_the_view_axis(self, tilt):
+        # a small depth term still fixes the epipolar lines of exact data
+        for seed in range(20):
+            frame1, frame2, relabel = view_axis_pair(5, seed, tilt)
+            assert match_outcome(tf.match_points, frame1, frame2) == relabel, seed
+            assert match_outcome(reference_match, frame1, frame2) == relabel, seed
+
+
+class TestDegenerateMatch:
+    @pytest.mark.parametrize("n, seeds", [(4, 50), (5, 50), (8, 10)])
+    def test_view_axis_motion_is_degenerate(self, n, seeds):
+        # every point keeps its distances: the 4-point search returned wrong
+        # assignments here, and the affine stacks of the true one lose rank
+        for seed in range(seeds):
+            frame1, frame2, _ = view_axis_pair(n, seed)
+            with pytest.raises(DegenerateBasisError, match="epipolar direction undefined"):
+                tf.match_points(frame1, frame2)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_collinear_first_frame_is_degenerate(self, n):
+        # every assignment is degenerate; this used to read as an infinite
+        # best residual (no consistent assignment)
+        for seed in range(10):
+            _, frame2 = two_frames(sim.gen_scene(n, 2, seed))
+            t = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+            frame1 = geo.FrameObservation(tuple(
+                (lab, geo.Point2(float(v), 2.0 * float(v) + 1.0))
+                for lab, v in zip(frame2.labels, t)))
+            with pytest.raises(DegenerateBasisError, match="on one line"):
+                tf.match_points(frame1, frame2)
 
 
 class TestRigidityScore:
@@ -596,15 +779,16 @@ class TestScreenedWalk:
         assert calls == [None] * report.n_scored
         assert len(setups) == report.n_scored
 
-    def test_rigid_five_point_match_calls_residual_once_per_assignment(
-            self, monkeypatch):
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_rigid_match_calls_residual_once_from_five_points(
+            self, monkeypatch, n):
+        # the affine pass ranks every assignment; only the winner's probe
+        # quadruple gets the 4-point test
         calls, setups = self.counted(monkeypatch)
-        frame1, frame2 = two_frames(sim.gen_scene(5, 2, 3))
+        frame1, frame2 = two_frames(sim.gen_scene(n, 2, 3))
         report = tf.match_points(frame1, frame2)
-        assert report.n_scored == 120
-        # plus one greedy-extension assignment: the fifth point's only partner
-        assert calls == [None] * (report.n_scored + 1)
-        assert len(setups) == report.n_scored + 1
+        assert report.n_scored == n * (n - 1) * (n - 2) * (n - 3)
+        assert calls == [None] and len(setups) == 1
 
     def test_rigidity_score_sets_up_once(self, monkeypatch):
         calls, setups = self.counted(monkeypatch)
