@@ -16,11 +16,13 @@ depths come from geometry.depth_pair.  Five points make the prediction
 fully linear (residual_5pt): orthography drops the depth from
 x2 = A*x1 + r*z1 + t, which leaves one affine epipolar equation per
 correspondence.  So for n >= 5 match_points ranks all probe assignments in
-one batched pass over those equations and gives only the winner's probe
-quadruple the 4-point test; a motion without a depth term (a turn about
-the view axis) or a collinear frame leaves the epipolar direction undefined
-and is refused as degenerate.  Each function divides its points once by the
-frame pair's scale (_pair_scale), so every threshold here is dimensionless.
+one batched closed-form pass over those equations (_affine_epipolar) and
+gives only the winner's probe quadruple the 4-point test.  Four probes
+that fit one affine map (coplanar in 3D) fix no epipolar direction; a
+further correspondence fixes it (_planar_extension).  Images that one 2D isometry maps onto each other (a
+turn about the view axis, no depth term) or a collinear frame are refused
+as degenerate.  Each function divides its points once by the frame pair's
+scale (_pair_scale), so every threshold here is dimensionless.
 The thresholds are named once, in the table below, and none of them is a
 parameter: match_points' rigidity_tol is the one tolerance a caller sets.
 """
@@ -68,7 +70,7 @@ DEPTH_AXIS_EPS = 1e-18    # zero below: |rotated depth axis in the image|^2
 BASE_REPROJECTION = 100 * DEFAULT_TOL   # worst reprojection of a base ambiguity_family takes
 EXACT_REPROJECTION = 10 * DEFAULT_TOL   # ... of a base candidate returned at once
 REPROJECTION_BOUND = 1e-6               # ... of any other fit, member or base candidate kept
-AFFINE_RANK_EPS = 1e-12   # rank deficient below: sigma_4 / sigma_1 of an epipolar stack
+AFFINE_RANK_EPS = 1e-8    # zero below: epipolar direction; congruent below: misfit to an isometry
 
 
 @dataclass(frozen=True)
@@ -419,7 +421,10 @@ class MatchReport:
       "affine_epipolar" (n >= 5): over the points outside the probe, the
         worst distance from a point's nearest unused target to its epipolar
         line under the affine motion the probes fix, inf when that line is
-        undefined.
+        undefined.  When the probes' correspondences fit one affine map
+        (coplanar probes) the line's direction comes from one further
+        correspondence, and a body whose points all fit the map scores
+        their distances to it (_planar_extension).
     best is the winning probe assignment (see match_points) and
     best_residual its score: for n = 4 the first in the ranking, for n >= 5
     the first whose full assignment is one-to-one and whose probe quadruple
@@ -473,55 +478,108 @@ def _unit_points(frame: FrameObservation, labels, scale: float) -> np.ndarray:
     return pts
 
 
-def _epipolar_null_vectors(probe1: np.ndarray, pts2: np.ndarray,
-                           perms: np.ndarray) -> np.ndarray:
-    """Per assignment, the unit (a, b, c, d, e) with a*x2 + b*y2 + c*x1 +
-    d*y1 + e = 0 on its four probe correspondences: the affine epipolar
-    constraint, which orthography leaves once the depth is eliminated from
-    x2 = A*x1 + r*z1 + t.  One batched SVD of the (N, 4, 5) stack.
+def _affine_epipolar(probe1: np.ndarray, pts2: np.ndarray, perms: np.ndarray) -> tuple:
+    """Per assignment, the affine map and the epipolar direction that its
+    four probe correspondences fix, in closed form.
 
-    Raises DegenerateBasisError when any stack has rank below 4 (sigma_4 at
-    most AFFINE_RANK_EPS * sigma_1): the motion has no depth term (a turn
-    about the view axis) or four targets are collinear, so the epipolar
-    direction is undefined and a wrong assignment could rank first.
+    Orthography gives x2 = A*x1 + r*z1 + t.  With q the unit affine
+    dependency of the four first-frame probes (q^T [x1, y1, 1] = 0), the
+    targets give q^T x2 = r * (q^T z1): an (N, 2) direction parallel to r,
+    along which every epipolar line runs.  The least-squares map
+    [x2, y2] = [x1, y1, 1] @ M, (N, 3, 2), misses the motion's affine part
+    only along r, so each point's line passes through its prediction
+    under M.  A direction no longer than AFFINE_RANK_EPS means the targets
+    keep the probes' dependency: the four pairs fit one affine map
+    (coplanar probes, or a motion without a depth term) and fix no
+    direction.
     """
-    rows = np.empty((len(perms), 4, 5))
-    rows[..., :2] = pts2[perms]
-    rows[..., 2:4] = probe1
-    rows[..., 4] = 1.0
-    _, sv, vt = np.linalg.svd(rows)
-    deficient = int(np.count_nonzero(sv[:, 3] <= AFFINE_RANK_EPS * sv[:, 0]))
-    if deficient:
-        raise DegenerateBasisError(
-            f"{deficient} of {len(perms)} assignments fit an affine motion without "
-            "a depth term: epipolar direction undefined")
-    return vt[:, 4]
+    design = np.column_stack([probe1, np.ones(len(probe1))])
+    dependency = np.linalg.svd(design.T)[2][-1]
+    targets = pts2[perms]
+    maps = np.einsum("ij,njk->nik", np.linalg.pinv(design), targets)
+    return maps, np.einsum("i,nij->nj", dependency, targets)
 
 
-def _epipolar_distances(null: np.ndarray, rest1: np.ndarray, pts2: np.ndarray,
-                        perms: np.ndarray) -> tuple:
-    """For each assignment (row of null and perms) and each first-frame point
-    of rest1: the index of its nearest second-frame point outside the
-    assignment's targets, and that point's distance to its epipolar line
-    (inf when the line is undefined).  Each is an (N, len(rest1)) array; no
-    (N, len(rest1), n) tensor is formed."""
+def _epipolar_distances(maps: np.ndarray, direction: np.ndarray, rest1: np.ndarray,
+                        pts2: np.ndarray, perms: np.ndarray) -> tuple:
+    """For each assignment (row of maps, direction and perms) and each
+    first-frame point of rest1: the index of its nearest second-frame point
+    outside the assignment's targets, and that point's distance to the
+    point's epipolar line, the line through its prediction under the map
+    along the direction (inf when the direction is zero).  Each is an
+    (N, len(rest1)) array; no (N, len(rest1), n) tensor is formed."""
     n_perms = len(perms)
     used = np.zeros((n_perms, len(pts2)), dtype=bool)
     used[np.arange(n_perms)[:, None], perms] = True
     nearest = np.empty((n_perms, len(rest1)), dtype=np.intp)
     dist = np.empty((n_perms, len(rest1)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv_norm = 1.0 / np.hypot(null[:, 0], null[:, 1])
-        along = (np.outer(null[:, 0], pts2[:, 0])
-                 + np.outer(null[:, 1], pts2[:, 1])) * inv_norm[:, None]
-        for i, (x1, y1) in enumerate(rest1):
-            offset = (null[:, 2] * x1 + null[:, 3] * y1 + null[:, 4]) * inv_norm
-            to_line = np.abs(along + offset[:, None])
+        normal = direction[:, ::-1] * (np.array([-1.0, 1.0])
+                                       / np.hypot(direction[:, 0], direction[:, 1])[:, None])
+        along = normal @ pts2.T
+        for i, point in enumerate(rest1):
+            offset = np.einsum("nj,nj->n", normal, point @ maps[:, :2] + maps[:, 2])
+            to_line = np.abs(along - offset[:, None])
             to_line[used] = np.inf
             nearest[:, i] = to_line.argmin(axis=1)
             dist[:, i] = to_line.min(axis=1)
     dist[np.isnan(dist)] = np.inf
     return nearest, dist
+
+
+def _planar_extension(fit_map: np.ndarray, rest1: np.ndarray, pts2: np.ndarray,
+                      targets: np.ndarray) -> tuple:
+    """Score an assignment whose probe correspondences fit one affine map
+    [x2, y2] = [x1, y1, 1] @ fit_map and so fix no epipolar direction.
+
+    Orthography moves each other point off the map's prediction by r*h, r
+    the motion's depth direction and h the point's height over the probes'
+    plane, so one further correspondence fixes the direction: that of the
+    point farthest from every prediction, tried with each unused target.
+    Returns (fit, dist, nearest), one entry per point of rest1: its
+    distance to the map's nearest unused prediction, and under the best
+    direction its nearest unused target's distance to its line and that
+    target.  A body whose points all fit the map to within AFFINE_RANK_EPS
+    keeps fit's distances: no point lies far enough off the plane to give a
+    direction.
+    """
+    used = np.zeros(len(pts2), dtype=bool)
+    used[targets] = True
+    offset = pts2[None] - (rest1 @ fit_map[:2] + fit_map[2])[:, None]
+    length = np.hypot(offset[..., 0], offset[..., 1])
+    length[:, used] = np.inf
+    fit = length.min(axis=1)
+    if fit.max(initial=0.0) <= AFFINE_RANK_EPS:
+        return fit, fit, length.argmin(axis=1)
+    pivot = int(fit.argmax())
+    valid = np.isfinite(length[pivot]) & (length[pivot] > 0.0)
+    dirs = offset[pivot, valid] / length[pivot, valid, None]
+    off = np.abs(dirs[:, None, None, 0] * offset[..., 1]
+                 - dirs[:, None, None, 1] * offset[..., 0])
+    off[..., used] = np.inf
+    worst = off.min(axis=2).max(axis=1)
+    if len(worst) and worst.min() < fit[pivot]:
+        best = off[int(worst.argmin())]
+        return fit, best.min(axis=1), best.argmin(axis=1)
+    return fit, fit, length.argmin(axis=1)
+
+
+def _check_depth_term(probe, perm_labels, coplanar, maps, planar):
+    """Raise DegenerateBasisError when an assignment whose probes fit one
+    affine map (coplanar: its indices; maps, planar: theirs) maps every
+    point by one 2D isometry to within AFFINE_RANK_EPS: the images are
+    congruent, so the motion shows no depth term (a turn about the view
+    axis) and no epipolar direction exists.  A map that is not an isometry
+    is a planar probe quadruple (or body) under a motion with a depth term.
+    The sqrt-rounding bound, not rigidity_tol, keeps answering exact pairs
+    whose depth term is small but resolvable."""
+    stretch = np.abs(np.linalg.svd(maps[:, :2], compute_uv=False) - 1.0).max(axis=1)
+    for k, misfit, (fit, _, _) in zip(coplanar.tolist(), stretch.tolist(), planar):
+        if max(misfit, fit.max(initial=0.0)) <= AFFINE_RANK_EPS:
+            raise DegenerateBasisError(
+                f"probe assignment {dict(zip(probe, perm_labels[k]))} maps every point "
+                "by one 2D isometry, a motion without a depth term: epipolar "
+                "direction undefined")
 
 
 def match_points(frame1: FrameObservation, frame2: FrameObservation,
@@ -536,11 +594,13 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     epipolar lines the probes fix.  The ranking is then walked in order: the
     first assignment whose nearest-target extension is one-to-one and whose
     probe quadruple passes the 4-point test wins (the affine test alone
-    admits non-rigid affine motions), and the first score above rigidity_tol
-    ends the walk with a refusal that names that assignment's worst point.
+    admits non-rigid affine motions).  The first score above rigidity_tol
+    ends the walk with a refusal that names the worst point of the
+    best-ranked assignment whose probe quadruple passes: for a rigid probe
+    quadruple, the point that left the body.
 
-    Raises DegenerateBasisError when a frame's points are collinear or an
-    assignment's stack is rank-deficient (_epipolar_null_vectors),
+    Raises DegenerateBasisError when a frame's points are collinear or the
+    frames are congruent under some assignment (_check_depth_term),
     NoConsistentAssignmentError when no assignment passes within
     rigidity_tol of the pair's scale, and InvalidInputError unless
     rigidity_tol is finite and >= 0.
@@ -562,41 +622,54 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     # leaves ties in target-label order
     perm_labels = list(itertools.permutations(targets, 4))
     perms = np.array(list(itertools.permutations(range(n), 4)))
-    null = _epipolar_null_vectors(pts1[:4], pts2, perms)
+    maps, direction = _affine_epipolar(pts1[:4], pts2, perms)
+    coplanar = np.flatnonzero(np.hypot(direction[:, 0], direction[:, 1]) <= AFFINE_RANK_EPS)
+    planar = [_planar_extension(maps[k], pts1[4:], pts2, perms[k]) for k in coplanar.tolist()]
+    _check_depth_term(probe, perm_labels, coplanar, maps[coplanar], planar)
     if n == 4:
         return _match_four(frame1, frame2, probe, perm_labels, scale, rigidity_tol)
 
-    nearest, dist = _epipolar_distances(null, pts1[4:], pts2, perms)
+    nearest, dist = _epipolar_distances(maps, direction, pts1[4:], pts2, perms)
+    for k, (_, planar_dist, planar_nearest) in zip(coplanar.tolist(), planar):
+        dist[k], nearest[k] = planar_dist, planar_nearest
     scores = dist.max(axis=1)
     order = np.argsort(scores, kind="stable").tolist()
-    for k in order:
-        best = Assignment(tuple(zip(probe, perm_labels[k])))
-        if not scores[k] <= rigidity_tol:
-            worst = int(dist[k].argmax())
-            raise NoConsistentAssignmentError(
-                f"point {rest[worst]!r}: epipolar distance {dist[k, worst]:.3g} of the "
-                f"image scale exceeds threshold (best-ranked probe assignment "
-                f"{best.as_dict()})")
-        if len(set(nearest[k].tolist())) < len(rest):
-            continue
+
+    def rigid_probe(k: int) -> bool:
         try:
-            residual = collinearity_residual_4pt(frame1, frame2, best, None)
+            residual = collinearity_residual_4pt(
+                frame1, frame2, Assignment(tuple(zip(probe, perm_labels[k]))), None)
         except (NoSolutionError, DegenerateBasisError, DegenerateEliminationError):
-            continue
-        if residual / scale <= rigidity_tol:
+            return False
+        return residual / scale <= rigidity_tol
+
+    for pos, k in enumerate(order):
+        if not scores[k] <= rigidity_tol:
             break
+        if len(set(nearest[k].tolist())) == len(rest) and rigid_probe(k):
+            best = Assignment(tuple(zip(probe, perm_labels[k])))
+            full = best.as_dict()
+            full.update((lab, targets[j]) for lab, j in zip(rest, nearest[k].tolist()))
+            residuals = scores * scale
+            return MatchReport(
+                ranking=tuple(zip((perm_labels[j] for j in order),
+                                  residuals[order].tolist())),
+                best=best, best_residual=float(residuals[k]),
+                margin=float(np.delete(residuals, k).min() - residuals[k]),
+                n_scored=len(perms), full_assignment=full, score="affine_epipolar")
     else:
         raise NoConsistentAssignmentError(
             "no assignment within threshold has a rigid probe quadruple and a "
             "one-to-one extension")
-    full = best.as_dict()
-    full.update((lab, targets[j]) for lab, j in zip(rest, nearest[k].tolist()))
-    residuals = scores * scale
-    return MatchReport(
-        ranking=tuple(zip((perm_labels[j] for j in order), residuals[order].tolist())),
-        best=best, best_residual=float(residuals[k]),
-        margin=float(np.delete(residuals, k).min() - residuals[k]), n_scored=len(perms),
-        full_assignment=full, score="affine_epipolar")
+    named = next((j for j in order[pos:] if rigid_probe(j)), None)
+    which = "best-ranked rigid probe assignment"
+    if named is None:
+        named, which = k, "best-ranked probe assignment; none is rigid"
+    worst = int(dist[named].argmax())
+    raise NoConsistentAssignmentError(
+        f"point {rest[worst]!r}: epipolar distance {dist[named, worst]:.3g} of the "
+        f"image scale exceeds threshold ({which}: "
+        f"{dict(zip(probe, perm_labels[named]))})")
 
 
 def _match_four(frame1, frame2, probe, perm_labels, scale, rigidity_tol) -> MatchReport:
@@ -640,14 +713,14 @@ def rigidity_score(frame1: FrameObservation, frame2: FrameObservation,
 
 def residual_5pt(frame1: FrameObservation, frame2: FrameObservation,
                  labels=None) -> float:
-    """Linear five-point consistency residual.
+    """Linear five-point consistency residual: the fifth point's distance,
+    in the second frame, to the affine epipolar line that the first four
+    correspondences fix (the matcher's construction, for one assignment).
+    No quadratic is solved.
 
-    The fifth point's first-frame ray is intersected with the planes PQT
-    and RPQ; both intersection points have affine coordinates computable
-    from the first frame alone, and their second-frame images span the
-    line that must contain S2.  No quadratic is solved.
-
-    Raises DegenerateBasisError when either in-frame basis is near-parallel.
+    Raises DegenerateBasisError when the four correspondences fit one affine
+    map (P, Q, R, T coplanar, or a motion without a depth term), so they fix
+    no line, or when a frame's five points lie on one line.
     """
     if labels is None:
         labels = frame1.labels[:5]
@@ -655,19 +728,14 @@ def residual_5pt(frame1: FrameObservation, frame2: FrameObservation,
     if len(labels) != 5:
         raise InvalidInputError("residual_5pt needs exactly 5 labels")
     scale = _pair_scale(frame1, frame2)
-    p1, q1, r1, t1, s1 = _read(frame1, labels) / scale
-    p2, q2, r2, t2, s2 = _read(frame2, labels) / scale
-
-    basis_a = np.column_stack([p1 - t1, q1 - t1])
-    basis_b = np.column_stack([p1 - r1, q1 - r1])
-    if (abs(np.linalg.det(basis_a)) < DEGENERACY_EPS
-            or abs(np.linalg.det(basis_b)) < DEGENERACY_EPS):
-        raise DegenerateBasisError("in-frame plane basis nearly parallel")
-    uv_a = np.linalg.solve(basis_a, s1 - t1)
-    uv_b = np.linalg.solve(basis_b, s1 - r1)
-    s2_a = t2 + np.column_stack([p2 - t2, q2 - t2]) @ uv_a
-    s2_b = r2 + np.column_stack([p2 - r2, q2 - r2]) @ uv_b
-    return _line_distance(*s2.tolist(), *s2_a.tolist(), *s2_b.tolist()) * scale
+    pts1, pts2 = (_unit_points(frame, labels, scale) for frame in (frame1, frame2))
+    identity = np.arange(4)[None]
+    maps, direction = _affine_epipolar(pts1[:4], pts2, identity)
+    if math.hypot(*direction[0]) <= AFFINE_RANK_EPS:
+        raise DegenerateBasisError(
+            "P, Q, R, T fit one affine map: epipolar line undefined")
+    _, dist = _epipolar_distances(maps, direction, pts1[4:], pts2, identity)
+    return float(dist[0, 0]) * scale
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,47 @@ def reference_match(frame1, frame2, rigidity_tol=tf.DEFAULT_RIGIDITY_TOL):
     return full
 
 
+def reference_residual_5pt(frame1, frame2, labels):
+    """residual_5pt's former construction, kept as an independent check of
+    the affine epipolar distance: the fifth point's first-frame ray meets
+    the planes PQT and RPQ in two points with affine coordinates from the
+    first frame alone, and their second-frame images span its line."""
+    scale = tf._pair_scale(frame1, frame2)
+    p1, q1, r1, t1, s1 = tf._read(frame1, labels) / scale
+    p2, q2, r2, t2, s2 = tf._read(frame2, labels) / scale
+    uv_a = np.linalg.solve(np.column_stack([p1 - t1, q1 - t1]), s1 - t1)
+    uv_b = np.linalg.solve(np.column_stack([p1 - r1, q1 - r1]), s1 - r1)
+    s2_a = t2 + np.column_stack([p2 - t2, q2 - t2]) @ uv_a
+    s2_b = r2 + np.column_stack([p2 - r2, q2 - r2]) @ uv_b
+    return tf._line_distance(*s2.tolist(), *s2_a.tolist(), *s2_b.tolist()) * scale
+
+
+def coplanar_probe_pair(n, seed, planar=False, lift=0.0):
+    """Two exact frames of a body whose four outer points lie in one plane,
+    but for the last one raised by lift, tilted by at most 0.5 rad from the
+    image plane so that they are the probe quadruple; the other points sit
+    over the quadrilateral's middle, off the plane unless planar.  The second frame follows gen_motion(seed)
+    and is relabeled by a seeded permutation.  Returns the frames and the
+    true relabeling."""
+    rng = np.random.default_rng(seed)
+    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    inner = rng.uniform(-0.4, 0.4, (n - 4, 2))
+    height = np.zeros(n - 4) if planar else rng.uniform(-0.5, 0.5, n - 4)
+    body = np.column_stack([np.vstack([corners + rng.normal(0.0, 0.1, (4, 2)), inner]),
+                            np.concatenate([[0.0, 0.0, 0.0, lift], height])])
+    azimuth, tilt = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 0.5)
+    axis = np.array([math.cos(azimuth), math.sin(azimuth), 0.0])
+    body = body @ tf._axis_rotation(axis, tilt).T
+    motion = sim.gen_motion(seed)
+    images = (body[:, :2], (body @ motion.rotation.T)[:, :2] + motion.translation)
+    labels = [f"L{i}" for i in range(n)]
+    relabel = dict(zip(labels, (labels[i] for i in rng.permutation(n))))
+    frame1, frame2 = (geo.FrameObservation(tuple(
+        (name(lab), geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))
+        for name, image in ((str, images[0]), (relabel.get, images[1])))
+    return frame1, frame2, relabel
+
+
 def match_outcome(match, frame1, frame2):
     """A matcher's full assignment, or the type of the error it raised."""
     try:
@@ -271,31 +312,37 @@ class TestMatchPoints:
         with pytest.raises(NoConsistentAssignmentError):
             tf.match_points(frame1, geo.FrameObservation(pts))
 
-    def test_refusal_names_moved_point_with_epipolar_distance(self):
-        # the probe quadruple stays rigid; only the extra point leaves the
-        # body.  residual_5pt predicts the same epipolar line by intersecting
-        # the point's ray with two probe planes: the refusal quotes the
-        # best-ranked distance above the threshold among all assignments
-        frame1, frame2 = (scaled(f, 1e3) for f in two_frames(sim.gen_scene(5, 2, 8)))
-        probe = tf._probe_labels(frame1)
-        (extra,) = set(frame1.labels) - set(probe)
-        moved = geo.FrameObservation(tuple(
-            (lab, geo.Point2(p.x + 300.0, p.y) if lab == extra else p)
-            for lab, p in frame2.points))
-        scale = tf._pair_scale(frame1, moved)
-        distances = []
-        for perm in itertools.permutations(moved.labels):
-            relabel = dict(zip(perm, frame1.labels))
-            relabeled = geo.FrameObservation(tuple(
-                (relabel[lab], p) for lab, p in moved.points))
-            distances.append(
-                tf.residual_5pt(frame1, relabeled, probe + (extra,)) / scale)
-        expect = min(d for d in distances if d > tf.DEFAULT_RIGIDITY_TOL)
-        with pytest.raises(NoConsistentAssignmentError) as exc:
-            tf.match_points(frame1, moved)
-        assert str(exc.value).startswith(
-            f"point {extra!r}: epipolar distance {expect:.3g} of the image scale "
-            "exceeds threshold")
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_refusal_names_moved_point_with_epipolar_distance(self, n):
+        # one point outside the rigid probe quadruple leaves the body across
+        # its epipolar line: the refusal names it with its nearest unused
+        # target's distance to that line under the true probe assignment, as
+        # the former five-point construction measures it
+        for seed in range(10):
+            scene = sim.gen_scene(n, 2, seed)
+            frame1, frame2 = (scaled(f, 1e3) for f in two_frames(scene))
+            probe = tf._probe_labels(frame1)
+            extra = [lab for lab in frame1.labels if lab not in probe][-1]
+            ray = scene.motions[1].rotation[:2, 2]
+            shift = 0.05 * scale_of(frame1, frame2) * np.array([-ray[1], ray[0]]) \
+                / np.linalg.norm(ray)
+            moved = geo.FrameObservation(tuple(
+                (lab, geo.Point2(*(p.as_array() + shift)) if lab == extra else p)
+                for lab, p in frame2.points))
+
+            def distance_to(target):
+                swap = {target: extra, extra: target}
+                swapped = geo.FrameObservation(tuple(
+                    (swap.get(lab, lab), p) for lab, p in moved.points))
+                return reference_residual_5pt(frame1, swapped, probe + (extra,))
+
+            expect = min(distance_to(lab) for lab in moved.labels if lab not in probe) \
+                / tf._pair_scale(frame1, moved)
+            with pytest.raises(NoConsistentAssignmentError) as exc:
+                tf.match_points(frame1, moved)
+            assert str(exc.value).startswith(
+                f"point {extra!r}: epipolar distance {expect:.3g} of the image scale "
+                "exceeds threshold (best-ranked rigid probe assignment: "), seed
 
     @pytest.mark.parametrize("n", [5, 6, 8])
     def test_five_or_more_points_rank_by_affine_epipolar_lines(self, n):
@@ -377,6 +424,30 @@ class TestSameAsExhaustiveSearch:
             assert expect is NoConsistentAssignmentError, seed
             assert match_outcome(tf.match_points, frame1, frame2) == expect, seed
 
+    @pytest.mark.parametrize("n, planar", [(4, True), (5, False), (5, True),
+                                           (6, False), (6, True), (8, False)])
+    def test_coplanar_probe_quadruple(self, n, planar):
+        # four coplanar probes fit one affine map under every motion, so
+        # they fix no epipolar direction although the motion has a depth
+        # term; the other points fix it, or fit the map themselves when the
+        # whole body is planar
+        for seed in range(10):
+            frame1, frame2, relabel = coplanar_probe_pair(n, seed, planar)
+            assert set(tf._probe_labels(frame1)) == {"L0", "L1", "L2", "L3"}, seed
+            assert match_outcome(reference_match, frame1, frame2) == relabel, seed
+            assert match_outcome(tf.match_points, frame1, frame2) == relabel, seed
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("lift", [1e-11, 1e-10, 1e-9])
+    def test_nearly_coplanar_probe_quadruple(self, n, lift):
+        # probes just off one plane give an epipolar direction of about the
+        # lift, known only to rounding / lift; below the sqrt-rounding bound
+        # the further correspondence must fix it instead
+        for seed in range(10):
+            frame1, frame2, relabel = coplanar_probe_pair(n, seed, lift=lift)
+            assert match_outcome(reference_match, frame1, frame2) == relabel, seed
+            assert match_outcome(tf.match_points, frame1, frame2) == relabel, seed
+
     def test_two_points_on_one_epipolar_line(self):
         # Y lies in the plane of X's first-frame ray and the second view
         # direction, so both share one epipolar line; with X's image moved off
@@ -416,7 +487,7 @@ class TestDegenerateMatch:
     @pytest.mark.parametrize("n, seeds", [(4, 50), (5, 50), (8, 10)])
     def test_view_axis_motion_is_degenerate(self, n, seeds):
         # every point keeps its distances: the 4-point search returned wrong
-        # assignments here, and the affine stacks of the true one lose rank
+        # assignments here, and the true one fixes no epipolar direction
         for seed in range(seeds):
             frame1, frame2, _ = view_axis_pair(n, seed)
             with pytest.raises(DegenerateBasisError, match="epipolar direction undefined"):
@@ -488,6 +559,24 @@ class TestResidual5pt:
             frame1, frame2 = (
                 scaled(f, scale) for f in two_frames(sim.gen_scene(5, 2, seed)))
             assert tf.residual_5pt(frame1, frame2) < 1e-9 * scale, seed
+
+    @pytest.mark.parametrize("scale", SCALE_SWEEP)
+    def test_same_distance_as_former_construction(self, scale):
+        for seed in range(20):
+            frame1, frame2 = (
+                scaled(f, scale) for f in two_frames(sim.gen_scene(5, 2, seed)))
+            broken = scaled(moved_one(scaled(frame2, 1.0 / scale), seed), scale)
+            for other in (frame2, broken):
+                expect = reference_residual_5pt(frame1, other, frame1.labels)
+                got = tf.residual_5pt(frame1, other)
+                assert got == pytest.approx(expect, rel=1e-6, abs=1e-9 * scale), seed
+
+    def test_coplanar_four_points_fix_no_line(self):
+        frame1, frame2, relabel = coplanar_probe_pair(5, 3)
+        inverse = {v: k for k, v in relabel.items()}
+        frame2 = geo.FrameObservation(tuple((inverse[lab], p) for lab, p in frame2.points))
+        with pytest.raises(DegenerateBasisError, match="epipolar line undefined"):
+            tf.residual_5pt(frame1, frame2, ("L0", "L1", "L2", "L3", "L4"))
 
     def test_needs_five_labels(self):
         scene = sim.gen_scene(4, 2, 2)
