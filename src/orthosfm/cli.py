@@ -88,11 +88,7 @@ def _pick_mode(n_points: int, n_frames: int) -> str:
 
 def cmd_recover(args) -> int:
     start = time.perf_counter()
-    try:
-        frames = _read_frames(args.frames_file)
-    except (OSError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    frames = _read_frames(args.frames_file)
     labels = frames[0].labels
     n_points, n_frames = len(labels), len(frames)
     mode = args.mode
@@ -111,9 +107,6 @@ def cmd_recover(args) -> int:
         }
         _write(io_files.report_to_json(report), args.out)
         return EXIT_DEGENERATE
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
     balance = dof_balance(n_points, n_frames)
     names = (("a_sq", "b_sq", "c_sq") if mode != "p4f3"
@@ -146,15 +139,11 @@ def cmd_recover(args) -> int:
 
 def cmd_match(args) -> int:
     start = time.perf_counter()
-    try:
-        # the labeled path compares the threshold here, not in two_frame
-        solvers.check_tolerance("--threshold", args.threshold)
-        frames = _read_frames(args.frames_file)
-        if len(frames) != 2:
-            raise InvalidInputError("match needs exactly 2 frames")
-    except (OSError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # the labeled path compares the threshold here, not in two_frame
+    solvers.check_tolerance("--threshold", args.threshold)
+    frames = _read_frames(args.frames_file)
+    if len(frames) != 2:
+        raise InvalidInputError("match needs exactly 2 frames")
     frame1, frame2 = frames
     report = {"command": "match", "unlabeled": bool(args.unlabeled)}
     code = EXIT_OK
@@ -181,9 +170,6 @@ def cmd_match(args) -> int:
             report["verdict"] = "consistent" if consistent else "inconsistent"
             if not consistent:
                 code = EXIT_NO_SOLUTION
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NoConsistentAssignmentError as exc:
         report["status"] = "no_consistent_assignment"
         report["reason"] = str(exc)
@@ -204,14 +190,9 @@ def cmd_match(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.points < 3 or args.frames < 2:
-        print("error: need --points >= 3 and --frames >= 2", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        seed = _default_seed(args.seed)
-        spec = scene_sim.NoiseSpec(level=args.noise, seed=scene_sim.subseed(seed, 10**6))
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InvalidInputError("need --points >= 3 and --frames >= 2")
+    seed = _default_seed(args.seed)
+    spec = scene_sim.NoiseSpec(level=args.noise, seed=scene_sim.subseed(seed, 10**6))
     scene = scene_sim.gen_scene(args.points, args.frames, seed)
     frames = scene_sim.render(scene)
     if spec.level > 0:
@@ -233,14 +214,9 @@ def cmd_noise_study(args) -> int:
     try:
         levels = [float(v) for v in args.levels.split(",") if v.strip()]
     except ValueError:
-        print("error: --levels must be comma-separated numbers", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        seed = _default_seed(args.seed)
-        rows = scene_sim.run_noise_study(args.mode, levels, args.trials, seed)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InvalidInputError("--levels must be comma-separated numbers") from None
+    seed = _default_seed(args.seed)
+    rows = scene_sim.run_noise_study(args.mode, levels, args.trials, seed)
     lines = [",".join(_STUDY_COLUMNS)]
     for row in rows:
         lines.append(",".join(repr(row[col]) for col in _STUDY_COLUMNS))
@@ -249,22 +225,17 @@ def cmd_noise_study(args) -> int:
 
 
 def cmd_ambiguity(args) -> int:
-    try:
-        frames = _read_frames(args.frames_file)
-        if len(frames) != 2:
-            raise InvalidInputError("ambiguity needs exactly 2 frames")
-    except (OSError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    frames = _read_frames(args.frames_file)
+    if len(frames) != 2:
+        raise InvalidInputError("ambiguity needs exactly 2 frames")
     frame1, frame2 = frames
     try:
         angles = [float(v) for v in args.angles.split(",") if v.strip()]
     except ValueError:
-        print("error: --angles must be comma-separated radians", file=sys.stderr)
-        return EXIT_INPUT
+        raise InvalidInputError("--angles must be comma-separated radians") from None
+    # ambiguity_family rejects these too, but past here a library error exits 2
     if not all(map(math.isfinite, angles)):
-        print(f"error: --angles must be finite, got {args.angles}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InvalidInputError(f"--angles must be finite, got {args.angles}")
     try:
         base = two_frame.base_interpretation_from_frames(frame1, frame2)
         members = two_frame.ambiguity_family(frame1, frame2, base, angles)
@@ -293,11 +264,7 @@ def cmd_ambiguity(args) -> int:
 
 
 def cmd_dof(args) -> int:
-    try:
-        balance = dof_balance(args.points, args.frames)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    balance = dof_balance(args.points, args.frames)
     verdict = "recoverable" if balance.recoverable else "not recoverable"
     print(f"points={args.points} frames={args.frames} "
           f"unknowns={balance.unknowns} information={balance.information} "
@@ -356,8 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; an input error (a bad value, an unreadable or
+    unwritable file) prints "error: ..." to stderr and exits 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, InvalidInputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

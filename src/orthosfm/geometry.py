@@ -9,6 +9,8 @@ Conventions used throughout the library:
   only at API edges.
 * Triangle edge order is PQ, QR, RP (lengths a, b, c); a tetrahedron adds
   TR, TP, TQ (lengths d, f, g).
+* A frame's image coordinates are read one way, as an (m, 2) array in the
+  order of the labels asked for (FrameObservation.coords).
 """
 
 from __future__ import annotations
@@ -147,39 +149,38 @@ class FrameObservation:
                 return pt
         raise MissingLabelError(f"label {label!r} absent from frame")
 
-    def locate(self, label) -> tuple:
-        """(index, x, y) of a label, from a table built on first use.
+    def coords(self, labels=None) -> np.ndarray:
+        """The (x, y) of the given labels, in their order, as an (m, 2)
+        array; of every point, in frame order, when labels is None (a
+        read-only array built on first use).
 
-        Raises MissingLabelError when the label is absent from the frame.
+        Raises MissingLabelError when a label is absent from the frame.
         """
-        try:
-            return self._locations[label]
-        except KeyError:
-            raise MissingLabelError(f"label {label!r} absent from frame") from None
-
-    def sq_distances(self) -> tuple:
-        """Squared image distance between every two points, n rows of n
-        floats indexed as in locate, computed on first use."""
-        return self._sq_distances
+        if labels is None:
+            return self._coords
+        names, rows = self.labels, []
+        for label in labels:
+            try:
+                rows.append(names.index(label))
+            except ValueError:
+                raise MissingLabelError(f"label {label!r} absent from frame") from None
+        return self._coords[rows]
 
     def scale_sq(self) -> float:
         """Squared diameter of the observation set, computed on first use."""
         return self._scale_sq
 
     @cached_property
-    def _locations(self) -> dict:
-        return {lab: (i, p.x, p.y) for i, (lab, p) in enumerate(self.points)}
-
-    @cached_property
-    def _sq_distances(self) -> tuple:
-        arr = np.array([[p.x, p.y] for _, p in self.points])
-        diff = arr[:, None, :] - arr[None, :, :]
-        # vecdot rounds each entry exactly as d @ d does on one difference d
-        return tuple(map(tuple, np.vecdot(diff, diff).tolist()))
+    def _coords(self) -> np.ndarray:
+        xy = np.array([(p.x, p.y) for _, p in self.points])
+        xy.flags.writeable = False
+        return xy
 
     @cached_property
     def _scale_sq(self) -> float:
-        return max(map(max, self._sq_distances))
+        diff = self._coords[:, None] - self._coords[None]
+        # vecdot rounds each entry exactly as d @ d does on one difference d
+        return float(np.vecdot(diff, diff).max())
 
 
 @dataclass(frozen=True)
@@ -292,11 +293,10 @@ def projected_sq_distances(frame: FrameObservation, labels) -> tuple:
         edges = TETRA_EDGES
     else:
         raise InvalidInputError("expected 3 or 4 labels")
-    pts = [frame.get(lab) for lab in labels]
+    xy = frame.coords(labels).tolist()
     out = []
     for i, j in edges:
-        dx = pts[i].x - pts[j].x
-        dy = pts[i].y - pts[j].y
+        dx, dy = xy[i][0] - xy[j][0], xy[i][1] - xy[j][1]
         out.append(dx * dx + dy * dy)
     return tuple(out)
 

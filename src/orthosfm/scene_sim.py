@@ -291,9 +291,9 @@ def add_noise(frames, spec: NoiseSpec) -> list:
     Uniform: eps ~ U(-level, level).  Gaussian: eps ~ N(0, (level/3)^2),
     so the stated level is a 3-sigma bound.  Bit-identical for level 0.
     """
-    if spec.level == 0.0:
+    if spec.level == 0.0 or not frames:
         return [FrameObservation(f.points) for f in frames]
-    coords = np.array([[p.x, p.y] for f in frames for _, p in f.points])
+    coords = np.concatenate([f.coords() for f in frames])
     noisy = (coords * (1.0 + _noise([spec.seed], spec, coords.shape)[0])).tolist()
     out, start = [], 0
     for f in frames:

@@ -19,10 +19,13 @@ correspondence.  So for n >= 5 match_points ranks all probe assignments in
 one batched closed-form pass over those equations (_affine_epipolar) and
 gives only the winner's probe quadruple the 4-point test.  Four probes
 that fit one affine map (coplanar in 3D) fix no epipolar direction; a
-further correspondence fixes it (_planar_extension).  Images that one 2D isometry maps onto each other (a
-turn about the view axis, no depth term) or a collinear frame are refused
-as degenerate.  Each function divides its points once by the frame pair's
-scale (_pair_scale), so every threshold here is dimensionless.
+further correspondence fixes it (_planar_extension).  Images that one 2D
+isometry maps onto each other (a turn about the view axis, no depth term),
+a collinear frame, and two points on one epipolar line (they swap as
+rigidly as they match) are refused as degenerate.  Each function reads a
+frame's coordinates once, as one (n, 2) array (FrameObservation.coords),
+and divides them once by the frame pair's scale (_pair_scale), so every
+threshold here is dimensionless.
 The thresholds are named once, in the table below, and none of them is a
 parameter: match_points' rigidity_tol is the one tolerance a caller sets.
 """
@@ -45,7 +48,6 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_TOL,
-    TRIANGLE_EDGES,
     FrameObservation,
     Point3,
     RigidMotion,
@@ -208,22 +210,14 @@ def _pair_scale(frame1: FrameObservation, frame2: FrameObservation) -> float:
     return math.sqrt(max(frame1.scale_sq(), frame2.scale_sq())) or 1.0
 
 
-def _read(frame: FrameObservation, labels) -> np.ndarray:
-    return np.array([frame.locate(lab)[1:] for lab in labels])
-
-
 def _unit_triangle(frame: FrameObservation, labels, scale: float):
     """The labels' (x, y) divided by scale, the squared projections of PQ,
-    QR, RP divided by scale^2, and the squared projection of RP as the
-    frame's table holds it."""
-    idx, pts = [], []
-    for lab in labels:
-        i, x, y = frame.locate(lab)
-        idx.append(i)
-        pts.append((x / scale, y / scale))
-    table, scale_sq = frame.sq_distances(), scale * scale
-    sq = tuple(table[idx[i]][idx[j]] / scale_sq for i, j in TRIANGLE_EDGES)
-    return pts, sq, table[idx[2]][idx[0]]
+    QR, RP divided by scale^2, and the squared projection of RP in the
+    frame's units, rounded as scale_sq rounds it."""
+    xy = frame.coords(labels)
+    d = xy[:3] - xy[[1, 2, 0]]   # PQ, QR, RP
+    sq = np.vecdot(d, d)
+    return (xy / scale).tolist(), tuple((sq / (scale * scale)).tolist()), float(sq[2])
 
 
 def _admissible_roots(coeffs: BofCCoeffs, minima: tuple, c_sq: float) -> tuple:
@@ -428,7 +422,8 @@ class MatchReport:
     best is the winning probe assignment (see match_points) and
     best_residual its score: for n = 4 the first in the ranking, for n >= 5
     the first whose full assignment is one-to-one and whose probe quadruple
-    passes the 4-point test.
+    passes the 4-point test; no point may then have two targets on its
+    epipolar line.
     """
 
     ranking: tuple          # of (target labels, score), ascending
@@ -446,22 +441,15 @@ def _probe_labels(frame: FrameObservation) -> tuple:
     labels = frame.labels
     if len(labels) == 4:
         return labels
-    pts = {lab: frame.get(lab).as_array() for lab in labels}
-
-    def hull_area(quad):
-        arr = [pts[lab] for lab in quad]
-        best = 0.0
-        # max over the three pairings of the quad into two triangles
-        for order in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)):
-            o = [arr[k] for k in order]
-            area = 0.0
-            for i in range(4):
-                j = (i + 1) % 4
-                area += o[i][0] * o[j][1] - o[j][0] * o[i][1]
-            best = max(best, abs(area) / 2.0)
-        return best
-
-    return max(itertools.combinations(labels, 4), key=hull_area)
+    quads = list(itertools.combinations(range(len(labels)), 4))
+    # each quad's three pairings into two triangles, as closed polygons
+    rings = frame.coords()[np.array(quads)[:, [[0, 1, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2]]]]
+    nxt = np.roll(rings, -1, axis=2)
+    cross = rings[..., 0] * nxt[..., 1] - nxt[..., 0] * rings[..., 1]
+    # the shoelace sum term by term, and the first quad of largest area
+    area = np.abs(((cross[..., 0] + cross[..., 1]) + cross[..., 2]) + cross[..., 3]) / 2.0
+    best = int(np.fmax.reduce(area, axis=1, initial=0.0).argmax())
+    return tuple(labels[i] for i in quads[best])
 
 
 def _unit_points(frame: FrameObservation, labels, scale: float) -> np.ndarray:
@@ -470,7 +458,7 @@ def _unit_points(frame: FrameObservation, labels, scale: float) -> np.ndarray:
     Raises DegenerateBasisError when the frame's points lie on one line:
     then no image basis exists for the line prediction.
     """
-    pts = _read(frame, labels)
+    pts = frame.coords(labels)
     pts = (pts - pts.mean(axis=0)) / scale
     spread = np.linalg.svd(pts, compute_uv=False)
     if spread[1] <= DEGENERACY_EPS * spread[0]:
@@ -536,12 +524,13 @@ def _planar_extension(fit_map: np.ndarray, rest1: np.ndarray, pts2: np.ndarray,
     the motion's depth direction and h the point's height over the probes'
     plane, so one further correspondence fixes the direction: that of the
     point farthest from every prediction, tried with each unused target.
-    Returns (fit, dist, nearest), one entry per point of rest1: its
-    distance to the map's nearest unused prediction, and under the best
-    direction its nearest unused target's distance to its line and that
-    target.  A body whose points all fit the map to within AFFINE_RANK_EPS
-    keeps fit's distances: no point lies far enough off the plane to give a
-    direction.
+    Returns (fit, table, direction): per point of rest1 its distance to the
+    map's nearest unused prediction; per point and second-frame point that
+    point's distance to the first's line under the best direction, inf for
+    the probes' targets; and that unit direction.  A body whose points all
+    fit the map to within AFFINE_RANK_EPS keeps the distances to the
+    predictions as its table, and direction None: no point lies far enough
+    off the plane to give a direction.
     """
     used = np.zeros(len(pts2), dtype=bool)
     used[targets] = True
@@ -550,7 +539,7 @@ def _planar_extension(fit_map: np.ndarray, rest1: np.ndarray, pts2: np.ndarray,
     length[:, used] = np.inf
     fit = length.min(axis=1)
     if fit.max(initial=0.0) <= AFFINE_RANK_EPS:
-        return fit, fit, length.argmin(axis=1)
+        return fit, length, None
     pivot = int(fit.argmax())
     valid = np.isfinite(length[pivot]) & (length[pivot] > 0.0)
     dirs = offset[pivot, valid] / length[pivot, valid, None]
@@ -559,9 +548,21 @@ def _planar_extension(fit_map: np.ndarray, rest1: np.ndarray, pts2: np.ndarray,
     off[..., used] = np.inf
     worst = off.min(axis=2).max(axis=1)
     if len(worst) and worst.min() < fit[pivot]:
-        best = off[int(worst.argmin())]
-        return fit, best.min(axis=1), best.argmin(axis=1)
-    return fit, fit, length.argmin(axis=1)
+        best = int(worst.argmin())
+        return fit, off[best], dirs[best]
+    return fit, length, None
+
+
+def _line_table(fit_map: np.ndarray, direction, pts1: np.ndarray,
+                pts2: np.ndarray) -> np.ndarray:
+    """Each second-frame point's distance (column) to each first-frame
+    point's epipolar line (row): the line through its prediction under
+    fit_map along direction, or with direction None the prediction itself."""
+    offset = pts2[None] - (pts1 @ fit_map[:2] + fit_map[2])[:, None]
+    if direction is None:
+        return np.hypot(offset[..., 0], offset[..., 1])
+    ux, uy = direction / math.hypot(*direction)
+    return np.abs(ux * offset[..., 1] - uy * offset[..., 0])
 
 
 def _check_depth_term(probe, perm_labels, coplanar, maps, planar):
@@ -595,12 +596,17 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     first assignment whose nearest-target extension is one-to-one and whose
     probe quadruple passes the 4-point test wins (the affine test alone
     admits non-rigid affine motions).  The first score above rigidity_tol
-    ends the walk with a refusal that names the worst point of the
-    best-ranked assignment whose probe quadruple passes: for a rigid probe
-    quadruple, the point that left the body.
+    ends the walk, with a refusal when nothing passed that names the worst
+    point of the best-ranked assignment whose probe quadruple passes: for a
+    rigid probe quadruple, the point that left the body.
 
-    Raises DegenerateBasisError when a frame's points are collinear or the
-    frames are congruent under some assignment (_check_depth_term),
+    Raises DegenerateBasisError when a frame's points are collinear, the
+    frames are congruent under some assignment (_check_depth_term), or the
+    correspondence is ambiguous: under the winner a point has a second
+    target within rigidity_tol of its epipolar line (two points on one
+    epipolar line swap as rigidly as they match).  An assignment that
+    fails only as not one-to-one is tested for this too, since rounding
+    alone may have sent two tied points to one target.
     NoConsistentAssignmentError when no assignment passes within
     rigidity_tol of the pair's scale, and InvalidInputError unless
     rigidity_tol is finite and >= 0.
@@ -614,9 +620,9 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
         raise InvalidInputError("matching needs at least 4 points")
     probe = _probe_labels(frame1)
     rest = [lab for lab in labels1 if lab not in probe]
-    targets = sorted(labels2)
+    sources, targets = list(probe) + rest, sorted(labels2)
     scale = _pair_scale(frame1, frame2)
-    pts1 = _unit_points(frame1, list(probe) + rest, scale)
+    pts1 = _unit_points(frame1, sources, scale)
     pts2 = _unit_points(frame2, targets, scale)
     # lexicographic in the sorted targets, so that a stable sort by score
     # leaves ties in target-label order
@@ -630,10 +636,16 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
         return _match_four(frame1, frame2, probe, perm_labels, scale, rigidity_tol)
 
     nearest, dist = _epipolar_distances(maps, direction, pts1[4:], pts2, perms)
-    for k, (_, planar_dist, planar_nearest) in zip(coplanar.tolist(), planar):
-        dist[k], nearest[k] = planar_dist, planar_nearest
+    planar_dirs = {}
+    for k, (_, table, line_dir) in zip(coplanar.tolist(), planar):
+        nearest[k], dist[k], planar_dirs[k] = table.argmin(axis=1), table.min(axis=1), line_dir
     scores = dist.max(axis=1)
     order = np.argsort(scores, kind="stable").tolist()
+    # the walk: the assignments within the threshold, best first
+    pos = int(np.count_nonzero(scores <= rigidity_tol))
+
+    def probe_map(k: int) -> dict:
+        return dict(zip(probe, perm_labels[k]))
 
     def rigid_probe(k: int) -> bool:
         try:
@@ -643,33 +655,43 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
             return False
         return residual / scale <= rigidity_tol
 
-    for pos, k in enumerate(order):
-        if not scores[k] <= rigidity_tol:
-            break
-        if len(set(nearest[k].tolist())) == len(rest) and rigid_probe(k):
-            best = Assignment(tuple(zip(probe, perm_labels[k])))
-            full = best.as_dict()
-            full.update((lab, targets[j]) for lab, j in zip(rest, nearest[k].tolist()))
-            residuals = scores * scale
-            return MatchReport(
-                ranking=tuple(zip((perm_labels[j] for j in order),
-                                  residuals[order].tolist())),
-                best=best, best_residual=float(residuals[k]),
-                margin=float(np.delete(residuals, k).min() - residuals[k]),
-                n_scored=len(perms), full_assignment=full, score="affine_epipolar")
-    else:
+    def tied(k: int) -> list:
+        # the first-frame points with two targets on their epipolar lines
+        line_dir = planar_dirs.get(k, direction[k])
+        close = _line_table(maps[k], line_dir, pts1, pts2) <= rigidity_tol
+        return np.flatnonzero(close.sum(axis=1) > 1).tolist()
+
+    k = next((k for k in order[:pos]
+              if (len(set(nearest[k].tolist())) == len(rest) or tied(k)) and rigid_probe(k)),
+             None)
+    if k is not None:
+        shared = tied(k)
+        if shared:
+            raise DegenerateBasisError(
+                f"point {sources[shared[0]]!r} has two targets within threshold "
+                f"of its epipolar line under probe assignment {probe_map(k)}: points on one "
+                "epipolar line make the correspondence ambiguous")
+        best = Assignment(tuple(zip(probe, perm_labels[k])))
+        full = best.as_dict()
+        full.update((lab, targets[j]) for lab, j in zip(rest, nearest[k].tolist()))
+        residuals = scores * scale
+        return MatchReport(
+            ranking=tuple(zip((perm_labels[j] for j in order), residuals[order].tolist())),
+            best=best, best_residual=float(residuals[k]),
+            margin=float(np.delete(residuals, k).min() - residuals[k]),
+            n_scored=len(perms), full_assignment=full, score="affine_epipolar")
+    if pos == len(order):
         raise NoConsistentAssignmentError(
             "no assignment within threshold has a rigid probe quadruple and a "
             "one-to-one extension")
     named = next((j for j in order[pos:] if rigid_probe(j)), None)
     which = "best-ranked rigid probe assignment"
     if named is None:
-        named, which = k, "best-ranked probe assignment; none is rigid"
+        named, which = order[pos], "best-ranked probe assignment; none is rigid"
     worst = int(dist[named].argmax())
     raise NoConsistentAssignmentError(
         f"point {rest[worst]!r}: epipolar distance {dist[named, worst]:.3g} of the "
-        f"image scale exceeds threshold ({which}: "
-        f"{dict(zip(probe, perm_labels[named]))})")
+        f"image scale exceeds threshold ({which}: {probe_map(named)})")
 
 
 def _match_four(frame1, frame2, probe, perm_labels, scale, rigidity_tol) -> MatchReport:
@@ -749,14 +771,13 @@ class Interpretation:
 
     def reprojection_residuals(self, frame1, frame2) -> tuple:
         """Max image distance to each frame's observed points."""
-        r1 = max(
-            math.hypot(p.x - frame1.get(lab).x, p.y - frame1.get(lab).y)
-            for lab, p in ((lab, project(pt)) for lab, pt in self.points))
+        labels = [lab for lab, _ in self.points]
+        obs1, obs2 = (frame.coords(labels).tolist() for frame in (frame1, frame2))
+        r1 = max(math.hypot(pt.x - x, pt.y - y) for (_, pt), (x, y) in zip(self.points, obs1))
         r2 = 0.0
-        for lab, pt in self.points:
+        for (_, pt), (x, y) in zip(self.points, obs2):
             img = project(apply_motion(self.motion, pt))
-            obs = frame2.get(lab)
-            r2 = max(r2, math.hypot(img.x - obs.x, img.y - obs.y))
+            r2 = max(r2, math.hypot(img.x - x, img.y - y))
         return r1, r2
 
 
@@ -819,6 +840,7 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
             "motion is in-plane: ambiguity axis undefined")
     axis /= axis_norm
     anchor = base.points[0][1].as_array()
+    targets = frame1.coords([lab for lab, _ in base.points])
 
     members = []
     for angle in angles:
@@ -831,10 +853,9 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
             continue
         new_points = []
         ok = True
-        for lab, pt in base.points:
+        for (lab, pt), target in zip(base.points, targets):
             x = pt.as_array()
             moved = anchor + spin @ (x - anchor)
-            target = frame1.get(lab).as_array()
             s = float(dir_xy @ (target - moved[:2])) / float(dir_xy @ dir_xy)
             y = moved + s * new_dir
             if np.linalg.norm(y[:2] - target) / scale > REPROJECTION_BOUND:
@@ -915,6 +936,7 @@ def base_interpretation_from_frames(frame1: FrameObservation,
     if len(labels) < 3:
         raise InvalidInputError("need at least 3 points")
     pair = _TrianglePair(frame1, frame2, labels[:3], labels[:3])
+    img1, img2 = frame1.coords(), frame2.coords(labels)
     try:
         c_sq, roots = pair.assumed_length()
     except NoSolutionError:
@@ -925,7 +947,7 @@ def base_interpretation_from_frames(frame1: FrameObservation,
         e1 = np.column_stack([pair.pts1, (zp1, zq1, 0.0)])
         for flip in (1.0, -1.0):
             e2 = np.column_stack([pair.pts2, (flip * zp2, flip * zq2, 0.0)])
-            cand = _fit_interpretation(frame1, frame2, e1, e2)
+            cand = _fit_interpretation(e1, e2, labels, img1, img2, pair.scale)
             if cand is None:
                 continue
             if cand[0] < EXACT_REPROJECTION:
@@ -938,12 +960,14 @@ def base_interpretation_from_frames(frame1: FrameObservation,
         "no rigid two-frame interpretation found for these observations")
 
 
-def _fit_interpretation(frame1, frame2, e1: np.ndarray, e2: np.ndarray):
+def _fit_interpretation(e1: np.ndarray, e2: np.ndarray, labels, img1: np.ndarray,
+                        img2: np.ndarray, scale: float):
     """Kabsch-fit a proper rotation e1 -> e2 and lift all frame points.
 
-    e1 and e2 are triangle embeddings in the frame pair's units
-    (_pair_scale).  Returns (worst reprojection residual in those units,
-    Interpretation in the frames' units), or None when the fit misses e2.
+    e1 and e2 are triangle embeddings in units of scale, the frame pair's
+    (_pair_scale); img1 and img2 hold the labels' (x, y) in each frame.
+    Returns (worst reprojection residual in units of scale, Interpretation
+    in the frames' units), or None when the fit misses e2.
     """
     cen1, cen2 = e1.mean(axis=0), e2.mean(axis=0)
     h = (e1 - cen1).T @ (e2 - cen2)
@@ -954,10 +978,6 @@ def _fit_interpretation(frame1, frame2, e1: np.ndarray, e2: np.ndarray):
     if fit_err > REPROJECTION_BOUND:
         return None
     translation = (cen2 - rot @ cen1)[:2]
-    scale = _pair_scale(frame1, frame2)
-
-    labels = frame1.labels
-    img1, img2 = _read(frame1, labels), _read(frame2, labels)
     rxy = rot[:2, :]  # top 2x3 block maps lifted points to image xy
     col = rxy[:, 2]
     # the depth on each first-frame ray that lands on its second-frame image

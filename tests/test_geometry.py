@@ -122,31 +122,41 @@ def random_frame(rng, labels="PQRTUV"):
         (lab, geo.Point2(*rng.normal(size=2))) for lab in labels))
 
 
-class TestFrameObservationTables:
-    def test_scale_sq_is_table_max(self, rng):
+class TestFrameObservationCoords:
+    def test_coords_in_label_order(self, rng):
         frame = random_frame(rng)
-        assert frame.scale_sq() == max(max(row) for row in frame.sq_distances())
+        labels = ("V", "P", "T", "Q")
+        got = frame.coords(labels)
+        assert got.shape == (4, 2)
+        assert got.tolist() == [[frame.get(lab).x, frame.get(lab).y] for lab in labels]
+        assert frame.coords(()).shape == (0, 2)
 
-    def test_table_rounds_as_matmul(self, rng):
-        # the matcher's first assumed c^2 is read from this table and must
-        # equal d @ d on the raw difference d
+    def test_coords_default_is_every_point(self, rng):
         frame = random_frame(rng)
-        table = frame.sq_distances()
-        for (i, (_, a)), (j, (_, b)) in itertools.product(enumerate(frame.points), repeat=2):
-            d = a.as_array() - b.as_array()
-            assert table[i][j] == float(d @ d)
+        got = frame.coords()
+        assert got.tolist() == [[p.x, p.y] for _, p in frame.points]
+        assert np.array_equal(got, frame.coords(frame.labels))
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0   # the shared array is read-only
 
-    def test_locate(self, rng):
+    def test_coords_missing_label(self, rng):
         frame = random_frame(rng)
-        for i, (lab, p) in enumerate(frame.points):
-            assert frame.locate(lab) == (i, p.x, p.y)
-        with pytest.raises(MissingLabelError):
-            frame.locate("Z")
+        with pytest.raises(MissingLabelError, match="'Z'"):
+            frame.coords(("P", "Z"))
 
-    def test_tables_leave_equality_and_hash(self, rng):
+    def test_scale_sq_is_brute_force_max(self, rng):
+        # the matcher compares its assumed c^2 with squared projections
+        # rounded as d @ d rounds them on the raw difference d
+        frame = random_frame(rng)
+        expect = max(float(d @ d) for d in (
+            a.as_array() - b.as_array()
+            for (_, a), (_, b) in itertools.product(frame.points, repeat=2)))
+        assert frame.scale_sq() == expect
+
+    def test_coords_leave_equality_and_hash(self, rng):
         frame = random_frame(rng)
         same = geo.FrameObservation(frame.points)
-        frame.scale_sq(), frame.locate("P")  # builds both tables on frame only
+        frame.scale_sq(), frame.coords(("P",))  # builds the cache on frame only
         assert frame == same and hash(frame) == hash(same)
         assert frame != random_frame(rng)
 

@@ -9,7 +9,13 @@ from orthosfm import geometry as geo
 from orthosfm import scene_sim as sim
 from orthosfm.errors import InvalidInputError
 
-from conftest import golden_scene, scaled, view_axis_frames, view_axis_pair
+from conftest import (
+    golden_scene,
+    scaled,
+    shared_epipolar_pair,
+    view_axis_frames,
+    view_axis_pair,
+)
 
 
 class TestSceneJson:
@@ -247,6 +253,18 @@ class TestCliMatch:
             code = cli.main(["match", str(f), "--unlabeled", "--out", str(out)])
             assert code == cli.EXIT_DEGENERATE, seed
             assert json.loads(out.read_text())["status"] == "degenerate"
+
+    def test_unlabeled_points_on_one_epipolar_line_exit_degenerate(self, tmp_path):
+        # swapping the two points' targets is as rigid as the truth
+        for seed in range(40):
+            f = tmp_path / f"frames-{seed}.csv"
+            f.write_text(io_files.frames_to_csv(shared_epipolar_pair(seed)))
+            out = tmp_path / f"report-{seed}.json"
+            code = cli.main(["match", str(f), "--unlabeled", "--out", str(out)])
+            assert code == cli.EXIT_DEGENERATE, seed
+            report = json.loads(out.read_text())
+            assert report["status"] == "degenerate", seed
+            assert "on one epipolar line" in report["reason"], seed
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_unlabeled_collinear_first_frame_exits_degenerate(self, tmp_path, n):
@@ -492,3 +510,24 @@ class TestCliDof:
 
     def test_invalid(self, capsys):
         assert cli.main(["dof", "--points", "0", "--frames", "3"]) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("command", ["simulate", "recover", "match", "noise-study", "ambiguity"])
+def test_out_in_missing_directory_is_input_error(tmp_path, capsys, command):
+    three, two = tmp_path / "three.csv", tmp_path / "two.csv"
+    write_frames(three, sim.gen_scene(4, 3, 1))
+    write_frames(two, sim.gen_scene(4, 2, 1))
+    argv = {
+        "simulate": ["simulate", "--points", "3", "--frames", "2", "--seed", "1"],
+        "recover": ["recover", str(three)],
+        "match": ["match", str(two), "--unlabeled"],
+        "noise-study": ["noise-study", "--trials", "2", "--seed", "1"],
+        "ambiguity": ["ambiguity", str(two)],
+    }[command]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    capsys.readouterr()
+    code = cli.main(argv + ["--out", str(tmp_path / "missing" / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("error:") and "No such file or directory" in err
+    assert "Traceback" not in err

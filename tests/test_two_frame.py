@@ -211,13 +211,61 @@ def reference_residual_5pt(frame1, frame2, labels):
     the planes PQT and RPQ in two points with affine coordinates from the
     first frame alone, and their second-frame images span its line."""
     scale = tf._pair_scale(frame1, frame2)
-    p1, q1, r1, t1, s1 = tf._read(frame1, labels) / scale
-    p2, q2, r2, t2, s2 = tf._read(frame2, labels) / scale
+    p1, q1, r1, t1, s1 = frame1.coords(labels) / scale
+    p2, q2, r2, t2, s2 = frame2.coords(labels) / scale
     uv_a = np.linalg.solve(np.column_stack([p1 - t1, q1 - t1]), s1 - t1)
     uv_b = np.linalg.solve(np.column_stack([p1 - r1, q1 - r1]), s1 - r1)
     s2_a = t2 + np.column_stack([p2 - t2, q2 - t2]) @ uv_a
     s2_b = r2 + np.column_stack([p2 - r2, q2 - r2]) @ uv_b
     return tf._line_distance(*s2.tolist(), *s2_a.tolist(), *s2_b.tolist()) * scale
+
+
+def reference_probe_labels(frame):
+    """_probe_labels' former pure-Python search: the first quadruple, in
+    combination order, of largest hull area, each area the largest of its
+    three pairings' shoelace sums taken term by term."""
+    labels = frame.labels
+    if len(labels) == 4:
+        return labels
+    pts = {lab: frame.get(lab).as_array() for lab in labels}
+
+    def hull_area(quad):
+        arr = [pts[lab] for lab in quad]
+        best = 0.0
+        for order in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)):
+            o = [arr[k] for k in order]
+            area = 0.0
+            for i in range(4):
+                j = (i + 1) % 4
+                area += o[i][0] * o[j][1] - o[j][0] * o[i][1]
+            best = max(best, abs(area) / 2.0)
+        return best
+
+    return max(itertools.combinations(labels, 4), key=hull_area)
+
+
+def labeled_frame(pts):
+    return geo.FrameObservation(tuple(
+        (f"L{i}", geo.Point2(*map(float, p))) for i, p in enumerate(pts)))
+
+
+class TestProbeLabels:
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_same_as_python_search(self, n):
+        rng = np.random.default_rng(n)
+        for seed in range(20):
+            frame = labeled_frame(rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-6, 6))
+            assert tf._probe_labels(frame) == reference_probe_labels(frame), seed
+            frame1 = two_frames(sim.gen_scene(n, 2, seed))[0]
+            assert tf._probe_labels(frame1) == reference_probe_labels(frame1), seed
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_exact_ties_keep_the_first_quadruple(self, n):
+        # grid and lattice points tie many hull areas exactly
+        grid = labeled_frame([(x, y) for x in range(3) for y in range(3)][:n])
+        lattice = labeled_frame(np.random.default_rng(n).integers(0, 3, size=(n, 2)))
+        for frame in (grid, lattice):
+            assert tf._probe_labels(frame) == reference_probe_labels(frame)
 
 
 def coplanar_probe_pair(n, seed, planar=False, lift=0.0):
