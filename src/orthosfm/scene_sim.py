@@ -120,18 +120,17 @@ def rotation_angle_axis(rot: np.ndarray) -> tuple:
 
 # ---------------------------------------------------------------- array core
 
-def _redraw(seqs, draw, usable) -> np.ndarray:
+def _redraw(rngs, draw, usable) -> np.ndarray:
     """One accepted draw per stream, stacked.
 
-    draw(rng, attempt) makes a stream's draw number `attempt` (0-based) from
-    a fresh Generator; usable(stack) says which draws of a stack to keep.  A
-    rejected stream is replayed from its start for its next attempt, so each
-    stream yields exactly what a loop redrawing from its own Generator would.
+    draw(rng) makes a stream's next draw from its Generator; usable(stack)
+    says which draws of a stack to keep.  A rejected stream draws again
+    from where it stopped, as a loop redrawing from its own Generator would.
     """
     out = None
-    pending = np.arange(len(seqs))
-    for attempt in range(_MAX_ATTEMPTS):
-        stack = np.array([draw(np.random.default_rng(seqs[i]), attempt) for i in pending])
+    pending = np.arange(len(rngs))
+    for _ in range(_MAX_ATTEMPTS):
+        stack = np.array([draw(rngs[i]) for i in pending])
         if out is None:
             out = stack
         else:
@@ -154,11 +153,8 @@ def _generic(bodies: np.ndarray) -> np.ndarray:
 
 def _bodies(seqs, n: int) -> np.ndarray:
     """(N, n, 3): n points in the unit cube per stream, redrawn until generic."""
-    def draw(rng, attempt):
-        for _ in range(attempt + 1):
-            pts = rng.uniform(0.0, 1.0, size=(n, 3))
-        return pts
-    return _redraw(seqs, draw, _generic)
+    rngs = [np.random.default_rng(seq) for seq in seqs]
+    return _redraw(rngs, lambda rng: rng.uniform(0.0, 1.0, size=(n, 3)), _generic)
 
 
 def _rotations(quats: np.ndarray) -> np.ndarray:
@@ -196,12 +192,10 @@ def _motions(seqs) -> tuple:
     """Rotations (M, 3, 3), uniform on SO(3), and translations (M, 2),
     uniform in [-1, 1]^2, one per stream; a stream's rotation is redrawn
     until usable and its translation is drawn after it."""
-    def draw(rng, attempt):
-        for _ in range(attempt + 1):
-            quat = rng.normal(size=4)
-        return np.concatenate((quat, rng.uniform(-1.0, 1.0, size=2)))
-    drawn = _redraw(seqs, draw, lambda stack: _usable_rotations(_rotations(stack[:, :4])))
-    return _rotations(drawn[:, :4]), drawn[:, 4:]
+    rngs = [np.random.default_rng(seq) for seq in seqs]
+    quats = _redraw(rngs, lambda rng: rng.normal(size=4),
+                    lambda stack: _usable_rotations(_rotations(stack)))
+    return _rotations(quats), np.array([rng.uniform(-1.0, 1.0, size=2) for rng in rngs])
 
 
 def _scenes(n_points: int, n_frames: int, seed, keys) -> tuple:

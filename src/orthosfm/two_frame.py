@@ -15,9 +15,10 @@ length does (_assumed_length).  Each assignment is set up once, and its
 depths come from geometry.depth_pair.  Five points make the prediction
 fully linear (residual_5pt): orthography drops the depth from
 x2 = A*x1 + r*z1 + t, which leaves one affine epipolar equation per
-correspondence.  So for n >= 5 match_points ranks all probe assignments in
-one batched closed-form pass over those equations (_affine_epipolar) and
-gives only the winner's probe quadruple the 4-point test.  Four probes
+correspondence.  match_points ranks all probe assignments, by the 4-point
+residual at n = 4 and for n >= 5 in one batched closed-form pass over those
+equations (_affine_epipolar), and walks the ranking the same way at every
+n: only the assignments it reaches get the 4-point test.  Four probes
 that fit one affine map (coplanar in 3D) fix no epipolar direction; a
 further correspondence fixes it (_planar_extension).  Images that one 2D
 isometry maps onto each other (a turn about the view axis, no depth term),
@@ -32,6 +33,7 @@ parameter: match_points' rigidity_tol is the one tolerance a caller sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -420,10 +422,10 @@ class MatchReport:
         correspondence, and a body whose points all fit the map scores
         their distances to it (_planar_extension).
     best is the winning probe assignment (see match_points) and
-    best_residual its score: for n = 4 the first in the ranking, for n >= 5
-    the first whose full assignment is one-to-one and whose probe quadruple
-    passes the 4-point test; no point may then have two targets on its
-    epipolar line.
+    best_residual its score: the first in the ranking whose full assignment
+    is one-to-one and whose probe quadruple passes the 4-point test (at
+    n = 4 the first in the ranking); no point may then have two targets on
+    its epipolar line.
     """
 
     ranking: tuple          # of (target labels, score), ascending
@@ -590,15 +592,16 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
 
     Four probe points are chosen in the first frame and each of the
     n(n-1)(n-2)(n-3) ordered assignments of them into the second frame is
-    scored (see MatchReport).  For n = 4 the score is the 4-point line
-    prediction.  For n >= 5 one batched pass scores them all by the affine
-    epipolar lines the probes fix.  The ranking is then walked in order: the
-    first assignment whose nearest-target extension is one-to-one and whose
-    probe quadruple passes the 4-point test wins (the affine test alone
-    admits non-rigid affine motions).  The first score above rigidity_tol
-    ends the walk, with a refusal when nothing passed that names the worst
-    point of the best-ranked assignment whose probe quadruple passes: for a
-    rigid probe quadruple, the point that left the body.
+    scored (see MatchReport): for n = 4 by the 4-point line prediction, for
+    n >= 5 in one batched pass by the affine epipolar lines the probes fix.
+    The ranking is then walked in order: the first assignment whose
+    nearest-target extension is one-to-one and whose probe quadruple passes
+    the 4-point test wins (the affine test alone admits non-rigid affine
+    motions; at n = 4 both hold for every assignment the score admits).
+    The first score above rigidity_tol ends the walk, with a refusal when
+    nothing passed.  For n >= 5 it names the worst point of the best-ranked
+    assignment whose probe quadruple passes: for a rigid probe quadruple,
+    the point that left the body.  For n = 4 it gives the best residual.
 
     Raises DegenerateBasisError when a frame's points are collinear, the
     frames are congruent under some assignment (_check_depth_term), or the
@@ -632,28 +635,37 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     coplanar = np.flatnonzero(np.hypot(direction[:, 0], direction[:, 1]) <= AFFINE_RANK_EPS)
     planar = [_planar_extension(maps[k], pts1[4:], pts2, perms[k]) for k in coplanar.tolist()]
     _check_depth_term(probe, perm_labels, coplanar, maps[coplanar], planar)
-    if n == 4:
-        return _match_four(frame1, frame2, probe, perm_labels, scale, rigidity_tol)
-
     nearest, dist = _epipolar_distances(maps, direction, pts1[4:], pts2, perms)
     planar_dirs = {}
     for k, (_, table, line_dir) in zip(coplanar.tolist(), planar):
         nearest[k], dist[k], planar_dirs[k] = table.argmin(axis=1), table.min(axis=1), line_dir
-    scores = dist.max(axis=1)
-    order = np.argsort(scores, kind="stable").tolist()
-    # the walk: the assignments within the threshold, best first
-    pos = int(np.count_nonzero(scores <= rigidity_tol))
 
     def probe_map(k: int) -> dict:
         return dict(zip(probe, perm_labels[k]))
 
-    def rigid_probe(k: int) -> bool:
+    @functools.cache
+    def probe_residual(k: int) -> float:
+        # the 4-point residual in the frames' units, inf when none exists
         try:
-            residual = collinearity_residual_4pt(
+            return collinearity_residual_4pt(
                 frame1, frame2, Assignment(tuple(zip(probe, perm_labels[k]))), None)
         except (NoSolutionError, DegenerateBasisError, DegenerateEliminationError):
-            return False
-        return residual / scale <= rigidity_tol
+            return math.inf
+
+    if n == 4:
+        # ranked in the frames' units: dividing first could tie two residuals
+        residuals = np.array([probe_residual(k) for k in range(len(perms))])
+        scores = residuals / scale
+        order = np.argsort(residuals, kind="stable").tolist()
+    else:
+        scores = dist.max(axis=1)
+        residuals = scores * scale
+        order = np.argsort(scores, kind="stable").tolist()
+    # the walk: the assignments within the threshold, best first
+    pos = int(np.count_nonzero(scores <= rigidity_tol))
+
+    def rigid_probe(k: int) -> bool:
+        return probe_residual(k) / scale <= rigidity_tol
 
     def tied(k: int) -> list:
         # the first-frame points with two targets on their epipolar lines
@@ -674,16 +686,19 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
         best = Assignment(tuple(zip(probe, perm_labels[k])))
         full = best.as_dict()
         full.update((lab, targets[j]) for lab, j in zip(rest, nearest[k].tolist()))
-        residuals = scores * scale
         return MatchReport(
             ranking=tuple(zip((perm_labels[j] for j in order), residuals[order].tolist())),
             best=best, best_residual=float(residuals[k]),
             margin=float(np.delete(residuals, k).min() - residuals[k]),
-            n_scored=len(perms), full_assignment=full, score="affine_epipolar")
+            n_scored=len(perms), full_assignment=full,
+            score="collinearity_4pt" if n == 4 else "affine_epipolar")
     if pos == len(order):
         raise NoConsistentAssignmentError(
             "no assignment within threshold has a rigid probe quadruple and a "
             "one-to-one extension")
+    if n == 4:
+        raise NoConsistentAssignmentError(
+            f"best residual {scores[order[0]]:.3g} of the image scale exceeds threshold")
     named = next((j for j in order[pos:] if rigid_probe(j)), None)
     which = "best-ranked rigid probe assignment"
     if named is None:
@@ -692,29 +707,6 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     raise NoConsistentAssignmentError(
         f"point {rest[worst]!r}: epipolar distance {dist[named, worst]:.3g} of the "
         f"image scale exceeds threshold ({which}: {probe_map(named)})")
-
-
-def _match_four(frame1, frame2, probe, perm_labels, scale, rigidity_tol) -> MatchReport:
-    """match_points for n = 4: each assignment scored by the 4-point line
-    prediction."""
-    scored = []
-    for perm in perm_labels:
-        assignment = Assignment(tuple(zip(probe, perm)))
-        try:
-            residual = collinearity_residual_4pt(frame1, frame2, assignment, None)
-        except (NoSolutionError, DegenerateBasisError, DegenerateEliminationError):
-            residual = math.inf
-        scored.append((assignment, residual))
-    # deterministic: sort by residual, ties by target label order
-    scored.sort(key=lambda item: (item[1], item[0].target_labels))
-    best, best_residual = scored[0]
-    if best_residual / scale > rigidity_tol:
-        raise NoConsistentAssignmentError(
-            f"best residual {best_residual / scale:.3g} of the image scale exceeds threshold")
-    return MatchReport(
-        ranking=tuple((a.target_labels, r) for a, r in scored), best=best,
-        best_residual=best_residual, margin=scored[1][1] - best_residual,
-        n_scored=len(scored), full_assignment=best.as_dict(), score="collinearity_4pt")
 
 
 def rigidity_score(frame1: FrameObservation, frame2: FrameObservation,

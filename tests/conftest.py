@@ -107,22 +107,22 @@ def view_axis_pair(n_points: int, seed: int, tilt: float = 0.0):
     return frame1, frame2, relabel
 
 
-def shared_epipolar_pair(seed: int):
-    """Two exact frames of gen_body(5, seed) plus a sixth point
-    x6 = x5 + a*e_z + b*R^T e_z, R the rotation of gen_motion(seed + 1000)
-    and a, b seeded in +-[0.5, 1.5].  In the first frame x6 sits off x5 by
-    b times the image of R^T e_z, which the affine part of the motion maps
+def shared_epipolar_pair(seed: int, n: int = 6):
+    """Two exact frames of gen_body(n - 1, seed) plus an n-th point
+    x_n = x_(n-1) + a*e_z + b*R^T e_z, R the rotation of gen_motion(seed + 1000)
+    and a, b seeded in +-[0.5, 1.5].  In the first frame x_n sits off x_(n-1)
+    by b times the image of R^T e_z, which the affine part of the motion maps
     along the second frame's epipolar direction; in the second frame it sits
-    off x5 by a along that direction.  So both points' epipolar lines
+    off x_(n-1) by a along that direction.  So both points' epipolar lines
     coincide and swapping their targets is just as rigid.  The second frame
     is relabeled by a seeded permutation."""
     motion = sim.gen_motion(seed + 1000)
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(0.5, 1.5, 2) * rng.choice([-1.0, 1.0], 2)
-    body = np.array([p.as_array() for _, p in sim.gen_body(5, seed)])
-    body = np.vstack([body, body[4] + a * np.eye(3)[2] + b * motion.rotation[2]])
+    body = np.array([p.as_array() for _, p in sim.gen_body(n - 1, seed)])
+    body = np.vstack([body, body[-1] + a * np.eye(3)[2] + b * motion.rotation[2]])
     images = (body[:, :2], (body @ motion.rotation.T)[:, :2] + motion.translation)
-    labels = ["P", "Q", "R", "T", "S", "U"]
+    labels = ["P", "Q", "R", "T", "S", "U", "V", "W"][:n]
     relabel = dict(zip(labels, rng.permutation(labels).tolist()))
     return [geo.FrameObservation(tuple(
         (name(lab), geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))

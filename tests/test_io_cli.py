@@ -254,11 +254,12 @@ class TestCliMatch:
             assert code == cli.EXIT_DEGENERATE, seed
             assert json.loads(out.read_text())["status"] == "degenerate"
 
-    def test_unlabeled_points_on_one_epipolar_line_exit_degenerate(self, tmp_path):
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_unlabeled_points_on_one_epipolar_line_exit_degenerate(self, tmp_path, n):
         # swapping the two points' targets is as rigid as the truth
         for seed in range(40):
             f = tmp_path / f"frames-{seed}.csv"
-            f.write_text(io_files.frames_to_csv(shared_epipolar_pair(seed)))
+            f.write_text(io_files.frames_to_csv(shared_epipolar_pair(seed, n)))
             out = tmp_path / f"report-{seed}.json"
             code = cli.main(["match", str(f), "--unlabeled", "--out", str(out)])
             assert code == cli.EXIT_DEGENERATE, seed

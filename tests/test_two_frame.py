@@ -17,7 +17,14 @@ from orthosfm.errors import (
     NoSolutionError,
 )
 
-from conftest import SCALE_SWEEP, frames_sq, scaled, true_sq, view_axis_pair
+from conftest import (
+    SCALE_SWEEP,
+    frames_sq,
+    scaled,
+    shared_epipolar_pair,
+    true_sq,
+    view_axis_pair,
+)
 
 
 def two_frames(scene):
@@ -294,6 +301,35 @@ def coplanar_probe_pair(n, seed, planar=False, lift=0.0):
     return frame1, frame2, relabel
 
 
+def near_degenerate_pair(kind, n, seed):
+    """Two exact frames of an n-point body that matching can barely resolve,
+    or not at all, the second relabeled by a seeded permutation.  kind is a
+    rotation angle (a float: gen_body(n, seed) turned about a random axis by
+    it), or "planar" or "collinear" (a random body in one plane or on one
+    line, under gen_motion(seed)).  Returns the frames and the true
+    relabeling."""
+    rng = np.random.default_rng(seed)
+    if isinstance(kind, float):
+        body = np.array([p.as_array() for _, p in sim.gen_body(n, seed)])
+        axis = rng.normal(size=3)
+        motion = geo.RigidMotion(tf._axis_rotation(axis / np.linalg.norm(axis), kind),
+                                 rng.uniform(-1.0, 1.0, 2))
+    else:
+        if kind == "planar":
+            body = np.column_stack([rng.uniform(-1.0, 1.0, (n, 2)), np.zeros(n)]) \
+                @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        else:
+            body = rng.normal(size=3) + rng.uniform(-1.0, 1.0, (n, 1)) * rng.normal(size=3)
+        motion = sim.gen_motion(seed)
+    images = (body[:, :2], (body @ motion.rotation.T)[:, :2] + motion.translation)
+    labels = [f"L{i}" for i in range(n)]
+    relabel = dict(zip(labels, (labels[i] for i in rng.permutation(n))))
+    frame1, frame2 = (geo.FrameObservation(tuple(
+        (name(lab), geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))
+        for name, image in ((str, images[0]), (relabel.get, images[1])))
+    return frame1, frame2, relabel
+
+
 def match_outcome(match, frame1, frame2):
     """A matcher's full assignment, or the type of the error it raised."""
     try:
@@ -522,11 +558,12 @@ class TestSameAsExhaustiveSearch:
             kinds.append(expect)
         assert kinds == [NoConsistentAssignmentError] * len(kinds) and len(kinds) >= 5
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
     @pytest.mark.parametrize("tilt", [1e-6, 1e-4, 1e-2])
-    def test_axis_near_the_view_axis(self, tilt):
+    def test_axis_near_the_view_axis(self, tilt, n):
         # a small depth term still fixes the epipolar lines of exact data
         for seed in range(20):
-            frame1, frame2, relabel = view_axis_pair(5, seed, tilt)
+            frame1, frame2, relabel = view_axis_pair(n, seed, tilt)
             assert match_outcome(tf.match_points, frame1, frame2) == relabel, seed
             assert match_outcome(reference_match, frame1, frame2) == relabel, seed
 
@@ -553,6 +590,20 @@ class TestDegenerateMatch:
                 for lab, v in zip(frame2.labels, t)))
             with pytest.raises(DegenerateBasisError, match="on one line"):
                 tf.match_points(frame1, frame2)
+
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("kind", [0.0, 1e-9, 1e-6, "planar", "collinear", "tie"])
+    def test_near_degenerate_pair_is_answered_right_or_refused(self, kind, n):
+        # exit 2 or 3 is allowed, a wrong assignment with exit 0 never; two
+        # points on one epipolar line have no right assignment
+        for seed in range(20):
+            if kind == "tie":
+                (frame1, frame2), relabel = shared_epipolar_pair(seed, n), None
+            else:
+                frame1, frame2, relabel = near_degenerate_pair(kind, n, seed)
+            assert match_outcome(tf.match_points, frame1, frame2) in (
+                relabel, NoConsistentAssignmentError, DegenerateBasisError), seed
 
 
 class TestRigidityScore:
