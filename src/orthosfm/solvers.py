@@ -45,7 +45,11 @@ _TRIANGLE = ((0, 1, 2),)
 MODES = {"p3f3": (3, 3), "p3f4": (3, 4), "p4f3": (4, 3)}
 
 # Dimensionless thresholds on normalized input (largest squared distance 1).
-_DEGENERACY_TOL = 1e-12  # |det| of the p3f3 elimination
+# |det| of the p3f3 elimination.  Dividing by det amplifies the rows'
+# rounding by 1/|det|, so below the sqrt-rounding bound (as for
+# two_frame.AFFINE_RANK_EPS) an exact scene can get a feasible answer that is
+# wrong by percents.
+_DEGENERACY_TOL = 1e-8
 _SINGULAR_TOL = 1e-10    # smallest singular value / max(largest, 1) of a linear system
 
 
@@ -441,8 +445,9 @@ def solve_p3f3(frames, tol: float = DEFAULT_TOL) -> RecoveryResult:
     identity leaves a quadratic in C.  Returns 0, 1 or 2 candidates,
     feasibility-flagged and sorted by max residual.
 
-    Raises DegenerateEliminationError when the elimination is singular
-    (collinear points, or frames identical up to in-plane motion).
+    Raises DegenerateEliminationError when the elimination is singular or
+    nearly so (collinear points, frames identical up to in-plane motion, or
+    close to either).
     """
     return _solve_one("p3f3", frames, tol)
 

@@ -20,7 +20,9 @@ residual at n = 4 and for n >= 5 in one batched closed-form pass over those
 equations (_affine_epipolar), and walks the ranking the same way at every
 n: only the assignments it reaches get the 4-point test.  Four probes
 that fit one affine map (coplanar in 3D) fix no epipolar direction; a
-further correspondence fixes it (_planar_extension).  Images that one 2D
+further correspondence fixes it (_planar_direction).  One routine
+(_line_tables) measures every line distance that the ranking, the tie
+test and the refusal compare.  Images that one 2D
 isometry maps onto each other (a turn about the view axis, no depth term),
 a collinear frame, and two points on one epipolar line (they swap as
 rigidly as they match) are refused as degenerate.  Each function reads a
@@ -419,8 +421,8 @@ class MatchReport:
         line under the affine motion the probes fix, inf when that line is
         undefined.  When the probes' correspondences fit one affine map
         (coplanar probes) the line's direction comes from one further
-        correspondence, and a body whose points all fit the map scores
-        their distances to it (_planar_extension).
+        correspondence (_planar_direction), and a body whose points all
+        fit the map scores their distances to it.
     best is the winning probe assignment (see match_points) and
     best_residual its score: the first in the ranking whose full assignment
     is one-to-one and whose probe quadruple passes the 4-point test (at
@@ -490,86 +492,71 @@ def _affine_epipolar(probe1: np.ndarray, pts2: np.ndarray, perms: np.ndarray) ->
     return maps, np.einsum("i,nij->nj", dependency, targets)
 
 
-def _epipolar_distances(maps: np.ndarray, direction: np.ndarray, rest1: np.ndarray,
-                        pts2: np.ndarray, perms: np.ndarray) -> tuple:
-    """For each assignment (row of maps, direction and perms) and each
-    first-frame point of rest1: the index of its nearest second-frame point
-    outside the assignment's targets, and that point's distance to the
-    point's epipolar line, the line through its prediction under the map
-    along the direction (inf when the direction is zero).  Each is an
-    (N, len(rest1)) array; no (N, len(rest1), n) tensor is formed."""
-    n_perms = len(perms)
-    used = np.zeros((n_perms, len(pts2)), dtype=bool)
-    used[np.arange(n_perms)[:, None], perms] = True
-    nearest = np.empty((n_perms, len(rest1)), dtype=np.intp)
-    dist = np.empty((n_perms, len(rest1)))
+def _line_tables(maps: np.ndarray, direction: np.ndarray, pts1: np.ndarray,
+                 pts2: np.ndarray) -> np.ndarray:
+    """Every line distance the matcher compares, as one (N, len(pts1),
+    len(pts2)) array: per assignment (row of maps and direction), each
+    second-frame point's distance (last axis) to each first-frame point's
+    epipolar line (middle axis), the line through the point's prediction
+    under the map along the direction.  Where the direction is exactly zero
+    the distance is to the prediction itself: then the correspondences fit
+    the map and fix no line."""
+    pred = pts1 @ maps[:, :2] + maps[:, None, 2]
+    length = np.hypot(direction[:, 0], direction[:, 1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        normal = direction[:, ::-1] * (np.array([-1.0, 1.0])
-                                       / np.hypot(direction[:, 0], direction[:, 1])[:, None])
-        along = normal @ pts2.T
-        for i, point in enumerate(rest1):
-            offset = np.einsum("nj,nj->n", normal, point @ maps[:, :2] + maps[:, 2])
-            to_line = np.abs(along - offset[:, None])
-            to_line[used] = np.inf
-            nearest[:, i] = to_line.argmin(axis=1)
-            dist[:, i] = to_line.min(axis=1)
-    dist[np.isnan(dist)] = np.inf
-    return nearest, dist
+        normal = direction[:, ::-1] * (np.array([-1.0, 1.0]) / length[:, None])
+        table = (normal @ pts2.T)[:, None] - np.einsum("nj,nmj->nm", normal, pred)[..., None]
+    np.abs(table, out=table)
+    zero = length == 0.0
+    if zero.any():
+        offset = pts2 - pred[zero, :, None]
+        table[zero] = np.hypot(offset[..., 0], offset[..., 1])
+    return table
 
 
-def _planar_extension(fit_map: np.ndarray, rest1: np.ndarray, pts2: np.ndarray,
+def _nearest(table: np.ndarray, perms: np.ndarray) -> tuple:
+    """Per assignment (row of perms) and first-frame point of a line table:
+    the distance of its nearest second-frame point outside the assignment's
+    targets, and that point's index, each an (N, len(pts1)) array.  The
+    targets' columns of table are overwritten with inf."""
+    np.put_along_axis(table, perms[:, None], np.inf, axis=2)
+    return table.min(axis=2), table.argmin(axis=2)
+
+
+def _planar_direction(fit_map: np.ndarray, rest1: np.ndarray, pts2: np.ndarray,
                       targets: np.ndarray) -> tuple:
-    """Score an assignment whose probe correspondences fit one affine map
-    [x2, y2] = [x1, y1, 1] @ fit_map and so fix no epipolar direction.
+    """The epipolar direction of an assignment whose probe correspondences
+    fit one affine map [x2, y2] = [x1, y1, 1] @ fit_map and so fix none.
 
     Orthography moves each other point off the map's prediction by r*h, r
     the motion's depth direction and h the point's height over the probes'
     plane, so one further correspondence fixes the direction: that of the
     point farthest from every prediction, tried with each unused target.
-    Returns (fit, table, direction): per point of rest1 its distance to the
-    map's nearest unused prediction; per point and second-frame point that
-    point's distance to the first's line under the best direction, inf for
-    the probes' targets; and that unit direction.  A body whose points all
-    fit the map to within AFFINE_RANK_EPS keeps the distances to the
-    predictions as its table, and direction None: no point lies far enough
-    off the plane to give a direction.
+    Returns (direction, fit): the unit direction that brings every point's
+    nearest unused target closer to its line than that point comes to any
+    prediction, or zero when none does; and per point of rest1 its nearest
+    unused target's distance to its prediction.  A body whose points all
+    fit the map to within AFFINE_RANK_EPS gets zero: no point lies far
+    enough off the plane to give a direction.
     """
-    used = np.zeros(len(pts2), dtype=bool)
-    used[targets] = True
-    offset = pts2[None] - (rest1 @ fit_map[:2] + fit_map[2])[:, None]
-    length = np.hypot(offset[..., 0], offset[..., 1])
-    length[:, used] = np.inf
-    fit = length.min(axis=1)
+    zero = np.zeros(2)
+    fit = _nearest(_line_tables(fit_map[None], zero[None], rest1, pts2), targets[None])[0][0]
     if fit.max(initial=0.0) <= AFFINE_RANK_EPS:
-        return fit, length, None
+        return zero, fit
     pivot = int(fit.argmax())
-    valid = np.isfinite(length[pivot]) & (length[pivot] > 0.0)
-    dirs = offset[pivot, valid] / length[pivot, valid, None]
-    off = np.abs(dirs[:, None, None, 0] * offset[..., 1]
-                 - dirs[:, None, None, 1] * offset[..., 0])
-    off[..., used] = np.inf
-    worst = off.min(axis=2).max(axis=1)
+    offset = np.delete(pts2, targets, axis=0) - (rest1[pivot] @ fit_map[:2] + fit_map[2])
+    length = np.hypot(offset[:, 0], offset[:, 1])
+    dirs = offset[length > 0.0] / length[length > 0.0, None]
+    tables = _line_tables(np.broadcast_to(fit_map, (len(dirs), 3, 2)), dirs, rest1, pts2)
+    worst = _nearest(tables, np.broadcast_to(targets, (len(dirs), 4)))[0].max(axis=1)
     if len(worst) and worst.min() < fit[pivot]:
-        best = int(worst.argmin())
-        return fit, off[best], dirs[best]
-    return fit, length, None
+        return dirs[int(worst.argmin())], fit
+    return zero, fit
 
 
-def _line_table(fit_map: np.ndarray, direction, pts1: np.ndarray,
-                pts2: np.ndarray) -> np.ndarray:
-    """Each second-frame point's distance (column) to each first-frame
-    point's epipolar line (row): the line through its prediction under
-    fit_map along direction, or with direction None the prediction itself."""
-    offset = pts2[None] - (pts1 @ fit_map[:2] + fit_map[2])[:, None]
-    if direction is None:
-        return np.hypot(offset[..., 0], offset[..., 1])
-    ux, uy = direction / math.hypot(*direction)
-    return np.abs(ux * offset[..., 1] - uy * offset[..., 0])
-
-
-def _check_depth_term(probe, perm_labels, coplanar, maps, planar):
+def _check_depth_term(probe, perm_labels, coplanar, maps, fits):
     """Raise DegenerateBasisError when an assignment whose probes fit one
-    affine map (coplanar: its indices; maps, planar: theirs) maps every
+    affine map (coplanar: its indices; maps, fits: theirs) maps every
     point by one 2D isometry to within AFFINE_RANK_EPS: the images are
     congruent, so the motion shows no depth term (a turn about the view
     axis) and no epipolar direction exists.  A map that is not an isometry
@@ -577,7 +564,7 @@ def _check_depth_term(probe, perm_labels, coplanar, maps, planar):
     The sqrt-rounding bound, not rigidity_tol, keeps answering exact pairs
     whose depth term is small but resolvable."""
     stretch = np.abs(np.linalg.svd(maps[:, :2], compute_uv=False) - 1.0).max(axis=1)
-    for k, misfit, (fit, _, _) in zip(coplanar.tolist(), stretch.tolist(), planar):
+    for k, misfit, fit in zip(coplanar.tolist(), stretch.tolist(), fits):
         if max(misfit, fit.max(initial=0.0)) <= AFFINE_RANK_EPS:
             raise DegenerateBasisError(
                 f"probe assignment {dict(zip(probe, perm_labels[k]))} maps every point "
@@ -633,12 +620,12 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     perms = np.array(list(itertools.permutations(range(n), 4)))
     maps, direction = _affine_epipolar(pts1[:4], pts2, perms)
     coplanar = np.flatnonzero(np.hypot(direction[:, 0], direction[:, 1]) <= AFFINE_RANK_EPS)
-    planar = [_planar_extension(maps[k], pts1[4:], pts2, perms[k]) for k in coplanar.tolist()]
-    _check_depth_term(probe, perm_labels, coplanar, maps[coplanar], planar)
-    nearest, dist = _epipolar_distances(maps, direction, pts1[4:], pts2, perms)
-    planar_dirs = {}
-    for k, (_, table, line_dir) in zip(coplanar.tolist(), planar):
-        nearest[k], dist[k], planar_dirs[k] = table.argmin(axis=1), table.min(axis=1), line_dir
+    fits = []
+    for k in coplanar.tolist():
+        direction[k], fit = _planar_direction(maps[k], pts1[4:], pts2, perms[k])
+        fits.append(fit)
+    _check_depth_term(probe, perm_labels, coplanar, maps[coplanar], fits)
+    dist, nearest = _nearest(_line_tables(maps, direction, pts1[4:], pts2), perms)
 
     def probe_map(k: int) -> dict:
         return dict(zip(probe, perm_labels[k]))
@@ -669,8 +656,7 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
 
     def tied(k: int) -> list:
         # the first-frame points with two targets on their epipolar lines
-        line_dir = planar_dirs.get(k, direction[k])
-        close = _line_table(maps[k], line_dir, pts1, pts2) <= rigidity_tol
+        close = _line_tables(maps[k:k + 1], direction[k:k + 1], pts1, pts2)[0] <= rigidity_tol
         return np.flatnonzero(close.sum(axis=1) > 1).tolist()
 
     k = next((k for k in order[:pos]
@@ -743,13 +729,11 @@ def residual_5pt(frame1: FrameObservation, frame2: FrameObservation,
         raise InvalidInputError("residual_5pt needs exactly 5 labels")
     scale = _pair_scale(frame1, frame2)
     pts1, pts2 = (_unit_points(frame, labels, scale) for frame in (frame1, frame2))
-    identity = np.arange(4)[None]
-    maps, direction = _affine_epipolar(pts1[:4], pts2, identity)
+    maps, direction = _affine_epipolar(pts1[:4], pts2, np.arange(4)[None])
     if math.hypot(*direction[0]) <= AFFINE_RANK_EPS:
         raise DegenerateBasisError(
             "P, Q, R, T fit one affine map: epipolar line undefined")
-    _, dist = _epipolar_distances(maps, direction, pts1[4:], pts2, identity)
-    return float(dist[0, 0]) * scale
+    return float(_line_tables(maps, direction, pts1[4:], pts2)[0, 0, 4]) * scale
 
 
 @dataclass(frozen=True)

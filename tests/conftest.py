@@ -7,6 +7,7 @@ import pytest
 
 from orthosfm import geometry as geo
 from orthosfm import scene_sim as sim
+from orthosfm import two_frame as tf
 
 # The worked example used throughout: a triangle with squared edge lengths
 # exactly (4, 9, 12.6878), i.e. a = 2, b = 3, c = 3.562 (to 4 digits).
@@ -127,6 +128,69 @@ def shared_epipolar_pair(seed: int, n: int = 6):
     return [geo.FrameObservation(tuple(
         (name(lab), geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))
         for name, image in ((str, images[0]), (relabel.get, images[1]))]
+
+
+def coplanar_probe_pair(n, seed, planar=False, lift=0.0, tie=False):
+    """Two exact frames of a body whose four outer points lie in one plane,
+    but for the last one raised by lift, tilted by at most 0.5 rad from the
+    image plane so that they are the probe quadruple; the other points sit
+    over the quadrilateral's middle, off the plane unless planar.  The
+    second frame follows gen_motion(seed) and is relabeled by a seeded
+    permutation.  With tie the n-th point is
+    instead x_n = x_(n-1) + a*e_z + b*R^T e_z, R the motion's rotation and
+    a, b seeded in +-[0.1, 0.3]: it shares x_(n-1)'s epipolar line, as in
+    shared_epipolar_pair, and stays inside the corners.  Returns the frames
+    and the true relabeling."""
+    rng = np.random.default_rng(seed)
+    m = n - 1 if tie else n
+    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    inner = rng.uniform(-0.4, 0.4, (m - 4, 2))
+    height = np.zeros(m - 4) if planar else rng.uniform(-0.5, 0.5, m - 4)
+    body = np.column_stack([np.vstack([corners + rng.normal(0.0, 0.1, (4, 2)), inner]),
+                            np.concatenate([[0.0, 0.0, 0.0, lift], height])])
+    azimuth, tilt = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 0.5)
+    axis = np.array([math.cos(azimuth), math.sin(azimuth), 0.0])
+    body = body @ tf._axis_rotation(axis, tilt).T
+    motion = sim.gen_motion(seed)
+    if tie:
+        a, b = rng.uniform(0.1, 0.3, 2) * rng.choice([-1.0, 1.0], 2)
+        body = np.vstack([body, body[-1] + a * np.eye(3)[2] + b * motion.rotation[2]])
+    images = (body[:, :2], (body @ motion.rotation.T)[:, :2] + motion.translation)
+    labels = [f"L{i}" for i in range(n)]
+    relabel = dict(zip(labels, (labels[i] for i in rng.permutation(n))))
+    frame1, frame2 = (geo.FrameObservation(tuple(
+        (name(lab), geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))
+        for name, image in ((str, images[0]), (relabel.get, images[1])))
+    return frame1, frame2, relabel
+
+
+def near_degenerate_pair(kind, n, seed):
+    """Two exact frames of an n-point body that matching can barely resolve,
+    or not at all, the second relabeled by a seeded permutation.  kind is a
+    rotation angle (a float: gen_body(n, seed) turned about a random axis by
+    it), or "planar" or "collinear" (a random body in one plane or on one
+    line, under gen_motion(seed)).  Returns the frames and the true
+    relabeling."""
+    rng = np.random.default_rng(seed)
+    if isinstance(kind, float):
+        body = np.array([p.as_array() for _, p in sim.gen_body(n, seed)])
+        axis = rng.normal(size=3)
+        motion = geo.RigidMotion(tf._axis_rotation(axis / np.linalg.norm(axis), kind),
+                                 rng.uniform(-1.0, 1.0, 2))
+    else:
+        if kind == "planar":
+            body = np.column_stack([rng.uniform(-1.0, 1.0, (n, 2)), np.zeros(n)]) \
+                @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        else:
+            body = rng.normal(size=3) + rng.uniform(-1.0, 1.0, (n, 1)) * rng.normal(size=3)
+        motion = sim.gen_motion(seed)
+    images = (body[:, :2], (body @ motion.rotation.T)[:, :2] + motion.translation)
+    labels = [f"L{i}" for i in range(n)]
+    relabel = dict(zip(labels, (labels[i] for i in rng.permutation(n))))
+    frame1, frame2 = (geo.FrameObservation(tuple(
+        (name(lab), geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))
+        for name, image in ((str, images[0]), (relabel.get, images[1])))
+    return frame1, frame2, relabel
 
 
 @pytest.fixture

@@ -12,7 +12,8 @@ _spec.loader.exec_module(answer_digest)
 LAYERS = (
     "scene_sim.gen_scene", "scene_sim.run_noise_study",
     "solvers.solve_p3f3", "solvers.solve_p3f4", "solvers.solve_p4f3",
-    "two_frame.match_points", "two_frame.rigidity_score", "two_frame.residual_5pt",
+    "two_frame.match_points", "two_frame.match_points.degenerate",
+    "two_frame.rigidity_score", "two_frame.residual_5pt",
     "two_frame.base_interpretation_from_frames", "two_frame.ambiguity_family",
 )
 

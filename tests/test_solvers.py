@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from orthosfm import geometry as geo
 from orthosfm import solvers as sol
 from orthosfm import scene_sim as sim
+from orthosfm import two_frame as tf
 from orthosfm.errors import (
     DegenerateEliminationError,
     InvalidInputError,
@@ -589,3 +590,58 @@ class TestTolerance:
         solve = ADAPTERS[mode][0]
         with pytest.raises(InvalidInputError, match="tol must be finite and >= 0"):
             solve(seeded_frames(mode, 4), tol)
+
+
+# (kind, value) of near_degenerate_scene
+NEAR_DEGENERATE = ([("tilt", t) for t in (0.0, 1e-8, 1e-6, 1e-4, 1e-2)]
+                   + [("angle", a) for a in (0.0, 1e-9, 1e-6, 1e-3)]
+                   + [("repeated", None), ("collinear", None)])
+
+
+def near_degenerate_scene(mode, kind, value, seed):
+    """Exact frames of a random body that a solver mode can barely resolve,
+    or not at all: (the frames' squared distances, the true squared
+    lengths), both in the canonical edge order.  Every later frame turns by
+    0.3-1.2 rad about an axis tilted by value off the view axis ("tilt"), or
+    by value about a random axis ("angle"); "repeated" turns about random
+    axes and repeats the second-to-last frame, and "collinear" puts the
+    points on one line."""
+    n_points, n_frames = sol.MODES[mode]
+    rng = np.random.default_rng(seed)
+    if kind == "collinear":
+        body = rng.normal(size=3) + rng.uniform(-1.0, 1.0, (n_points, 1)) * rng.normal(size=3)
+    else:
+        body = rng.normal(size=(n_points, 3))
+    rotations = [np.eye(3)]
+    for _ in range(n_frames - 1):
+        axis, angle = rng.normal(size=3), rng.uniform(0.3, 1.2)
+        axis /= np.linalg.norm(axis)
+        if kind == "tilt":
+            azimuth = rng.uniform(0.0, 2.0 * math.pi)
+            axis = np.array([math.sin(value) * math.cos(azimuth),
+                             math.sin(value) * math.sin(azimuth), math.cos(value)])
+        elif kind == "angle":
+            angle = value
+        rotations.append(tf._axis_rotation(axis, angle))
+    if kind == "repeated":
+        rotations[-1] = rotations[-2]
+    i, j = np.array(geo.TETRA_EDGES if n_points == 4 else geo.TRIANGLE_EDGES).T
+    frames = [np.vecdot(d, d) for d in ((body @ rot.T)[i, :2] - (body @ rot.T)[j, :2]
+                                        for rot in rotations)]
+    return np.array(frames), np.vecdot(body[i] - body[j], body[i] - body[j])
+
+
+class TestNearDegenerateScenes:
+    @pytest.mark.parametrize("kind, value", NEAR_DEGENERATE)
+    @pytest.mark.parametrize("mode", sorted(sol.MODES))
+    def test_answered_right_or_refused(self, mode, kind, value):
+        # exact input is refused as degenerate, gets no feasible candidate,
+        # or gets a feasible one within 1e-4 of the largest true length:
+        # never only confident wrong answers
+        scenes = [near_degenerate_scene(mode, kind, value, seed) for seed in range(100)]
+        batch = sol.solve_batch(mode, np.array([frames for frames, _ in scenes]))
+        for n, (_, truth) in enumerate(scenes):
+            feasible = batch.lengths[(batch.row == n) & batch.feasible]
+            errors = np.abs(feasible - truth).max(axis=1, initial=0.0) / truth.max()
+            assert batch.degenerate[n] or errors.size == 0 or errors.min() <= 1e-4, \
+                (n, errors.tolist())

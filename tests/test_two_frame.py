@@ -19,7 +19,9 @@ from orthosfm.errors import (
 
 from conftest import (
     SCALE_SWEEP,
+    coplanar_probe_pair,
     frames_sq,
+    near_degenerate_pair,
     scaled,
     shared_epipolar_pair,
     true_sq,
@@ -273,61 +275,6 @@ class TestProbeLabels:
         lattice = labeled_frame(np.random.default_rng(n).integers(0, 3, size=(n, 2)))
         for frame in (grid, lattice):
             assert tf._probe_labels(frame) == reference_probe_labels(frame)
-
-
-def coplanar_probe_pair(n, seed, planar=False, lift=0.0):
-    """Two exact frames of a body whose four outer points lie in one plane,
-    but for the last one raised by lift, tilted by at most 0.5 rad from the
-    image plane so that they are the probe quadruple; the other points sit
-    over the quadrilateral's middle, off the plane unless planar.  The second frame follows gen_motion(seed)
-    and is relabeled by a seeded permutation.  Returns the frames and the
-    true relabeling."""
-    rng = np.random.default_rng(seed)
-    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    inner = rng.uniform(-0.4, 0.4, (n - 4, 2))
-    height = np.zeros(n - 4) if planar else rng.uniform(-0.5, 0.5, n - 4)
-    body = np.column_stack([np.vstack([corners + rng.normal(0.0, 0.1, (4, 2)), inner]),
-                            np.concatenate([[0.0, 0.0, 0.0, lift], height])])
-    azimuth, tilt = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 0.5)
-    axis = np.array([math.cos(azimuth), math.sin(azimuth), 0.0])
-    body = body @ tf._axis_rotation(axis, tilt).T
-    motion = sim.gen_motion(seed)
-    images = (body[:, :2], (body @ motion.rotation.T)[:, :2] + motion.translation)
-    labels = [f"L{i}" for i in range(n)]
-    relabel = dict(zip(labels, (labels[i] for i in rng.permutation(n))))
-    frame1, frame2 = (geo.FrameObservation(tuple(
-        (name(lab), geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))
-        for name, image in ((str, images[0]), (relabel.get, images[1])))
-    return frame1, frame2, relabel
-
-
-def near_degenerate_pair(kind, n, seed):
-    """Two exact frames of an n-point body that matching can barely resolve,
-    or not at all, the second relabeled by a seeded permutation.  kind is a
-    rotation angle (a float: gen_body(n, seed) turned about a random axis by
-    it), or "planar" or "collinear" (a random body in one plane or on one
-    line, under gen_motion(seed)).  Returns the frames and the true
-    relabeling."""
-    rng = np.random.default_rng(seed)
-    if isinstance(kind, float):
-        body = np.array([p.as_array() for _, p in sim.gen_body(n, seed)])
-        axis = rng.normal(size=3)
-        motion = geo.RigidMotion(tf._axis_rotation(axis / np.linalg.norm(axis), kind),
-                                 rng.uniform(-1.0, 1.0, 2))
-    else:
-        if kind == "planar":
-            body = np.column_stack([rng.uniform(-1.0, 1.0, (n, 2)), np.zeros(n)]) \
-                @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
-        else:
-            body = rng.normal(size=3) + rng.uniform(-1.0, 1.0, (n, 1)) * rng.normal(size=3)
-        motion = sim.gen_motion(seed)
-    images = (body[:, :2], (body @ motion.rotation.T)[:, :2] + motion.translation)
-    labels = [f"L{i}" for i in range(n)]
-    relabel = dict(zip(labels, (labels[i] for i in rng.permutation(n))))
-    frame1, frame2 = (geo.FrameObservation(tuple(
-        (name(lab), geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))
-        for name, image in ((str, images[0]), (relabel.get, images[1])))
-    return frame1, frame2, relabel
 
 
 def match_outcome(match, frame1, frame2):
@@ -592,14 +539,19 @@ class TestDegenerateMatch:
                 tf.match_points(frame1, frame2)
 
 
-    @pytest.mark.parametrize("n", [4, 5, 6])
-    @pytest.mark.parametrize("kind", [0.0, 1e-9, 1e-6, "planar", "collinear", "tie"])
+    @pytest.mark.parametrize("kind, n", [
+        (kind, n) for n in (4, 5, 6)
+        for kind in (0.0, 1e-9, 1e-6, "planar", "collinear", "tie")]
+        + [("coplanar_tie", 6), ("coplanar_tie", 7)])
     def test_near_degenerate_pair_is_answered_right_or_refused(self, kind, n):
         # exit 2 or 3 is allowed, a wrong assignment with exit 0 never; two
-        # points on one epipolar line have no right assignment
+        # points on one epipolar line have no right assignment, also when
+        # the coplanar probes leave the line's direction to a further point
         for seed in range(20):
             if kind == "tie":
                 (frame1, frame2), relabel = shared_epipolar_pair(seed, n), None
+            elif kind == "coplanar_tie":
+                (frame1, frame2, _), relabel = coplanar_probe_pair(n, seed, tie=True), None
             else:
                 frame1, frame2, relabel = near_degenerate_pair(kind, n, seed)
             assert match_outcome(tf.match_points, frame1, frame2) in (

@@ -5,8 +5,11 @@
 Each line reads ``layer count sha256``: how many calls the layer got and the
 sha256 of the repr of every result, or of ``ErrorType: message`` when the
 call raised, in call order.  Arrays enter as lists, so every float counts
-with all its digits.  The inputs are seeded and fixed, and the source is
-the ``src`` directory next to this script, so running the script of two
+with all its digits.  The layer ``two_frame.match_points.degenerate`` runs
+the matcher on the near-degenerate pairs that ``tests/conftest.py``
+generates and hashes its answers without their scores, which rounding
+moves there.  The inputs are seeded and fixed, and the source is the
+``src`` directory next to this script, so running the script of two
 checkouts and diffing the outputs shows which layers answer differently.
 """
 
@@ -17,7 +20,9 @@ import hashlib
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 import numpy as np  # noqa: E402
 
@@ -26,6 +31,13 @@ from orthosfm import scene_sim as sim  # noqa: E402
 from orthosfm import solvers  # noqa: E402
 from orthosfm import two_frame as tf  # noqa: E402
 from orthosfm.errors import OrthoSfmError  # noqa: E402
+
+from conftest import (  # noqa: E402
+    coplanar_probe_pair,
+    near_degenerate_pair,
+    shared_epipolar_pair,
+    view_axis_pair,
+)
 
 SCALES = (1e-6, 1.0, 1e6)
 NOISE = sim.NoiseSpec(1e-2, seed=3)
@@ -97,6 +109,32 @@ def _pairs(n: int, seeds):
         yield seed, frame1, _moved(frame2, seed)
 
 
+def _match_answer(frame1, frame2):
+    """match_points' answer without its scores: the full assignment, the
+    winner's pairs, the scoring test and the ranking's target order."""
+    report = tf.match_points(frame1, frame2)
+    return (report.full_assignment, report.best.pairs, report.score,
+            tuple(targets for targets, _ in report.ranking))
+
+
+def _degenerate_pairs(n: int, seeds):
+    """Frame pairs of the tests' near-degenerate generators: coplanar probes
+    (planar body, lifted corner, and a tie at n >= 6), a rotation of 0,
+    1e-9 or 1e-6 rad, planar and collinear bodies, axes tilted 0, 1e-6 or
+    1e-2 off the view axis, and two points on one epipolar line."""
+    for seed in seeds:
+        yield coplanar_probe_pair(n, seed)[:2]
+        yield coplanar_probe_pair(n, seed, planar=True)[:2]
+        yield coplanar_probe_pair(n, seed, lift=1e-10)[:2]
+        if n >= 6:
+            yield coplanar_probe_pair(n, seed, tie=True)[:2]
+        for kind in (0.0, 1e-9, 1e-6, "planar", "collinear"):
+            yield near_degenerate_pair(kind, n, seed)[:2]
+        for tilt in (0.0, 1e-6, 1e-2):
+            yield view_axis_pair(n, seed, tilt)[:2]
+        yield shared_epipolar_pair(seed, n)
+
+
 def collect() -> Digest:
     d = Digest()
     for seed in range(40):
@@ -120,6 +158,9 @@ def collect() -> Digest:
         for seed, frame1, frame2 in _pairs(n, range(8)):
             d.call("two_frame.match_points", tf.match_points,
                    frame1, _relabeled(frame2, seed))
+    for n in (4, 5, 6):
+        for frame1, frame2 in _degenerate_pairs(n, range(5)):
+            d.call("two_frame.match_points.degenerate", _match_answer, frame1, frame2)
     for _, frame1, frame2 in _pairs(4, range(20)):
         d.call("two_frame.rigidity_score", tf.rigidity_score, frame1, frame2)
     for _, frame1, frame2 in _pairs(5, range(20)):
