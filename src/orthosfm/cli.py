@@ -10,6 +10,11 @@ numpy runs with one OpenBLAS thread unless OPENBLAS_NUM_THREADS is already
 set: the systems solved here are far too small for BLAS to split, and an idle
 worker thread only burns CPU.  Importing the library (``import orthosfm``)
 leaves the environment alone; only this module sets the default.
+
+Each command imports the layers it runs when it runs (only match and
+ambiguity load two_frame; noise-study and dof load no io_files), and reaches
+their functions through the module at call time, so a wrapped function is
+the one that runs.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from . import io_files, scene_sim, solvers, two_frame  # noqa: E402
 from .errors import (  # noqa: E402
     DegenerateBasisError,
     DegenerateEliminationError,
@@ -35,7 +39,12 @@ from .errors import (  # noqa: E402
     OrthoSfmError,
     SingularSystemError,
 )
-from .geometry import DEFAULT_TOL, dof_balance, projected_sq_distances  # noqa: E402
+from .geometry import (  # noqa: E402
+    DEFAULT_RIGIDITY_TOL,
+    DEFAULT_TOL,
+    dof_balance,
+    projected_sq_distances,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -69,6 +78,8 @@ def _write(text: str, out):
 
 
 def _read_frames(path):
+    from . import io_files
+
     with open(path, encoding="utf-8") as fh:
         return io_files.frames_from_csv(fh.read())
 
@@ -87,6 +98,8 @@ def _pick_mode(n_points: int, n_frames: int) -> str:
 
 
 def cmd_recover(args) -> int:
+    from . import io_files, solvers
+
     start = time.perf_counter()
     frames = _read_frames(args.frames_file)
     labels = frames[0].labels
@@ -138,6 +151,8 @@ def cmd_recover(args) -> int:
 
 
 def cmd_match(args) -> int:
+    from . import io_files, solvers, two_frame
+
     start = time.perf_counter()
     # the labeled path compares the threshold here, not in two_frame
     solvers.check_tolerance("--threshold", args.threshold)
@@ -189,6 +204,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import io_files, scene_sim
+
     if args.points < 3 or args.frames < 2:
         raise InvalidInputError("need --points >= 3 and --frames >= 2")
     seed = _default_seed(args.seed)
@@ -211,6 +228,8 @@ _STUDY_COLUMNS = ("level", "trials", "failures", "median_rel_error", "mean_rel_e
 
 
 def cmd_noise_study(args) -> int:
+    from . import scene_sim
+
     try:
         levels = [float(v) for v in args.levels.split(",") if v.strip()]
     except ValueError:
@@ -225,6 +244,8 @@ def cmd_noise_study(args) -> int:
 
 
 def cmd_ambiguity(args) -> int:
+    from . import two_frame
+
     frames = _read_frames(args.frames_file)
     if len(frames) != 2:
         raise InvalidInputError("ambiguity needs exactly 2 frames")
@@ -289,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("frames_file")
     p.add_argument("--unlabeled", action="store_true",
                    help="labels do not correspond; search assignments")
-    p.add_argument("--threshold", type=float, default=two_frame.DEFAULT_RIGIDITY_TOL)
+    p.add_argument("--threshold", type=float, default=DEFAULT_RIGIDITY_TOL)
     p.add_argument("--out")
     p.set_defaults(func=cmd_match)
 

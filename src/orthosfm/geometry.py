@@ -25,6 +25,7 @@ import numpy as np
 from .errors import InconsistentLengthsError, InvalidInputError, MissingLabelError
 
 DEFAULT_TOL = 1e-9    # relative; the solvers' default and the two-frame layer's
+DEFAULT_RIGIDITY_TOL = 1e-6   # the matcher's, relative to the observation diameter
 ORTHONORMALITY_TOL = 1e-9
 _DEFICIT_ULPS = 64    # rounding of a difference of squared lengths, in ulps of the largest
 

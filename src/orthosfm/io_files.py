@@ -11,12 +11,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import FrameObservation, Point2, Point3, RigidMotion
-from .scene_sim import Scene
+
+if TYPE_CHECKING:
+    from .scene_sim import Scene
 
 
 def scene_to_json(scene: Scene) -> str:
@@ -39,6 +42,9 @@ def scene_to_json(scene: Scene) -> str:
 
 
 def scene_from_json(text: str) -> Scene:
+    # imported here so that reading and writing frames loads no simulator
+    from .scene_sim import Scene
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -2,9 +2,12 @@
 
 Random rigid point bodies, random unrestricted motions, orthographic frame
 rendering, and calibrated multiplicative noise.  Everything is
-deterministic given an explicit 64-bit seed; per-trial sub-streams are
-derived with numpy's SeedSequence spawn keys so parallel Monte-Carlo runs
-reproduce serial ones.
+deterministic given an explicit non-negative integer seed; a sub-stream is
+named by a key of spawn-key integers, so parallel Monte-Carlo runs
+reproduce serial ones.  The stream of key k is the one
+``np.random.default_rng(subseed(seed, *k))`` gives, bit for bit, but
+_generators derives the states of all of a call's keys in one array pass
+of numpy's SeedSequence hash instead of building a SeedSequence per stream.
 
 One array core does the work for any number of scenes at once: bodies are
 (N, p, 3) arrays, rotations (N, k, 3, 3), translations (N, k, 2) and images
@@ -20,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import solvers
 from .errors import InvalidInputError
@@ -42,6 +46,12 @@ MIN_AXIS_TILT = 0.1             # |axis_xy|; axis ~ e_z means in-plane motion
 
 _COND_MARGIN = 0.05             # genericity margin for generated bodies
 _MAX_ATTEMPTS = 1000            # draws per stream before resampling gives up
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), in uint32
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875      # mix_entropy's hash constants
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED      # generate_state's
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -96,9 +106,12 @@ def _labels_for(n: int) -> tuple:
 
 
 def subseed(seed, *key) -> np.random.SeedSequence:
-    """Deterministic sub-stream derivation: identical (seed, key) pairs give
-    identical streams regardless of drawing order.  Accepts an int or an
-    already-derived SeedSequence (keys concatenate)."""
+    """The SeedSequence of sub-stream key of seed: identical (seed, key)
+    pairs give identical streams regardless of drawing order.  Accepts an
+    int or an already-derived SeedSequence (keys concatenate).  The
+    simulator itself never builds one per stream: _generators derives the
+    same states for a whole batch of keys in one array pass, and accepts
+    what this returns as its seed."""
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(
             seed.entropy, spawn_key=tuple(seed.spawn_key) + tuple(key))
@@ -116,6 +129,123 @@ def rotation_angle_axis(rot: np.ndarray) -> tuple:
         axis = vecs[:, int(np.argmax(vals))]
         return angle, axis / np.linalg.norm(axis)
     return angle, axis / norm
+
+
+# ---------------------------------------------------------------- streams
+
+def _words(values) -> list:
+    """The 32-bit words of each non-negative integer of values, least
+    significant first, as SeedSequence splits it ([0] for 0)."""
+    out = []
+    for value in values:
+        if type(value) is not int:
+            if not isinstance(value, np.integer):
+                raise InvalidInputError(
+                    f"seeds and sub-stream keys must be integers, got {value!r}")
+            value = int(value)
+        # the sign first: shifting a negative int right never reaches 0
+        if value < 0:
+            raise InvalidInputError(
+                f"seeds and sub-stream keys must be non-negative, got {value!r}")
+        out.append(value & 0xFFFFFFFF)
+        value >>= 32
+        while value:
+            out.append(value & 0xFFFFFFFF)
+            value >>= 32
+    return out
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i < count: the hash constant before
+    each step of a SeedSequence hash, whatever the data."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+_GENERATE_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
+
+
+def _hashmix(values: np.ndarray, xor, mult) -> np.ndarray:
+    values = (values ^ xor) * mult
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return out ^ (out >> 16)
+
+
+def _states(entropy: np.ndarray) -> np.ndarray:
+    """(N, 4) uint64 PCG64 seeds: row i is what a SeedSequence whose
+    assembled entropy is row i of the (N, w) uint32 stack, w >= 4, returns
+    from generate_state(4, np.uint64).
+
+    mix_entropy hashes the first four words into the pool, mixes every
+    pool word into every other and then each further word into all four;
+    generate_state hashes the pool out cyclically into 8 words, read in
+    pairs as little-endian uint64.  The hash constant steps the same way
+    for every row, so each step is one array operation over all rows.
+    """
+    width = entropy.shape[1]
+    hc = _hash_constants(_INIT_A, _MULT_A, 4 * width + 1)
+    pool = _hashmix(entropy[:, :_POOL_SIZE], hc[:4], hc[1:5])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src], hc[k], hc[k + 1]))
+                k += 1
+    for src in range(_POOL_SIZE, width):
+        pool = _mix(pool, _hashmix(entropy[:, src, None], hc[k:k + 4], hc[k + 1:k + 5]))
+        k += 4
+    words = _hashmix(np.tile(pool, 2), _GENERATE_B[:-1], _GENERATE_B[1:])
+    return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _State(ISeedSequence):
+    """A seed sequence whose PCG64 seed words are already computed."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+            raise NotImplementedError("only PCG64's seed, 4 uint64 words")
+        return self.state
+
+
+def _generators(seed, keys) -> list:
+    """One Generator per key, each the stream of
+    np.random.default_rng(subseed(seed, *key)), bit for bit.
+
+    seed is a non-negative integer or a SeedSequence (as subseed returns)
+    with a non-negative integer entropy, the default pool size and an
+    integer spawn key; anything else raises InvalidInputError before any
+    draw.  The assembled entropy of a key is SeedSequence's: the seed's
+    words, zero-padded to the pool size (where an unkeyed SeedSequence
+    hashes zeros instead), then the words of each spawn-key element.  Rows
+    with as many words are hashed together by _states.
+    """
+    prefix = ()
+    if isinstance(seed, np.random.SeedSequence):
+        if seed.pool_size != _POOL_SIZE:
+            raise InvalidInputError(
+                f"seed sequences must have pool_size {_POOL_SIZE}, got {seed.pool_size}")
+        seed, prefix = seed.entropy, tuple(seed.spawn_key)
+    run = _words([seed])
+    head = run + [0] * (_POOL_SIZE - len(run)) + _words(prefix)
+    rows = [head + _words(key) for key in keys]
+    by_width = {}
+    for i, row in enumerate(rows):
+        by_width.setdefault(len(row), []).append(i)
+    states = np.empty((len(rows), _POOL_SIZE), dtype=np.uint64)
+    for index in by_width.values():
+        states[index] = _states(np.array([rows[i] for i in index], dtype=np.uint32))
+    return [np.random.Generator(np.random.PCG64(_State(state))) for state in states]
 
 
 # ---------------------------------------------------------------- array core
@@ -151,9 +281,8 @@ def _generic(bodies: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _bodies(seqs, n: int) -> np.ndarray:
+def _bodies(rngs, n: int) -> np.ndarray:
     """(N, n, 3): n points in the unit cube per stream, redrawn until generic."""
-    rngs = [np.random.default_rng(seq) for seq in seqs]
     return _redraw(rngs, lambda rng: rng.uniform(0.0, 1.0, size=(n, 3)), _generic)
 
 
@@ -188,28 +317,33 @@ def _usable_rotations(rots: np.ndarray) -> np.ndarray:
     return np.array(ok)
 
 
-def _motions(seqs) -> tuple:
+def _motions(rngs) -> tuple:
     """Rotations (M, 3, 3), uniform on SO(3), and translations (M, 2),
     uniform in [-1, 1]^2, one per stream; a stream's rotation is redrawn
     until usable and its translation is drawn after it."""
-    rngs = [np.random.default_rng(seq) for seq in seqs]
     quats = _redraw(rngs, lambda rng: rng.normal(size=4),
                     lambda stack: _usable_rotations(_rotations(stack)))
     return _rotations(quats), np.array([rng.uniform(-1.0, 1.0, size=2) for rng in rngs])
 
 
-def _scenes(n_points: int, n_frames: int, seed, keys) -> tuple:
+def _scene_keys(keys, n_frames: int) -> list:
+    """The stream keys of one scene per key, as gen_scene(subseed(seed,
+    *key)) draws it: the body from sub-stream 0 and the motion of frame
+    j >= 1 from sub-stream j."""
+    return [(*key, j) for key in keys for j in range(n_frames)]
+
+
+def _scenes(n_points: int, n_frames: int, rngs) -> tuple:
     """Bodies (N, p, 3), rotations (N, k, 3, 3) and translations (N, k, 2)
-    of one scene per key, as gen_scene(subseed(seed, *key)) draws it: the
-    body from sub-stream 0, the motion of frame j >= 1 from sub-stream j,
-    and the identity in frame 0."""
-    bodies = _bodies([subseed(seed, *key, 0) for key in keys], n_points)
-    rots = np.tile(np.eye(3), (len(keys), n_frames, 1, 1))
-    trans = np.zeros((len(keys), n_frames, 2))
+    from the N * k Generators of _scene_keys, with the identity in frame 0."""
+    bodies = _bodies(rngs[::n_frames], n_points)
+    n = len(bodies)
+    rots = np.tile(np.eye(3), (n, n_frames, 1, 1))
+    trans = np.zeros((n, n_frames, 2))
     if n_frames > 1:
-        r, t = _motions([subseed(seed, *key, j) for key in keys for j in range(1, n_frames)])
-        rots[:, 1:] = r.reshape(len(keys), n_frames - 1, 3, 3)
-        trans[:, 1:] = t.reshape(len(keys), n_frames - 1, 2)
+        r, t = _motions([rng for i, rng in enumerate(rngs) if i % n_frames])
+        rots[:, 1:] = r.reshape(n, n_frames - 1, 3, 3)
+        trans[:, 1:] = t.reshape(n, n_frames - 1, 2)
     return bodies, rots, trans
 
 
@@ -220,11 +354,10 @@ def _images(bodies: np.ndarray, rots: np.ndarray, trans: np.ndarray) -> np.ndarr
     return moved[..., :2] + trans[:, :, None, :]
 
 
-def _noise(seqs, spec: NoiseSpec, shape) -> np.ndarray:
+def _noise(rngs, spec: NoiseSpec, shape) -> np.ndarray:
     """Relative noise of the given shape from each stream, stacked."""
     eps = []
-    for seq in seqs:
-        rng = np.random.default_rng(seq)
+    for rng in rngs:
         if spec.distribution == "uniform":
             eps.append(rng.uniform(-spec.level, spec.level, size=shape))
         else:
@@ -243,14 +376,14 @@ def gen_body(n: int, seed) -> tuple:
     configuration is non-collinear (non-coplanar for n >= 4)."""
     if n < 3:
         raise InvalidInputError("need at least 3 points")
-    return _labeled_body(_bodies([seed], n)[0])
+    return _labeled_body(_bodies(_generators(seed, [()]), n)[0])
 
 
 def gen_motion(seed) -> RigidMotion:
     """A rigid motion with rotation uniform on SO(3) and translation uniform
     in [-1, 1]^2, rejecting near-degenerate motions (tiny rotation, or an
     axis so close to the viewing direction that the motion is in-plane)."""
-    return RigidMotion.stack(*_motions([seed]))[0]
+    return RigidMotion.stack(*_motions(_generators(seed, [()])))[0]
 
 
 def gen_scene(n_points: int, n_frames: int, seed) -> Scene:
@@ -260,7 +393,9 @@ def gen_scene(n_points: int, n_frames: int, seed) -> Scene:
         raise InvalidInputError("need at least 1 frame")
     if n_points < 3:
         raise InvalidInputError("need at least 3 points")
-    bodies, rots, trans = _scenes(n_points, n_frames, seed, [()])
+    bodies, rots, trans = _scenes(
+        n_points, n_frames, _generators(seed, _scene_keys([()], n_frames)))
+    # _generators admitted only an int entropy, which Scene.seed records
     provenance = seed.entropy if isinstance(seed, np.random.SeedSequence) else int(seed)
     return Scene(body=_labeled_body(bodies[0]), motions=RigidMotion.stack(rots[0], trans[0]),
                  seed=int(provenance))
@@ -288,7 +423,8 @@ def add_noise(frames, spec: NoiseSpec) -> list:
     if spec.level == 0.0 or not frames:
         return [FrameObservation(f.points) for f in frames]
     coords = np.concatenate([f.coords() for f in frames])
-    noisy = (coords * (1.0 + _noise([spec.seed], spec, coords.shape)[0])).tolist()
+    noise = _noise(_generators(spec.seed, [()]), spec, coords.shape)[0]
+    noisy = (coords * (1.0 + noise)).tolist()
     out, start = [], 0
     for f in frames:
         out.append(_frame(f.labels, noisy[start:start + len(f.points)]))
@@ -303,8 +439,9 @@ def run_noise_study(mode: str, levels, trials: int, seed: int) -> list:
 
     Returns a list of dict rows.  Deterministic: trial t at level index i
     draws its scene from sub-stream (i, t, 0) and its noise from (i, t, 1).
-    Every level simulates all of its trials as one stack and solves them in
-    one solvers.solve_batch call.  A trial's answer is its candidate closest
+    Every level derives all of its trials' streams in one _generators call,
+    simulates the trials as one stack and solves them in one
+    solvers.solve_batch call.  A trial's answer is its candidate closest
     to the truth in max absolute error.  failures counts the trials without
     an answer: failures_degenerate those whose system was degenerate or
     singular, failures_no_candidate those that gave no candidate.
@@ -319,13 +456,16 @@ def run_noise_study(mode: str, levels, trials: int, seed: int) -> list:
     solve = solvers.solve_batch
     rows = []
     for li, (level, spec) in enumerate(zip(levels, specs)):
-        bodies, rots, trans = _scenes(
-            n_points, n_frames, seed, [(li, t, 0) for t in range(trials)])
+        keys = _scene_keys([(li, t, 0) for t in range(trials)], n_frames)
+        if spec.level > 0:
+            keys += [(li, t, 1) for t in range(trials)]
+        rngs = _generators(seed, keys)
+        n_scene = trials * n_frames
+        bodies, rots, trans = _scenes(n_points, n_frames, rngs[:n_scene])
         check_motions(rots, trans)
         images = _images(bodies, rots, trans)
         if spec.level > 0:
-            noise_seqs = [subseed(seed, li, t, 1) for t in range(trials)]
-            images = images * (1.0 + _noise(noise_seqs, spec, images.shape[1:]))
+            images = images * (1.0 + _noise(rngs[n_scene:], spec, images.shape[1:]))
         d = images[:, :, first] - images[:, :, second]
         # dx*dx + dy*dy as projected_sq_distances rounds it; np.vecdot on
         # 2-vectors does not

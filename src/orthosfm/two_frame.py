@@ -51,6 +51,7 @@ from .errors import (
     NoSolutionError,
 )
 from .geometry import (
+    DEFAULT_RIGIDITY_TOL,
     DEFAULT_TOL,
     FrameObservation,
     Point3,
@@ -64,8 +65,6 @@ from .solvers import _solve_quadratic, check_tolerance, quad_coeffs
 # Assumed-length policy for the 4-point scorer: |RP| is assumed 1.5x its
 # longest projection whenever that admits a triangle (see _assumed_length).
 C_START_FACTOR = 1.5
-
-DEFAULT_RIGIDITY_TOL = 1e-6     # relative to the observation diameter
 
 # Thresholds on points divided by the pair's scale.  DEFAULT_TOL is the slack
 # of a b^2 root's discriminant and of its lengths over their projections.

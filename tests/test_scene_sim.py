@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orthosfm import geometry as geo
 from orthosfm import scene_sim as sim
@@ -235,6 +237,64 @@ class TestSubseed:
         flat = sim.subseed(3, 1, 2)
         assert nested.entropy == flat.entropy
         assert tuple(nested.spawn_key) == tuple(flat.spawn_key)
+
+
+# seeds up to 2**128, plain or as a SeedSequence carrying a spawn key, and
+# keys whose elements span one to three 32-bit words
+INT_SEEDS = st.integers(0, 2**128)
+KEY_ELEMENTS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96))
+KEYS = st.lists(KEY_ELEMENTS, max_size=5).map(tuple)
+SEEDS = st.one_of(INT_SEEDS, st.builds(lambda entropy, key: sim.subseed(entropy, *key),
+                                       INT_SEEDS, st.lists(KEY_ELEMENTS, min_size=1,
+                                                           max_size=3)))
+
+
+class TestGenerators:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=SEEDS, keys=st.lists(KEYS, min_size=1, max_size=6))
+    @example(seed=0, keys=[()])
+    @example(seed=2**128, keys=[(), (1,), (2**32,), (1, 2, 3, 4, 5, 6), (2**96, 0)])
+    @example(seed=sim.subseed(7, 2**40), keys=[(), (0, 1)])
+    def test_streams_equal_seed_sequences(self, seed, keys):
+        rngs = sim._generators(seed, keys)
+        assert len(rngs) == len(keys)
+        for key, rng in zip(keys, rngs):
+            seq = sim.subseed(seed, *key)
+            assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64),
+                                  seq.generate_state(4, np.uint64))
+            assert rng.bit_generator.state == np.random.default_rng(seq).bit_generator.state
+
+    def test_noise_study_batch(self):
+        keys = [(2, t, 0, j) for t in range(50) for j in range(3)] + \
+            [(2, t, 1) for t in range(50)]
+        for key, rng in zip(keys, sim._generators(11, keys)):
+            ref = np.random.default_rng(sim.subseed(11, *key))
+            assert np.array_equal(rng.uniform(size=5), ref.uniform(size=5))
+
+    @pytest.mark.parametrize("seed", [
+        -1, -2**70, np.int64(-3), 1.0, "3", None, True,
+        np.random.SeedSequence([1, 2]),           # Scene.seed records one int
+        np.random.SeedSequence(3, pool_size=8),
+    ])
+    def test_rejects_seed_before_any_draw(self, seed, monkeypatch):
+        def draw(*args):
+            raise AssertionError("drew from a stream")
+
+        monkeypatch.setattr(sim, "_redraw", draw)
+        monkeypatch.setattr(sim, "_noise", draw)
+        with pytest.raises(InvalidInputError):
+            sim._generators(seed, [(0,)])
+        for call in (lambda: sim.gen_scene(4, 3, seed), lambda: sim.gen_body(3, seed),
+                     lambda: sim.gen_motion(seed),
+                     lambda: sim.add_noise([geo.FrameObservation(
+                         (("P", geo.Point2(1.0, 2.0)),))], sim.NoiseSpec(0.1, seed=seed)),
+                     lambda: sim.run_noise_study("p3f3", [0.01], 2, seed)):
+            with pytest.raises(InvalidInputError):
+                call()
+
+    def test_scene_records_the_entropy(self):
+        assert sim.gen_scene(3, 2, 2**100).seed == 2**100
+        assert sim.gen_scene(3, 2, sim.subseed(5, 1)).seed == 5
 
 
 class TestGenScene:

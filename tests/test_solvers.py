@@ -366,7 +366,8 @@ def reference_solve_p3f3(frames, tol=1e-9):
     (m_a1, m_b1, m_c1), (m_a2, m_b2, m_c2) = mat.tolist()
     r1, r2 = rhs.tolist()
     det = m_a1 * m_b2 - m_a2 * m_b1
-    if abs(det) < 1e-12:
+    # the solver's refusal floor: below it the closed form is not compared
+    if abs(det) < sol._DEGENERACY_TOL:
         raise DegenerateEliminationError("frame-difference elimination is singular")
     a_c = (m_c2 * m_b1 - m_c1 * m_b2) / det
     a0 = (r1 * m_b2 - r2 * m_b1) / det

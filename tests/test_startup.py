@@ -36,16 +36,30 @@ print(json.dumps({{"numpy": "numpy" in sys.modules, "environ_unchanged": dict(os
 """
 
 
-def fresh_import(module, **env):
-    """Import module in a new interpreter whose environment has no
-    OPENBLAS_NUM_THREADS unless env sets it."""
+# runs one command and prints its exit code and the modules it left loaded
+COMMAND_PROBE = """
+import contextlib, io, json, sys
+from orthosfm import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv!r})
+print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
+"""
+
+
+def fresh_run(code, **env):
+    """Run code in a new interpreter whose environment has no
+    OPENBLAS_NUM_THREADS unless env sets it; return what it printed as JSON."""
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), base.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(module=module)],
+    proc = subprocess.run([sys.executable, "-c", code],
                           env={**base, **env}, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def fresh_import(module, **env):
+    return fresh_run(PROBE.format(module=module), **env)
 
 
 def test_package_import_loads_no_numpy_and_leaves_environment():
@@ -75,3 +89,37 @@ def test_eager_exports_still_resolve():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         orthosfm.no_such_name  # noqa: B018
+
+
+@pytest.fixture(scope="module")
+def frames_files(tmp_path_factory):
+    """A 3-point 4-frame file to recover from and a 5-point 2-frame file to match."""
+    from orthosfm import cli
+
+    tmp = tmp_path_factory.mktemp("frames")
+    for name, points, frames in (("recover", 3, 4), ("match", 5, 2)):
+        assert cli.main(["simulate", "--points", str(points), "--frames", str(frames),
+                         "--seed", "3", "--out", str(tmp / name)]) == 0
+    return {name: str(tmp / f"{name}.frames.csv") for name in ("recover", "match")}
+
+
+# each command, and the layers it must not load
+COMMANDS = {
+    "noise-study": (["noise-study", "--trials", "3", "--levels", "0.01"],
+                    ("orthosfm.two_frame", "orthosfm.io_files")),
+    "dof": (["dof", "--points", "3", "--frames", "3"],
+            ("orthosfm.two_frame", "orthosfm.io_files", "orthosfm.scene_sim")),
+    "recover": (["recover", "{recover}"], ("orthosfm.two_frame", "orthosfm.scene_sim")),
+    "simulate": (["simulate", "--points", "3", "--frames", "2", "--out", "{tmp}/scene"],
+                 ("orthosfm.two_frame",)),
+    "match": (["match", "--unlabeled", "{match}"], ("orthosfm.scene_sim",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_only_the_layers_it_runs(command, frames_files, tmp_path):
+    argv, absent = COMMANDS[command]
+    argv = [arg.format(tmp=tmp_path, **frames_files) for arg in argv]
+    got = fresh_run(COMMAND_PROBE.format(argv=argv))
+    assert got["code"] == 0
+    assert not set(absent) & set(got["modules"])
