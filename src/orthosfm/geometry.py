@@ -9,8 +9,10 @@ Conventions used throughout the library:
   only at API edges.
 * Triangle edge order is PQ, QR, RP (lengths a, b, c); a tetrahedron adds
   TR, TP, TQ (lengths d, f, g).
-* A frame's image coordinates are read one way, as an (m, 2) array in the
-  order of the labels asked for (FrameObservation.coords).
+* A frame is a label tuple and a read-only (n, 2) array, made k frames at a
+  time from one checked (k, n, 2) stack; a (label, Point2) tuple is only an
+  adapter.  It is read one way, as an (m, 2) array in the order of the
+  labels asked for (FrameObservation.coords).
 """
 
 from __future__ import annotations
@@ -125,61 +127,85 @@ def check_motions(rotations: np.ndarray, translations: np.ndarray) -> None:
         raise InvalidInputError("rotation must be proper (det +1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FrameObservation:
-    """Labeled 2D projections of the traced points within one frame."""
+    """Labeled 2D projections of the traced points within one frame: a label
+    tuple and a read-only (n, 2) array of their (x, y).  The array is
+    primary; FrameObservation(points) adapts a tuple of (label, Point2) to
+    FrameObservation.stack, and .points, that tuple, is built when asked for.
+    """
 
-    points: tuple  # of (label, Point2)
+    labels: tuple
+    _xy: np.ndarray
 
-    def __post_init__(self):
-        pts = tuple(self.points)
-        labels = [lab for lab, _ in pts]
-        if len(set(labels)) != len(labels):
-            raise InvalidInputError("duplicate labels in frame")
-        if len(pts) < 3:
-            raise InvalidInputError("a frame needs at least 3 points")
-        object.__setattr__(self, "points", pts)
+    def __init__(self, points):
+        pts = tuple(points)
+        (frame,) = self.stack([[lab for lab, _ in pts]],
+                              np.reshape([(p.x, p.y) for _, p in pts], (1, -1, 2)))
+        vars(self).update(vars(frame), points=pts)
 
-    @property
-    def labels(self) -> tuple:
-        return tuple(lab for lab, _ in self.points)
+    @classmethod
+    def stack(cls, labels_per_frame, coords) -> tuple:
+        """One frame per row of a (k, n, 2) coordinate stack, labelled by the
+        k label sequences, checked once over the whole stack: its shape, at
+        least 3 points, finite coordinates and distinct labels in each frame."""
+        labels = [tuple(labs) for labs in labels_per_frame]
+        xy = np.array(coords, dtype=float)
+        if xy.ndim != 3 or xy.shape[2] != 2 or list(map(len, labels)) != [xy.shape[1]] * len(xy):
+            raise InvalidInputError(
+                "FrameObservation.stack needs one label per point and a (k, n, 2) stack")
+        repeats = [labels.index(labs) for labs in set(labels) if len(set(labs)) < len(labs)]
+        if repeats:
+            raise InvalidInputError(f"frame {min(repeats)}: duplicate labels")
+        if xy.shape[1] < 3:
+            raise InvalidInputError(f"frame 0: needs at least 3 points, has {xy.shape[1]}")
+        if not np.isfinite(xy).all():
+            raise InvalidInputError("non-finite coordinate")
+        xy.flags.writeable = False
+        frames = tuple(object.__new__(cls) for _ in labels)
+        for frame, labs, rows in zip(frames, labels, xy):
+            vars(frame).update(labels=labs, _xy=rows)
+        return frames
+
+    def __eq__(self, other):
+        return isinstance(other, FrameObservation) and self.labels == other.labels \
+            and np.array_equal(self._xy, other._xy)
+
+    def __hash__(self):
+        return hash(self.points)
+
+    @cached_property
+    def points(self) -> tuple:
+        """The frame as a tuple of (label, Point2), in frame order."""
+        return tuple((lab, Point2(x, y)) for lab, (x, y) in zip(self.labels, self._xy.tolist()))
 
     def get(self, label) -> Point2:
-        for lab, pt in self.points:
-            if lab == label:
-                return pt
-        raise MissingLabelError(f"label {label!r} absent from frame")
+        return Point2(*self.coords((label,))[0].tolist())
 
     def coords(self, labels=None) -> np.ndarray:
         """The (x, y) of the given labels, in their order, as an (m, 2)
-        array; of every point, in frame order, when labels is None (a
-        read-only array built on first use).
+        array; of every point, in frame order, when labels is None (the
+        frame's own read-only array).
 
         Raises MissingLabelError when a label is absent from the frame.
         """
         if labels is None:
-            return self._coords
+            return self._xy
         names, rows = self.labels, []
         for label in labels:
             try:
                 rows.append(names.index(label))
             except ValueError:
                 raise MissingLabelError(f"label {label!r} absent from frame") from None
-        return self._coords[rows]
+        return self._xy[rows]
 
     def scale_sq(self) -> float:
         """Squared diameter of the observation set, computed on first use."""
         return self._scale_sq
 
     @cached_property
-    def _coords(self) -> np.ndarray:
-        xy = np.array([(p.x, p.y) for _, p in self.points])
-        xy.flags.writeable = False
-        return xy
-
-    @cached_property
     def _scale_sq(self) -> float:
-        diff = self._coords[:, None] - self._coords[None]
+        diff = self._xy[:, None] - self._xy[None]
         # vecdot rounds each entry exactly as d @ d does on one difference d
         return float(np.vecdot(diff, diff).max())
 

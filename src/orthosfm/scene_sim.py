@@ -31,7 +31,6 @@ from .geometry import (
     TETRA_EDGES,
     TRIANGLE_EDGES,
     FrameObservation,
-    Point2,
     Point3,
     RigidMotion,
     check_motions,
@@ -401,35 +400,33 @@ def gen_scene(n_points: int, n_frames: int, seed) -> Scene:
                  seed=int(provenance))
 
 
-def _frame(labels, coords) -> FrameObservation:
-    return FrameObservation(tuple((lab, Point2(x, y)) for lab, (x, y) in zip(labels, coords)))
-
-
 def render(scene: Scene) -> list:
     """Orthographic frames of the scene: frame j projects motion_j(body)."""
     body = np.array([[p.x, p.y, p.z] for _, p in scene.body])
     rots = np.array([m.rotation for m in scene.motions])
     trans = np.array([m.translation for m in scene.motions])
     images = _images(body[None], rots[None], trans[None])[0]
-    return [_frame(scene.labels, frame) for frame in images.tolist()]
+    return list(FrameObservation.stack([scene.labels] * len(images), images))
 
 
 def add_noise(frames, spec: NoiseSpec) -> list:
     """Multiplicative per-coordinate noise: x -> x * (1 + eps).
 
     Uniform: eps ~ U(-level, level).  Gaussian: eps ~ N(0, (level/3)^2),
-    so the stated level is a 3-sigma bound.  Bit-identical for level 0.
+    so the stated level is a 3-sigma bound.  Level 0 returns the (immutable)
+    frames themselves.
     """
     if spec.level == 0.0 or not frames:
-        return [FrameObservation(f.points) for f in frames]
+        return list(frames)
     coords = np.concatenate([f.coords() for f in frames])
     noise = _noise(_generators(spec.seed, [()]), spec, coords.shape)[0]
-    noisy = (coords * (1.0 + noise)).tolist()
-    out, start = [], 0
-    for f in frames:
-        out.append(_frame(f.labels, noisy[start:start + len(f.points)]))
-        start += len(f.points)
-    return out
+    noisy = coords * (1.0 + noise)
+    sizes = [len(f.labels) for f in frames]
+    if len(set(sizes)) == 1:
+        return list(FrameObservation.stack([f.labels for f in frames],
+                                           noisy.reshape(len(frames), -1, 2)))
+    return [FrameObservation.stack([f.labels], part[None])[0]
+            for f, part in zip(frames, np.split(noisy, np.cumsum(sizes)[:-1]))]
 
 
 # ---------------------------------------------------------------- noise study

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthosfm import geometry as geo
 from orthosfm import scene_sim as sim
@@ -159,6 +161,74 @@ class TestFrameObservationCoords:
         frame.scale_sq(), frame.coords(("P",))  # builds the cache on frame only
         assert frame == same and hash(frame) == hash(same)
         assert frame != random_frame(rng)
+
+
+# finite coordinates, signed zeros and subnormals among them (bounded so
+# that the squared diameter does not overflow)
+COORDS = st.floats(-1e150, 1e150) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310])
+
+
+@st.composite
+def labelled_points(draw):
+    labels = draw(st.lists(st.text(min_size=1, max_size=3), min_size=3, max_size=8, unique=True))
+    return tuple((lab, geo.Point2(draw(COORDS), draw(COORDS))) for lab in labels)
+
+
+class TestFrameObservationStack:
+    @settings(max_examples=200, deadline=None)
+    @given(points=labelled_points())
+    def test_adapter_equals_stack(self, points):
+        labels = [lab for lab, _ in points]
+        xy = np.array([(p.x, p.y) for _, p in points])
+        adapted = geo.FrameObservation(points)
+        (stacked,) = geo.FrameObservation.stack([labels], xy[None])
+        assert adapted == stacked and hash(adapted) == hash(stacked)
+        assert adapted.labels == stacked.labels == tuple(labels)
+        # bit for bit, so signed zeros survive
+        assert adapted.coords().tobytes() == stacked.coords().tobytes() == xy.tobytes()
+        assert adapted.scale_sq() == stacked.scale_sq()
+        assert adapted.points == stacked.points == points
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 5), n=st.integers(3, 6), data=st.data())
+    def test_rejects_a_non_finite_entry_anywhere(self, k, n, data):
+        xy = np.ones((k, n, 2))
+        where = tuple(data.draw(st.integers(0, size - 1)) for size in xy.shape)
+        xy[where] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            geo.FrameObservation.stack([("P", "Q", "R", "T", "U", "V")[:n]] * k, xy)
+
+    def test_names_the_first_frame_with_a_repeated_label(self):
+        labels = [("P", "Q", "R"), ("P", "Q", "R"), ("P", "P", "R"), ("Q", "Q", "R")]
+        with pytest.raises(InvalidInputError, match="frame 2: duplicate labels"):
+            geo.FrameObservation.stack(labels, np.zeros((4, 3, 2)))
+
+    @pytest.mark.parametrize("labels, shape", [
+        ([("P", "Q", "R")], (2, 3, 2)),       # one label tuple for two frames
+        ([("P", "Q")] * 2, (2, 3, 2)),        # two labels for three points
+        ([("P", "Q", "R")], (1, 3, 3)),       # not (x, y)
+        ([("P", "Q", "R")], (3, 2)),          # not a stack
+    ])
+    def test_rejects_mismatched_shapes(self, labels, shape):
+        with pytest.raises(InvalidInputError, match="stack needs"):
+            geo.FrameObservation.stack(labels, np.zeros(shape))
+
+    def test_frames_are_read_only_views_of_one_copy(self):
+        xy = np.arange(18.0).reshape(3, 3, 2)
+        frames = geo.FrameObservation.stack([("P", "Q", "R")] * 3, xy)
+        xy[:] = 0.0   # the caller's array is copied
+        assert frames[2].coords().tolist() == [[12.0, 13.0], [14.0, 15.0], [16.0, 17.0]]
+        with pytest.raises(ValueError):
+            frames[0].coords()[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            frames[0].labels = ("Q", "P", "R")
+
+    def test_too_few_points(self):
+        with pytest.raises(InvalidInputError, match="at least 3 points, has 2"):
+            geo.FrameObservation((("P", geo.Point2(0, 0)), ("Q", geo.Point2(1, 0))))
+        with pytest.raises(InvalidInputError, match="at least 3 points, has 0"):
+            geo.FrameObservation(())
 
 
 class TestDofBalance:

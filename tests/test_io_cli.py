@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthosfm import cli, io_files
 from orthosfm import geometry as geo
@@ -35,6 +37,41 @@ class TestSceneJson:
     def test_missing_field(self):
         with pytest.raises(InvalidInputError, match="malformed"):
             io_files.scene_from_json(json.dumps({"points": []}))
+
+
+def scene_doc(scene):
+    """The scene file's document, as json.dumps encodes it."""
+    return {
+        "points": [{"label": str(lab), "x": p.x, "y": p.y, "z": p.z} for lab, p in scene.body],
+        "motions": [{"rotation": [float(v) for v in m.rotation.reshape(-1)],
+                     "tx": float(m.translation[0]), "ty": float(m.translation[1])}
+                    for m in scene.motions],
+        "seed": scene.seed,
+    }
+
+
+class TestSceneJsonOracle:
+    """scene_to_json writes the schema itself; json.dumps is the oracle."""
+
+    @pytest.mark.parametrize("n_points", range(3, 9))
+    def test_equals_json_dumps(self, n_points):
+        for n_frames in (1, 2, 7, 50):
+            scene = sim.gen_scene(n_points, n_frames, 100 * n_points + n_frames)
+            text = io_files.scene_to_json(scene)
+            assert text == json.dumps(scene_doc(scene), indent=2) + "\n"
+            back = io_files.scene_from_json(text)
+            assert io_files.scene_to_json(back) == text
+
+    def test_labels_that_need_escaping(self):
+        body = tuple((lab, geo.Point3(-0.0, 5e-324, 1e300 * k)) for k, lab in
+                     enumerate(['a"b', "c\\d", "e\nf", "\u00e9\t", "\U0001f600"]))
+        for motions in ((), sim.gen_scene(3, 3, 1).motions):
+            scene = sim.Scene(body=body, motions=motions, seed=2**70)
+            text = io_files.scene_to_json(scene)
+            assert text == json.dumps(scene_doc(scene), indent=2) + "\n"
+            back = io_files.scene_from_json(text)
+            assert back.body == scene.body and back.seed == scene.seed
+            assert io_files.scene_to_json(back) == text
 
 
 class TestFramesCsv:
@@ -79,6 +116,114 @@ class TestFramesCsv:
     def test_empty_file(self):
         with pytest.raises(InvalidInputError):
             io_files.frames_from_csv("")
+
+    def test_lenient_number_syntax(self):
+        # Python's own int and float read the columns
+        text = ("frame_index,label,x,y\n"
+                "00,P,1e-3,-0.0\n+0,Q,1,2\n 0,R, 3.5 ,1_0\n")
+        (frame,) = io_files.frames_from_csv(text)
+        assert frame.labels == ("P", "Q", "R")
+        assert frame.coords().tolist() == [[1e-3, 0.0], [1.0, 2.0], [3.5, 10.0]]
+        assert np.signbit(frame.coords()[0, 1])
+
+    @pytest.mark.parametrize("value", ["1e400", "-1e400", "nan", "inf", "-Infinity"])
+    def test_non_finite_coordinate_names_its_line(self, tmp_path, capsys, value):
+        text = ("frame_index,label,x,y\n"
+                f"0,P,0.0,0.0\n0,Q,1.0,0.0\n0,R,{value},1.0\n0,T,{value},2.0\n")
+        with pytest.raises(InvalidInputError, match="^frames file: line 4: non-finite"):
+            io_files.frames_from_csv(text)
+        f = tmp_path / "frames.csv"
+        f.write_text(text)
+        assert cli.main(["recover", str(f)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: frames file: line 4: non-finite coordinate\n"
+
+    def test_first_faulty_line_wins(self):
+        # a bad number after a non-finite coordinate, and before one
+        rows = "0,P,0.0,0.0\n0,Q,nan,0.0\n0,R,zero,1.0\n"
+        with pytest.raises(InvalidInputError, match="line 3: non-finite"):
+            io_files.frames_from_csv("frame_index,label,x,y\n" + rows)
+        rows = "0,P,0.0,0.0\n\n0,Q,0.0\n0,R,nan,1.0\n"
+        with pytest.raises(InvalidInputError, match="line 4: expected 4 columns"):
+            io_files.frames_from_csv("frame_index,label,x,y\n" + rows)
+
+    def test_nan_in_the_last_of_6000_frames(self, tmp_path, capsys):
+        frames = sim.render(sim.gen_scene(4, 6000, 5))
+        lines = io_files.frames_to_csv(frames).splitlines()
+        assert len(lines) == 1 + 4 * 6000
+        lines[-2] = lines[-2].rsplit(",", 1)[0] + ",nan"
+        f = tmp_path / "frames.csv"
+        f.write_text("\n".join(lines) + "\n")
+        assert cli.main(["recover", str(f)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == \
+            f"error: frames file: line {len(lines) - 1}: non-finite coordinate\n"
+
+    def test_repeated_label_names_its_frame(self, tmp_path, capsys):
+        text = "frame_index,label,x,y\n" + "".join(
+            f"{idx},{lab},{x}.0,{idx}.0\n" for idx in (0, 1) for x, lab in enumerate("PQP"))
+        f = tmp_path / "frames.csv"
+        f.write_text(text)
+        assert cli.main(["recover", str(f)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: frame 0: duplicate labels\n"
+
+    def test_too_few_points_names_its_frame(self, tmp_path, capsys):
+        text = "frame_index,label,x,y\n1,P,0,0\n0,P,0,0\n0,Q,1,0\n1,Q,1,1\n"
+        f = tmp_path / "frames.csv"
+        f.write_text(text)
+        assert cli.main(["recover", str(f)]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "error: frame 0: needs at least 3 points, has 2\n"
+
+    def test_label_mismatch_names_the_first_frame(self):
+        rows = ["frame_index,label,x,y"]
+        for idx, labels in enumerate(("PQR", "PQR", "PQRT", "PQZ", "RQP")):
+            rows += [f"{idx},{lab},0.0,0.0" for lab in labels]
+        with pytest.raises(InvalidInputError, match="frame 2 labels differ from frame 0"):
+            io_files.frames_from_csv("\n".join(rows) + "\n")
+        del rows[10]   # frame 2 loses its T
+        with pytest.raises(InvalidInputError, match="frame 3 labels differ from frame 0"):
+            io_files.frames_from_csv("\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("index", ["-1", "7", str(10**30)])
+    def test_index_out_of_range(self, index):
+        text = f"frame_index,label,x,y\n0,P,0,0\n0,Q,1,0\n0,R,0,1\n{index},P,0,0\n"
+        with pytest.raises(InvalidInputError, match="without gaps"):
+            io_files.frames_from_csv(text)
+
+
+# a coordinate of every kind the writer meets: signed zeros, subnormals, any
+# finite double
+CSV_COORDS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310])
+# labels that need CSV quoting (a comma or a quote) among plain ones
+CSV_LABELS = st.text(alphabet='PQRab ,"\'', min_size=1, max_size=4)
+
+
+@st.composite
+def frame_sets(draw):
+    """Frames of one label set, each frame in its own label order."""
+    labels = draw(st.lists(CSV_LABELS, min_size=3, max_size=6, unique=True))
+    n_frames = draw(st.integers(1, 6))
+    return [geo.FrameObservation(tuple(
+        (lab, geo.Point2(draw(CSV_COORDS), draw(CSV_COORDS)))
+        for lab in draw(st.permutations(labels)))) for _ in range(n_frames)]
+
+
+class TestFramesCsvRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(frames=frame_sets(), data=st.data())
+    def test_rows_in_any_frame_order(self, frames, data):
+        header, *rows = io_files.frames_to_csv(frames).splitlines(keepends=True)
+        # interleave the frames' rows at random, each frame's in its own order
+        n = len(frames[0].labels)
+        turns = data.draw(st.permutations([i for i in range(len(frames)) for _ in range(n)]))
+        queues = [iter(rows[i * n:(i + 1) * n]) for i in range(len(frames))]
+        text = header + "".join(next(queues[i]) for i in turns)
+        back = io_files.frames_from_csv(text)
+        assert [f.points for f in back] == [f.points for f in frames]
+        # bit for bit, signed zeros included
+        assert [f.coords().tobytes() for f in back] == [f.coords().tobytes() for f in frames]
+
+
 
 
 def write_frames(path, scene):
