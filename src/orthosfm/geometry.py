@@ -26,10 +26,44 @@ import numpy as np
 
 from .errors import InconsistentLengthsError, InvalidInputError, MissingLabelError
 
-DEFAULT_TOL = 1e-9    # relative; the solvers' default and the two-frame layer's
-DEFAULT_RIGIDITY_TOL = 1e-6   # the matcher's, relative to the observation diameter
+# The tolerance table: every threshold the library compares against, each on a
+# dimensionless quantity.  Per entry: what it bounds, where (in brackets), and why.
+# Slack per the largest squared length: of a length under its projection, a negative
+# discriminant, a leading coefficient, Cayley-Menger / scale^4 (solvers' tol default,
+# embed_depths, two_frame, validate).  5e6 ulps: above rounding, below any deficit.
+DEFAULT_TOL = 1e-9
+# Line distance per pair diameter (match_points, match --threshold default).  Rigid
+# pairs score 1e-15, a point moved by 0.2 of the body 1e-2: room for noise between.
+DEFAULT_RIGIDITY_TOL = 1e-6
+# |R^T R - I| and |det R - 1| (check_motions): admits a rotation printed to 10 digits.
 ORTHONORMALITY_TOL = 1e-9
-_DEFICIT_ULPS = 64    # rounding of a difference of squared lengths, in ulps of the largest
+# Ulps of the largest squared length in a difference of two (embed_depths' closure):
+# a near-zero deficit's square root is known to sqrt(rounding) only.
+_DEFICIT_ULPS = 64
+# p3f3 |det| (solvers); an epipolar direction's length, a misfit to an affine map or
+# isometry (two_frame's matcher).  Below sqrt(eps) p3f3 answers exact scenes wrong by
+# percents, and exact pairs with a small depth term fit one map to rounding.
+SQRT_EPS = 1e-8
+# sigma_min / max(sigma_max, 1) of a linear difference system (solvers._solve_linear):
+# rounding over it is 1e-6 of the answer; the 1 makes a noise matrix singular.
+SINGULAR_TOL = 1e-10
+# A unit-size zero: basis |det|, line length, singular value ratio, a^2 coefficient gap
+# (two_frame); |2 sin(angle) axis| of a rotation (scene_sim: one floor at both sites,
+# as one falls back to the other).  5000 ulps: above the rounding of unit-size sums.
+DEGENERACY_EPS = 1e-12
+# |b^2 leading coefficient| per the others' scale (solve_b_given_c: linear below it):
+# 50 ulps, a coefficient that vanished but for rounding.
+LINEAR_EPS = 1e-14
+# Sine of a motion's tilt off the view axis, a rotated ray's image length
+# (ambiguity_family), and squared, |R[:2, 2]|^2 (_fit_interpretation): below it the
+# family's axis carries rounding above 1e-7.
+AXIS_EPS = 1e-9
+# Worst reprojection per pair diameter: of a base (ambiguity_family; printed coordinates
+# pass), of a candidate returned at once (base_interpretation_from_frames; exact ones
+# all pass, so rounding never picks the body), of any other fit kept (as loose as rigid).
+BASE_REPROJECTION = 100 * DEFAULT_TOL
+EXACT_REPROJECTION = 10 * DEFAULT_TOL
+REPROJECTION_BOUND = 1e-6
 
 # Edge order conventions: consecutive label pairs measured by
 # projected_sq_distances.  Index into the label list (P, Q, R[, T]).
@@ -201,13 +235,20 @@ class FrameObservation:
 
     def scale_sq(self) -> float:
         """Squared diameter of the observation set, computed on first use."""
-        return self._scale_sq
+        e, unit_sq = self.unit_scale_sq
+        return unit_sq * 2.0 ** e * 2.0 ** e
 
     @cached_property
-    def _scale_sq(self) -> float:
-        diff = self._xy[:, None] - self._xy[None]
+    def unit_scale_sq(self) -> tuple:
+        """(e, s): the coordinate span lies in [2^(e-1), 2^e) (e clamped to
+        the normal exponents), and s is the squared diameter of the
+        coordinates times 2^-e.  That scaling is exact, so no square
+        overflows or underflows, and in range s * 4^e is scale_sq bit for bit."""
+        e = math.frexp(float(np.ptp(self._xy, axis=0).max()))[1]
+        e = min(max(e, sys.float_info.min_exp), sys.float_info.max_exp - 1)
+        diff = (self._xy[:, None] - self._xy[None]) * 2.0 ** -e
         # vecdot rounds each entry exactly as d @ d does on one difference d
-        return float(np.vecdot(diff, diff).max())
+        return e, float(np.vecdot(diff, diff).max())
 
 
 @dataclass(frozen=True)
@@ -280,7 +321,7 @@ class TetraDistances:
         for tri in self.face_triangles():
             tri.validate()
         scale = max(self.as_tuple())
-        if self.cayley_menger() < -1e-9 * scale ** 4:
+        if self.cayley_menger() < -DEFAULT_TOL * scale ** 4:
             raise InvalidInputError("Cayley-Menger determinant negative: not embeddable in 3D")
 
 
@@ -311,7 +352,10 @@ def projected_sq_distances(frame: FrameObservation, labels) -> tuple:
     """Squared distances between consecutive label pairs in the canonical
     edge order: PQ, QR, RP for three labels, plus TR, TP, TQ for four.
 
-    Raises MissingLabelError when a label is absent from the frame.
+    Raises MissingLabelError when a label is absent from the frame, and
+    InvalidInputError when the largest overflows, or underflows while the
+    points do not coincide: the distances then lack the relative precision
+    every answer needs.
     """
     labels = tuple(labels)
     if len(labels) == 3:
@@ -325,6 +369,9 @@ def projected_sq_distances(frame: FrameObservation, labels) -> tuple:
     for i, j in edges:
         dx, dy = xy[i][0] - xy[j][0], xy[i][1] - xy[j][1]
         out.append(dx * dx + dy * dy)
+    top = max(out)
+    if top == math.inf or (top < sys.float_info.min and xy != xy[:1] * len(xy)):
+        raise InvalidInputError("squared distances outside the normal float range: rescale")
     return tuple(out)
 
 
@@ -376,9 +423,6 @@ def embed_depths(true_sq: TriangleDistances, frame_sq):
     sign = 1.0 if z_q - z_p >= 0.0 else -1.0
     branch = (math.sqrt(max(deficits[0], 0.0)), -sign * z_q, sign * z_p)
     closure = abs(sum(branch))
-    # a deficit near zero is known to some ulps of scale_sq and its square
-    # root to the square root of that, so even consistent lengths close the
-    # loop only to about sqrt(rounding) * scale
     if closure > 3.0 * math.sqrt(_DEFICIT_ULPS * sys.float_info.epsilon * scale_sq):
         raise InconsistentLengthsError(
             f"the depth offsets do not close the loop (gap {closure:.3g})")

@@ -28,6 +28,7 @@ from numpy.random.bit_generator import ISeedSequence
 from . import solvers
 from .errors import InvalidInputError
 from .geometry import (
+    DEGENERACY_EPS,
     TETRA_EDGES,
     TRIANGLE_EDGES,
     FrameObservation,
@@ -122,7 +123,7 @@ def rotation_angle_axis(rot: np.ndarray) -> tuple:
     angle = math.acos(min(1.0, max(-1.0, (np.trace(rot) - 1.0) / 2.0)))
     axis = np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]])
     norm = np.linalg.norm(axis)
-    if norm < 1e-12:
+    if norm < DEGENERACY_EPS:
         # angle ~ 0 or ~ pi; fall back to the dominant eigenvector
         vals, vecs = np.linalg.eigh((rot + rot.T) / 2.0)
         axis = vecs[:, int(np.argmax(vals))]
@@ -307,7 +308,7 @@ def _usable_rotations(rots: np.ndarray) -> np.ndarray:
     # math.acos and math.hypot, not np.arccos and np.hypot: those round
     # differently, and a moved rejection would change the stream's scene
     for rot, cos, (ax, ay, _), norm in zip(rots, cosines, axes.tolist(), norms):
-        if norm < 1e-12:
+        if norm < DEGENERACY_EPS:
             angle, (ax, ay, _) = rotation_angle_axis(rot)
         else:
             angle = math.acos(min(1.0, max(-1.0, cos)))

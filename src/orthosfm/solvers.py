@@ -15,11 +15,12 @@ _difference_system builds those rows for all three modes:
 One batched core, solve_batch, solves a whole (N, k, e) stack of problems
 of one mode: N problems of k frames of e projected squared distances in
 the canonical edge order (see geometry).  It divides each problem by its
-largest squared distance, so every threshold below is dimensionless and the
-answer does not depend on the units of the input.  solve_p3f3, solve_p3f4
-and solve_p4f3 run it on a one-row stack and return a RecoveryResult whose
-candidates are flagged for physical feasibility rather than silently
-dropped.  Each row of a stack gets exactly the floats it gets on its own.
+largest squared distance, so every threshold it compares (geometry's
+tolerance table) is dimensionless and the answer does not depend on the
+units of the input.  solve_p3f3, solve_p3f4 and solve_p4f3 run it on a
+one-row stack and return a RecoveryResult whose candidates are flagged for
+physical feasibility rather than silently dropped.  Each row of a stack
+gets exactly the floats it gets on its own.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     InvalidInputError,
     SingularSystemError,
 )
-from .geometry import DEFAULT_TOL, TetraDistances, TriangleDistances
+from .geometry import DEFAULT_TOL, SINGULAR_TOL, SQRT_EPS, TetraDistances, TriangleDistances
 
 # Triples of 6-vector indices (a,b,c,d,f,g) forming the tetrahedron's
 # constrained triangles: (PQ,QT,TP), (TR,RQ,QT), (TR,RP,PT).
@@ -43,14 +44,6 @@ _TRIANGLE = ((0, 1, 2),)
 
 # solver mode -> (points, frames) it reads
 MODES = {"p3f3": (3, 3), "p3f4": (3, 4), "p4f3": (4, 3)}
-
-# Dimensionless thresholds on normalized input (largest squared distance 1).
-# |det| of the p3f3 elimination.  Dividing by det amplifies the rows'
-# rounding by 1/|det|, so below the sqrt-rounding bound (as for
-# two_frame.AFFINE_RANK_EPS) an exact scene can get a feasible answer that is
-# wrong by percents.
-_DEGENERACY_TOL = 1e-8
-_SINGULAR_TOL = 1e-10    # smallest singular value / max(largest, 1) of a linear system
 
 
 def check_tolerance(name: str, value) -> None:
@@ -176,7 +169,7 @@ def _solve_quadratic(q2: float, q1: float, q0: float, tol: float):
     A slightly negative discriminant (relative to the coefficient scale) is
     clamped to a double root so squaring noise cannot empty the solution set.
     """
-    coeff_scale = max(q1 * q1, abs(4.0 * q2 * q0), 1e-300)
+    coeff_scale = max(q1 * q1, abs(4.0 * q2 * q0))
     if abs(q2) * math.sqrt(coeff_scale) < tol * coeff_scale or q2 == 0.0:
         # effectively linear
         if q1 == 0.0:
@@ -269,14 +262,12 @@ def _solve_linear(mat, rhs):
     """Solve each square difference system of a stack.
 
     A system is singular when its smallest singular value falls below
-    _SINGULAR_TOL times its largest, or times 1 when the largest is below
-    1: the input is normalized to 1, so a matrix of rounding noise (every
-    frame the same up to a turn about the view axis) is singular however
-    well its noise is conditioned.  Returns the indices of the other
-    problems, their (M, e) solutions, and the (N,) singular flags.
+    SINGULAR_TOL times its largest, or times 1 when the largest is below 1.
+    Returns the indices of the other problems, their (M, e) solutions, and
+    the (N,) singular flags.
     """
     sv = np.linalg.svd(mat, compute_uv=False)
-    singular = ~(sv[:, -1] > _SINGULAR_TOL * np.maximum(sv[:, 0], 1.0))
+    singular = ~(sv[:, -1] > SINGULAR_TOL * np.maximum(sv[:, 0], 1.0))
     row = np.flatnonzero(~singular)
     return row, np.linalg.solve(mat[row], rhs[row, :, None])[..., 0], singular
 
@@ -340,7 +331,7 @@ def _eliminate_p3f3(mat, rhs, norm, tol):
     (m_a1, m_b1, _), (m_a2, m_b2, _) = mat.transpose(1, 2, 0)
     # pivot-independent: twice the area of the frames' (coef_a, coef_b) triangle
     det = m_a1 * m_b2 - m_a2 * m_b1
-    degenerate = np.abs(det) < _DEGENERACY_TOL
+    degenerate = np.abs(det) < SQRT_EPS
     ok = np.flatnonzero(~degenerate)
     (m_a1, m_b1, m_c1), (m_a2, m_b2, m_c2) = mat[ok].transpose(1, 2, 0)
     r1, r2 = rhs[ok].T

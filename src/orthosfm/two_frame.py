@@ -27,10 +27,11 @@ isometry maps onto each other (a turn about the view axis, no depth term),
 a collinear frame, and two points on one epipolar line (they swap as
 rigidly as they match) are refused as degenerate.  Each function reads a
 frame's coordinates once, as one (n, 2) array (FrameObservation.coords),
-and divides them once by the frame pair's scale (_pair_scale), so every
-threshold here is dimensionless.
-The thresholds are named once, in the table below, and none of them is a
-parameter: match_points' rigidity_tol is the one tolerance a caller sets.
+and divides them once by the frame pair's scale, after an exact power of
+two that keeps every square in range (_pair_units), so every threshold, each
+from geometry's tolerance table, is dimensionless and the answer the same
+from 1e-300 to 1e300.  None of them is a parameter: match_points'
+rigidity_tol is the one a caller sets.
 """
 
 from __future__ import annotations
@@ -51,8 +52,15 @@ from .errors import (
     NoSolutionError,
 )
 from .geometry import (
+    AXIS_EPS,
+    BASE_REPROJECTION,
     DEFAULT_RIGIDITY_TOL,
     DEFAULT_TOL,
+    DEGENERACY_EPS,
+    EXACT_REPROJECTION,
+    LINEAR_EPS,
+    REPROJECTION_BOUND,
+    SQRT_EPS,
     FrameObservation,
     Point3,
     RigidMotion,
@@ -65,17 +73,6 @@ from .solvers import _solve_quadratic, check_tolerance, quad_coeffs
 # Assumed-length policy for the 4-point scorer: |RP| is assumed 1.5x its
 # longest projection whenever that admits a triangle (see _assumed_length).
 C_START_FACTOR = 1.5
-
-# Thresholds on points divided by the pair's scale.  DEFAULT_TOL is the slack
-# of a b^2 root's discriminant and of its lengths over their projections.
-DEGENERACY_EPS = 1e-12    # zero below: basis |det|, |RP x RQ|, line, a^2 coefficient gap
-LINEAR_EPS = 1e-14        # zero below: b^2 leading coefficient per the others' scale
-AXIS_EPS = 1e-9           # zero below: ambiguity axis, rotated ray direction
-DEPTH_AXIS_EPS = 1e-18    # zero below: |rotated depth axis in the image|^2
-BASE_REPROJECTION = 100 * DEFAULT_TOL   # worst reprojection of a base ambiguity_family takes
-EXACT_REPROJECTION = 10 * DEFAULT_TOL   # ... of a base candidate returned at once
-REPROJECTION_BOUND = 1e-6               # ... of any other fit, member or base candidate kept
-AFFINE_RANK_EPS = 1e-8    # zero below: epipolar direction; congruent below: misfit to an isometry
 
 
 @dataclass(frozen=True)
@@ -208,16 +205,29 @@ class Assignment:
         return dict(self.pairs)
 
 
+def _pair_units(frame1: FrameObservation, frame2: FrameObservation) -> tuple:
+    """(unit, scale): the power of two 2^-e of the frame with the wider
+    coordinate span (FrameObservation.unit_scale_sq), and the pair's larger
+    observation diameter times it (1 if it is zero).  Scaling by a power of
+    two is exact, so squares taken after it neither overflow nor underflow,
+    and in range every ratio is the one the frames' own units give."""
+    (e1, sq1), (e2, sq2) = frame1.unit_scale_sq, frame2.unit_scale_sq
+    e = max(e1, e2)
+    sq = max(math.ldexp(sq1, 2 * (e1 - e)), math.ldexp(sq2, 2 * (e2 - e)))
+    return 2.0 ** -e, math.sqrt(sq) or 1.0
+
+
 def _pair_scale(frame1: FrameObservation, frame2: FrameObservation) -> float:
     """The larger observation diameter of a frame pair (1 if it is zero)."""
-    return math.sqrt(max(frame1.scale_sq(), frame2.scale_sq())) or 1.0
+    unit, scale = _pair_units(frame1, frame2)
+    return scale / unit
 
 
-def _unit_triangle(frame: FrameObservation, labels, scale: float):
-    """The labels' (x, y) divided by scale, the squared projections of PQ,
-    QR, RP divided by scale^2, and the squared projection of RP in the
-    frame's units, rounded as scale_sq rounds it."""
-    xy = frame.coords(labels)
+def _unit_triangle(frame: FrameObservation, labels, unit: float, scale: float):
+    """The labels' (x, y) times unit and divided by scale (see _pair_units),
+    the squared projections of PQ, QR, RP so scaled, and the squared
+    projection of RP times unit^2."""
+    xy = frame.coords(labels) * unit
     d = xy[:3] - xy[[1, 2, 0]]   # PQ, QR, RP
     sq = np.vecdot(d, d)
     return (xy / scale).tolist(), tuple((sq / (scale * scale)).tolist()), float(sq[2])
@@ -307,9 +317,10 @@ class _TrianglePair:
     raises DegenerateBasisError."""
 
     def __init__(self, frame1, frame2, labels1, labels2):
-        self.scale = _pair_scale(frame1, frame2)
-        self.pts1, self.sq1, rp1 = _unit_triangle(frame1, labels1, self.scale)
-        self.pts2, self.sq2, rp2 = _unit_triangle(frame2, labels2, self.scale)
+        self.unit, unit_scale = _pair_units(frame1, frame2)
+        self.scale = unit_scale / self.unit
+        self.pts1, self.sq1, rp1 = _unit_triangle(frame1, labels1, self.unit, unit_scale)
+        self.pts2, self.sq2, rp2 = _unit_triangle(frame2, labels2, self.unit, unit_scale)
         self.coeffs = b_of_c_coeffs(self.sq1, self.sq2)
         (px, py), (qx, qy), (rx, ry) = self.pts1[:3]
         # det [RP RQ] over frame 1: the z component of RP x RQ at any depths
@@ -319,13 +330,14 @@ class _TrianglePair:
             self.minima = (-math.inf,) * 3
         else:
             self.minima = tuple(max(s) - DEFAULT_TOL for s in zip(self.sq1, self.sq2))
-        # the policy's first c^2, formed in caller units and then divided
-        c_start = C_START_FACTOR ** 2 * max(rp1, rp2) or self.scale ** 2
-        self.c_start = self.unit_c_sq(c_start)
+        # the policy's first c^2, formed in units of 1 / unit and then divided
+        self.diameter_sq = unit_scale * unit_scale
+        c_start = C_START_FACTOR ** 2 * max(rp1, rp2) or unit_scale ** 2
+        self.c_start = c_start / self.diameter_sq
 
     def unit_c_sq(self, c_sq: float) -> float:
         """An assumed c^2 in caller units, in the pair's units."""
-        return c_sq / (self.scale * self.scale)
+        return c_sq * self.unit * self.unit / self.diameter_sq
 
     def roots(self, c_sq: float) -> tuple:
         """The admissible b^2 roots at a unit c^2, ascending."""
@@ -445,8 +457,10 @@ def _probe_labels(frame: FrameObservation) -> tuple:
     if len(labels) == 4:
         return labels
     quads = list(itertools.combinations(range(len(labels)), 4))
-    # each quad's three pairings into two triangles, as closed polygons
-    rings = frame.coords()[np.array(quads)[:, [[0, 1, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2]]]]
+    # each quad's three pairings into two triangles, as closed polygons, in
+    # units where no product overflows or underflows (see _pair_units)
+    xy = frame.coords() * 2.0 ** -frame.unit_scale_sq[0]
+    rings = xy[np.array(quads)[:, [[0, 1, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2]]]]
     nxt = np.roll(rings, -1, axis=2)
     cross = rings[..., 0] * nxt[..., 1] - nxt[..., 0] * rings[..., 1]
     # the shoelace sum term by term, and the first quad of largest area
@@ -479,7 +493,7 @@ def _affine_epipolar(probe1: np.ndarray, pts2: np.ndarray, perms: np.ndarray) ->
     along which every epipolar line runs.  The least-squares map
     [x2, y2] = [x1, y1, 1] @ M, (N, 3, 2), misses the motion's affine part
     only along r, so each point's line passes through its prediction
-    under M.  A direction no longer than AFFINE_RANK_EPS means the targets
+    under M.  A direction no longer than SQRT_EPS means the targets
     keep the probes' dependency: the four pairs fit one affine map
     (coplanar probes, or a motion without a depth term) and fix no
     direction.
@@ -535,12 +549,12 @@ def _planar_direction(fit_map: np.ndarray, rest1: np.ndarray, pts2: np.ndarray,
     nearest unused target closer to its line than that point comes to any
     prediction, or zero when none does; and per point of rest1 its nearest
     unused target's distance to its prediction.  A body whose points all
-    fit the map to within AFFINE_RANK_EPS gets zero: no point lies far
+    fit the map to within SQRT_EPS gets zero: no point lies far
     enough off the plane to give a direction.
     """
     zero = np.zeros(2)
     fit = _nearest(_line_tables(fit_map[None], zero[None], rest1, pts2), targets[None])[0][0]
-    if fit.max(initial=0.0) <= AFFINE_RANK_EPS:
+    if fit.max(initial=0.0) <= SQRT_EPS:
         return zero, fit
     pivot = int(fit.argmax())
     offset = np.delete(pts2, targets, axis=0) - (rest1[pivot] @ fit_map[:2] + fit_map[2])
@@ -556,15 +570,13 @@ def _planar_direction(fit_map: np.ndarray, rest1: np.ndarray, pts2: np.ndarray,
 def _check_depth_term(probe, perm_labels, coplanar, maps, fits):
     """Raise DegenerateBasisError when an assignment whose probes fit one
     affine map (coplanar: its indices; maps, fits: theirs) maps every
-    point by one 2D isometry to within AFFINE_RANK_EPS: the images are
+    point by one 2D isometry to within SQRT_EPS: the images are
     congruent, so the motion shows no depth term (a turn about the view
     axis) and no epipolar direction exists.  A map that is not an isometry
-    is a planar probe quadruple (or body) under a motion with a depth term.
-    The sqrt-rounding bound, not rigidity_tol, keeps answering exact pairs
-    whose depth term is small but resolvable."""
+    is a planar probe quadruple (or body) under a motion with a depth term."""
     stretch = np.abs(np.linalg.svd(maps[:, :2], compute_uv=False) - 1.0).max(axis=1)
     for k, misfit, fit in zip(coplanar.tolist(), stretch.tolist(), fits):
-        if max(misfit, fit.max(initial=0.0)) <= AFFINE_RANK_EPS:
+        if max(misfit, fit.max(initial=0.0)) <= SQRT_EPS:
             raise DegenerateBasisError(
                 f"probe assignment {dict(zip(probe, perm_labels[k]))} maps every point "
                 "by one 2D isometry, a motion without a depth term: epipolar "
@@ -618,7 +630,7 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     perm_labels = list(itertools.permutations(targets, 4))
     perms = np.array(list(itertools.permutations(range(n), 4)))
     maps, direction = _affine_epipolar(pts1[:4], pts2, perms)
-    coplanar = np.flatnonzero(np.hypot(direction[:, 0], direction[:, 1]) <= AFFINE_RANK_EPS)
+    coplanar = np.flatnonzero(np.hypot(direction[:, 0], direction[:, 1]) <= SQRT_EPS)
     fits = []
     for k in coplanar.tolist():
         direction[k], fit = _planar_direction(maps[k], pts1[4:], pts2, perms[k])
@@ -729,7 +741,7 @@ def residual_5pt(frame1: FrameObservation, frame2: FrameObservation,
     scale = _pair_scale(frame1, frame2)
     pts1, pts2 = (_unit_points(frame, labels, scale) for frame in (frame1, frame2))
     maps, direction = _affine_epipolar(pts1[:4], pts2, np.arange(4)[None])
-    if math.hypot(*direction[0]) <= AFFINE_RANK_EPS:
+    if math.hypot(*direction[0]) <= SQRT_EPS:
         raise DegenerateBasisError(
             "P, Q, R, T fit one affine map: epipolar line undefined")
     return float(_line_tables(maps, direction, pts1[4:], pts2)[0, 0, 4]) * scale
@@ -833,7 +845,7 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
             moved = anchor + spin @ (x - anchor)
             s = float(dir_xy @ (target - moved[:2])) / float(dir_xy @ dir_xy)
             y = moved + s * new_dir
-            if np.linalg.norm(y[:2] - target) / scale > REPROJECTION_BOUND:
+            if np.linalg.norm((y[:2] - target) / scale) > REPROJECTION_BOUND:
                 ok = False
                 break
             new_points.append((lab, Point3(*map(float, y))))
@@ -957,7 +969,7 @@ def _fit_interpretation(e1: np.ndarray, e2: np.ndarray, labels, img1: np.ndarray
     col = rxy[:, 2]
     # the depth on each first-frame ray that lands on its second-frame image
     rhs = (img2 - img1 @ rxy[:, :2].T) / scale - translation
-    z = rhs @ col / (col @ col) if col @ col > DEPTH_AXIS_EPS else np.zeros(len(labels))
+    z = rhs @ col / (col @ col) if col @ col > AXIS_EPS ** 2 else np.zeros(len(labels))
     worst = float(np.linalg.norm(rhs - np.outer(z, col), axis=1).max())
     points = tuple((lab, Point3(x, y, depth * scale))
                    for lab, (x, y), depth in zip(labels, img1, z))

@@ -7,6 +7,7 @@ import pytest
 
 from orthosfm import geometry as geo
 from orthosfm import scene_sim as sim
+from orthosfm import solvers as sol
 from orthosfm import two_frame as tf
 
 # The worked example used throughout: a triangle with squared edge lengths
@@ -191,6 +192,39 @@ def near_degenerate_pair(kind, n, seed):
         (name(lab), geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))
         for name, image in ((str, images[0]), (relabel.get, images[1])))
     return frame1, frame2, relabel
+
+
+def near_degenerate_scene(mode, kind, value, seed):
+    """Exact frames of a random body that a solver mode can barely resolve,
+    or not at all: (the frames' squared distances, the true squared
+    lengths), both in the canonical edge order.  Every later frame turns by
+    0.3-1.2 rad about an axis tilted by value off the view axis ("tilt"), or
+    by value about a random axis ("angle"); "repeated" turns about random
+    axes and repeats the second-to-last frame, and "collinear" puts the
+    points on one line."""
+    n_points, n_frames = sol.MODES[mode]
+    rng = np.random.default_rng(seed)
+    if kind == "collinear":
+        body = rng.normal(size=3) + rng.uniform(-1.0, 1.0, (n_points, 1)) * rng.normal(size=3)
+    else:
+        body = rng.normal(size=(n_points, 3))
+    rotations = [np.eye(3)]
+    for _ in range(n_frames - 1):
+        axis, angle = rng.normal(size=3), rng.uniform(0.3, 1.2)
+        axis /= np.linalg.norm(axis)
+        if kind == "tilt":
+            azimuth = rng.uniform(0.0, 2.0 * math.pi)
+            axis = np.array([math.sin(value) * math.cos(azimuth),
+                             math.sin(value) * math.sin(azimuth), math.cos(value)])
+        elif kind == "angle":
+            angle = value
+        rotations.append(tf._axis_rotation(axis, angle))
+    if kind == "repeated":
+        rotations[-1] = rotations[-2]
+    i, j = np.array(geo.TETRA_EDGES if n_points == 4 else geo.TRIANGLE_EDGES).T
+    frames = [np.vecdot(d, d) for d in ((body @ rot.T)[i, :2] - (body @ rot.T)[j, :2]
+                                        for rot in rotations)]
+    return np.array(frames), np.vecdot(body[i] - body[j], body[i] - body[j])
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from orthosfm import geometry as geo
 from orthosfm import solvers as sol
 from orthosfm import scene_sim as sim
-from orthosfm import two_frame as tf
 from orthosfm.errors import (
     DegenerateEliminationError,
     InvalidInputError,
@@ -23,6 +22,7 @@ from conftest import (
     TRIANGLE_PAIRS,
     frames_sq,
     golden_scene,
+    near_degenerate_scene,
     true_sq,
     view_axis_frames,
 )
@@ -367,7 +367,7 @@ def reference_solve_p3f3(frames, tol=1e-9):
     r1, r2 = rhs.tolist()
     det = m_a1 * m_b2 - m_a2 * m_b1
     # the solver's refusal floor: below it the closed form is not compared
-    if abs(det) < sol._DEGENERACY_TOL:
+    if abs(det) < geo.SQRT_EPS:
         raise DegenerateEliminationError("frame-difference elimination is singular")
     a_c = (m_c2 * m_b1 - m_c1 * m_b2) / det
     a0 = (r1 * m_b2 - r2 * m_b1) / det
@@ -597,39 +597,6 @@ class TestTolerance:
 NEAR_DEGENERATE = ([("tilt", t) for t in (0.0, 1e-8, 1e-6, 1e-4, 1e-2)]
                    + [("angle", a) for a in (0.0, 1e-9, 1e-6, 1e-3)]
                    + [("repeated", None), ("collinear", None)])
-
-
-def near_degenerate_scene(mode, kind, value, seed):
-    """Exact frames of a random body that a solver mode can barely resolve,
-    or not at all: (the frames' squared distances, the true squared
-    lengths), both in the canonical edge order.  Every later frame turns by
-    0.3-1.2 rad about an axis tilted by value off the view axis ("tilt"), or
-    by value about a random axis ("angle"); "repeated" turns about random
-    axes and repeats the second-to-last frame, and "collinear" puts the
-    points on one line."""
-    n_points, n_frames = sol.MODES[mode]
-    rng = np.random.default_rng(seed)
-    if kind == "collinear":
-        body = rng.normal(size=3) + rng.uniform(-1.0, 1.0, (n_points, 1)) * rng.normal(size=3)
-    else:
-        body = rng.normal(size=(n_points, 3))
-    rotations = [np.eye(3)]
-    for _ in range(n_frames - 1):
-        axis, angle = rng.normal(size=3), rng.uniform(0.3, 1.2)
-        axis /= np.linalg.norm(axis)
-        if kind == "tilt":
-            azimuth = rng.uniform(0.0, 2.0 * math.pi)
-            axis = np.array([math.sin(value) * math.cos(azimuth),
-                             math.sin(value) * math.sin(azimuth), math.cos(value)])
-        elif kind == "angle":
-            angle = value
-        rotations.append(tf._axis_rotation(axis, angle))
-    if kind == "repeated":
-        rotations[-1] = rotations[-2]
-    i, j = np.array(geo.TETRA_EDGES if n_points == 4 else geo.TRIANGLE_EDGES).T
-    frames = [np.vecdot(d, d) for d in ((body @ rot.T)[i, :2] - (body @ rot.T)[j, :2]
-                                        for rot in rotations)]
-    return np.array(frames), np.vecdot(body[i] - body[j], body[i] - body[j])
 
 
 class TestNearDegenerateScenes:

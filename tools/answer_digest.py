@@ -8,9 +8,14 @@ call raised, in call order.  Arrays enter as lists, so every float counts
 with all its digits.  The layer ``two_frame.match_points.degenerate`` runs
 the matcher on the near-degenerate pairs that ``tests/conftest.py``
 generates and hashes its answers without their scores, which rounding
-moves there.  The inputs are seeded and fixed, and the source is the
-``src`` directory next to this script, so running the script of two
-checkouts and diffing the outputs shows which layers answer differently.
+moves there; the ``solvers.solve_<mode>.degenerate`` layers run each solver
+on that file's near-degenerate scenes, where the floors of the tolerance
+table decide between an answer and a refusal.  ``two_frame.extreme_scale``
+runs the two-frame functions on pairs in units from 1e-300 to 1e300, which
+only a pair scaled before it is squared gets right.  The inputs are seeded
+and fixed, and the source is the ``src`` directory next to this script, so
+running the script of two checkouts and diffing the outputs shows which
+layers answer differently.
 """
 
 from __future__ import annotations
@@ -35,11 +40,17 @@ from orthosfm.errors import OrthoSfmError  # noqa: E402
 from conftest import (  # noqa: E402
     coplanar_probe_pair,
     near_degenerate_pair,
+    near_degenerate_scene,
     shared_epipolar_pair,
     view_axis_pair,
 )
 
 SCALES = (1e-6, 1.0, 1e6)
+EXTREME_SCALES = (1e-300, 1e-160, 1e160, 1e300)
+# (kind, value) of near_degenerate_scene
+NEAR_DEGENERATE = ([("tilt", t) for t in (0.0, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)]
+                   + [("angle", a) for a in (0.0, 1e-9, 1e-6, 1e-3)]
+                   + [("repeated", None), ("collinear", None)])
 NOISE = sim.NoiseSpec(1e-2, seed=3)
 
 
@@ -153,6 +164,12 @@ def collect() -> Digest:
                 for s in SCALES:
                     sq = [geo.projected_sq_distances(_scaled(f, s), f.labels) for f in frames]
                     d.call(f"solvers.solve_{mode}", solve, sq)
+    for mode in ("p3f3", "p3f4", "p4f3"):
+        solve = getattr(solvers, f"solve_{mode}")
+        for kind, value in NEAR_DEGENERATE:
+            for seed in range(10):
+                frames, _ = near_degenerate_scene(mode, kind, value, seed)
+                d.call(f"solvers.solve_{mode}.degenerate", solve, frames)
 
     for n in range(4, 9):
         for seed, frame1, frame2 in _pairs(n, range(8)):
@@ -172,6 +189,15 @@ def collect() -> Digest:
             if base is not None:
                 d.call("two_frame.ambiguity_family", tf.ambiguity_family,
                        frame1, frame2, base, [0.0, 0.3, 1.0, 2.5])
+    for s in EXTREME_SCALES:
+        for n, fns in ((4, (tf.match_points, tf.rigidity_score,
+                            tf.base_interpretation_from_frames)),
+                       (5, (tf.match_points, tf.residual_5pt))):
+            for seed, frame1, frame2 in _pairs(n, range(3)):
+                for fn in fns:
+                    d.call("two_frame.extreme_scale", fn, _scaled(frame1, s),
+                           _scaled(_relabeled(frame2, seed) if fn is tf.match_points
+                                   else frame2, s))
     return d
 
 
