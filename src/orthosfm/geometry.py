@@ -29,8 +29,8 @@ from .errors import InconsistentLengthsError, InvalidInputError, MissingLabelErr
 # The tolerance table: every threshold the library compares against, each on a
 # dimensionless quantity.  Per entry: what it bounds, where (in brackets), and why.
 # Slack per the largest squared length: of a length under its projection, a negative
-# discriminant, a leading coefficient, Cayley-Menger / scale^4 (solvers' tol default,
-# embed_depths, two_frame, validate).  5e6 ulps: above rounding, below any deficit.
+# discriminant, Cayley-Menger / scale^4 (solvers' tol default, embed_depths, two_frame,
+# validate).  5e6 ulps: above rounding, below any deficit.
 DEFAULT_TOL = 1e-9
 # Line distance per pair diameter (match_points, match --threshold default).  Rigid
 # pairs score 1e-15, a point moved by 0.2 of the body 1e-2: room for noise between.
@@ -51,18 +51,16 @@ SINGULAR_TOL = 1e-10
 # (two_frame); |2 sin(angle) axis| of a rotation (scene_sim: one floor at both sites,
 # as one falls back to the other).  5000 ulps: above the rounding of unit-size sums.
 DEGENERACY_EPS = 1e-12
-# |b^2 leading coefficient| per the others' scale (solve_b_given_c: linear below it):
-# 50 ulps, a coefficient that vanished but for rounding.
+# |leading coefficient| per the others' scale (solvers._solve_quadratic, every quadratic:
+# linear at or below it): 50 ulps, a coefficient that vanished but for rounding.
 LINEAR_EPS = 1e-14
 # Sine of a motion's tilt off the view axis, a rotated ray's image length
 # (ambiguity_family), and squared, |R[:2, 2]|^2 (_fit_interpretation): below it the
 # family's axis carries rounding above 1e-7.
 AXIS_EPS = 1e-9
-# Worst reprojection per pair diameter: of a base (ambiguity_family; printed coordinates
-# pass), of a candidate returned at once (base_interpretation_from_frames; exact ones
-# all pass, so rounding never picks the body), of any other fit kept (as loose as rigid).
-BASE_REPROJECTION = 100 * DEFAULT_TOL
-EXACT_REPROJECTION = 10 * DEFAULT_TOL
+# Worst image distance, in either frame, per pair diameter (two_frame._reproduces: base
+# candidates in branch order, a given base, each family member).  The rigidity default's
+# size: noise of a few 1e-7 passes, so the branch order, not the noise, picks the body.
 REPROJECTION_BOUND = 1e-6
 
 # Edge order conventions: consecutive label pairs measured by

@@ -35,7 +35,8 @@ from .errors import (
     InvalidInputError,
     SingularSystemError,
 )
-from .geometry import DEFAULT_TOL, SINGULAR_TOL, SQRT_EPS, TetraDistances, TriangleDistances
+from .geometry import (DEFAULT_TOL, LINEAR_EPS, SINGULAR_TOL, SQRT_EPS, TetraDistances,
+                       TriangleDistances)
 
 # Triples of 6-vector indices (a,b,c,d,f,g) forming the tetrahedron's
 # constrained triangles: (PQ,QT,TP), (TR,RQ,QT), (TR,RP,PT).
@@ -164,33 +165,23 @@ def feasibility_check(candidate, frames, tol: float = DEFAULT_TOL):
 
 
 def _solve_quadratic(q2: float, q1: float, q0: float, tol: float):
-    """Real roots of q2 t^2 + q1 t + q0 = 0, robust near double roots.
+    """Real roots of q2 t^2 + q1 t + q0 = 0, ascending, each once.
 
-    A slightly negative discriminant (relative to the coefficient scale) is
-    clamped to a double root so squaring noise cannot empty the solution set.
+    The equation is linear when |q2| is within LINEAR_EPS of the others'
+    scale, sqrt(max(q1^2, |4 q2 q0|)).  tol only clamps the discriminant: one
+    within tol of that scale squared below zero is a double root, so
+    squaring noise cannot empty the solution set.  The root of larger
+    magnitude comes from the sum that cannot cancel, the other from the
+    product of the roots, q0 / q2.
     """
     coeff_scale = max(q1 * q1, abs(4.0 * q2 * q0))
-    if abs(q2) * math.sqrt(coeff_scale) < tol * coeff_scale or q2 == 0.0:
-        # effectively linear
-        if q1 == 0.0:
-            return ()
-        return (-q0 / q1,)
+    if abs(q2) <= LINEAR_EPS * math.sqrt(coeff_scale):
+        return () if q1 == 0.0 else (-q0 / q1,)
     disc = q1 * q1 - 4.0 * q2 * q0
     if disc < 0.0:
-        if disc > -tol * coeff_scale:
-            return (-q1 / (2.0 * q2),)
-        return ()
-    sq = math.sqrt(disc)
-    # Citardauq-stable split: avoid cancellation in the smaller root
-    if q1 >= 0.0:
-        big = -(q1 + sq) / 2.0
-    else:
-        big = -(q1 - sq) / 2.0
-    roots = [big / q2]
-    if big != 0.0:
-        roots.append(q0 / big)
-    else:
-        roots.append(-q1 / q2 - roots[0])
+        return (-q1 / (2.0 * q2),) if disc > -tol * coeff_scale else ()
+    big = -(q1 + math.copysign(math.sqrt(disc), q1)) / 2.0
+    roots = (big / q2, q0 / big if big else -q1 / q2 - big / q2)
     return tuple(sorted(set(roots)))
 
 

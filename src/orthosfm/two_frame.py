@@ -53,20 +53,15 @@ from .errors import (
 )
 from .geometry import (
     AXIS_EPS,
-    BASE_REPROJECTION,
     DEFAULT_RIGIDITY_TOL,
     DEFAULT_TOL,
     DEGENERACY_EPS,
-    EXACT_REPROJECTION,
-    LINEAR_EPS,
     REPROJECTION_BOUND,
     SQRT_EPS,
     FrameObservation,
     Point3,
     RigidMotion,
-    apply_motion,
     depth_pair,
-    project,
 )
 from .solvers import _solve_quadratic, check_tolerance, quad_coeffs
 
@@ -136,38 +131,22 @@ def b_of_c_coeffs(frame1_sq, frame2_sq) -> BofCCoeffs:
 
 
 def solve_b_given_c(coeffs: BofCCoeffs, c_sq: float) -> tuple:
-    """Non-negative roots b^2 of the biquadratic for an assumed c^2.
+    """Non-negative roots b^2 of the biquadratic for an assumed c^2, ascending
+    (solvers._solve_quadratic's roots).  Its thresholds assume coefficients
+    from frames of unit size, as every caller in the package passes.
 
-    The thresholds assume coefficients from frames of unit size, as every
-    caller in the package passes.  solvers._solve_quadratic is no substitute:
-    its tol-relative linear test would take a large assumed c as linear.
-
-    Raises NoSolutionError when the discriminant is decisively negative
-    (the assumed c is below the feasible range and must be increased).
+    Raises NoSolutionError when there is no real root: the discriminant is
+    decisively negative (the assumed c is below the feasible range and must
+    be increased), or the equation is degenerate.
     """
     if c_sq < 0:
         raise InvalidInputError("c_sq must be non-negative")
     lin = c_sq * coeffs.f_cb + coeffs.f_b
     const = c_sq * coeffs.f_c + c_sq * c_sq * coeffs.f_c2 + coeffs.f_Cst
-    lead = coeffs.f_b2
-    coeff_scale = max(lin * lin, abs(4.0 * lead * const))
-    if abs(lead) <= LINEAR_EPS * math.sqrt(coeff_scale):
-        if lin == 0.0:
-            raise NoSolutionError("degenerate biquadratic")
-        roots = (-const / lin,)
-    else:
-        disc = lin * lin - 4.0 * lead * const
-        if disc < 0.0:
-            if disc > -DEFAULT_TOL * coeff_scale:
-                roots = (-lin / (2.0 * lead),)
-            else:
-                raise NoSolutionError("negative discriminant for assumed c")
-        else:
-            # the root of larger magnitude from the sum that cannot cancel,
-            # the other from the product of the roots, const / lead
-            half = -(lin + math.copysign(math.sqrt(disc), lin)) / 2.0
-            roots = (half / lead, const / half) if half else (0.0,)
-    return tuple(sorted(b for b in roots if b >= 0.0))
+    roots = _solve_quadratic(coeffs.f_b2, lin, const, DEFAULT_TOL)
+    if not roots:
+        raise NoSolutionError("no real root b^2 for assumed c")
+    return tuple(b for b in roots if b >= 0.0)
 
 
 def _line_distance(px, py, ax, ay, bx, by) -> float:
@@ -257,9 +236,10 @@ def _length_boundaries(coeffs: BofCCoeffs, minima: tuple) -> tuple:
     quadratic in c^2.  The c^2 minimum never binds above the policy's start.
     Not included: the c^2 where solve_b_given_c's tolerances switch (a
     slightly negative discriminant kept as a double root, a leading
-    coefficient below LINEAR_EPS of the others taken as zero): the first lies
-    within rounding of a discriminant zero, the second occurs only in
-    near-linear biquadratics.
+    coefficient within LINEAR_EPS of the others taken as zero): the first
+    lies within rounding of a discriminant zero, the second occurs only in
+    near-linear biquadratics.  These quadratics are solved by the same
+    routine with no discriminant clamp.
     """
     k = coeffs
     min_a, min_b, _ = minima
@@ -282,7 +262,6 @@ def _length_boundaries(coeffs: BofCCoeffs, minima: tuple) -> tuple:
             k.f_b2 * q * q - p * k.f_cb * q + p * p * k.f_c2,
             -2.0 * k.f_b2 * u * q + p * (k.f_cb * u - k.f_b * q) + p * p * k.f_c,
             k.f_b2 * u * u + p * k.f_b * u + p * p * k.f_Cst))
-    # with no tolerance: the exact zeros, a degree drop only at a zero coefficient
     return tuple(z for quad in quadratics for z in _solve_quadratic(*quad, 0.0))
 
 
@@ -757,15 +736,20 @@ class Interpretation:
     motion: RigidMotion
 
     def reprojection_residuals(self, frame1, frame2) -> tuple:
-        """Max image distance to each frame's observed points."""
+        """Max image distance to each frame's observed points, each a hypot of
+        differences, so no square leaves the float range."""
         labels = [lab for lab, _ in self.points]
-        obs1, obs2 = (frame.coords(labels).tolist() for frame in (frame1, frame2))
-        r1 = max(math.hypot(pt.x - x, pt.y - y) for (_, pt), (x, y) in zip(self.points, obs1))
-        r2 = 0.0
-        for (_, pt), (x, y) in zip(self.points, obs2):
-            img = project(apply_motion(self.motion, pt))
-            r2 = max(r2, math.hypot(img.x - x, img.y - y))
-        return r1, r2
+        body = np.array([(pt.x, pt.y, pt.z) for _, pt in self.points])
+        images = (body[:, :2],
+                  body @ self.motion.rotation[:2].T + self.motion.translation)
+        return tuple(float(np.hypot(*(img - frame.coords(labels)).T).max())
+                     for img, frame in zip(images, (frame1, frame2)))
+
+
+def _reproduces(interp: Interpretation, frame1, frame2, scale: float) -> bool:
+    """The one reproduction rule: interp's worst image distance, in either
+    frame, is within REPROJECTION_BOUND of the pair's diameter, scale."""
+    return max(interp.reprojection_residuals(frame1, frame2)) / scale <= REPROJECTION_BOUND
 
 
 @dataclass(frozen=True)
@@ -800,21 +784,24 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
     pulled-back ray bundle about the axis through the first base point
     along n keeps every ray inside its plane, so new intersections with
     the first-frame rays exist and yield a new consistent body.  Angle 0
-    returns the base interpretation.
+    returns the base interpretation.  Each angle's body is one array pass,
+    and each point keeps its frame-1 observation as its (x, y).
 
-    Angles whose rotated rays become parallel to the first-frame rays are
-    skipped (returned as members with points=None and a parallel flag).
+    The base, and each member, must reproduce both frames by the one rule
+    of _reproduces.  A member that does not, or whose rotated rays become
+    parallel to the first-frame rays, is returned with points=None.
 
-    Raises DegenerateBasisError for in-plane motion (rays already parallel)
-    and InvalidInputError for a non-finite angle.
+    Raises DegenerateBasisError for in-plane motion (rays already parallel),
+    and InvalidInputError for a non-finite angle or a base that does not
+    reproduce the frames.
     """
     angles = [float(angle) for angle in angles]
     for angle in angles:
         if not math.isfinite(angle):
             raise InvalidInputError(f"angles must be finite, got {angle!r}")
-    res1, res2 = base.reprojection_residuals(frame1, frame2)
     scale = _pair_scale(frame1, frame2)
-    if max(res1, res2) / scale > BASE_REPROJECTION:
+    if not _reproduces(base, frame1, frame2, scale):
+        res1, res2 = base.reprojection_residuals(frame1, frame2)
         raise InvalidInputError(
             f"base interpretation does not reproduce the frames "
             f"(residuals {res1:.3g}, {res2:.3g})")
@@ -826,37 +813,32 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
         raise DegenerateBasisError(
             "motion is in-plane: ambiguity axis undefined")
     axis /= axis_norm
-    anchor = base.points[0][1].as_array()
-    targets = frame1.coords([lab for lab, _ in base.points])
+    labels = [lab for lab, _ in base.points]
+    body = np.array([(pt.x, pt.y, pt.z) for _, pt in base.points])
+    anchor = body[0]
+    targets = frame1.coords(labels)
 
     members = []
     for angle in angles:
         spin = _axis_rotation(axis, angle)
         new_dir = spin @ d
         dir_xy = new_dir[:2]
-        nd = np.linalg.norm(dir_xy)
-        if nd < AXIS_EPS:
+        if np.linalg.norm(dir_xy) < AXIS_EPS:
             members.append(AmbiguityMember(angle, None, None))
             continue
-        new_points = []
-        ok = True
-        for (lab, pt), target in zip(base.points, targets):
-            x = pt.as_array()
-            moved = anchor + spin @ (x - anchor)
-            s = float(dir_xy @ (target - moved[:2])) / float(dir_xy @ dir_xy)
-            y = moved + s * new_dir
-            if np.linalg.norm((y[:2] - target) / scale) > REPROJECTION_BOUND:
-                ok = False
-                break
-            new_points.append((lab, Point3(*map(float, y))))
-        if not ok:
-            members.append(AmbiguityMember(angle, None, None))
-            continue
+        # each point where its first-frame ray meets the rotated bundle's
+        # ray, written with its frame-1 observation as (x, y)
+        moved = anchor + (body - anchor) @ spin.T
+        s = (targets - moved[:, :2]) @ dir_xy / (dir_xy @ dir_xy)
+        lifted = np.column_stack([targets, moved[:, 2] + s * new_dir[2]])
         new_rot = rot @ spin.T
         shift = rot @ anchor - new_rot @ anchor
-        new_tr = base.motion.translation + shift[:2]
-        members.append(AmbiguityMember(
-            angle, tuple(new_points), RigidMotion(new_rot, new_tr)))
+        member = AmbiguityMember(
+            angle, tuple((lab, Point3(*xyz)) for lab, xyz in zip(labels, lifted.tolist())),
+            RigidMotion(new_rot, base.motion.translation + shift[:2]))
+        if not _reproduces(member.as_interpretation(), frame1, frame2, scale):
+            member = AmbiguityMember(angle, None, None)
+        members.append(member)
     return members
 
 
@@ -911,10 +893,10 @@ def base_interpretation_from_frames(frame1: FrameObservation,
     the embeddings recovered, and any further points placed on their
     first-frame rays at the depth that reproduces the second frame.  At the
     policy's single c^2, the first candidate in order (b^2 ascending, then
-    the second frame's reflection) that reproduces the frames to
-    EXACT_REPROJECTION is returned: for a rigid pair every candidate at a
-    feasible c is exact up to rounding, so choosing the smallest residual
-    would let rounding, and with it the units, pick the body.
+    the second frame's reflection) that reproduces the frames, by the one
+    rule of _reproduces, is returned: for a rigid pair every candidate at a
+    feasible c reproduces them, so choosing the smallest residual would let
+    rounding, or noise within the bound, pick the body.
 
     Raises InconsistentLengthsError when no branch reproduces the frames
     (the two frames are not images of one rigid body).
@@ -928,49 +910,38 @@ def base_interpretation_from_frames(frame1: FrameObservation,
         c_sq, roots = pair.assumed_length()
     except NoSolutionError:
         roots = ()
-    best = None
     for b_sq in roots:
         (zp1, zq1), (zp2, zq2) = pair.depths(b_sq, c_sq)
         e1 = np.column_stack([pair.pts1, (zp1, zq1, 0.0)])
         for flip in (1.0, -1.0):
             e2 = np.column_stack([pair.pts2, (flip * zp2, flip * zq2, 0.0)])
-            cand = _fit_interpretation(e1, e2, labels, img1, img2, pair.scale)
-            if cand is None:
-                continue
-            if cand[0] < EXACT_REPROJECTION:
-                return cand[1]
-            if best is None or cand[0] < best[0]:
-                best = cand
-    if best is not None and best[0] < REPROJECTION_BOUND:
-        return best[1]
+            interp = _fit_interpretation(e1, e2, labels, img1, img2, pair.scale)
+            if _reproduces(interp, frame1, frame2, pair.scale):
+                return interp
     raise InconsistentLengthsError(
         "no rigid two-frame interpretation found for these observations")
 
 
 def _fit_interpretation(e1: np.ndarray, e2: np.ndarray, labels, img1: np.ndarray,
-                        img2: np.ndarray, scale: float):
+                        img2: np.ndarray, scale: float) -> Interpretation:
     """Kabsch-fit a proper rotation e1 -> e2 and lift all frame points.
 
     e1 and e2 are triangle embeddings in units of scale, the frame pair's
     (_pair_scale); img1 and img2 hold the labels' (x, y) in each frame.
-    Returns (worst reprojection residual in units of scale, Interpretation
-    in the frames' units), or None when the fit misses e2.
+    Each point keeps its frame-1 image and takes the depth on its ray that
+    lands nearest its frame-2 image.  Returns the Interpretation in the
+    frames' units; whether it reproduces them is the caller's test.
     """
     cen1, cen2 = e1.mean(axis=0), e2.mean(axis=0)
     h = (e1 - cen1).T @ (e2 - cen2)
     u, _, vt = np.linalg.svd(h)
     det = np.linalg.det(vt.T @ u.T)
     rot = vt.T @ np.diag([1.0, 1.0, det]) @ u.T
-    fit_err = np.abs(rot @ (e1 - cen1).T - (e2 - cen2).T).max()
-    if fit_err > REPROJECTION_BOUND:
-        return None
     translation = (cen2 - rot @ cen1)[:2]
     rxy = rot[:2, :]  # top 2x3 block maps lifted points to image xy
     col = rxy[:, 2]
-    # the depth on each first-frame ray that lands on its second-frame image
     rhs = (img2 - img1 @ rxy[:, :2].T) / scale - translation
     z = rhs @ col / (col @ col) if col @ col > AXIS_EPS ** 2 else np.zeros(len(labels))
-    worst = float(np.linalg.norm(rhs - np.outer(z, col), axis=1).max())
     points = tuple((lab, Point3(x, y, depth * scale))
                    for lab, (x, y), depth in zip(labels, img1, z))
-    return worst, Interpretation(points, RigidMotion(rot, translation * scale))
+    return Interpretation(points, RigidMotion(rot, translation * scale))

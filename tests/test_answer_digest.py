@@ -17,7 +17,7 @@ LAYERS = (
     "two_frame.match_points", "two_frame.match_points.degenerate",
     "two_frame.rigidity_score", "two_frame.residual_5pt",
     "two_frame.base_interpretation_from_frames", "two_frame.ambiguity_family",
-    "two_frame.extreme_scale",
+    "two_frame.extreme_scale", "two_frame.near_rigid",
 )
 
 

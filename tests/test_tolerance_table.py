@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthosfm import cli, io_files
 from orthosfm import geometry as geo
@@ -43,7 +45,7 @@ _spec.loader.exec_module(tolerance_sweep)
 
 TABLE = ("DEFAULT_TOL", "DEFAULT_RIGIDITY_TOL", "ORTHONORMALITY_TOL", "_DEFICIT_ULPS",
          "SQRT_EPS", "SINGULAR_TOL", "DEGENERACY_EPS", "LINEAR_EPS", "AXIS_EPS",
-         "BASE_REPROJECTION", "EXACT_REPROJECTION", "REPROJECTION_BOUND")
+         "REPROJECTION_BOUND")
 
 
 def off_by(frame1, frame2, label, fraction):
@@ -197,7 +199,7 @@ class TestAmbiguityAxis:
 
 
 class TestReprojectionBounds:
-    @pytest.mark.parametrize("fraction, accepted", [(1e-8, True), (1e-6, False)])
+    @pytest.mark.parametrize("fraction, accepted", [(5e-7, True), (2e-6, False)])
     def test_base_of_the_family(self, fraction, accepted):
         frame1, frame2 = sim.render(sim.gen_scene(4, 2, 0))
         base = tf.interpretation_from_scene(sim.gen_scene(4, 2, 0))
@@ -229,6 +231,54 @@ class TestReprojectionBounds:
         else:
             with pytest.raises(InconsistentLengthsError):
                 tf.base_interpretation_from_frames(frame1, frame2)
+
+
+class TestNearRigidPairs:
+    """One rule, at every site: a pair within REPROJECTION_BOUND of rigid gets
+    the exact pair's body from base_interpretation_from_frames, and that body
+    is a base ambiguity_family takes."""
+
+    @pytest.mark.parametrize("fraction", [3e-7, 5e-7, 9e-7])
+    def test_ambiguity_command_answers(self, tmp_path, fraction):
+        pair, family = tmp_path / "pair.csv", tmp_path / "family.csv"
+        for seed in range(20):
+            frame1, frame2 = sim.render(sim.gen_scene(4, 2, seed))
+            pair.write_text(io_files.frames_to_csv(
+                [frame1, off_by(frame1, frame2, "T", fraction)]))
+            assert cli.main(["ambiguity", str(pair), "--out", str(family)]) == cli.EXIT_OK, seed
+            rows = family.read_text().splitlines()[1:]
+            assert any(row.split(",")[1] == "ok" for row in rows), seed
+
+    # moving P, a corner of the gauge triangle, puts the whole misfit on T, 4
+    # to 16 times larger: every branch of these pairs fails the rule
+    REFUSED = {("P", 1e-7, 30), ("P", 3e-7, 12), ("P", 3e-7, 17), ("P", 3e-7, 30)}
+
+    @pytest.mark.parametrize("label", ["P", "T"])
+    @pytest.mark.parametrize("fraction", [1e-7, 3e-7])
+    def test_base_keeps_the_exact_body(self, label, fraction):
+        # every branch fits to within the noise, so the branch order, not the
+        # least residual, picks the body
+        for seed in range(40):
+            if (label, fraction, seed) in self.REFUSED:
+                continue
+            frame1, frame2 = sim.render(sim.gen_scene(4, 2, seed))
+            exact = tf.base_interpretation_from_frames(frame1, frame2)
+            got = tf.base_interpretation_from_frames(
+                frame1, off_by(frame1, frame2, label, fraction))
+            assert [p.z for _, p in got.points] == pytest.approx(
+                [p.z for _, p in exact.points], abs=1e-3), seed
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 6), which=st.integers(0, 5),
+           exponent=st.floats(-9.0, -5.0))
+    def test_a_returned_base_has_a_family(self, seed, n, which, exponent):
+        frame1, frame2 = sim.render(sim.gen_scene(n, 2, seed))
+        frame2 = off_by(frame1, frame2, frame1.labels[which % n], 10.0 ** exponent)
+        try:
+            base = tf.base_interpretation_from_frames(frame1, frame2)
+        except InconsistentLengthsError:
+            return
+        tf.ambiguity_family(frame1, frame2, base, [0.0])
 
 
 class TestRigidityThreshold:

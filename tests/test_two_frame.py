@@ -16,6 +16,8 @@ from orthosfm.errors import (
     NoConsistentAssignmentError,
     NoSolutionError,
 )
+from orthosfm.geometry import DEFAULT_TOL, LINEAR_EPS
+from orthosfm.two_frame import BofCCoeffs
 
 from conftest import (
     SCALE_SWEEP,
@@ -125,6 +127,111 @@ class TestSolveBGivenC:
         coeffs = tf.b_of_c_coeffs(*frames_sq(scene))
         with pytest.raises(InvalidInputError):
             tf.solve_b_given_c(coeffs, -1.0)
+
+
+# the biquadratic's own root arithmetic, before solve_b_given_c took its roots
+# from solvers._solve_quadratic: the reference for that merge
+def reference_solve_b_given_c(coeffs: BofCCoeffs, c_sq: float) -> tuple:
+    """Non-negative roots b^2 of the biquadratic for an assumed c^2.
+
+    The thresholds assume coefficients from frames of unit size, as every
+    caller in the package passes.  solvers._solve_quadratic is no substitute:
+    its tol-relative linear test would take a large assumed c as linear.
+
+    Raises NoSolutionError when the discriminant is decisively negative
+    (the assumed c is below the feasible range and must be increased).
+    """
+    if c_sq < 0:
+        raise InvalidInputError("c_sq must be non-negative")
+    lin = c_sq * coeffs.f_cb + coeffs.f_b
+    const = c_sq * coeffs.f_c + c_sq * c_sq * coeffs.f_c2 + coeffs.f_Cst
+    lead = coeffs.f_b2
+    coeff_scale = max(lin * lin, abs(4.0 * lead * const))
+    if abs(lead) <= LINEAR_EPS * math.sqrt(coeff_scale):
+        if lin == 0.0:
+            raise NoSolutionError("degenerate biquadratic")
+        roots = (-const / lin,)
+    else:
+        disc = lin * lin - 4.0 * lead * const
+        if disc < 0.0:
+            if disc > -DEFAULT_TOL * coeff_scale:
+                roots = (-lin / (2.0 * lead),)
+            else:
+                raise NoSolutionError("negative discriminant for assumed c")
+        else:
+            # the root of larger magnitude from the sum that cannot cancel,
+            # the other from the product of the roots, const / lead
+            half = -(lin + math.copysign(math.sqrt(disc), lin)) / 2.0
+            roots = (half / lead, const / half) if half else (0.0,)
+    return tuple(sorted(b for b in roots if b >= 0.0))
+
+
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+def signed(magnitudes):
+    return st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]),
+                     magnitudes) | SIGNED_ZERO
+
+
+# Zero, or at least 1e-100 in magnitude, so that no linear term is subnormal.
+# There the two differ by design: a split halved to zero gave the reference a
+# double root at 0, where the merged routine keeps both roots
+# (test_linear_term_of_the_least_subnormal).
+COEFFICIENT = signed(st.floats(1e-100, 1e3))
+LEAD = signed(st.floats(-17.0, 0.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def biquadratics(draw):
+    """(coeffs, c_sq): generic coefficients, or a constant term that puts the
+    discriminant at ratio * DEFAULT_TOL of the coefficient scale, on either
+    side of the clamp at ratio -1."""
+    c_sq = draw(signed(st.floats(1e-100, 10.0)))
+    f_cb, f_c, f_c2, f_b = (draw(COEFFICIENT) for _ in range(4))
+    f_b2 = draw(LEAD)
+    lin = c_sq * f_cb + f_b
+    f_cst = draw(COEFFICIENT)
+    if f_b2 and draw(st.booleans()):
+        ratio = draw(st.floats(-2.0, 2.0))
+        const = lin * lin * (1.0 - ratio * DEFAULT_TOL) / (4.0 * f_b2)
+        f_cst = const - (c_sq * f_c + c_sq * c_sq * f_c2)
+    return tf.BofCCoeffs(f_cb=f_cb, f_c=f_c, f_b=f_b, f_Cst=f_cst, f_b2=f_b2, f_c2=f_c2), c_sq
+
+
+def roots_outcome(solve, coeffs, c_sq):
+    """The roots tuple, or the type of the error raised."""
+    try:
+        return solve(coeffs, c_sq)
+    except (InvalidInputError, NoSolutionError) as exc:
+        return type(exc)
+
+
+class TestSolveBGivenCReference:
+    @settings(max_examples=2000, deadline=None)
+    @given(biquadratics())
+    def test_same_outcome_as_the_reference(self, problem):
+        # an exact double root, which the reference lists twice, comes once
+        expect = roots_outcome(reference_solve_b_given_c, *problem)
+        if isinstance(expect, tuple):
+            expect = tuple(sorted(set(expect)))
+        assert roots_outcome(tf.solve_b_given_c, *problem) == expect
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_signed_zero_linear_term(self, zero):
+        # B^2 - 3 = 0 with a linear term of zero * -1 + zero, which keeps
+        # zero's sign: that sign decides whether the positive root comes from
+        # the sum or from the product, and the two differ in the last bit
+        coeffs = tf.BofCCoeffs(f_cb=-1.0, f_c=0.0, f_b=zero, f_Cst=-3.0, f_b2=1.0, f_c2=0.0)
+        assert tf.solve_b_given_c(coeffs, 0.0) == reference_solve_b_given_c(coeffs, 0.0)
+
+    def test_linear_term_of_the_least_subnormal(self):
+        # -B^2 + 5e-324 B = 0: the split -(lin + sqrt(disc)) / 2 underflows to
+        # zero; the reference took that for a double root at 0, the merged
+        # routine keeps both roots
+        coeffs = tf.BofCCoeffs(f_cb=0.0, f_c=0.0, f_b=5e-324, f_Cst=0.0, f_b2=-1.0, f_c2=0.0)
+        assert reference_solve_b_given_c(coeffs, 0.0) == (0.0,)
+        assert tf.solve_b_given_c(coeffs, 0.0) == (0.0, 5e-324)
 
 
 def identity_assignment(labels=("P", "Q", "R", "T")):
@@ -636,6 +743,38 @@ class TestResidual5pt:
             tf.residual_5pt(frame1, frame2, labels=("P", "Q", "R", "T"))
 
 
+def reference_family_points(frame1, base, angle):
+    """The per-point loop that ambiguity_family's array pass replaced: each
+    point's (x, y, z) at angle, its (x, y) computed, not the observation."""
+    rot = base.motion.rotation
+    d = rot.T @ np.array([0.0, 0.0, 1.0])
+    axis = np.cross(np.array([0.0, 0.0, 1.0]), d)
+    axis /= np.linalg.norm(axis)
+    anchor = base.points[0][1].as_array()
+    targets = frame1.coords([lab for lab, _ in base.points])
+    spin = tf._axis_rotation(axis, angle)
+    new_dir = spin @ d
+    dir_xy = new_dir[:2]
+    points = []
+    for (_, pt), target in zip(base.points, targets):
+        moved = anchor + spin @ (pt.as_array() - anchor)
+        s = float(dir_xy @ (target - moved[:2])) / float(dir_xy @ dir_xy)
+        points.append(moved + s * new_dir)
+    return np.array(points)
+
+
+def reference_reprojection_residuals(interp, frame1, frame2):
+    """The per-point loop that Interpretation.reprojection_residuals replaced."""
+    labels = [lab for lab, _ in interp.points]
+    obs1, obs2 = (frame.coords(labels).tolist() for frame in (frame1, frame2))
+    r1 = max(math.hypot(pt.x - x, pt.y - y) for (_, pt), (x, y) in zip(interp.points, obs1))
+    r2 = 0.0
+    for (_, pt), (x, y) in zip(interp.points, obs2):
+        img = geo.project(geo.apply_motion(interp.motion, pt))
+        r2 = max(r2, math.hypot(img.x - x, img.y - y))
+    return r1, r2
+
+
 class TestAmbiguityFamily:
     def test_members_reproject_exactly(self):
         for seed in range(20):
@@ -699,6 +838,30 @@ class TestAmbiguityFamily:
         base = tf.interpretation_from_scene(scene)
         with pytest.raises(InvalidInputError, match="angles must be finite"):
             tf.ambiguity_family(frame1, frame2, base, [0.0, angle])
+
+    def test_array_pass_matches_the_point_loop(self):
+        # the same arithmetic per point, in another order: within 1e-13 of
+        # the body's size, and each (x, y) is the frame-1 observation
+        for seed in range(20):
+            scene = sim.gen_scene(3 + seed % 3, 2, seed)
+            frame1, frame2 = two_frames(scene)
+            base = tf.interpretation_from_scene(scene)
+            for member in tf.ambiguity_family(frame1, frame2, base, [0.0, 0.3, 1.0, 2.5]):
+                got = np.array([p.as_array() for _, p in member.points])
+                expect = reference_family_points(frame1, base, member.angle)
+                assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), seed
+                assert (got[:, :2] == frame1.coords([lab for lab, _ in member.points])).all()
+
+    def test_residuals_match_the_point_loop(self):
+        # a body moved off the frames, so the residuals are far from rounding
+        for seed in range(20):
+            scene = sim.gen_scene(4, 2, seed)
+            frame1, frame2 = two_frames(scene)
+            interp = tf.Interpretation(
+                tuple((lab, geo.Point3(p.x + 0.1 * k, p.y - 0.2, p.z))
+                      for k, (lab, p) in enumerate(scene.body)), scene.motions[1])
+            assert interp.reprojection_residuals(frame1, frame2) == pytest.approx(
+                reference_reprojection_residuals(interp, frame1, frame2), rel=1e-13)
 
 
 class TestReferenceAmbiguity:

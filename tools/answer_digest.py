@@ -12,7 +12,10 @@ moves there; the ``solvers.solve_<mode>.degenerate`` layers run each solver
 on that file's near-degenerate scenes, where the floors of the tolerance
 table decide between an answer and a refusal.  ``two_frame.extreme_scale``
 runs the two-frame functions on pairs in units from 1e-300 to 1e300, which
-only a pair scaled before it is squared gets right.  The inputs are seeded
+only a pair scaled before it is squared gets right.  ``two_frame.near_rigid``
+runs ``base_interpretation_from_frames`` and ``ambiguity_family`` on pairs
+with one point moved by 1e-7, 5e-7 and 2e-6 of the pair's diameter, on
+either side of the one reproduction bound.  The inputs are seeded
 and fixed, and the source is the ``src`` directory next to this script, so
 running the script of two checkouts and diffing the outputs shows which
 layers answer differently.
@@ -44,6 +47,7 @@ from conftest import (  # noqa: E402
     shared_epipolar_pair,
     view_axis_pair,
 )
+from test_tolerance_table import off_by  # noqa: E402
 
 SCALES = (1e-6, 1.0, 1e6)
 EXTREME_SCALES = (1e-300, 1e-160, 1e160, 1e300)
@@ -198,6 +202,15 @@ def collect() -> Digest:
                     d.call("two_frame.extreme_scale", fn, _scaled(frame1, s),
                            _scaled(_relabeled(frame2, seed) if fn is tf.match_points
                                    else frame2, s))
+    for seed in range(10):
+        frame1, frame2 = sim.render(sim.gen_scene(4, 2, seed))
+        for fraction in (1e-7, 5e-7, 2e-6):
+            frame2_off = off_by(frame1, frame2, "T", fraction)
+            base = d.call("two_frame.near_rigid", tf.base_interpretation_from_frames,
+                          frame1, frame2_off)
+            if base is not None:
+                d.call("two_frame.near_rigid", tf.ambiguity_family,
+                       frame1, frame2_off, base, [0.0, 0.3, 1.0])
     return d
 
 
