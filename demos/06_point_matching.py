@@ -20,7 +20,6 @@ import numpy as np
 
 from orthosfm import (
     FrameObservation,
-    Point2,
     gen_scene,
     match_points,
     render,
@@ -37,8 +36,7 @@ frame1, frame2 = render(scene)
 rng = np.random.default_rng(subseed(SEED, 99))
 labels = list(frame2.labels)
 relabel = dict(zip(labels, rng.permutation(labels)))
-shuffled = FrameObservation(tuple(
-    (relabel[lab], p) for lab, p in frame2.points))
+shuffled = FrameObservation([relabel[lab] for lab in labels], frame2.coords())
 
 print("true correspondence (scrambled in the second frame):")
 print("  " + ", ".join(f"{a}->{b}" for a, b in relabel.items()))
@@ -56,8 +54,7 @@ scene6 = gen_scene(n_points=6, n_frames=2, seed=SEED)
 first, second = render(scene6)
 labels6 = list(second.labels)
 relabel6 = dict(zip(labels6, rng.permutation(labels6)))
-shuffled6 = FrameObservation(tuple(
-    (relabel6[lab], p) for lab, p in second.points))
+shuffled6 = FrameObservation([relabel6[lab] for lab in labels6], second.coords())
 
 report6 = match_points(first, shuffled6)
 print(f"six points: {report6.n_scored} probe assignments ranked by "
@@ -72,10 +69,10 @@ print()
 score = rigidity_score(frame1, frame2)
 print(f"rigidity residual, intact body:        {score:.2e}")
 
-pts = list(frame2.points)
-lab, p = pts[3]
-pts[3] = (lab, Point2(p.x + 0.4, p.y - 0.3))
-broken = FrameObservation(tuple(pts))
+xy = frame2.coords().copy()
+xy[3] += (0.4, -0.3)
+lab = frame2.labels[3]
+broken = FrameObservation(frame2.labels, xy)
 score_broken = rigidity_score(frame1, broken)
 print(f"rigidity residual, point {lab} displaced: {score_broken:.2e}")
 print("a residual orders of magnitude above machine precision means the")

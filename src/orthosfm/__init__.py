@@ -2,7 +2,8 @@
 
 Library surface:
 
-* geometry  -- value types, projection, rigid motion, DOF balance, depth embedding
+* geometry  -- the base layer: value types, frames, rigid motion, DOF balance, depth
+  embedding, the tolerance table, the per-frame quartic identity, quadratic roots
 * solvers   -- the closed-form 3-frame and linear 4-frame / 4-point solvers:
   one batched core over stacks of problems, with one-problem adapters
 * two_frame -- point matching, rigidity testing, and the two-frame ambiguity
@@ -19,9 +20,9 @@ import importlib
 # submodule -> the public names re-exported from it
 _EXPORTS = {
     "geometry": (
-        "DofBalance", "FrameObservation", "Point2", "Point3", "RigidMotion",
+        "DofBalance", "FrameObservation", "Point3", "RigidMotion",
         "TetraDistances", "TriangleDistances", "apply_motion", "dof_balance",
-        "embed_depths", "project", "projected_sq_distances"),
+        "embed_depths", "projected_sq_distances"),
     "solvers": (
         "BatchResult", "Candidate", "RecoveryResult", "eq1_residual",
         "feasibility_check", "solve_batch", "solve_p3f3", "solve_p3f4", "solve_p4f3"),

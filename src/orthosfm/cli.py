@@ -12,9 +12,9 @@ worker thread only burns CPU.  Importing the library (``import orthosfm``)
 leaves the environment alone; only this module sets the default.
 
 Each command imports the layers it runs when it runs (only match and
-ambiguity load two_frame; noise-study and dof load no io_files), and reaches
-their functions through the module at call time, so a wrapped function is
-the one that runs.
+ambiguity load two_frame; only recover and noise-study load solvers;
+noise-study and dof load no io_files), and reaches their functions through
+the module at call time, so a wrapped function is the one that runs.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .errors import (  # noqa: E402
 from .geometry import (  # noqa: E402
     DEFAULT_RIGIDITY_TOL,
     DEFAULT_TOL,
+    check_tolerance,
     dof_balance,
     projected_sq_distances,
 )
@@ -151,11 +152,11 @@ def cmd_recover(args) -> int:
 
 
 def cmd_match(args) -> int:
-    from . import io_files, solvers, two_frame
+    from . import io_files, two_frame
 
     start = time.perf_counter()
     # the labeled path compares the threshold here, not in two_frame
-    solvers.check_tolerance("--threshold", args.threshold)
+    check_tolerance("--threshold", args.threshold)
     frames = _read_frames(args.frames_file)
     if len(frames) != 2:
         raise InvalidInputError("match needs exactly 2 frames")
@@ -180,7 +181,7 @@ def cmd_match(args) -> int:
             labels = frame1.labels[:4]
             report["used"] = {"points": list(labels)}
             score = two_frame.rigidity_score(frame1, frame2, labels)
-            consistent = score <= args.threshold * two_frame._pair_scale(frame1, frame2)
+            consistent = score <= args.threshold * two_frame.pair_scale(frame1, frame2)
             report["rigidity_residual"] = score
             report["verdict"] = "consistent" if consistent else "inconsistent"
             if not consistent:
@@ -293,8 +294,15 @@ def cmd_dof(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InvalidInputError: a malformed command line exits 1."""
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orthosfm",
         description="Recover rigid point-body geometry from orthographic multiframes.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -344,10 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; an input error (a bad value, an unreadable or
-    unwritable file) prints "error: ..." to stderr and exits 1."""
-    args = build_parser().parse_args(argv)
+    """Run one command; an input error (a malformed command line, a bad value,
+    an unreadable or unwritable file) prints "error: ..." to stderr and exits 1."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

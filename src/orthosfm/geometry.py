@@ -1,4 +1,6 @@
-"""Core value types and elementary operations for orthographic multiframe geometry.
+"""The base layer of orthographic multiframe geometry: value types, the tolerance
+table and the math the other layers share (the per-frame quartic identity
+quad_coeffs, solve_quadratic, depth_pair, check_tolerance).
 
 Conventions used throughout the library:
 
@@ -10,8 +12,8 @@ Conventions used throughout the library:
 * Triangle edge order is PQ, QR, RP (lengths a, b, c); a tetrahedron adds
   TR, TP, TQ (lengths d, f, g).
 * A frame is a label tuple and a read-only (n, 2) array, made k frames at a
-  time from one checked (k, n, 2) stack; a (label, Point2) tuple is only an
-  adapter.  It is read one way, as an (m, 2) array in the order of the
+  time from one checked (k, n, 2) stack, or one at a time from labels and an
+  (n, 2) array.  It is read one way, as an (m, 2) array in the order of the
   labels asked for (FrameObservation.coords).
 """
 
@@ -51,7 +53,7 @@ SINGULAR_TOL = 1e-10
 # (two_frame); |2 sin(angle) axis| of a rotation (scene_sim: one floor at both sites,
 # as one falls back to the other).  5000 ulps: above the rounding of unit-size sums.
 DEGENERACY_EPS = 1e-12
-# |leading coefficient| per the others' scale (solvers._solve_quadratic, every quadratic:
+# |leading coefficient| per the others' scale (solve_quadratic, every quadratic:
 # linear at or below it): 50 ulps, a coefficient that vanished but for rounding.
 LINEAR_EPS = 1e-14
 # Sine of a motion's tilt off the view axis, a rotated ray's image length
@@ -69,21 +71,68 @@ TRIANGLE_EDGES = ((0, 1), (1, 2), (2, 0))                      # PQ, QR, RP
 TETRA_EDGES = TRIANGLE_EDGES + ((3, 2), (3, 0), (3, 1))        # + TR, TP, TQ
 
 
+def check_tolerance(name: str, value) -> None:
+    """Raise InvalidInputError unless value is a finite number >= 0."""
+    try:
+        valid = math.isfinite(value) and value >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise InvalidInputError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def frame_constant(x: float, y: float, z: float) -> float:
+    """x^2 + y^2 + z^2 - 2xy - 2xz - 2yz for one frame's squared lengths."""
+    return x * x + y * y + z * z - 2.0 * (x * y + x * z + y * z)
+
+
 @dataclass(frozen=True)
-class Point2:
-    """A 2D image point."""
+class QuadCoeffs3:
+    """Per-frame coefficients of the sign-free quartic identity.
 
-    x: float
-    y: float
+    The identity reads
+      A^2 + B^2 + C^2 - 2AB - 2AC - 2BC
+        + coef_a*A + coef_b*B + coef_c*C + const = 0
+    in the unknown squared lengths A, B, C.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidInputError(f"non-finite Point2 ({self.x}, {self.y})")
+    coef_a: float
+    coef_b: float
+    coef_c: float
+    const: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
+
+def quad_coeffs(frame_sq) -> QuadCoeffs3:
+    """Coefficients of one frame's identity; elementwise, so three array
+    columns give arrays of coefficients."""
+    x, y, z = frame_sq
+    return QuadCoeffs3(
+        coef_a=2.0 * (-x + y + z),
+        coef_b=2.0 * (x - y + z),
+        coef_c=2.0 * (x + y - z),
+        const=frame_constant(x, y, z),
+    )
+
+
+def solve_quadratic(q2: float, q1: float, q0: float, tol: float):
+    """Real roots of q2 t^2 + q1 t + q0 = 0, ascending, each once.
+
+    The equation is linear when |q2| is within LINEAR_EPS of the others'
+    scale, sqrt(max(q1^2, |4 q2 q0|)).  tol only clamps the discriminant: one
+    within tol of that scale squared below zero is a double root, so
+    squaring noise cannot empty the solution set.  The root of larger
+    magnitude comes from the sum that cannot cancel, the other from the
+    product of the roots, q0 / q2.
+    """
+    coeff_scale = max(q1 * q1, abs(4.0 * q2 * q0))
+    if abs(q2) <= LINEAR_EPS * math.sqrt(coeff_scale):
+        return () if q1 == 0.0 else (-q0 / q1,)
+    disc = q1 * q1 - 4.0 * q2 * q0
+    if disc < 0.0:
+        return (-q1 / (2.0 * q2),) if disc > -tol * coeff_scale else ()
+    big = -(q1 + math.copysign(math.sqrt(disc), q1)) / 2.0
+    roots = (big / q2, q0 / big if big else -q1 / q2 - big / q2)
+    return tuple(sorted(set(roots)))
 
 
 @dataclass(frozen=True)
@@ -162,19 +211,17 @@ def check_motions(rotations: np.ndarray, translations: np.ndarray) -> None:
 @dataclass(frozen=True, init=False, eq=False)
 class FrameObservation:
     """Labeled 2D projections of the traced points within one frame: a label
-    tuple and a read-only (n, 2) array of their (x, y).  The array is
-    primary; FrameObservation(points) adapts a tuple of (label, Point2) to
-    FrameObservation.stack, and .points, that tuple, is built when asked for.
+    tuple and a read-only (n, 2) array of their (x, y), made one frame at a
+    time by FrameObservation(labels, coords), checked as a one-row stack.
+    Frames equal under == hash alike, -0.0 against 0.0 included.
     """
 
     labels: tuple
     _xy: np.ndarray
 
-    def __init__(self, points):
-        pts = tuple(points)
-        (frame,) = self.stack([[lab for lab, _ in pts]],
-                              np.reshape([(p.x, p.y) for _, p in pts], (1, -1, 2)))
-        vars(self).update(vars(frame), points=pts)
+    def __init__(self, labels, coords):
+        (frame,) = self.stack([labels], [coords])
+        vars(self).update(vars(frame))
 
     @classmethod
     def stack(cls, labels_per_frame, coords) -> tuple:
@@ -204,15 +251,7 @@ class FrameObservation:
             and np.array_equal(self._xy, other._xy)
 
     def __hash__(self):
-        return hash(self.points)
-
-    @cached_property
-    def points(self) -> tuple:
-        """The frame as a tuple of (label, Point2), in frame order."""
-        return tuple((lab, Point2(x, y)) for lab, (x, y) in zip(self.labels, self._xy.tolist()))
-
-    def get(self, label) -> Point2:
-        return Point2(*self.coords((label,))[0].tolist())
+        return hash((self.labels, tuple(self._xy.ravel().tolist())))
 
     def coords(self, labels=None) -> np.ndarray:
         """The (x, y) of the given labels, in their order, as an (m, 2)
@@ -333,11 +372,6 @@ class DofBalance:
 
     def __post_init__(self):
         object.__setattr__(self, "recoverable", self.unknowns <= self.information)
-
-
-def project(p: Point3) -> Point2:
-    """Orthographic projection: drop the depth coordinate."""
-    return Point2(p.x, p.y)
 
 
 def apply_motion(m: RigidMotion, p: Point3) -> Point3:

@@ -14,7 +14,8 @@ One array core does the work for any number of scenes at once: bodies are
 (N, k, p, 2).  Each stream still makes its own draws in its own order, so a
 scene is the same whether it is simulated alone or in a stack.  gen_body,
 gen_motion, gen_scene, render and add_noise are thin adapters that turn
-the arrays into the public value types; run_noise_study stays on arrays.
+the arrays into the public value types; run_noise_study stays on arrays,
+and it alone loads solvers, so simulating a scene loads no solver.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from . import solvers
 from .errors import InvalidInputError
 from .geometry import (
     DEGENERACY_EPS,
@@ -426,7 +426,7 @@ def add_noise(frames, spec: NoiseSpec) -> list:
     if len(set(sizes)) == 1:
         return list(FrameObservation.stack([f.labels for f in frames],
                                            noisy.reshape(len(frames), -1, 2)))
-    return [FrameObservation.stack([f.labels], part[None])[0]
+    return [FrameObservation(f.labels, part)
             for f, part in zip(frames, np.split(noisy, np.cumsum(sizes)[:-1]))]
 
 
@@ -444,6 +444,8 @@ def run_noise_study(mode: str, levels, trials: int, seed: int) -> list:
     an answer: failures_degenerate those whose system was degenerate or
     singular, failures_no_candidate those that gave no candidate.
     """
+    from . import solvers
+
     n_points, n_frames = solvers.MODES[mode]
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")

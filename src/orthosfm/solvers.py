@@ -1,13 +1,13 @@
 """Closed-form recovery of squared 3D lengths from projected squared lengths.
 
 Every frame contributes one sign-free quartic identity per triangle of
-edges.  Differencing the identities against a pivot frame cancels their
-quadratic terms and leaves rows linear in the squared lengths;
-_difference_system builds those rows for all three modes:
+edges (geometry.quad_coeffs).  Differencing the identities against a pivot
+frame cancels their quadratic terms and leaves rows linear in the squared
+lengths; _difference_system builds those rows for all three modes:
 
 * p3f3 -- 3 points / 3 frames, the minimal case.  The two rows express
   a^2 and b^2 as affine functions of c^2; the pivot frame's identity then
-  leaves a quadratic, so there can be 0, 1 or 2 candidates.
+  leaves a quadratic (geometry.solve_quadratic): 0, 1 or 2 candidates.
 * p3f4 -- 3 points / 4 frames: a 3x3 linear system.
 * p4f3 -- 4 points / 3 frames: three edge triples per frame pair give a
   6x6 linear system in the six squared lengths.
@@ -25,7 +25,6 @@ gets exactly the floats it gets on its own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +34,8 @@ from .errors import (
     InvalidInputError,
     SingularSystemError,
 )
-from .geometry import (DEFAULT_TOL, LINEAR_EPS, SINGULAR_TOL, SQRT_EPS, TetraDistances,
-                       TriangleDistances)
+from .geometry import (DEFAULT_TOL, SINGULAR_TOL, SQRT_EPS, TetraDistances, TriangleDistances,
+                       check_tolerance, frame_constant, quad_coeffs, solve_quadratic)
 
 # Triples of 6-vector indices (a,b,c,d,f,g) forming the tetrahedron's
 # constrained triangles: (PQ,QT,TP), (TR,RQ,QT), (TR,RP,PT).
@@ -45,49 +44,6 @@ _TRIANGLE = ((0, 1, 2),)
 
 # solver mode -> (points, frames) it reads
 MODES = {"p3f3": (3, 3), "p3f4": (3, 4), "p4f3": (4, 3)}
-
-
-def check_tolerance(name: str, value) -> None:
-    """Raise InvalidInputError unless value is a finite number >= 0."""
-    try:
-        valid = math.isfinite(value) and value >= 0
-    except TypeError:
-        valid = False
-    if not valid:
-        raise InvalidInputError(f"{name} must be finite and >= 0, got {value!r}")
-
-
-def frame_constant(x: float, y: float, z: float) -> float:
-    """x^2 + y^2 + z^2 - 2xy - 2xz - 2yz for one frame's squared lengths."""
-    return x * x + y * y + z * z - 2.0 * (x * y + x * z + y * z)
-
-
-@dataclass(frozen=True)
-class QuadCoeffs3:
-    """Per-frame coefficients of the sign-free quartic identity.
-
-    The identity reads
-      A^2 + B^2 + C^2 - 2AB - 2AC - 2BC
-        + coef_a*A + coef_b*B + coef_c*C + const = 0
-    in the unknown squared lengths A, B, C.
-    """
-
-    coef_a: float
-    coef_b: float
-    coef_c: float
-    const: float
-
-
-def quad_coeffs(frame_sq) -> QuadCoeffs3:
-    """Coefficients of one frame's identity; elementwise, so three array
-    columns give arrays of coefficients."""
-    x, y, z = frame_sq
-    return QuadCoeffs3(
-        coef_a=2.0 * (-x + y + z),
-        coef_b=2.0 * (x - y + z),
-        coef_c=2.0 * (x + y - z),
-        const=frame_constant(x, y, z),
-    )
 
 
 def eq1_residual(lengths: TriangleDistances, frame_sq) -> float:
@@ -162,27 +118,6 @@ def feasibility_check(candidate, frames, tol: float = DEFAULT_TOL):
     slack = tol * np.abs(frames).max(axis=(-2, -1))[..., None]
     return ~((cand < -slack).any(axis=-1)
              | (cand[..., None, :] < frames - slack[..., None]).any(axis=(-2, -1)))
-
-
-def _solve_quadratic(q2: float, q1: float, q0: float, tol: float):
-    """Real roots of q2 t^2 + q1 t + q0 = 0, ascending, each once.
-
-    The equation is linear when |q2| is within LINEAR_EPS of the others'
-    scale, sqrt(max(q1^2, |4 q2 q0|)).  tol only clamps the discriminant: one
-    within tol of that scale squared below zero is a double root, so
-    squaring noise cannot empty the solution set.  The root of larger
-    magnitude comes from the sum that cannot cancel, the other from the
-    product of the roots, q0 / q2.
-    """
-    coeff_scale = max(q1 * q1, abs(4.0 * q2 * q0))
-    if abs(q2) <= LINEAR_EPS * math.sqrt(coeff_scale):
-        return () if q1 == 0.0 else (-q0 / q1,)
-    disc = q1 * q1 - 4.0 * q2 * q0
-    if disc < 0.0:
-        return (-q1 / (2.0 * q2),) if disc > -tol * coeff_scale else ()
-    big = -(q1 + math.copysign(math.sqrt(disc), q1)) / 2.0
-    roots = (big / q2, q0 / big if big else -q1 / q2 - big / q2)
-    return tuple(sorted(set(roots)))
 
 
 def _max_abs(rows):
@@ -341,7 +276,7 @@ def _eliminate_p3f3(mat, rhs, norm, tol):
 
     source, c_sq = [], []
     for i, coeffs in enumerate(zip(q2.tolist(), q1.tolist(), q0.tolist())):
-        for root in _solve_quadratic(*coeffs, tol):
+        for root in solve_quadratic(*coeffs, tol):
             source.append(i)
             c_sq.append(root)
     source, c_sq = np.array(source, dtype=int), np.array(c_sq)

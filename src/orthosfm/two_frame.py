@@ -11,8 +11,11 @@ rigidity test (rigidity_score).  For a rigid pair that distance is zero at
 every admissible assumed length |RP|^2, so one is enough: 1.5x the longest
 projection when it admits a triangle, else one probe between consecutive
 zeros of a few quadratics in |RP|^2 decides in O(1) whether any larger
-length does (_assumed_length).  Each assignment is set up once, and its
-depths come from geometry.depth_pair.  Five points make the prediction
+length does (_assumed_length).  Each assignment is set up once, its
+biquadratic eliminates a^2 between the two frames' quartic identities
+(geometry.quad_coeffs, which the solvers difference), and its depths come
+from geometry.depth_pair: the layer builds on geometry alone and loads no
+solver.  Five points make the prediction
 fully linear (residual_5pt): orthography drops the depth from
 x2 = A*x1 + r*z1 + t, which leaves one affine epipolar equation per
 correspondence.  match_points ranks all probe assignments, by the 4-point
@@ -61,9 +64,11 @@ from .geometry import (
     FrameObservation,
     Point3,
     RigidMotion,
+    check_tolerance,
     depth_pair,
+    quad_coeffs,
+    solve_quadratic,
 )
-from .solvers import _solve_quadratic, check_tolerance, quad_coeffs
 
 # Assumed-length policy for the 4-point scorer: |RP| is assumed 1.5x its
 # longest projection whenever that admits a triangle (see _assumed_length).
@@ -132,7 +137,7 @@ def b_of_c_coeffs(frame1_sq, frame2_sq) -> BofCCoeffs:
 
 def solve_b_given_c(coeffs: BofCCoeffs, c_sq: float) -> tuple:
     """Non-negative roots b^2 of the biquadratic for an assumed c^2, ascending
-    (solvers._solve_quadratic's roots).  Its thresholds assume coefficients
+    (geometry.solve_quadratic's roots).  Its thresholds assume coefficients
     from frames of unit size, as every caller in the package passes.
 
     Raises NoSolutionError when there is no real root: the discriminant is
@@ -143,7 +148,7 @@ def solve_b_given_c(coeffs: BofCCoeffs, c_sq: float) -> tuple:
         raise InvalidInputError("c_sq must be non-negative")
     lin = c_sq * coeffs.f_cb + coeffs.f_b
     const = c_sq * coeffs.f_c + c_sq * c_sq * coeffs.f_c2 + coeffs.f_Cst
-    roots = _solve_quadratic(coeffs.f_b2, lin, const, DEFAULT_TOL)
+    roots = solve_quadratic(coeffs.f_b2, lin, const, DEFAULT_TOL)
     if not roots:
         raise NoSolutionError("no real root b^2 for assumed c")
     return tuple(b for b in roots if b >= 0.0)
@@ -196,7 +201,7 @@ def _pair_units(frame1: FrameObservation, frame2: FrameObservation) -> tuple:
     return 2.0 ** -e, math.sqrt(sq) or 1.0
 
 
-def _pair_scale(frame1: FrameObservation, frame2: FrameObservation) -> float:
+def pair_scale(frame1: FrameObservation, frame2: FrameObservation) -> float:
     """The larger observation diameter of a frame pair (1 if it is zero)."""
     unit, scale = _pair_units(frame1, frame2)
     return scale / unit
@@ -262,7 +267,7 @@ def _length_boundaries(coeffs: BofCCoeffs, minima: tuple) -> tuple:
             k.f_b2 * q * q - p * k.f_cb * q + p * p * k.f_c2,
             -2.0 * k.f_b2 * u * q + p * (k.f_cb * u - k.f_b * q) + p * p * k.f_c,
             k.f_b2 * u * u + p * k.f_b * u + p * p * k.f_Cst))
-    return tuple(z for quad in quadratics for z in _solve_quadratic(*quad, 0.0))
+    return tuple(z for quad in quadratics for z in solve_quadratic(*quad, 0.0))
 
 
 def _assumed_length(coeffs: BofCCoeffs, minima: tuple, c_start: float):
@@ -601,7 +606,7 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     probe = _probe_labels(frame1)
     rest = [lab for lab in labels1 if lab not in probe]
     sources, targets = list(probe) + rest, sorted(labels2)
-    scale = _pair_scale(frame1, frame2)
+    scale = pair_scale(frame1, frame2)
     pts1 = _unit_points(frame1, sources, scale)
     pts2 = _unit_points(frame2, targets, scale)
     # lexicographic in the sorted targets, so that a stable sort by score
@@ -717,7 +722,7 @@ def residual_5pt(frame1: FrameObservation, frame2: FrameObservation,
     labels = tuple(labels)
     if len(labels) != 5:
         raise InvalidInputError("residual_5pt needs exactly 5 labels")
-    scale = _pair_scale(frame1, frame2)
+    scale = pair_scale(frame1, frame2)
     pts1, pts2 = (_unit_points(frame, labels, scale) for frame in (frame1, frame2))
     maps, direction = _affine_epipolar(pts1[:4], pts2, np.arange(4)[None])
     if math.hypot(*direction[0]) <= SQRT_EPS:
@@ -799,7 +804,7 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
     for angle in angles:
         if not math.isfinite(angle):
             raise InvalidInputError(f"angles must be finite, got {angle!r}")
-    scale = _pair_scale(frame1, frame2)
+    scale = pair_scale(frame1, frame2)
     if not _reproduces(base, frame1, frame2, scale):
         res1, res2 = base.reprojection_residuals(frame1, frame2)
         raise InvalidInputError(
@@ -927,7 +932,7 @@ def _fit_interpretation(e1: np.ndarray, e2: np.ndarray, labels, img1: np.ndarray
     """Kabsch-fit a proper rotation e1 -> e2 and lift all frame points.
 
     e1 and e2 are triangle embeddings in units of scale, the frame pair's
-    (_pair_scale); img1 and img2 hold the labels' (x, y) in each frame.
+    (pair_scale); img1 and img2 hold the labels' (x, y) in each frame.
     Each point keeps its frame-1 image and takes the depth on its ray that
     lands nearest its frame-2 image.  Returns the Interpretation in the
     frames' units; whether it reproduces them is the caller's test.

@@ -52,8 +52,19 @@ def true_sq(scene: sim.Scene, pairs=TRIANGLE_PAIRS):
 
 def scaled(frame, s):
     """The frame with every image coordinate multiplied by s."""
-    return geo.FrameObservation(tuple(
-        (lab, geo.Point2(p.x * s, p.y * s)) for lab, p in frame.points))
+    return geo.FrameObservation(frame.labels, frame.coords() * s)
+
+
+def relabeled(frame, relabel):
+    """The frame with each label that relabel maps renamed, its points kept."""
+    return geo.FrameObservation([relabel.get(lab, lab) for lab in frame.labels], frame.coords())
+
+
+def shifted(frame, label, delta):
+    """The frame with the point of the given label moved by delta in (x, y)."""
+    xy = frame.coords().copy()
+    xy[frame.labels.index(label)] += delta
+    return geo.FrameObservation(frame.labels, xy)
 
 
 def observation_scale(frames):
@@ -76,9 +87,7 @@ def view_axis_frames(n_points: int, n_frames: int, seed: int):
         turn = np.array([[math.cos(theta), math.sin(theta)],
                          [-math.sin(theta), math.cos(theta)]])
         frames.append(image @ turn + rng.uniform(-1.0, 1.0, 2))
-    return [geo.FrameObservation(tuple((lab, geo.Point2(*xy)) for lab, xy in
-                                       zip("PQRT", frame.tolist())))
-            for frame in frames]
+    return [geo.FrameObservation("PQRT"[:n_points], frame) for frame in frames]
 
 
 def view_axis_pair(n_points: int, seed: int, tilt: float = 0.0):
@@ -103,9 +112,8 @@ def view_axis_pair(n_points: int, seed: int, tilt: float = 0.0):
     images = (body[:, :2], (body @ turn.T)[:, :2] + rng.uniform(-1.0, 1.0, 2))
     labels = [f"L{i}" for i in range(n_points)]
     relabel = dict(zip(labels, (labels[i] for i in rng.permutation(n_points))))
-    frame1, frame2 = (geo.FrameObservation(tuple(
-        (name(lab), geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))
-        for name, image in ((str, images[0]), (relabel.get, images[1])))
+    frame1, frame2 = (geo.FrameObservation(list(map(name, labels)), image)
+                      for name, image in ((str, images[0]), (relabel.get, images[1])))
     return frame1, frame2, relabel
 
 
@@ -126,9 +134,8 @@ def shared_epipolar_pair(seed: int, n: int = 6):
     images = (body[:, :2], (body @ motion.rotation.T)[:, :2] + motion.translation)
     labels = ["P", "Q", "R", "T", "S", "U", "V", "W"][:n]
     relabel = dict(zip(labels, rng.permutation(labels).tolist()))
-    return [geo.FrameObservation(tuple(
-        (name(lab), geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))
-        for name, image in ((str, images[0]), (relabel.get, images[1]))]
+    return [geo.FrameObservation(list(map(name, labels)), image)
+            for name, image in ((str, images[0]), (relabel.get, images[1]))]
 
 
 def coplanar_probe_pair(n, seed, planar=False, lift=0.0, tie=False):
@@ -159,9 +166,8 @@ def coplanar_probe_pair(n, seed, planar=False, lift=0.0, tie=False):
     images = (body[:, :2], (body @ motion.rotation.T)[:, :2] + motion.translation)
     labels = [f"L{i}" for i in range(n)]
     relabel = dict(zip(labels, (labels[i] for i in rng.permutation(n))))
-    frame1, frame2 = (geo.FrameObservation(tuple(
-        (name(lab), geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))
-        for name, image in ((str, images[0]), (relabel.get, images[1])))
+    frame1, frame2 = (geo.FrameObservation(list(map(name, labels)), image)
+                      for name, image in ((str, images[0]), (relabel.get, images[1])))
     return frame1, frame2, relabel
 
 
@@ -188,9 +194,8 @@ def near_degenerate_pair(kind, n, seed):
     images = (body[:, :2], (body @ motion.rotation.T)[:, :2] + motion.translation)
     labels = [f"L{i}" for i in range(n)]
     relabel = dict(zip(labels, (labels[i] for i in rng.permutation(n))))
-    frame1, frame2 = (geo.FrameObservation(tuple(
-        (name(lab), geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))
-        for name, image in ((str, images[0]), (relabel.get, images[1])))
+    frame1, frame2 = (geo.FrameObservation(list(map(name, labels)), image)
+                      for name, image in ((str, images[0]), (relabel.get, images[1])))
     return frame1, frame2, relabel
 
 

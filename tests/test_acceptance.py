@@ -188,8 +188,7 @@ def test_criterion_7_matcher():
         labels = list(frame2.labels)
         shuffled_labels = list(perm_rng.permutation(labels))
         relabel = dict(zip(labels, shuffled_labels))
-        shuffled = geo.FrameObservation(tuple(
-            (relabel[lab], p) for lab, p in frame2.points))
+        shuffled = geo.FrameObservation([relabel[lab] for lab in labels], frame2.coords())
         scale = math.sqrt(max(frame1.scale_sq(), shuffled.scale_sq()))
         try:
             report = tf.match_points(frame1, shuffled)
@@ -210,11 +209,10 @@ def test_criterion_7_matcher():
         scene = sim.gen_scene(4, 2, seed)
         frame1, frame2 = sim.render(scene)
         bump_rng = np.random.default_rng(sim.subseed(seed, 98))
-        pts = list(frame2.points)
-        lab, p = pts[3]
+        xy = frame2.coords().copy()
         delta = bump_rng.uniform(0.2, 0.5, 2) * bump_rng.choice([-1.0, 1.0], 2)
-        pts[3] = (lab, geo.Point2(p.x + delta[0], p.y + delta[1]))
-        broken = geo.FrameObservation(tuple(pts))
+        xy[3] += delta
+        broken = geo.FrameObservation(frame2.labels, xy)
         scale = math.sqrt(max(frame1.scale_sq(), broken.scale_sq()))
         try:
             score = tf.rigidity_score(frame1, broken)
@@ -249,11 +247,10 @@ def test_criterion_8_five_point_linearization():
 
         # perturb the fifth point
         bump_rng = np.random.default_rng(sim.subseed(seed, 97))
-        pts = list(frame2.points)
-        lab, p = pts[4]
+        xy = frame2.coords().copy()
         delta = bump_rng.uniform(0.2, 0.5, 2) * bump_rng.choice([-1.0, 1.0], 2)
-        pts[4] = (lab, geo.Point2(p.x + delta[0], p.y + delta[1]))
-        broken = geo.FrameObservation(tuple(pts))
+        xy[4] += delta
+        broken = geo.FrameObservation(frame2.labels, xy)
         res_broken = tf.residual_5pt(frame1, broken)
         assert res_broken > threshold, \
             f"seed {seed}: perturbed residual {res_broken:.3g}"

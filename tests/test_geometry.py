@@ -13,18 +13,6 @@ from orthosfm.errors import InconsistentLengthsError, InvalidInputError, Missing
 from conftest import SCALE_SWEEP, TRIANGLE_PAIRS, frames_sq
 
 
-class TestProject:
-    def test_drops_depth(self):
-        assert geo.project(geo.Point3(1, 2, 57)) == geo.Point2(1, 2)
-
-    def test_origin(self):
-        assert geo.project(geo.Point3(0, 0, 0)) == geo.Point2(0, 0)
-
-    def test_worked_example_point(self):
-        p = geo.project(geo.Point3(3.46537, 2.0, -2.0))
-        assert (p.x, p.y) == (3.46537, 2.0)
-
-
 class TestApplyMotion:
     def test_identity(self):
         m = geo.RigidMotion.identity()
@@ -92,36 +80,32 @@ class TestRigidMotionStack:
 
 class TestProjectedSqDistances:
     def test_three_four_five(self):
-        frame = geo.FrameObservation((
-            ("P", geo.Point2(0, 0)), ("Q", geo.Point2(3, 4)), ("R", geo.Point2(1, 1))))
+        frame = geo.FrameObservation("PQR", [(0, 0), (3, 4), (1, 1)])
         a_sq, _, _ = geo.projected_sq_distances(frame, ("P", "Q", "R"))
         assert a_sq == 25.0
 
     def test_coincident_points(self):
-        frame = geo.FrameObservation((
-            ("P", geo.Point2(2, 2)), ("Q", geo.Point2(2, 2)), ("R", geo.Point2(0, 1))))
+        frame = geo.FrameObservation("PQR", [(2, 2), (2, 2), (0, 1)])
         assert geo.projected_sq_distances(frame, ("P", "Q", "R"))[0] == 0.0
 
     def test_brute_force_oracle(self, rng):
-        pts = {lab: geo.Point2(*rng.normal(size=2)) for lab in "PQRT"}
-        frame = geo.FrameObservation(tuple(pts.items()))
+        pts = {lab: rng.normal(size=2).tolist() for lab in "PQRT"}
+        frame = geo.FrameObservation(list(pts), list(pts.values()))
         got = geo.projected_sq_distances(frame, ("P", "Q", "R", "T"))
         pairs = [("P", "Q"), ("Q", "R"), ("R", "P"), ("T", "R"), ("T", "P"), ("T", "Q")]
         for val, (la, lb) in zip(got, pairs):
-            dx = pts[la].x - pts[lb].x
-            dy = pts[la].y - pts[lb].y
+            dx = pts[la][0] - pts[lb][0]
+            dy = pts[la][1] - pts[lb][1]
             assert val == pytest.approx(dx * dx + dy * dy, rel=1e-15)
 
     def test_missing_label(self):
-        frame = geo.FrameObservation((
-            ("P", geo.Point2(0, 0)), ("Q", geo.Point2(1, 0)), ("R", geo.Point2(0, 1))))
+        frame = geo.FrameObservation("PQR", [(0, 0), (1, 0), (0, 1)])
         with pytest.raises(MissingLabelError):
             geo.projected_sq_distances(frame, ("P", "Q", "Z"))
 
 
 def random_frame(rng, labels="PQRTUV"):
-    return geo.FrameObservation(tuple(
-        (lab, geo.Point2(*rng.normal(size=2))) for lab in labels))
+    return geo.FrameObservation(labels, [rng.normal(size=2) for _ in labels])
 
 
 class TestFrameObservationCoords:
@@ -130,13 +114,15 @@ class TestFrameObservationCoords:
         labels = ("V", "P", "T", "Q")
         got = frame.coords(labels)
         assert got.shape == (4, 2)
-        assert got.tolist() == [[frame.get(lab).x, frame.get(lab).y] for lab in labels]
+        rows = frame.coords().tolist()
+        assert got.tolist() == [rows[frame.labels.index(lab)] for lab in labels]
         assert frame.coords(()).shape == (0, 2)
 
     def test_coords_default_is_every_point(self, rng):
-        frame = random_frame(rng)
+        xy = rng.normal(size=(6, 2))
+        frame = geo.FrameObservation("PQRTUV", xy)
         got = frame.coords()
-        assert got.tolist() == [[p.x, p.y] for _, p in frame.points]
+        assert got.tolist() == xy.tolist()
         assert np.array_equal(got, frame.coords(frame.labels))
         with pytest.raises(ValueError):
             got[0, 0] = 1.0   # the shared array is read-only
@@ -151,13 +137,12 @@ class TestFrameObservationCoords:
         # rounded as d @ d rounds them on the raw difference d
         frame = random_frame(rng)
         expect = max(float(d @ d) for d in (
-            a.as_array() - b.as_array()
-            for (_, a), (_, b) in itertools.product(frame.points, repeat=2)))
+            a - b for a, b in itertools.product(frame.coords(), repeat=2)))
         assert frame.scale_sq() == expect
 
     def test_coords_leave_equality_and_hash(self, rng):
         frame = random_frame(rng)
-        same = geo.FrameObservation(frame.points)
+        same = geo.FrameObservation(frame.labels, frame.coords())
         frame.scale_sq(), frame.coords(("P",))  # builds the cache on frame only
         assert frame == same and hash(frame) == hash(same)
         assert frame != random_frame(rng)
@@ -172,23 +157,32 @@ COORDS = st.floats(-1e150, 1e150) | st.sampled_from(
 @st.composite
 def labelled_points(draw):
     labels = draw(st.lists(st.text(min_size=1, max_size=3), min_size=3, max_size=8, unique=True))
-    return tuple((lab, geo.Point2(draw(COORDS), draw(COORDS))) for lab in labels)
+    return labels, [(draw(COORDS), draw(COORDS)) for _ in labels]
 
 
 class TestFrameObservationStack:
     @settings(max_examples=200, deadline=None)
     @given(points=labelled_points())
     def test_adapter_equals_stack(self, points):
-        labels = [lab for lab, _ in points]
-        xy = np.array([(p.x, p.y) for _, p in points])
-        adapted = geo.FrameObservation(points)
+        labels, rows = points
+        xy = np.array(rows)
+        one = geo.FrameObservation(labels, xy)
         (stacked,) = geo.FrameObservation.stack([labels], xy[None])
-        assert adapted == stacked and hash(adapted) == hash(stacked)
-        assert adapted.labels == stacked.labels == tuple(labels)
-        # bit for bit, so signed zeros survive
-        assert adapted.coords().tobytes() == stacked.coords().tobytes() == xy.tobytes()
-        assert adapted.scale_sq() == stacked.scale_sq()
-        assert adapted.points == stacked.points == points
+        assert one == stacked and hash(one) == hash(stacked)
+        assert one.labels == stacked.labels == tuple(labels)
+        # bit for bit, so signed zeros and subnormals survive
+        assert one.coords().tobytes() == stacked.coords().tobytes() == xy.tobytes()
+        assert one.scale_sq() == stacked.scale_sq()
+        # and from the rows as Python floats
+        assert geo.FrameObservation(labels, rows).coords().tobytes() == xy.tobytes()
+
+    def test_signed_zeros_compare_and_hash_equal(self):
+        # equal frames hash alike: a hash of the coordinates' bytes would not
+        plus = geo.FrameObservation("PQR", [(0.0, 1.0), (2.0, 0.0), (3.0, 4.0)])
+        minus = geo.FrameObservation("PQR", [(-0.0, 1.0), (2.0, -0.0), (3.0, 4.0)])
+        assert plus.coords().tobytes() != minus.coords().tobytes()
+        assert plus == minus and hash(plus) == hash(minus)
+        assert len({plus, minus}) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.integers(1, 5), n=st.integers(3, 6), data=st.data())
@@ -226,9 +220,9 @@ class TestFrameObservationStack:
 
     def test_too_few_points(self):
         with pytest.raises(InvalidInputError, match="at least 3 points, has 2"):
-            geo.FrameObservation((("P", geo.Point2(0, 0)), ("Q", geo.Point2(1, 0))))
+            geo.FrameObservation("PQ", [(0, 0), (1, 0)])
         with pytest.raises(InvalidInputError, match="at least 3 points, has 0"):
-            geo.FrameObservation(())
+            geo.FrameObservation((), np.zeros((0, 2)))
 
 
 class TestDofBalance:

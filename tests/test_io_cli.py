@@ -13,8 +13,10 @@ from orthosfm.errors import InvalidInputError
 
 from conftest import (
     golden_scene,
+    relabeled,
     scaled,
     shared_epipolar_pair,
+    shifted,
     view_axis_frames,
     view_axis_pair,
 )
@@ -80,7 +82,8 @@ class TestFramesCsv:
         back = io_files.frames_from_csv(io_files.frames_to_csv(frames))
         assert len(back) == 4
         for f1, f2 in zip(frames, back):
-            assert f1.points == f2.points  # bit-exact via repr round-trip
+            # bit-exact via repr round-trip
+            assert f1.labels == f2.labels and f1.coords().tobytes() == f2.coords().tobytes()
 
     def test_bad_header(self):
         with pytest.raises(InvalidInputError, match="line 1"):
@@ -203,9 +206,9 @@ def frame_sets(draw):
     """Frames of one label set, each frame in its own label order."""
     labels = draw(st.lists(CSV_LABELS, min_size=3, max_size=6, unique=True))
     n_frames = draw(st.integers(1, 6))
-    return [geo.FrameObservation(tuple(
-        (lab, geo.Point2(draw(CSV_COORDS), draw(CSV_COORDS)))
-        for lab in draw(st.permutations(labels)))) for _ in range(n_frames)]
+    orders = (draw(st.permutations(labels)) for _ in range(n_frames))
+    return [geo.FrameObservation(labs, [(draw(CSV_COORDS), draw(CSV_COORDS)) for _ in labs])
+            for labs in orders]
 
 
 class TestFramesCsvRoundTrip:
@@ -219,7 +222,7 @@ class TestFramesCsvRoundTrip:
         queues = [iter(rows[i * n:(i + 1) * n]) for i in range(len(frames))]
         text = header + "".join(next(queues[i]) for i in turns)
         back = io_files.frames_from_csv(text)
-        assert [f.points for f in back] == [f.points for f in frames]
+        assert back == frames
         # bit for bit, signed zeros included
         assert [f.coords().tobytes() for f in back] == [f.coords().tobytes() for f in frames]
 
@@ -349,10 +352,8 @@ class TestCliMatch:
         frames = sim.render(scene)
         # same label set, but the names are attached to the wrong points
         relabel = {"P": "R", "Q": "T", "R": "P", "T": "Q"}
-        shuffled = geo.FrameObservation(tuple(
-            (relabel[lab], p) for lab, p in frames[1].points))
         f = tmp_path / "frames.csv"
-        f.write_text(io_files.frames_to_csv([frames[0], shuffled]))
+        f.write_text(io_files.frames_to_csv([frames[0], relabeled(frames[1], relabel)]))
         out = tmp_path / "report.json"
         code = cli.main(["match", str(f), "--unlabeled", "--out", str(out)])
         assert code == cli.EXIT_OK
@@ -361,11 +362,8 @@ class TestCliMatch:
     def test_broken_rigidity_exit_code(self, tmp_path):
         scene = sim.gen_scene(4, 2, 42)
         frames = sim.render(scene)
-        pts = list(frames[1].points)
-        lab, p = pts[2]
-        pts[2] = (lab, geo.Point2(p.x + 0.5, p.y - 0.5))
         f = tmp_path / "frames.csv"
-        f.write_text(io_files.frames_to_csv([frames[0], geo.FrameObservation(tuple(pts))]))
+        f.write_text(io_files.frames_to_csv([frames[0], shifted(frames[1], "R", (0.5, -0.5))]))
         out = tmp_path / "report.json"
         code = cli.main(["match", str(f), "--out", str(out)])
         assert code == cli.EXIT_NO_SOLUTION
@@ -415,8 +413,8 @@ class TestCliMatch:
     @pytest.mark.parametrize("n", [4, 5])
     def test_unlabeled_collinear_first_frame_exits_degenerate(self, tmp_path, n):
         _, frame2 = sim.render(sim.gen_scene(n, 2, 48))
-        frame1 = geo.FrameObservation(tuple(
-            (lab, geo.Point2(0.5 * k, 3.0 - k)) for k, lab in enumerate(frame2.labels)))
+        frame1 = geo.FrameObservation(frame2.labels,
+                                      [(0.5 * k, 3.0 - k) for k in range(n)])
         f = tmp_path / "frames.csv"
         f.write_text(io_files.frames_to_csv([frame1, frame2]))
         out = tmp_path / "report.json"
@@ -428,9 +426,8 @@ class TestCliMatch:
         scene = sim.gen_scene(4, 2, 5)
         frames = sim.render(scene)
         rng = np.random.default_rng(0)
-        moved = geo.FrameObservation(tuple(
-            (lab, geo.Point2(*(p.as_array() + rng.uniform(0.3, 0.6, 2))))
-            for lab, p in frames[1].points))
+        moved = geo.FrameObservation(frames[1].labels, [
+            xy + rng.uniform(0.3, 0.6, 2) for xy in frames[1].coords()])
         f = tmp_path / "frames.csv"
         f.write_text(io_files.frames_to_csv([frames[0], moved]))
         out = tmp_path / "report.json"
@@ -656,6 +653,29 @@ class TestCliDof:
 
     def test_invalid(self, capsys):
         assert cli.main(["dof", "--points", "0", "--frames", "3"]) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--points", "x", "--frames", "2"], "invalid int value: 'x'"),
+    (["match", "f.csv", "--threshold", "abc"], "invalid float value: 'abc'"),
+    (["recover", "f.csv", "--mode", "p9f9"], "invalid choice: 'p9f9'"),
+    (["recover"], "required: frames_file"),
+    (["solve", "f.csv"], "invalid choice: 'solve'"),
+    ([], "required: command"),
+])
+def test_malformed_command_line_is_input_error(capsys, argv, message):
+    # exit 2 means no solution, so a usage error exits 1 like any bad input
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1 and "usage:" not in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["match", "--help"])
+    assert exc.value.code == 0
+    assert "--unlabeled" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["simulate", "recover", "match", "noise-study", "ambiguity"])

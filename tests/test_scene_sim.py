@@ -72,24 +72,24 @@ def reference_gen_scene(n_points, n_frames, seed, rejected):
 
 
 def reference_render(scene):
-    return [geo.FrameObservation(tuple(
-        (lab, geo.project(geo.apply_motion(motion, p))) for lab, p in scene.body))
-        for motion in scene.motions]
+    frames = []
+    for motion in scene.motions:
+        moved = [geo.apply_motion(motion, p) for _, p in scene.body]
+        frames.append(geo.FrameObservation(scene.labels, [(q.x, q.y) for q in moved]))
+    return frames
 
 
 def reference_add_noise(frames, spec):
     rng = np.random.default_rng(spec.seed)
     noisy = []
     for frame in frames:
-        coords = np.array([[p.x, p.y] for _, p in frame.points])
+        coords = frame.coords()
         if spec.distribution == "uniform":
             eps = rng.uniform(-spec.level, spec.level, size=coords.shape)
         else:
             eps = rng.normal(0.0, spec.level / 3.0, size=coords.shape)
         coords = coords * (1.0 + eps)
-        noisy.append(geo.FrameObservation(tuple(
-            (lab, geo.Point2(float(x), float(y)))
-            for (lab, _), (x, y) in zip(frame.points, coords))))
+        noisy.append(geo.FrameObservation(frame.labels, coords.tolist()))
     return noisy
 
 
@@ -286,8 +286,9 @@ class TestGenerators:
             sim._generators(seed, [(0,)])
         for call in (lambda: sim.gen_scene(4, 3, seed), lambda: sim.gen_body(3, seed),
                      lambda: sim.gen_motion(seed),
-                     lambda: sim.add_noise([geo.FrameObservation(
-                         (("P", geo.Point2(1.0, 2.0)),))], sim.NoiseSpec(0.1, seed=seed)),
+                     lambda: sim.add_noise(
+                         [geo.FrameObservation("PQR", [(1.0, 2.0), (3.0, 4.0), (5.0, 7.0)])],
+                         sim.NoiseSpec(0.1, seed=seed)),
                      lambda: sim.run_noise_study("p3f3", [0.01], 2, seed)):
             with pytest.raises(InvalidInputError):
                 call()
@@ -326,14 +327,13 @@ class TestRender:
         for frame, motion in zip(frames, scene.motions):
             for lab, p in scene.body:
                 moved = geo.apply_motion(motion, p)
-                obs = frame.get(lab)
-                assert (obs.x, obs.y) == (moved.x, moved.y)
+                assert frame.coords([lab])[0].tolist() == [moved.x, moved.y]
 
     def test_first_frame_is_plain_projection(self):
         scene = sim.gen_scene(3, 2, 4)
         frame = sim.render(scene)[0]
         for lab, p in scene.body:
-            assert frame.get(lab) == geo.project(p)
+            assert frame.coords([lab])[0].tolist() == [p.x, p.y]
 
 
 class TestAddNoise:
@@ -342,7 +342,7 @@ class TestAddNoise:
         frames = sim.render(scene)
         noisy = sim.add_noise(frames, sim.NoiseSpec(level=0.0, seed=1))
         for f, g in zip(frames, noisy):
-            assert f.points == g.points
+            assert f == g
 
     def test_uniform_bounded(self):
         scene = sim.gen_scene(4, 3, 6)
@@ -350,9 +350,9 @@ class TestAddNoise:
         level = 0.05
         noisy = sim.add_noise(frames, sim.NoiseSpec(level=level, seed=2))
         for f, g in zip(frames, noisy):
-            for (lab, p), (lab2, q) in zip(f.points, g.points):
-                assert lab == lab2
-                for a, b in ((p.x, q.x), (p.y, q.y)):
+            assert f.labels == g.labels
+            for p, q in zip(f.coords().tolist(), g.coords().tolist()):
+                for a, b in zip(p, q):
                     assert abs(b - a) <= level * abs(a) + 1e-15
 
     def test_deterministic_per_seed(self):
@@ -361,18 +361,17 @@ class TestAddNoise:
         spec = sim.NoiseSpec(level=0.01, seed=9)
         n1 = sim.add_noise(frames, spec)
         n2 = sim.add_noise(frames, spec)
-        assert all(a.points == b.points for a, b in zip(n1, n2))
+        assert all(a == b for a, b in zip(n1, n2))
         n3 = sim.add_noise(frames, sim.NoiseSpec(level=0.01, seed=10))
-        assert any(a.points != b.points for a, b in zip(n1, n3))
+        assert any(a != b for a, b in zip(n1, n3))
 
     def test_gaussian_sigma(self):
         # level is a 3-sigma bound: empirical sigma of eps ~ level/3
-        frames = [geo.FrameObservation(tuple(
-            (f"X{i}", geo.Point2(1.0, 1.0)) for i in range(500)))]
+        frames = [geo.FrameObservation([f"X{i}" for i in range(500)], np.ones((500, 2)))]
         level = 0.3
         noisy = sim.add_noise(frames, sim.NoiseSpec(
             level=level, distribution="gaussian", seed=3))
-        eps = np.array([[p.x - 1.0, p.y - 1.0] for _, p in noisy[0].points])
+        eps = noisy[0].coords() - 1.0
         assert np.std(eps) == pytest.approx(level / 3.0, rel=0.15)
 
     def test_spec_validation(self):
@@ -421,9 +420,9 @@ class TestSameAsPerPointSimulator:
         assert rejected["body"] > 0 and rejected["motion"] > 0, rejected
 
     def test_noise_on_frames_of_different_sizes(self):
-        frames = [geo.FrameObservation(tuple(
-            (f"X{i}", geo.Point2(1.0 + i, 2.0 - j)) for i in range(n)))
-            for j, n in enumerate((3, 7, 4))]
+        frames = [geo.FrameObservation([f"X{i}" for i in range(n)],
+                                       [(1.0 + i, 2.0 - j) for i in range(n)])
+                  for j, n in enumerate((3, 7, 4))]
         for distribution in ("uniform", "gaussian"):
             spec = sim.NoiseSpec(0.2, distribution, 11)
             assert sim.add_noise(frames, spec) == reference_add_noise(frames, spec)

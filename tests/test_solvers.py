@@ -49,29 +49,29 @@ def assert_roundtrip(solve, n_points, n_frames, scale):
 class TestFrameConstant:
     def test_hand_computed(self):
         # 1+4+9 - 2(2+3+6) = -8
-        assert sol.frame_constant(1.0, 2.0, 3.0) == -8.0
+        assert geo.frame_constant(1.0, 2.0, 3.0) == -8.0
 
     def test_zero_at_origin(self):
-        assert sol.frame_constant(0.0, 0.0, 0.0) == 0.0
+        assert geo.frame_constant(0.0, 0.0, 0.0) == 0.0
 
     def test_symmetric(self, rng):
         for _ in range(20):
             x, y, z = rng.normal(size=3)
-            ref = sol.frame_constant(x, y, z)
-            assert sol.frame_constant(y, z, x) == pytest.approx(ref, rel=1e-14)
-            assert sol.frame_constant(z, x, y) == pytest.approx(ref, rel=1e-14)
+            ref = geo.frame_constant(x, y, z)
+            assert geo.frame_constant(y, z, x) == pytest.approx(ref, rel=1e-14)
+            assert geo.frame_constant(z, x, y) == pytest.approx(ref, rel=1e-14)
 
     def test_factorization_oracle(self, rng):
         # x^2+y^2+z^2-2xy-2xz-2yz == (x+y+z)^2 - 4(xy+xz+yz)
         for _ in range(50):
             x, y, z = rng.normal(size=3)
             expect = (x + y + z) ** 2 - 4.0 * (x * y + x * z + y * z)
-            assert sol.frame_constant(x, y, z) == pytest.approx(expect, abs=1e-12)
+            assert geo.frame_constant(x, y, z) == pytest.approx(expect, abs=1e-12)
 
 
 class TestQuadCoeffs:
     def test_hand_computed(self):
-        q = sol.quad_coeffs((1.0, 2.0, 3.0))
+        q = geo.quad_coeffs((1.0, 2.0, 3.0))
         assert (q.coef_a, q.coef_b, q.coef_c, q.const) == (8.0, 4.0, 0.0, -8.0)
 
     def test_expanded_matches_deficit_form(self, rng):
@@ -80,7 +80,7 @@ class TestQuadCoeffs:
         for _ in range(100):
             frame = tuple(rng.uniform(0.1, 5.0, size=3))
             cand = tuple(rng.uniform(0.1, 5.0, size=3))
-            q = sol.quad_coeffs(frame)
+            q = geo.quad_coeffs(frame)
             A, B, C = cand
             expanded = (A * A + B * B + C * C - 2 * A * B - 2 * A * C - 2 * B * C
                         + q.coef_a * A + q.coef_b * B + q.coef_c * C + q.const)
@@ -108,28 +108,28 @@ class TestEq1Residual:
 
 class TestSolveQuadratic:
     def test_distinct_roots(self):
-        roots = sol._solve_quadratic(1.0, -5.0, 6.0, 1e-9)
+        roots = geo.solve_quadratic(1.0, -5.0, 6.0, 1e-9)
         assert roots == pytest.approx((2.0, 3.0))
 
     def test_double_root(self):
-        roots = sol._solve_quadratic(1.0, -4.0, 4.0, 1e-9)
+        roots = geo.solve_quadratic(1.0, -4.0, 4.0, 1e-9)
         assert all(r == pytest.approx(2.0) for r in roots)
 
     def test_negative_discriminant(self):
-        assert sol._solve_quadratic(1.0, 0.0, 1.0, 1e-9) == ()
+        assert geo.solve_quadratic(1.0, 0.0, 1.0, 1e-9) == ()
 
     def test_tiny_negative_discriminant_clamped(self):
         # disc = -1e-14 relative to coefficient scale ~ 1: treated as double root
-        roots = sol._solve_quadratic(1.0, 2.0, 1.0 + 1e-15, 1e-9)
+        roots = geo.solve_quadratic(1.0, 2.0, 1.0 + 1e-15, 1e-9)
         assert roots == pytest.approx((-1.0,))
 
     def test_effectively_linear(self):
-        roots = sol._solve_quadratic(0.0, 2.0, -6.0, 1e-9)
+        roots = geo.solve_quadratic(0.0, 2.0, -6.0, 1e-9)
         assert roots == (3.0,)
 
     def test_cancellation_stability(self):
         # roots 1e-8 and 1e8: naive formula loses the small root
-        roots = sorted(sol._solve_quadratic(1.0, -(1e8 + 1e-8), 1.0, 1e-12))
+        roots = sorted(geo.solve_quadratic(1.0, -(1e8 + 1e-8), 1.0, 1e-12))
         assert roots[0] == pytest.approx(1e-8, rel=1e-9)
         assert roots[1] == pytest.approx(1e8, rel=1e-9)
 
@@ -293,10 +293,10 @@ def reference_feasibility_check(candidate, frames, tol=1e-9):
 
 
 def reference_newton_polish(sol_, frames, iterations=3):
-    coeffs = [sol.quad_coeffs(f) for f in frames]
+    coeffs = [geo.quad_coeffs(f) for f in frames]
 
     def residuals(v):
-        return [sol.frame_constant(v[0] - f[0], v[1] - f[1], v[2] - f[2]) for f in frames]
+        return [geo.frame_constant(v[0] - f[0], v[1] - f[1], v[2] - f[2]) for f in frames]
 
     x = list(sol_)
     r = residuals(x)
@@ -332,13 +332,13 @@ def reference_normalized(frames, shape, name):
 
 
 def reference_difference_system(norm, triples):
-    ref = [sol.quad_coeffs([norm[0][k] for k in t]) for t in triples]
+    ref = [geo.quad_coeffs([norm[0][k] for k in t]) for t in triples]
     mat = np.zeros(((len(norm) - 1) * len(triples), len(norm[0])))
     rhs = np.empty(len(mat))
     row = 0
     for frame in norm[1:]:
         for triple, q0 in zip(triples, ref):
-            q = sol.quad_coeffs([frame[k] for k in triple])
+            q = geo.quad_coeffs([frame[k] for k in triple])
             mat[row, triple] = (q.coef_a - q0.coef_a, q.coef_b - q0.coef_b,
                                 q.coef_c - q0.coef_c)
             rhs[row] = q0.const - q.const
@@ -374,7 +374,7 @@ def reference_solve_p3f3(frames, tol=1e-9):
     b_c = (m_a2 * m_c1 - m_a1 * m_c2) / det
     b0 = (m_a1 * r2 - m_a2 * r1) / det
 
-    qp = sol.quad_coeffs(norm[0])
+    qp = geo.quad_coeffs(norm[0])
     q2 = a_c * a_c + b_c * b_c + 1.0 - 2.0 * a_c * b_c - 2.0 * a_c - 2.0 * b_c
     q1 = (2.0 * a_c * a0 + 2.0 * b_c * b0 - 2.0 * (a_c * b0 + a0 * b_c)
           - 2.0 * (a0 + b0) + qp.coef_a * a_c + qp.coef_b * b_c + qp.coef_c)
@@ -382,7 +382,7 @@ def reference_solve_p3f3(frames, tol=1e-9):
           + qp.coef_a * a0 + qp.coef_b * b0)
 
     candidates = []
-    for c_sq in sol._solve_quadratic(q2, q1, q0, tol):
+    for c_sq in geo.solve_quadratic(q2, q1, q0, tol):
         polished = reference_newton_polish((a_c * c_sq + a0, b_c * c_sq + b0, c_sq), norm)
         candidates.append(
             reference_triangle_candidate([v * scale for v in polished], frames, tol))

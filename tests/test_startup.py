@@ -15,12 +15,12 @@ ROOT = Path(__file__).resolve().parent.parent
 # every name the package root exported when it imported its submodules eagerly
 EAGER_EXPORTS = (
     "AmbiguityMember", "Assignment", "BatchResult", "Candidate", "DofBalance",
-    "FrameObservation", "Interpretation", "MatchReport", "NoiseSpec", "Point2", "Point3",
+    "FrameObservation", "Interpretation", "MatchReport", "NoiseSpec", "Point3",
     "RecoveryResult", "RigidMotion", "Scene", "TetraDistances", "TriangleDistances",
     "add_noise", "ambiguity_family", "apply_motion", "b_of_c_coeffs",
     "base_interpretation_from_frames", "collinearity_residual_4pt", "dof_balance",
     "embed_depths", "eq1_residual", "errors", "feasibility_check", "gen_body", "gen_motion",
-    "gen_scene", "geometry", "interpretation_from_scene", "match_points", "project",
+    "gen_scene", "geometry", "interpretation_from_scene", "match_points",
     "projected_sq_distances", "reference_ambiguity_scene", "render", "residual_5pt",
     "rigidity_score", "scene_sim", "solve_b_given_c", "solve_batch", "solve_p3f3",
     "solve_p3f4", "solve_p4f3", "solvers", "subseed", "two_frame")
@@ -111,8 +111,10 @@ COMMANDS = {
             ("orthosfm.two_frame", "orthosfm.io_files", "orthosfm.scene_sim")),
     "recover": (["recover", "{recover}"], ("orthosfm.two_frame", "orthosfm.scene_sim")),
     "simulate": (["simulate", "--points", "3", "--frames", "2", "--out", "{tmp}/scene"],
-                 ("orthosfm.two_frame",)),
-    "match": (["match", "--unlabeled", "{match}"], ("orthosfm.scene_sim",)),
+                 ("orthosfm.two_frame", "orthosfm.solvers")),
+    "match": (["match", "--unlabeled", "{match}"], ("orthosfm.scene_sim", "orthosfm.solvers")),
+    "match-labeled": (["match", "{match}"], ("orthosfm.scene_sim", "orthosfm.solvers")),
+    "ambiguity": (["ambiguity", "{match}"], ("orthosfm.scene_sim", "orthosfm.solvers")),
 }
 
 

@@ -34,7 +34,7 @@ from orthosfm.errors import (
     NoConsistentAssignmentError,
 )
 
-from conftest import near_degenerate_scene, scaled
+from conftest import near_degenerate_scene, scaled, shifted
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "orthosfm"
@@ -51,10 +51,7 @@ TABLE = ("DEFAULT_TOL", "DEFAULT_RIGIDITY_TOL", "ORTHONORMALITY_TOL", "_DEFICIT_
 def off_by(frame1, frame2, label, fraction):
     """frame2 with one point moved along (0.6, 0.8) by fraction of the pair's
     diameter."""
-    dx, dy = np.array([0.6, 0.8]) * fraction * tf._pair_scale(frame1, frame2)
-    return geo.FrameObservation(tuple(
-        (lab, geo.Point2(p.x + dx, p.y + dy) if lab == label else p)
-        for lab, p in frame2.points))
+    return shifted(frame2, label, np.array([0.6, 0.8]) * fraction * tf.pair_scale(frame1, frame2))
 
 
 class TestOneTable:
@@ -329,8 +326,8 @@ class TestExtremeUnits:
         for fn, n in ((tf.rigidity_score, 4), (tf.residual_5pt, 5)):
             (rigid, rigid2), (_, broken) = self.pairs(n)
             for frame2, small in ((rigid2, True), (broken, False)):
-                expect = fn(rigid, frame2) / tf._pair_scale(rigid, frame2)
-                scale = tf._pair_scale(scaled(rigid, s), scaled(frame2, s))
+                expect = fn(rigid, frame2) / tf.pair_scale(rigid, frame2)
+                scale = tf.pair_scale(scaled(rigid, s), scaled(frame2, s))
                 got = fn(scaled(rigid, s), scaled(frame2, s)) / scale
                 assert (got <= tf.DEFAULT_RIGIDITY_TOL) == small
                 if not small:
@@ -368,5 +365,5 @@ class TestExtremeUnits:
             geo.projected_sq_distances(scaled(frame, s), frame.labels)
 
     def test_coincident_points_keep_their_path(self):
-        frame = geo.FrameObservation(tuple((lab, geo.Point2(1e-300, 2.0)) for lab in "PQR"))
+        frame = geo.FrameObservation("PQR", [(1e-300, 2.0)] * 3)
         assert geo.projected_sq_distances(frame, "PQR") == (0.0, 0.0, 0.0)

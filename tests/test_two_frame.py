@@ -24,8 +24,10 @@ from conftest import (
     coplanar_probe_pair,
     frames_sq,
     near_degenerate_pair,
+    relabeled,
     scaled,
     shared_epipolar_pair,
+    shifted,
     true_sq,
     view_axis_pair,
 )
@@ -130,12 +132,12 @@ class TestSolveBGivenC:
 
 
 # the biquadratic's own root arithmetic, before solve_b_given_c took its roots
-# from solvers._solve_quadratic: the reference for that merge
+# from geometry.solve_quadratic: the reference for that merge
 def reference_solve_b_given_c(coeffs: BofCCoeffs, c_sq: float) -> tuple:
     """Non-negative roots b^2 of the biquadratic for an assumed c^2.
 
     The thresholds assume coefficients from frames of unit size, as every
-    caller in the package passes.  solvers._solve_quadratic is no substitute:
+    caller in the package passes.  geometry.solve_quadratic is no substitute:
     its tol-relative linear test would take a large assumed c as linear.
 
     Raises NoSolutionError when the discriminant is decisively negative
@@ -260,18 +262,13 @@ class TestCollinearityResidual:
     def test_nonzero_for_broken_rigidity(self):
         scene = sim.gen_scene(4, 2, 21)
         frame1, frame2 = two_frames(scene)
-        pts = list(frame2.points)
-        lab, p = pts[3]
-        pts[3] = (lab, geo.Point2(p.x + 0.31, p.y - 0.24))
-        broken = geo.FrameObservation(tuple(pts))
+        broken = shifted(frame2, "T", (0.31, -0.24))
         c_sq = scene.true_sq_distance("R", "P")
         res = tf.collinearity_residual_4pt(frame1, broken, identity_assignment(), c_sq)
         assert res > 1e-3 * scale_of(frame1, broken)
 
     def test_collinear_basis_raises(self):
-        f1 = geo.FrameObservation((
-            ("P", geo.Point2(0, 0)), ("Q", geo.Point2(1, 0)),
-            ("R", geo.Point2(2, 0)), ("T", geo.Point2(0, 1))))
+        f1 = geo.FrameObservation("PQRT", [(0, 0), (1, 0), (2, 0), (0, 1)])
         scene = sim.gen_scene(4, 2, 3)
         _, frame2 = two_frames(scene)
         with pytest.raises(DegenerateBasisError):
@@ -297,7 +294,7 @@ def reference_match(frame1, frame2, rigidity_tol=tf.DEFAULT_RIGIDITY_TOL):
     full assignment or raises NoConsistentAssignmentError."""
     labels1, labels2 = frame1.labels, frame2.labels
     probe = tf._probe_labels(frame1)
-    scale = tf._pair_scale(frame1, frame2)
+    scale = tf.pair_scale(frame1, frame2)
 
     def residual(assignment):
         got = outcome(tf.collinearity_residual_4pt, frame1, frame2, assignment, None)
@@ -326,7 +323,7 @@ def reference_residual_5pt(frame1, frame2, labels):
     the affine epipolar distance: the fifth point's first-frame ray meets
     the planes PQT and RPQ in two points with affine coordinates from the
     first frame alone, and their second-frame images span its line."""
-    scale = tf._pair_scale(frame1, frame2)
+    scale = tf.pair_scale(frame1, frame2)
     p1, q1, r1, t1, s1 = frame1.coords(labels) / scale
     p2, q2, r2, t2, s2 = frame2.coords(labels) / scale
     uv_a = np.linalg.solve(np.column_stack([p1 - t1, q1 - t1]), s1 - t1)
@@ -343,7 +340,7 @@ def reference_probe_labels(frame):
     labels = frame.labels
     if len(labels) == 4:
         return labels
-    pts = {lab: frame.get(lab).as_array() for lab in labels}
+    pts = dict(zip(labels, frame.coords()))
 
     def hull_area(quad):
         arr = [pts[lab] for lab in quad]
@@ -361,8 +358,7 @@ def reference_probe_labels(frame):
 
 
 def labeled_frame(pts):
-    return geo.FrameObservation(tuple(
-        (f"L{i}", geo.Point2(*map(float, p))) for i, p in enumerate(pts)))
+    return geo.FrameObservation([f"L{i}" for i in range(len(pts))], pts)
 
 
 class TestProbeLabels:
@@ -402,8 +398,7 @@ def shuffled_pair(n, seed, scale=1.0, move=False):
         frame2 = scaled(moved_one(scaled(frame2, 1.0 / scale), seed), scale)
     relabel = dict(zip(frame2.labels,
                        np.random.default_rng(seed).permutation(frame2.labels).tolist()))
-    return frame1, geo.FrameObservation(tuple(
-        (relabel[lab], p) for lab, p in frame2.points)), relabel
+    return frame1, relabeled(frame2, relabel), relabel
 
 
 class TestMatchPoints:
@@ -435,20 +430,17 @@ class TestMatchPoints:
         scene = sim.gen_scene(4, 2, 12)
         frame1, frame2 = two_frames(scene)
         relabel = {"P": "W2", "Q": "W0", "R": "W3", "T": "W1"}
-        shuffled = geo.FrameObservation(tuple(
-            (relabel[lab], p) for lab, p in frame2.points))
-        report = tf.match_points(frame1, shuffled)
+        report = tf.match_points(frame1, relabeled(frame2, relabel))
         assert report.full_assignment == relabel
 
     def test_non_rigid_rejected(self):
         scene = sim.gen_scene(4, 2, 5)
         frame1, frame2 = two_frames(scene)
         rng = np.random.default_rng(0)
-        pts = tuple(
-            (lab, geo.Point2(*(p.as_array() + rng.uniform(0.3, 0.6, 2))))
-            for lab, p in frame2.points)
+        moved = geo.FrameObservation(frame2.labels, [
+            xy + rng.uniform(0.3, 0.6, 2) for xy in frame2.coords()])
         with pytest.raises(NoConsistentAssignmentError):
-            tf.match_points(frame1, geo.FrameObservation(pts))
+            tf.match_points(frame1, moved)
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_refusal_names_moved_point_with_epipolar_distance(self, n):
@@ -464,18 +456,14 @@ class TestMatchPoints:
             ray = scene.motions[1].rotation[:2, 2]
             shift = 0.05 * scale_of(frame1, frame2) * np.array([-ray[1], ray[0]]) \
                 / np.linalg.norm(ray)
-            moved = geo.FrameObservation(tuple(
-                (lab, geo.Point2(*(p.as_array() + shift)) if lab == extra else p)
-                for lab, p in frame2.points))
+            moved = shifted(frame2, extra, shift)
 
             def distance_to(target):
                 swap = {target: extra, extra: target}
-                swapped = geo.FrameObservation(tuple(
-                    (swap.get(lab, lab), p) for lab, p in moved.points))
-                return reference_residual_5pt(frame1, swapped, probe + (extra,))
+                return reference_residual_5pt(frame1, relabeled(moved, swap), probe + (extra,))
 
             expect = min(distance_to(lab) for lab in moved.labels if lab not in probe) \
-                / tf._pair_scale(frame1, moved)
+                / tf.pair_scale(frame1, moved)
             with pytest.raises(NoConsistentAssignmentError) as exc:
                 tf.match_points(frame1, moved)
             assert str(exc.value).startswith(
@@ -514,9 +502,8 @@ class TestMatchPoints:
                 scaled(f, scale) for f in two_frames(sim.gen_scene(5, 2, seed)))
             relabel = dict(zip(frame2.labels,
                                np.random.default_rng(seed).permutation(frame2.labels)))
-            shuffled = geo.FrameObservation(tuple(
-                (relabel[lab], p) for lab, p in frame2.points))
-            assert tf.match_points(frame1, shuffled).full_assignment == relabel, seed
+            assert tf.match_points(frame1, relabeled(frame2, relabel)).full_assignment \
+                == relabel, seed
 
 
 class TestSameAsExhaustiveSearch:
@@ -552,12 +539,10 @@ class TestSameAsExhaustiveSearch:
             body = sim.gen_body(n, seed)
             stretch = np.diag(np.random.default_rng(seed).uniform(0.5, 1.5, 3))
             motion = sim.gen_motion(seed)
-            frame1 = geo.FrameObservation(tuple(
-                (lab, geo.Point2(p.x, p.y)) for lab, p in body))
-            moved = (np.array([p.as_array() for _, p in body]) @ stretch.T
-                     @ motion.rotation.T)[:, :2] + motion.translation
-            frame2 = geo.FrameObservation(tuple(
-                (lab, geo.Point2(*xy)) for (lab, _), xy in zip(body, moved.tolist())))
+            labels, pts = [lab for lab, _ in body], np.array([p.as_array() for _, p in body])
+            frame1 = geo.FrameObservation(labels, pts[:, :2])
+            moved = (pts @ stretch.T @ motion.rotation.T)[:, :2] + motion.translation
+            frame2 = geo.FrameObservation(labels, moved)
             expect = match_outcome(reference_match, frame1, frame2)
             assert expect is NoConsistentAssignmentError, seed
             assert match_outcome(tf.match_points, frame1, frame2) == expect, seed
@@ -602,9 +587,8 @@ class TestSameAsExhaustiveSearch:
             ray = motion.rotation[:2, 2] / np.linalg.norm(motion.rotation[:2, 2])
             image2[4] += 0.05 * np.array([-ray[1], ray[0]])
             labels = ("P", "Q", "R", "T", "X", "Y")
-            frame1, frame2 = (geo.FrameObservation(tuple(
-                (lab, geo.Point2(*xy)) for lab, xy in zip(labels, image.tolist())))
-                for image in (body[:, :2], image2))
+            frame1, frame2 = (geo.FrameObservation(labels, image)
+                              for image in (body[:, :2], image2))
             if set(tf._probe_labels(frame1)) != set("PQRT"):
                 continue  # X or Y is a probe: the construction needs them outside
             expect = match_outcome(reference_match, frame1, frame2)
@@ -639,9 +623,7 @@ class TestDegenerateMatch:
         for seed in range(10):
             _, frame2 = two_frames(sim.gen_scene(n, 2, seed))
             t = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
-            frame1 = geo.FrameObservation(tuple(
-                (lab, geo.Point2(float(v), 2.0 * float(v) + 1.0))
-                for lab, v in zip(frame2.labels, t)))
+            frame1 = geo.FrameObservation(frame2.labels, np.column_stack([t, 2.0 * t + 1.0]))
             with pytest.raises(DegenerateBasisError, match="on one line"):
                 tf.match_points(frame1, frame2)
 
@@ -674,10 +656,7 @@ class TestRigidityScore:
     def test_large_for_independent_motion(self):
         scene = sim.gen_scene(4, 2, 14)
         frame1, frame2 = two_frames(scene)
-        pts = list(frame2.points)
-        lab, p = pts[0]
-        pts[0] = (lab, geo.Point2(p.x - 0.4, p.y + 0.5))
-        broken = geo.FrameObservation(tuple(pts))
+        broken = shifted(frame2, "P", (-0.4, 0.5))
         assert tf.rigidity_score(frame1, broken) > 1e-3 * scale_of(frame1, broken)
 
     @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8])
@@ -705,10 +684,7 @@ class TestResidual5pt:
     def test_nonzero_when_fifth_point_moves(self):
         scene = sim.gen_scene(5, 2, 9)
         frame1, frame2 = two_frames(scene)
-        pts = list(frame2.points)
-        lab, p = pts[4]
-        pts[4] = (lab, geo.Point2(p.x + 0.4, p.y + 0.3))
-        broken = geo.FrameObservation(tuple(pts))
+        broken = shifted(frame2, frame2.labels[4], (0.4, 0.3))
         assert tf.residual_5pt(frame1, broken) > 1e-3 * scale_of(frame1, broken)
 
     @pytest.mark.parametrize("scale", SCALE_SWEEP)
@@ -732,7 +708,7 @@ class TestResidual5pt:
     def test_coplanar_four_points_fix_no_line(self):
         frame1, frame2, relabel = coplanar_probe_pair(5, 3)
         inverse = {v: k for k, v in relabel.items()}
-        frame2 = geo.FrameObservation(tuple((inverse[lab], p) for lab, p in frame2.points))
+        frame2 = relabeled(frame2, inverse)
         with pytest.raises(DegenerateBasisError, match="epipolar line undefined"):
             tf.residual_5pt(frame1, frame2, ("L0", "L1", "L2", "L3", "L4"))
 
@@ -770,7 +746,7 @@ def reference_reprojection_residuals(interp, frame1, frame2):
     r1 = max(math.hypot(pt.x - x, pt.y - y) for (_, pt), (x, y) in zip(interp.points, obs1))
     r2 = 0.0
     for (_, pt), (x, y) in zip(interp.points, obs2):
-        img = geo.project(geo.apply_motion(interp.motion, pt))
+        img = geo.apply_motion(interp.motion, pt)
         r2 = max(r2, math.hypot(img.x - x, img.y - y))
     return r1, r2
 
@@ -924,10 +900,8 @@ C_MAX_STEPS = 40
 
 def grid_c_sq(frame1, frame2, assignment):
     """The grid's c^2 values in caller units, from the policy's start."""
-    r1 = frame1.get(assignment.source_labels[2]).as_array()
-    p1 = frame1.get(assignment.source_labels[0]).as_array()
-    r2 = frame2.get(assignment.target_labels[2]).as_array()
-    p2 = frame2.get(assignment.target_labels[0]).as_array()
+    (p1, r1), (p2, r2) = (frame.coords([labels[0], labels[2]]) for frame, labels in (
+        (frame1, assignment.source_labels), (frame2, assignment.target_labels)))
     c_sq = tf.C_START_FACTOR ** 2 * max(float((r1 - p1) @ (r1 - p1)),
                                         float((r2 - p2) @ (r2 - p2)))
     if c_sq == 0.0:
@@ -957,27 +931,22 @@ def outcome(fn, *args):
 
 def moved_one(frame, seed):
     rng = np.random.default_rng(seed)
-    pts = list(frame.points)
-    k = int(rng.integers(len(pts)))
-    lab, p = pts[k]
-    pts[k] = (lab, geo.Point2(*(p.as_array() + rng.normal(0.0, 0.3, 2))))
-    return geo.FrameObservation(tuple(pts))
+    label = frame.labels[int(rng.integers(len(frame.labels)))]
+    return shifted(frame, label, rng.normal(0.0, 0.3, 2))
 
 
 def nearly_collinear(frame, seed):
     """R moved to within a tiny offset of the line through P and Q."""
     rng = np.random.default_rng(seed)
-    pts = list(frame.points)
-    p, q = pts[0][1].as_array(), pts[1][1].as_array()
+    xy = frame.coords().copy()
+    p, q = frame.coords()[:2]
     d = q - p
-    r = p + rng.uniform(-1.0, 2.0) * d + 10.0 ** rng.uniform(-16, -9) * np.array([-d[1], d[0]])
-    pts[2] = (pts[2][0], geo.Point2(*r))
-    return geo.FrameObservation(tuple(pts))
+    xy[2] = p + rng.uniform(-1.0, 2.0) * d + 10.0 ** rng.uniform(-16, -9) * np.array([-d[1], d[0]])
+    return geo.FrameObservation(frame.labels, xy)
 
 
 def frame_of(pts):
-    return geo.FrameObservation(tuple(
-        (lab, geo.Point2(*map(float, p))) for lab, p in zip("PQRT", pts)))
+    return geo.FrameObservation("PQRT", pts)
 
 
 def collinear_near_elimination_limit(seed):

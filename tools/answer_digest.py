@@ -44,7 +44,10 @@ from conftest import (  # noqa: E402
     coplanar_probe_pair,
     near_degenerate_pair,
     near_degenerate_scene,
+    relabeled,
+    scaled,
     shared_epipolar_pair,
+    shifted,
     view_axis_pair,
 )
 from test_tolerance_table import off_by  # noqa: E402
@@ -96,24 +99,18 @@ class Digest:
                 for layer, (count, sha) in self.layers.items()]
 
 
-def _scaled(frame, s: float):
-    return geo.FrameObservation(tuple(
-        (lab, geo.Point2(p.x * s, p.y * s)) for lab, p in frame.points))
-
-
 def _relabeled(frame, seed: int):
     """The frame under a seeded permutation of its labels."""
     labels = list(frame.labels)
-    relabel = dict(zip(labels, np.random.default_rng(seed).permutation(labels).tolist()))
-    return geo.FrameObservation(tuple((relabel[lab], p) for lab, p in frame.points))
+    return relabeled(frame, dict(zip(
+        labels, np.random.default_rng(seed).permutation(labels).tolist())))
 
 
 def _moved(frame, seed: int):
     """The frame with its last point shifted off the body."""
     rng = np.random.default_rng(seed + 500)
-    shift = rng.uniform(0.2, 0.5, 2) * rng.choice([-1.0, 1.0], 2)
-    *rest, (lab, p) = frame.points
-    return geo.FrameObservation((*rest, (lab, geo.Point2(p.x + shift[0], p.y + shift[1]))))
+    return shifted(frame, frame.labels[-1],
+                   rng.uniform(0.2, 0.5, 2) * rng.choice([-1.0, 1.0], 2))
 
 
 def _pairs(n: int, seeds):
@@ -166,7 +163,7 @@ def collect() -> Digest:
             frames = sim.render(sim.gen_scene(n_points, n_frames, seed))
             for frames in (frames, sim.add_noise(frames, NOISE)):
                 for s in SCALES:
-                    sq = [geo.projected_sq_distances(_scaled(f, s), f.labels) for f in frames]
+                    sq = [geo.projected_sq_distances(scaled(f, s), f.labels) for f in frames]
                     d.call(f"solvers.solve_{mode}", solve, sq)
     for mode in ("p3f3", "p3f4", "p4f3"):
         solve = getattr(solvers, f"solve_{mode}")
@@ -199,8 +196,8 @@ def collect() -> Digest:
                        (5, (tf.match_points, tf.residual_5pt))):
             for seed, frame1, frame2 in _pairs(n, range(3)):
                 for fn in fns:
-                    d.call("two_frame.extreme_scale", fn, _scaled(frame1, s),
-                           _scaled(_relabeled(frame2, seed) if fn is tf.match_points
+                    d.call("two_frame.extreme_scale", fn, scaled(frame1, s),
+                           scaled(_relabeled(frame2, seed) if fn is tf.match_points
                                    else frame2, s))
     for seed in range(10):
         frame1, frame2 = sim.render(sim.gen_scene(4, 2, seed))
