@@ -8,15 +8,14 @@ predict a line in the second frame that the fourth point's image must lie
 on.  The distance to that line (collinearity_residual_4pt) scores
 candidate assignments (match_points) or, with known labels, serves as a
 rigidity test (rigidity_score).  For a rigid pair that distance is zero at
-every admissible assumed length |RP|^2, so one is enough: 1.5x the longest
-projection when it admits a triangle, else one probe between consecutive
-zeros of a few quadratics in |RP|^2 decides in O(1) whether any larger
-length does (_assumed_length).  Each assignment is set up once, its
-biquadratic eliminates a^2 between the two frames' quartic identities
-(geometry.quad_coeffs, which the solvers difference), and its depths come
-from geometry.depth_pair: the layer builds on geometry alone and loads no
-solver.  Five points make the prediction
-fully linear (residual_5pt): orthography drops the depth from
+every admissible assumed length |RP|^2, so one is enough: 1.5x the longer
+projection, admissible whenever any length is (_TrianglePair.assumed_length),
+and tried once a nearly collinear P1, Q1, R1 is refused.  Each assignment
+is set up once, its biquadratic eliminates a^2 between the two frames'
+quartic identities (geometry.quad_coeffs, which the solvers difference),
+and its depths come from geometry.depth_pair: the layer builds on geometry
+alone and loads no solver.  Five points make the prediction fully linear
+(residual_5pt): orthography drops the depth from
 x2 = A*x1 + r*z1 + t, which leaves one affine epipolar equation per
 correspondence.  match_points ranks all probe assignments, by the 4-point
 residual at n = 4 and for n >= 5 in one batched closed-form pass over those
@@ -71,7 +70,7 @@ from .geometry import (
 )
 
 # Assumed-length policy for the 4-point scorer: |RP| is assumed 1.5x its
-# longest projection whenever that admits a triangle (see _assumed_length).
+# longer projection once a collinear basis is refused (_TrianglePair.assumed_length).
 C_START_FACTOR = 1.5
 
 
@@ -142,10 +141,10 @@ def solve_b_given_c(coeffs: BofCCoeffs, c_sq: float) -> tuple:
 
     Raises NoSolutionError when there is no real root: the discriminant is
     decisively negative (the assumed c is below the feasible range and must
-    be increased), or the equation is degenerate.
+    be increased), or the equation is degenerate.  InvalidInputError unless
+    c_sq is finite and >= 0.
     """
-    if c_sq < 0:
-        raise InvalidInputError("c_sq must be non-negative")
+    check_tolerance("c_sq", c_sq)
     lin = c_sq * coeffs.f_cb + coeffs.f_b
     const = c_sq * coeffs.f_c + c_sq * c_sq * coeffs.f_c2 + coeffs.f_Cst
     roots = solve_quadratic(coeffs.f_b2, lin, const, DEFAULT_TOL)
@@ -217,88 +216,11 @@ def _unit_triangle(frame: FrameObservation, labels, unit: float, scale: float):
     return (xy / scale).tolist(), tuple((sq / (scale * scale)).tolist()), float(sq[2])
 
 
-def _admissible_roots(coeffs: BofCCoeffs, minima: tuple, c_sq: float) -> tuple:
-    """The b^2 roots at a unit c^2 whose lengths (a^2, b^2, c^2) are no
-    shorter than minima, in ascending order."""
-    try:
-        roots = solve_b_given_c(coeffs, c_sq)
-    except NoSolutionError:
-        return ()
-    min_a, min_b, min_c = minima
-    return tuple(b_sq for b_sq in roots
-                 if not (coeffs.a_sq_of(b_sq, c_sq) < min_a
-                         or b_sq < min_b or c_sq < min_c))
-
-
-def _length_boundaries(coeffs: BofCCoeffs, minima: tuple) -> tuple:
-    """Every unit c^2 at which the admissible b^2 roots can change.
-
-    The roots move continuously with c^2, so a root enters or leaves the
-    admissible set only where it appears (the discriminant in b^2 vanishes),
-    escapes to infinity (the b^2 leading coefficient does not depend on c^2,
-    so only where the linear one vanishes and the equation is linear), or
-    crosses b^2 = max(min_b, 0) or a^2 = min_a.  Each is a zero of a
-    quadratic in c^2.  The c^2 minimum never binds above the policy's start.
-    Not included: the c^2 where solve_b_given_c's tolerances switch (a
-    slightly negative discriminant kept as a double root, a leading
-    coefficient within LINEAR_EPS of the others taken as zero): the first
-    lies within rounding of a discriminant zero, the second occurs only in
-    near-linear biquadratics.  These quadratics are solved by the same
-    routine with no discriminant clamp.
-    """
-    k = coeffs
-    min_a, min_b, _ = minima
-    b_min = max(min_b, 0.0)
-    quadratics = [
-        # discriminant of the biquadratic in b^2
-        (k.f_cb * k.f_cb - 4.0 * k.f_b2 * k.f_c2,
-         2.0 * k.f_cb * k.f_b - 4.0 * k.f_b2 * k.f_c,
-         k.f_b * k.f_b - 4.0 * k.f_b2 * k.f_Cst),
-        # the biquadratic at b^2 = b_min
-        (k.f_c2, k.f_c + k.f_cb * b_min,
-         k.f_b2 * b_min * b_min + k.f_b * b_min + k.f_Cst),
-        # the linear coefficient
-        (0.0, k.f_cb, k.f_b),
-    ]
-    if min_a > -math.inf:
-        # times p^2 on the line p*b^2 = u - q*c^2 where a^2 = min_a
-        p, q, u = k.p, k.q, min_a - k.r
-        quadratics.append((
-            k.f_b2 * q * q - p * k.f_cb * q + p * p * k.f_c2,
-            -2.0 * k.f_b2 * u * q + p * (k.f_cb * u - k.f_b * q) + p * p * k.f_c,
-            k.f_b2 * u * u + p * k.f_b * u + p * p * k.f_Cst))
-    return tuple(z for quad in quadratics for z in solve_quadratic(*quad, 0.0))
-
-
-def _assumed_length(coeffs: BofCCoeffs, minima: tuple, c_start: float):
-    """The assumed-length policy: (unit c^2, its admissible b^2 roots).
-
-    c^2 is c_start whenever it admits a root.  Otherwise admissibility is
-    constant between consecutive _length_boundaries above c_start, so one
-    probe in each such interval decides it: the midpoint of the first
-    admissible interval is taken, or twice its lower end when it is
-    unbounded.  Raises NoSolutionError when no c^2 >= c_start is admissible.
-    """
-    roots = _admissible_roots(coeffs, minima, c_start)
-    if roots:
-        return c_start, roots
-    ends = sorted({z for z in _length_boundaries(coeffs, minima) if c_start < z < math.inf})
-    probes = [(lo + hi) / 2.0 for lo, hi in zip([c_start] + ends, ends)]
-    probes.append(2.0 * (ends[-1] if ends else c_start))
-    for c_sq in probes:
-        roots = _admissible_roots(coeffs, minima, c_sq)
-        if roots:
-            return c_sq, roots
-    raise NoSolutionError("no feasible assumed length found for assignment")
-
-
 class _TrianglePair:
     """An assignment's points in both frames divided once by the pair's scale,
     and what the triangle P, Q, R gives in those units, all in Python floats
     read from the frames' tables.  Assumed lengths must dominate their
-    projections up to DEFAULT_TOL, except when P1, Q1, R1 are nearly
-    collinear (det1 is None): then every length passes, so that the residual
-    raises DegenerateBasisError."""
+    projections up to DEFAULT_TOL."""
 
     def __init__(self, frame1, frame2, labels1, labels2):
         self.unit, unit_scale = _pair_units(frame1, frame2)
@@ -309,12 +231,8 @@ class _TrianglePair:
         (px, py), (qx, qy), (rx, ry) = self.pts1[:3]
         # det [RP RQ] over frame 1: the z component of RP x RQ at any depths
         self.det1 = (px - rx) * (qy - ry) - (py - ry) * (qx - rx)
-        if abs(self.det1) < DEGENERACY_EPS:
-            self.det1 = None
-            self.minima = (-math.inf,) * 3
-        else:
-            self.minima = tuple(max(s) - DEFAULT_TOL for s in zip(self.sq1, self.sq2))
-        # the policy's first c^2, formed in units of 1 / unit and then divided
+        self.minima = tuple(max(s) - DEFAULT_TOL for s in zip(self.sq1, self.sq2))
+        # the policy's c^2, formed in units of 1 / unit and then divided
         self.diameter_sq = unit_scale * unit_scale
         c_start = C_START_FACTOR ** 2 * max(rp1, rp2) or unit_scale ** 2
         self.c_start = c_start / self.diameter_sq
@@ -324,12 +242,55 @@ class _TrianglePair:
         return c_sq * self.unit * self.unit / self.diameter_sq
 
     def roots(self, c_sq: float) -> tuple:
-        """The admissible b^2 roots at a unit c^2, ascending."""
-        return _admissible_roots(self.coeffs, self.minima, c_sq)
+        """The b^2 roots at a unit c^2 whose lengths (a^2, b^2, c^2) are no
+        shorter than the minima, ascending: the admissible roots."""
+        try:
+            roots = solve_b_given_c(self.coeffs, c_sq)
+        except NoSolutionError:
+            return ()
+        min_a, min_b, min_c = self.minima
+        return tuple(b_sq for b_sq in roots
+                     if not (self.coeffs.a_sq_of(b_sq, c_sq) < min_a
+                             or b_sq < min_b or c_sq < min_c))
 
     def assumed_length(self) -> tuple:
-        """(unit c^2, roots) under the assumed-length policy."""
-        return _assumed_length(self.coeffs, self.minima, self.c_start)
+        """The assumed-length policy: (c_start, its admissible b^2 roots),
+        c_start being 1.5^2 times RP's longer squared projection (the pair's
+        squared diameter if both are zero).  Raises NoSolutionError when
+        c_start admits no root.
+
+        No other length needs a try, as c_start is admissible whenever any
+        length is.  In exact arithmetic, with c1 and c2 RP's squared
+        projections in frames 1 and 2:
+        - A root admissible at c^2 is a reading of the triangle in both
+          frames with |RP|^2 = c^2, and back: its lengths dominate both
+          frames' projections and satisfy both quartic identities, so each
+          frame sees a triangle with those sides, and the two are congruent
+          (up to the second frame's reflection, which negates its depths).
+        - In a reading, the second view's direction d is not e_z: a turn
+          about e_z keeps every projection, and b_of_c_coeffs has raised
+          DegenerateEliminationError.  Let n be the unit normal of the plane
+          Pi of e_z and d, which lies in both image planes, and u, w the unit
+          vectors of Pi normal to e_z and d.  RP's parts g = n.RP, dh = u.RP
+          and dw = w.RP are read from the images: c1 = g^2 + dh^2 and
+          c2 = g^2 + dw^2.
+        - Turning d within Pi to the angle phi in (0, pi) from e_z, with
+          each depth set to keep its w-offset, keeps both images
+          (ambiguity_family's rotation) and gives RP the depth difference
+          f(phi) = (dh*cos(phi) - dw) / sin(phi): |RP|^2 = c1 + f(phi)^2.
+        - f is continuous, |f| -> inf at one end of (0, pi) or both unless
+          dh = dw = 0, and inf f^2 = max(0, dw^2 - dh^2) (f = 0 at
+          cos(phi) = dw/dh, else f is extremal at cos(phi) = dh/dw).  So
+          |RP|^2 takes every value in (max(c1, c2), inf), or only c1 = c2
+          when dh = dw = 0.  As c_start > max(c1, c2), no length above it is
+          admissible unless it is.
+        The factor 1.5^2 keeps c_start far from the ray's end, where
+        rounding and the DEFAULT_TOL slack could decide.
+        """
+        roots = self.roots(self.c_start)
+        if not roots:
+            raise NoSolutionError("no feasible assumed length found for assignment")
+        return self.c_start, roots
 
     def depths(self, b_sq: float, c_sq: float) -> tuple:
         """(z_P, z_Q) over frame 1 and over frame 2 for a root b^2 at c^2."""
@@ -349,13 +310,21 @@ def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation
     scale.  Mapping both into the second frame predicts a line that must
     contain T2.  The minimum over the two b-branches and the second frame's
     reflection branches is returned.  With c_sq None the assumed length
-    follows the policy of _assumed_length.
+    follows the policy of _TrianglePair.assumed_length.
 
-    Raises DegenerateBasisError for collinear P, Q, R and NoSolutionError
-    when the assumed c (or, under the policy, every c) admits no triangle.
+    Raises InvalidInputError unless c_sq is None or finite and >= 0; then
+    DegenerateBasisError for nearly collinear P1, Q1, R1; then
+    NoSolutionError when the assumed c (or, under the policy, every c)
+    admits no triangle, or InvalidInputError when c_sq overflows in the
+    pair's units.
     """
+    if c_sq is not None:
+        check_tolerance("c_sq", c_sq)
     pair = _TrianglePair(frame1, frame2, assignment.source_labels,
                          assignment.target_labels)
+    det1 = pair.det1
+    if abs(det1) < DEGENERACY_EPS:
+        raise DegenerateBasisError("P1, Q1, R1 nearly collinear")
     if c_sq is None:
         c_sq, roots = pair.assumed_length()
     else:
@@ -363,9 +332,6 @@ def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation
         roots = pair.roots(c_sq)
         if not roots:
             raise NoSolutionError("no b^2 root dominating the projections for assumed c")
-    det1 = pair.det1
-    if det1 is None:
-        raise DegenerateBasisError("P1, Q1, R1 nearly collinear")
     (p1x, p1y), (q1x, q1y), (r1x, r1y), (t1x, t1y) = pair.pts1
     (p2x, p2y), (q2x, q2y), (r2x, r2y), (t2x, t2y) = pair.pts2
     # RP (u) and RQ (v) over each frame, the basis; RT (w) over frame 1
@@ -911,11 +877,8 @@ def base_interpretation_from_frames(frame1: FrameObservation,
         raise InvalidInputError("need at least 3 points")
     pair = _TrianglePair(frame1, frame2, labels[:3], labels[:3])
     img1, img2 = frame1.coords(), frame2.coords(labels)
-    try:
-        c_sq, roots = pair.assumed_length()
-    except NoSolutionError:
-        roots = ()
-    for b_sq in roots:
+    c_sq = pair.c_start
+    for b_sq in pair.roots(c_sq):
         (zp1, zq1), (zp2, zq2) = pair.depths(b_sq, c_sq)
         e1 = np.column_stack([pair.pts1, (zp1, zq1, 0.0)])
         for flip in (1.0, -1.0):

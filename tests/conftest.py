@@ -117,6 +117,15 @@ def view_axis_pair(n_points: int, seed: int, tilt: float = 0.0):
     return frame1, frame2, relabel
 
 
+def collinear_gauge_pair(seed: int):
+    """Two frames of four random normal points P, Q, R, T each, with R1 put
+    on the line through P1 and Q1: no rigid reading has a frame-1 basis."""
+    rng = np.random.default_rng(seed)
+    pts1, pts2 = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+    pts1[2] = pts1[0] + rng.uniform(-1.0, 2.0) * (pts1[1] - pts1[0])
+    return geo.FrameObservation("PQRT", pts1), geo.FrameObservation("PQRT", pts2)
+
+
 def shared_epipolar_pair(seed: int, n: int = 6):
     """Two exact frames of gen_body(n - 1, seed) plus an n-th point
     x_n = x_(n-1) + a*e_z + b*R^T e_z, R the rotation of gen_motion(seed + 1000)

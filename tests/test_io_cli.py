@@ -12,6 +12,7 @@ from orthosfm import scene_sim as sim
 from orthosfm.errors import InvalidInputError
 
 from conftest import (
+    collinear_gauge_pair,
     golden_scene,
     relabeled,
     scaled,
@@ -421,6 +422,15 @@ class TestCliMatch:
         code = cli.main(["match", str(f), "--unlabeled", "--out", str(out)])
         assert code == cli.EXIT_DEGENERATE
         assert "on one line" in json.loads(out.read_text())["reason"]
+
+    def test_labeled_collinear_gauge_triangle_exits_degenerate(self, tmp_path):
+        # R1 on line P1Q1: degenerate, whether or not the assumed length
+        # would have admitted a triangle
+        f = tmp_path / "frames.csv"
+        f.write_text(io_files.frames_to_csv(collinear_gauge_pair(0)))
+        out = tmp_path / "report.json"
+        assert cli.main(["match", str(f), "--out", str(out)]) == cli.EXIT_DEGENERATE
+        assert json.loads(out.read_text())["status"] == "degenerate"
 
     def test_non_rigid_report_has_timing(self, tmp_path):
         scene = sim.gen_scene(4, 2, 5)

@@ -21,6 +21,7 @@ from orthosfm.two_frame import BofCCoeffs
 
 from conftest import (
     SCALE_SWEEP,
+    collinear_gauge_pair,
     coplanar_probe_pair,
     frames_sq,
     near_degenerate_pair,
@@ -129,6 +130,13 @@ class TestSolveBGivenC:
         coeffs = tf.b_of_c_coeffs(*frames_sq(scene))
         with pytest.raises(InvalidInputError):
             tf.solve_b_given_c(coeffs, -1.0)
+
+    @pytest.mark.parametrize("c_sq", [math.nan, math.inf])
+    def test_non_finite_c_invalid(self, c_sq):
+        scene = sim.gen_scene(3, 2, 4)
+        coeffs = tf.b_of_c_coeffs(*frames_sq(scene))
+        with pytest.raises(InvalidInputError):
+            tf.solve_b_given_c(coeffs, c_sq)
 
 
 # the biquadratic's own root arithmetic, before solve_b_given_c took its roots
@@ -273,6 +281,18 @@ class TestCollinearityResidual:
         _, frame2 = two_frames(scene)
         with pytest.raises(DegenerateBasisError):
             tf.collinearity_residual_4pt(f1, frame2, identity_assignment(), 100.0)
+
+    def test_collinear_first_triangle_raises_before_the_policy(self):
+        # whether the policy's length admits a triangle must not decide it
+        for seed in range(2000):
+            with pytest.raises(DegenerateBasisError):
+                tf.rigidity_score(*collinear_gauge_pair(seed))
+
+    @pytest.mark.parametrize("c_sq", [math.nan, math.inf, -1.0])
+    def test_invalid_c_rejected(self, c_sq):
+        frame1, frame2 = two_frames(sim.gen_scene(4, 2, 3))
+        with pytest.raises(InvalidInputError):
+            tf.collinearity_residual_4pt(frame1, frame2, identity_assignment(), c_sq)
 
     @pytest.mark.parametrize("factor", [0.7, 1.1, 10.0])
     def test_non_rigid_residual_in_any_units(self, factor):
@@ -1070,27 +1090,12 @@ class TestScreenedWalk:
 
 
 class TestAssumedLength:
-    # b^4 = c^2 - 4 with a^2 = 10 - b^2: roots appear at c^2 = 4, and
-    # a^2 >= 0 keeps them only up to c^2 = 104
-    COEFFS = tf.BofCCoeffs(f_cb=0.0, f_c=-1.0, f_b=0.0, f_Cst=4.0, f_b2=1.0,
-                           f_c2=0.0, p=-1.0, q=0.0, r=10.0)
-
-    def test_start_kept_when_admissible(self):
-        assert tf._assumed_length(self.COEFFS, (0.0, 0.0, 0.0), 5.0) == (5.0, (1.0,))
-
-    def test_midpoint_of_bounded_interval(self):
-        c_sq, roots = tf._assumed_length(self.COEFFS, (0.0, 0.0, 0.0), 1.0)
-        assert c_sq == (4.0 + 104.0) / 2.0
-        assert roots == pytest.approx((math.sqrt(50.0),), rel=1e-15)
-
-    def test_twice_the_lower_end_when_unbounded(self):
-        no_a = (-math.inf, 0.0, 0.0)
-        assert tf._assumed_length(self.COEFFS, no_a, 1.0) == (8.0, (2.0,))
-
-    def test_no_admissible_interval_raises(self):
-        # b^2 >= 20 needs c^2 >= 404, where a^2 < 0
-        with pytest.raises(NoSolutionError):
-            tf._assumed_length(self.COEFFS, (0.0, 20.0, 0.0), 1.0)
+    # the admissible |RP|^2 of a triangle pair fill the ray above RP's longer
+    # squared projection or none of it (_TrianglePair.assumed_length)
+    @staticmethod
+    def longer_projection(frame1, frame2):
+        return max(float(np.square(np.diff(frame.coords(["P", "R"]), axis=0)).sum())
+                   for frame in (frame1, frame2))
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16))
@@ -1101,11 +1106,35 @@ class TestAssumedLength:
             pair = tf._TrianglePair(frame1, frame2, "PQRT", "PQRT")
         except DegenerateEliminationError:
             return
-        grid = any(pair.roots(pair.unit_c_sq(c_sq))
-                   for c_sq in grid_c_sq(frame1, frame2, identity_assignment()))
+        longer = self.longer_projection(frame1, frame2) \
+            or max(frame1.scale_sq(), frame2.scale_sq())
+        grid = [bool(pair.roots(pair.unit_c_sq(c_sq)))
+                for c_sq in longer * np.geomspace(1.01, 1e6, 60)]
         try:
             pair.assumed_length()
         except NoSolutionError:
-            assert not grid
+            assert not any(grid)
         else:
-            assert grid
+            assert all(grid)
+
+    def test_every_family_member_is_admissible(self):
+        # each reading of a rigid pair admits a root at its own |RP|^2, from
+        # about the longer projection up
+        angles = np.linspace(-3.0, 3.0, 31)
+        ratios = []
+        for seed in range(50):
+            scene = sim.gen_scene(4, 2, seed)
+            frame1, frame2 = two_frames(scene)
+            pair = tf._TrianglePair(frame1, frame2, "PQRT", "PQRT")
+            longer = self.longer_projection(frame1, frame2)
+            base = tf.interpretation_from_scene(scene)
+            for member in tf.ambiguity_family(frame1, frame2, base, angles):
+                if member.points is None:
+                    continue
+                body = dict(member.points)
+                p, r = (np.array([body[lab].x, body[lab].y, body[lab].z]) for lab in "PR")
+                c_sq = float((r - p) @ (r - p))
+                assert pair.roots(pair.unit_c_sq(c_sq)), (seed, member.angle)
+                ratios.append(c_sq / longer)
+        assert len(ratios) > 0.9 * 50 * len(angles)
+        assert min(ratios) < 1.01 and max(ratios) > 1e3
