@@ -15,15 +15,30 @@ Each command imports the layers it runs when it runs (only match and
 ambiguity load two_frame; only recover and noise-study load solvers;
 noise-study and dof load no io_files), and reaches their functions through
 the module at call time, so a wrapped function is the one that runs.
+
+Run as a program (``python -m orthosfm.cli``), each command is one short
+process, and it acts as one.  The cyclic garbage collector is off while the
+imports load; the import-time heap is then frozen (gc.freeze), so that no
+later collection walks it again, and the collector is back on before the
+command runs.  When the command returns, stdout and stderr are flushed, a
+failed flush being an input error like any other failed write, and the
+process ends with os._exit: the interpreter's teardown and final
+collections are skipped.  Anything that buffers output of its own must be
+flushed in _finish too, or it is lost.  Importing this module does none of
+this: the collector and the exit are left alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
 import time
+
+if __name__ == "__main__":
+    gc.disable()  # turned back on, over a frozen heap, once the imports are in
 
 # before numpy loads: OpenBLAS reads this once, when it starts its pool
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -362,5 +377,30 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def _finish(code: int):
+    """End a one-shot run: flush stdout and stderr, then os._exit(code).
+
+    A failed flush of stdout prints "error: ..." and exits 1, as a failed
+    write does in main; a command that already exited 1 has printed its one
+    error line (a failed write leaves its text buffered, so the flush fails
+    again).  A closed stream (None) has nothing to flush.
+    """
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        if code != EXIT_INPUT:
+            print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_INPUT
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    gc.freeze()
+    gc.enable()
+    _finish(main())

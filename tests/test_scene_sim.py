@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -475,3 +476,38 @@ class TestRunNoiseStudy:
     def test_needs_a_trial(self):
         with pytest.raises(InvalidInputError, match="trials"):
             sim.run_noise_study("p3f4", [0.01], 0, 0)
+
+
+# ties, both zeros and subnormals, among any finite or infinite floats
+STUDY_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1.0, 3.0]),
+                         st.floats(allow_nan=False))
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+class TestMedianP95:
+    # the study's statistics without numpy.ma: numpy's own, bit for bit
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(STUDY_VALUES, min_size=1, max_size=500),
+           st.one_of(st.none(), st.integers(0, 500)))
+    # np.sort and np.partition order these zeros differently
+    @example([0.0, 0.0, 0.0, 0.0, -0.0, -0.0], None)
+    @example([-0.0], None)
+    @example([-0.0, -0.0], None)
+    @example([math.inf], None)
+    @example(np.random.default_rng(0).integers(0, 4, 500).tolist(), None)
+    @example(np.random.default_rng(1).integers(0, 4, 499).tolist(), None)
+    @example([0.5], 0)
+    def test_equals_numpy(self, values, nan_at):
+        if nan_at is not None:
+            values.insert(nan_at % (len(values) + 1), math.nan)
+        errors = np.array(values, dtype=float)
+        with np.errstate(all="ignore"):   # inf - inf inside numpy's _lerp
+            expect = float(np.median(errors)), float(np.percentile(errors, 95))
+        got = sim._median_p95(errors)
+        if nan_at is None:
+            assert list(map(bits, got)) == list(map(bits, expect))
+        else:
+            assert all(map(math.isnan, got + expect))

@@ -282,6 +282,28 @@ class TestCollinearityResidual:
         with pytest.raises(DegenerateBasisError):
             tf.collinearity_residual_4pt(f1, frame2, identity_assignment(), 100.0)
 
+    @staticmethod
+    def nearly_collinear_pair(height):
+        """A rigid pair whose R1 lies height off the line P1 Q1 (R is off it
+        in depth): |det1| is 0.885 height in the pair's units."""
+        body = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.3], [0.5, height, 1.0],
+                         [0.2, 0.7, 0.4]])
+        axis = np.array([0.3, 0.8, 0.5]) / math.sqrt(0.98)
+        return frame_of(body[:, :2]), frame_of((body @ tf._axis_rotation(axis, 0.7).T)[:, :2])
+
+    @pytest.mark.parametrize("height, answered", [(2e-12, True), (5e-13, False)])
+    def test_collinear_basis_floor(self, height, answered):
+        # |det1| 1.8e-12 and 4.4e-13, either side of DEGENERACY_EPS (1e-12)
+        frame1, frame2 = self.nearly_collinear_pair(height)
+        pair = tf._TrianglePair(frame1, frame2, "PQRT", "PQRT")
+        assert abs(pair.det1) == pytest.approx(0.885 * height, rel=1e-3)
+        if answered:
+            assert math.isfinite(
+                tf.collinearity_residual_4pt(frame1, frame2, identity_assignment()))
+        else:
+            with pytest.raises(DegenerateBasisError, match="nearly collinear"):
+                tf.collinearity_residual_4pt(frame1, frame2, identity_assignment())
+
     def test_collinear_first_triangle_raises_before_the_policy(self):
         # whether the policy's length admits a triangle must not decide it
         for seed in range(2000):
@@ -1116,6 +1138,16 @@ class TestAssumedLength:
             assert not any(grid)
         else:
             assert all(grid)
+
+    @pytest.mark.parametrize("below, admitted", [(5e-10, True), (2e-9, False)])
+    def test_dominance_floor(self, below, admitted):
+        # an assumed |RP|^2 below RP's longer squared projection, by less or
+        # more than DEFAULT_TOL (1e-9) of the pair's squared diameter: seed
+        # 0's quadratic has a root there whose a^2 and b^2 dominate theirs
+        # by 5.6e-4, so only the minimum on c^2 decides
+        pair = tf._TrianglePair(*two_frames(sim.gen_scene(4, 2, 0)), "PQRT", "PQRT")
+        longer = max(pair.sq1[2], pair.sq2[2])
+        assert bool(pair.roots(longer - below)) == admitted
 
     def test_every_family_member_is_admissible(self):
         # each reading of a rigid pair admits a root at its own |RP|^2, from
