@@ -27,7 +27,7 @@ _EXPORTS = {
         "BatchResult", "Candidate", "RecoveryResult", "eq1_residual",
         "feasibility_check", "solve_batch", "solve_p3f3", "solve_p3f4", "solve_p4f3"),
     "two_frame": (
-        "AmbiguityMember", "Assignment", "Interpretation", "MatchReport",
+        "AmbiguityMember", "Interpretation", "MatchReport",
         "ambiguity_family", "b_of_c_coeffs", "collinearity_residual_4pt", "match_points",
         "base_interpretation_from_frames", "interpretation_from_scene",
         "reference_ambiguity_scene", "residual_5pt", "rigidity_score", "solve_b_given_c"),

@@ -90,7 +90,7 @@ def _write(text: str, out):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        print(text, end="")   # nothing when stdout is closed (None)
 
 
 def _read_frames(path):

@@ -1,6 +1,6 @@
 """The base layer of orthographic multiframe geometry: value types, the tolerance
 table and the math the other layers share (the per-frame quartic identity
-quad_coeffs, solve_quadratic, depth_pair, check_tolerance).
+quad_coeffs, quadratic_roots, depth_pair, check_tolerance).
 
 Conventions used throughout the library:
 
@@ -53,7 +53,7 @@ SINGULAR_TOL = 1e-10
 # (two_frame); |2 sin(angle) axis| of a rotation (scene_sim: one floor at both sites,
 # as one falls back to the other).  5000 ulps: above the rounding of unit-size sums.
 DEGENERACY_EPS = 1e-12
-# |leading coefficient| per the others' scale (solve_quadratic, every quadratic:
+# |leading coefficient| per the others' scale (quadratic_roots, every quadratic:
 # linear at or below it): 50 ulps, a coefficient that vanished but for rounding.
 LINEAR_EPS = 1e-14
 # Sine of a motion's tilt off the view axis, a rotated ray's image length
@@ -114,25 +114,32 @@ def quad_coeffs(frame_sq) -> QuadCoeffs3:
     )
 
 
-def solve_quadratic(q2: float, q1: float, q0: float, tol: float):
-    """Real roots of q2 t^2 + q1 t + q0 = 0, ascending, each once.
-
-    The equation is linear when |q2| is within LINEAR_EPS of the others'
+def quadratic_roots(q2, q1, q0, tol: float) -> tuple:
+    """Real roots of q2 t^2 + q1 t + q0 = 0, elementwise over coefficient
+    arrays: (..., 2) roots, ascending, and a mask of those that exist, each
+    distinct root once.  An equation is linear when |q2| is within LINEAR_EPS of the others'
     scale, sqrt(max(q1^2, |4 q2 q0|)).  tol only clamps the discriminant: one
     within tol of that scale squared below zero is a double root, so
     squaring noise cannot empty the solution set.  The root of larger
     magnitude comes from the sum that cannot cancel, the other from the
-    product of the roots, q0 / q2.
+    product of the roots, q0 / q2; each as Python's float arithmetic gives it.
     """
-    coeff_scale = max(q1 * q1, abs(4.0 * q2 * q0))
-    if abs(q2) <= LINEAR_EPS * math.sqrt(coeff_scale):
-        return () if q1 == 0.0 else (-q0 / q1,)
-    disc = q1 * q1 - 4.0 * q2 * q0
-    if disc < 0.0:
-        return (-q1 / (2.0 * q2),) if disc > -tol * coeff_scale else ()
-    big = -(q1 + math.copysign(math.sqrt(disc), q1)) / 2.0
-    roots = (big / q2, q0 / big if big else -q1 / q2 - big / q2)
-    return tuple(sorted(set(roots)))
+    q2, q1, q0 = (np.asarray(q, dtype=float) for q in (q2, q1, q0))
+    with np.errstate(all="ignore"):
+        square, product = q1 * q1, 4.0 * q2 * q0
+        disc = square - product
+        # max(q1^2, |4 q2 q0|) as Python takes it: a NaN product never wins
+        coeff_scale = np.where(np.abs(product) > square, np.abs(product), square)
+        linear = np.abs(q2) <= LINEAR_EPS * np.sqrt(coeff_scale)
+        single = linear | (disc < 0.0)
+        big = -(q1 + np.copysign(np.sqrt(disc), q1)) / 2.0
+        first = np.where(linear, -q0 / q1, np.where(single, -q1 / (2.0 * q2), big / q2))
+        second = np.where(big != 0.0, q0 / big, -q1 / q2 - big / q2)
+        swap = ~single & (second < first)
+        roots = np.stack([np.where(swap, second, first), np.where(swap, first, second)], -1)
+        found = np.stack([np.where(linear, q1 != 0.0, ~(disc < 0.0) | (disc > -tol * coeff_scale)),
+                          ~single & (second != first)], -1)
+    return roots, found
 
 
 @dataclass(frozen=True)
@@ -417,17 +424,16 @@ def dof_balance(p: int, k: int) -> DofBalance:
     return DofBalance(unknowns=-1 + 3 * p + 5 * (k - 1), information=2 * k * p)
 
 
-def depth_pair(a_dep: float, b_dep: float, c_dep: float) -> tuple:
-    """Depths (z_P, z_Q) over R, z_P >= 0, from the deficits of PQ, QR, RP.
+def depth_pair(a_dep, b_dep, c_dep) -> tuple:
+    """Depths (z_P, z_Q) over R, z_P >= 0, from the deficits of PQ, QR, RP;
+    elementwise, so arrays of deficits give arrays of depths.
 
     z_P^2 = c_dep, z_Q^2 = b_dep, (z_P - z_Q)^2 = a_dep; the product
     z_P*z_Q = (c_dep + b_dep - a_dep)/2 fixes the relative sign.
     """
-    z_p = math.sqrt(max(c_dep, 0.0))
-    z_q = math.sqrt(max(b_dep, 0.0))
-    if (c_dep + b_dep - a_dep) < 0.0:
-        z_q = -z_q
-    return z_p, z_q
+    z_p = np.sqrt(np.where(c_dep < 0.0, 0.0, c_dep))
+    z_q = np.sqrt(np.where(b_dep < 0.0, 0.0, b_dep))
+    return z_p, np.where(c_dep + b_dep - a_dep < 0.0, -z_q, z_q)
 
 
 def embed_depths(true_sq: TriangleDistances, frame_sq):
@@ -450,7 +456,7 @@ def embed_depths(true_sq: TriangleDistances, frame_sq):
         if deficit < -DEFAULT_TOL * scale_sq:
             raise InconsistentLengthsError(
                 f"projected length exceeds true length (deficit {deficit:.3g})")
-    z_p, z_q = depth_pair(*deficits)
+    z_p, z_q = (float(z) for z in depth_pair(*deficits))
     # the reflection in which the depth rises from P to Q
     sign = 1.0 if z_q - z_p >= 0.0 else -1.0
     branch = (math.sqrt(max(deficits[0], 0.0)), -sign * z_q, sign * z_p)

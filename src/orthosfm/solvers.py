@@ -7,7 +7,7 @@ lengths; _difference_system builds those rows for all three modes:
 
 * p3f3 -- 3 points / 3 frames, the minimal case.  The two rows express
   a^2 and b^2 as affine functions of c^2; the pivot frame's identity then
-  leaves a quadratic (geometry.solve_quadratic): 0, 1 or 2 candidates.
+  leaves a quadratic (geometry.quadratic_roots): 0, 1 or 2 candidates.
 * p3f4 -- 3 points / 4 frames: a 3x3 linear system.
 * p4f3 -- 4 points / 3 frames: three edge triples per frame pair give a
   6x6 linear system in the six squared lengths.
@@ -35,7 +35,7 @@ from .errors import (
     SingularSystemError,
 )
 from .geometry import (DEFAULT_TOL, SINGULAR_TOL, SQRT_EPS, TetraDistances, TriangleDistances,
-                       check_tolerance, frame_constant, quad_coeffs, solve_quadratic)
+                       check_tolerance, frame_constant, quad_coeffs, quadratic_roots)
 
 # Triples of 6-vector indices (a,b,c,d,f,g) forming the tetrahedron's
 # constrained triangles: (PQ,QT,TP), (TR,RQ,QT), (TR,RP,PT).
@@ -274,12 +274,9 @@ def _eliminate_p3f3(mat, rhs, norm, tol):
     q0 = (a0 * a0 + b0 * b0 - 2.0 * a0 * b0 + qp.const
           + qp.coef_a * a0 + qp.coef_b * b0)
 
-    source, c_sq = [], []
-    for i, coeffs in enumerate(zip(q2.tolist(), q1.tolist(), q0.tolist())):
-        for root in solve_quadratic(*coeffs, tol):
-            source.append(i)
-            c_sq.append(root)
-    source, c_sq = np.array(source, dtype=int), np.array(c_sq)
+    roots, found = quadratic_roots(q2, q1, q0, tol)
+    source, col = np.nonzero(found)
+    c_sq = roots[source, col]
     start = np.stack((a_c[source] * c_sq + a0[source], b_c[source] * c_sq + b0[source], c_sq),
                      axis=-1)
     row = ok[source]

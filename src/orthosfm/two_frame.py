@@ -5,22 +5,22 @@ family of distinct interpretations reprojects exactly onto both images
 (ambiguity_family constructs it).  What the leftover information does
 support is point identification: with four points, three correspondences
 predict a line in the second frame that the fourth point's image must lie
-on.  The distance to that line (collinearity_residual_4pt) scores
-candidate assignments (match_points) or, with known labels, serves as a
-rigidity test (rigidity_score).  For a rigid pair that distance is zero at
-every admissible assumed length |RP|^2, so one is enough: 1.5x the longer
-projection, admissible whenever any length is (_TrianglePair.assumed_length),
-and tried once a nearly collinear P1, Q1, R1 is refused.  Each assignment
-is set up once, its biquadratic eliminates a^2 between the two frames'
-quartic identities (geometry.quad_coeffs, which the solvers difference),
-and its depths come from geometry.depth_pair: the layer builds on geometry
-alone and loads no solver.  Five points make the prediction fully linear
-(residual_5pt): orthography drops the depth from
+on.  The distance to that line scores candidate assignments (match_points)
+or, with known labels, serves as a rigidity test (rigidity_score).  For a
+rigid pair that distance is zero at every admissible assumed length |RP|^2,
+so one is enough: 1.5x the longer projection, admissible whenever any
+length is (_triangle_rows), and tried once a nearly collinear P1, Q1, R1
+is refused.  One array core (_residual_rows) scores a stack of
+assignments in one pass, from each one's biquadratic, which eliminates a^2
+between the two frames' quartic identities (geometry.quad_coeffs), and
+geometry's quadratic_roots and depth_pair, all shared with the solvers:
+the layer builds on geometry alone and loads no solver.  Five points make
+the prediction fully linear (residual_5pt): orthography drops the depth from
 x2 = A*x1 + r*z1 + t, which leaves one affine epipolar equation per
 correspondence.  match_points ranks all probe assignments, by the 4-point
 residual at n = 4 and for n >= 5 in one batched closed-form pass over those
 equations (_affine_epipolar), and walks the ranking the same way at every
-n: only the assignments it reaches get the 4-point test.  Four probes
+n: the 4-point test scores what it reaches, in batches of 1, 2, 4, ...  Four probes
 that fit one affine map (coplanar in 3D) fix no epipolar direction; a
 further correspondence fixes it (_planar_direction).  One routine
 (_line_tables) measures every line distance that the ranking, the tie
@@ -38,7 +38,6 @@ rigidity_tol is the one a caller sets.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -66,17 +65,18 @@ from .geometry import (
     check_tolerance,
     depth_pair,
     quad_coeffs,
-    solve_quadratic,
+    quadratic_roots,
 )
 
 # Assumed-length policy for the 4-point scorer: |RP| is assumed 1.5x its
-# longer projection once a collinear basis is refused (_TrianglePair.assumed_length).
+# longer projection once a collinear basis is refused (_triangle_rows).
 C_START_FACTOR = 1.5
 
 
 @dataclass(frozen=True)
 class BofCCoeffs:
-    """Coefficients of the two-frame biquadratic linking b^2 and c^2.
+    """Coefficients of the two-frame biquadratic linking b^2 and c^2, each a
+    float or, for the 4-point core, one array entry per row.
 
     With B = b^2 and C = c^2 the relation reads
       B^2*f_b2 + B*(C*f_cb + f_b) + (C*f_c + C^2*f_c2 + f_Cst) = 0.
@@ -98,10 +98,40 @@ class BofCCoeffs:
         """Back-substituted a^2 from the eliminated linear relation."""
         return self.p * b_sq + self.q * c_sq + self.r
 
+    def b_roots(self, c_sq) -> tuple:
+        """The roots b^2 at c^2 (geometry.quadratic_roots), whose thresholds
+        assume coefficients from frames of unit size, as the package's are."""
+        lin = c_sq * self.f_cb + self.f_b
+        const = c_sq * self.f_c + c_sq * c_sq * self.f_c2 + self.f_Cst
+        return quadratic_roots(self.f_b2, lin, const, DEFAULT_TOL)
+
     # affine coefficients of the eliminated a^2 = p*B + q*C + r
     p: float = 0.0
     q: float = 0.0
     r: float = 0.0
+
+
+def _biquadratic(sq) -> tuple:
+    """(coeffs, degenerate): b_of_c_coeffs elementwise, on an array of
+    squared projections indexed [frame, edge, ...], and where the
+    elimination is degenerate."""
+    q = quad_coeffs(sq.swapaxes(0, 1))
+    (a1, a2), (b1, b2), (c1, c2), (k1, k2) = q.coef_a, q.coef_b, q.coef_c, q.const
+    denom = a1 - a2
+    magnitude = np.abs(sq).max(axis=(0, 1))
+    with np.errstate(all="ignore"):
+        p = -(b1 - b2) / denom
+        q = -(c1 - c2) / denom
+        r = -(k1 - k2) / denom
+        return BofCCoeffs(
+            f_b2=(1.0 - p) ** 2,
+            f_c2=(1.0 - q) ** 2,
+            f_cb=2.0 * (p * q - p - q - 1.0),
+            f_b=2.0 * p * r - 2.0 * r + b1 + a1 * p,
+            f_c=2.0 * q * r - 2.0 * r + c1 + a1 * q,
+            f_Cst=r * r + k1 + a1 * r,
+            p=p, q=q, r=r,
+        ), np.abs(denom) <= DEGENERACY_EPS * magnitude
 
 
 def b_of_c_coeffs(frame1_sq, frame2_sq) -> BofCCoeffs:
@@ -115,29 +145,15 @@ def b_of_c_coeffs(frame1_sq, frame2_sq) -> BofCCoeffs:
     frames coincide (identical frames, or a motion leaving the edge
     deficits equal).
     """
-    q1, q2 = quad_coeffs(frame1_sq), quad_coeffs(frame2_sq)
-    denom = q1.coef_a - q2.coef_a
-    magnitude = max(abs(v) for f in (frame1_sq, frame2_sq) for v in f)
-    if abs(denom) <= DEGENERACY_EPS * magnitude:
-        raise DegenerateEliminationError("a^2 coefficients coincide between frames")
-    p = -(q1.coef_b - q2.coef_b) / denom
-    q = -(q1.coef_c - q2.coef_c) / denom
-    r = -(q1.const - q2.const) / denom
-    return BofCCoeffs(
-        f_b2=(1.0 - p) ** 2,
-        f_c2=(1.0 - q) ** 2,
-        f_cb=2.0 * (p * q - p - q - 1.0),
-        f_b=2.0 * p * r - 2.0 * r + q1.coef_b + q1.coef_a * p,
-        f_c=2.0 * q * r - 2.0 * r + q1.coef_c + q1.coef_a * q,
-        f_Cst=r * r + q1.const + q1.coef_a * r,
-        p=p, q=q, r=r,
-    )
+    coeffs, degenerate = _biquadratic(np.array([frame1_sq, frame2_sq], dtype=float))
+    if degenerate:
+        _raise(_ELIMINATION)
+    return coeffs
 
 
 def solve_b_given_c(coeffs: BofCCoeffs, c_sq: float) -> tuple:
     """Non-negative roots b^2 of the biquadratic for an assumed c^2, ascending
-    (geometry.solve_quadratic's roots).  Its thresholds assume coefficients
-    from frames of unit size, as every caller in the package passes.
+    (BofCCoeffs.b_roots).
 
     Raises NoSolutionError when there is no real root: the discriminant is
     decisively negative (the assumed c is below the feasible range and must
@@ -145,47 +161,10 @@ def solve_b_given_c(coeffs: BofCCoeffs, c_sq: float) -> tuple:
     c_sq is finite and >= 0.
     """
     check_tolerance("c_sq", c_sq)
-    lin = c_sq * coeffs.f_cb + coeffs.f_b
-    const = c_sq * coeffs.f_c + c_sq * c_sq * coeffs.f_c2 + coeffs.f_Cst
-    roots = solve_quadratic(coeffs.f_b2, lin, const, DEFAULT_TOL)
-    if not roots:
+    roots, found = coeffs.b_roots(c_sq)
+    if not found.any():
         raise NoSolutionError("no real root b^2 for assumed c")
-    return tuple(b for b in roots if b >= 0.0)
-
-
-def _line_distance(px, py, ax, ay, bx, by) -> float:
-    """Distance of (px, py) to the line through (ax, ay) and (bx, by), or to
-    (ax, ay) when the two are closer than DEGENERACY_EPS."""
-    dx, dy = bx - ax, by - ay
-    nd = math.hypot(dx, dy)
-    if nd < DEGENERACY_EPS:
-        return math.hypot(px - ax, py - ay)
-    return abs(dx * (py - ay) - dy * (px - ax)) / nd
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """An ordered bijection of four probe labels into second-frame labels."""
-
-    pairs: tuple   # ((p1,p2), (q1,q2), (r1,r2), (t1,t2))
-
-    def __post_init__(self):
-        pairs = tuple(tuple(p) for p in self.pairs)
-        targets = [b for _, b in pairs]
-        if len(set(targets)) != len(targets):
-            raise InvalidInputError("assignment must be injective")
-        object.__setattr__(self, "pairs", pairs)
-
-    @property
-    def source_labels(self) -> tuple:
-        return tuple(a for a, _ in self.pairs)
-
-    @property
-    def target_labels(self) -> tuple:
-        return tuple(b for _, b in self.pairs)
-
-    def as_dict(self) -> dict:
-        return dict(self.pairs)
+    return tuple(b for b in roots[found].tolist() if b >= 0.0)
 
 
 def _pair_units(frame1: FrameObservation, frame2: FrameObservation) -> tuple:
@@ -206,177 +185,178 @@ def pair_scale(frame1: FrameObservation, frame2: FrameObservation) -> float:
     return scale / unit
 
 
-def _unit_triangle(frame: FrameObservation, labels, unit: float, scale: float):
-    """The labels' (x, y) times unit and divided by scale (see _pair_units),
-    the squared projections of PQ, QR, RP so scaled, and the squared
-    projection of RP times unit^2."""
-    xy = frame.coords(labels) * unit
-    d = xy[:3] - xy[[1, 2, 0]]   # PQ, QR, RP
-    sq = np.vecdot(d, d)
-    return (xy / scale).tolist(), tuple((sq / (scale * scale)).tolist()), float(sq[2])
+# Why a row of _residual_rows has no residual, by code (0: it has one), in
+# the order the checks run, as the error collinearity_residual_4pt raises.
+_ELIMINATION, _BASIS, _OVERFLOW, _NO_LENGTH, _NO_ROOT, _NO_BRANCH = range(1, 7)
+_FAILURES = (
+    None,
+    (DegenerateEliminationError, "a^2 coefficients coincide between frames"),
+    (DegenerateBasisError, "P1, Q1, R1 nearly collinear"),
+    (InvalidInputError, "c_sq must be finite and >= 0, got inf"),
+    (NoSolutionError, "no feasible assumed length found for assignment"),
+    (NoSolutionError, "no b^2 root dominating the projections for assumed c"),
+    (NoSolutionError, "assumed c infeasible for every branch"),
+)
 
 
-class _TrianglePair:
-    """An assignment's points in both frames divided once by the pair's scale,
-    and what the triangle P, Q, R gives in those units, all in Python floats
-    read from the frames' tables.  Assumed lengths must dominate their
-    projections up to DEFAULT_TOL."""
+def _raise(failure: int) -> None:
+    """Raise the error of a failure code of _residual_rows, if any."""
+    if failure:
+        raise _FAILURES[failure][0](_FAILURES[failure][1])
 
-    def __init__(self, frame1, frame2, labels1, labels2):
-        self.unit, unit_scale = _pair_units(frame1, frame2)
-        self.scale = unit_scale / self.unit
-        self.pts1, self.sq1, rp1 = _unit_triangle(frame1, labels1, self.unit, unit_scale)
-        self.pts2, self.sq2, rp2 = _unit_triangle(frame2, labels2, self.unit, unit_scale)
-        self.coeffs = b_of_c_coeffs(self.sq1, self.sq2)
-        (px, py), (qx, qy), (rx, ry) = self.pts1[:3]
-        # det [RP RQ] over frame 1: the z component of RP x RQ at any depths
-        self.det1 = (px - rx) * (qy - ry) - (py - ry) * (qx - rx)
-        self.minima = tuple(max(s) - DEFAULT_TOL for s in zip(self.sq1, self.sq2))
-        # the policy's c^2, formed in units of 1 / unit and then divided
-        self.diameter_sq = unit_scale * unit_scale
-        c_start = C_START_FACTOR ** 2 * max(rp1, rp2) or unit_scale ** 2
-        self.c_start = c_start / self.diameter_sq
 
-    def unit_c_sq(self, c_sq: float) -> float:
-        """An assumed c^2 in caller units, in the pair's units."""
-        return c_sq * self.unit * self.unit / self.diameter_sq
+def _triangle_rows(xy: np.ndarray, scale: float, c_sq=None) -> tuple:
+    """The triangle half of the 4-point core, per row of a (2, N, k, 2)
+    stack of both frames' points, P, Q, R first, in the pair's units times
+    its scale (see _pair_units), at c_sq = |RP|^2 / scale^2 for every row,
+    or an (N, 1) column of one per row, or None for the policy's.  Returns
+    which of each row's two b^2 roots, ascending, give lengths no shorter
+    than their projections up to DEFAULT_TOL, (N, 2); their depths (z_P,
+    z_Q) over R in each frame (depth_pair), (2, N, 2) each; and the rows
+    whose elimination is degenerate (b_of_c_coeffs), (N,).
 
-    def roots(self, c_sq: float) -> tuple:
-        """The b^2 roots at a unit c^2 whose lengths (a^2, b^2, c^2) are no
-        shorter than the minima, ascending: the admissible roots."""
-        try:
-            roots = solve_b_given_c(self.coeffs, c_sq)
-        except NoSolutionError:
-            return ()
-        min_a, min_b, min_c = self.minima
-        return tuple(b_sq for b_sq in roots
-                     if not (self.coeffs.a_sq_of(b_sq, c_sq) < min_a
-                             or b_sq < min_b or c_sq < min_c))
+    The assumed-length policy takes c_start, 1.5^2 times RP's longer
+    squared projection (the pair's squared diameter if both are zero).
 
-    def assumed_length(self) -> tuple:
-        """The assumed-length policy: (c_start, its admissible b^2 roots),
-        c_start being 1.5^2 times RP's longer squared projection (the pair's
-        squared diameter if both are zero).  Raises NoSolutionError when
-        c_start admits no root.
+    No other length needs a try, as c_start is admissible whenever any
+    length is.  In exact arithmetic, with c1 and c2 RP's squared
+    projections in frames 1 and 2:
+    - A root admissible at c^2 is a reading of the triangle in both
+      frames with |RP|^2 = c^2, and back: its lengths dominate both
+      frames' projections and satisfy both quartic identities, so each
+      frame sees a triangle with those sides, and the two are congruent
+      (up to the second frame's reflection, which negates its depths).
+    - In a reading, the second view's direction d is not e_z: a turn
+      about e_z keeps every projection, and b_of_c_coeffs has raised
+      DegenerateEliminationError.  Let n be the unit normal of the plane
+      Pi of e_z and d, which lies in both image planes, and u, w the unit
+      vectors of Pi normal to e_z and d.  RP's parts g = n.RP, dh = u.RP
+      and dw = w.RP are read from the images: c1 = g^2 + dh^2 and
+      c2 = g^2 + dw^2.
+    - Turning d within Pi to the angle phi in (0, pi) from e_z, with
+      each depth set to keep its w-offset, keeps both images
+      (ambiguity_family's rotation) and gives RP the depth difference
+      f(phi) = (dh*cos(phi) - dw) / sin(phi): |RP|^2 = c1 + f(phi)^2.
+    - f is continuous, |f| -> inf at one end of (0, pi) or both unless
+      dh = dw = 0, and inf f^2 = max(0, dw^2 - dh^2) (f = 0 at
+      cos(phi) = dw/dh, else f is extremal at cos(phi) = dh/dw).  So
+      |RP|^2 takes every value in (max(c1, c2), inf), or only c1 = c2
+      when dh = dw = 0.  As c_start > max(c1, c2), no length above it is
+      admissible unless it is.
+    The factor 1.5^2 keeps c_start far from the ray's end, where
+    rounding and the DEFAULT_TOL slack could decide.
+    """
+    d = xy[:, :, :3] - xy[:, :, [1, 2, 0]]   # PQ, QR, RP
+    sq = np.vecdot(d, d)                       # [frame, row, edge]
+    if c_sq is None:
+        c_sq = C_START_FACTOR ** 2 * sq[:, :, 2:].max(axis=0)
+        c_sq = np.where(c_sq == 0.0, scale ** 2, c_sq) / (scale * scale)
+    sq = sq / (scale * scale)
+    coeffs, degenerate = _biquadratic(sq.transpose(0, 2, 1)[..., None])
+    b_sq, found = (v[:, 0] for v in coeffs.b_roots(c_sq))   # (N, 2): a row's roots
+    c_sq = np.broadcast_to(c_sq, b_sq.shape)
+    with np.errstate(all="ignore"):
+        lengths = np.array([coeffs.a_sq_of(b_sq, c_sq), b_sq, c_sq])   # [edge, row, root]
+        shorter = lengths < (sq.max(axis=0) - DEFAULT_TOL).T[..., None]
+        admissible = found & (b_sq >= 0.0) & ~shorter.any(axis=0)
+        depths = depth_pair(*(lengths[:, None] - sq.transpose(2, 0, 1)[..., None]))
+    return admissible, depths, degenerate[:, 0]
 
-        No other length needs a try, as c_start is admissible whenever any
-        length is.  In exact arithmetic, with c1 and c2 RP's squared
-        projections in frames 1 and 2:
-        - A root admissible at c^2 is a reading of the triangle in both
-          frames with |RP|^2 = c^2, and back: its lengths dominate both
-          frames' projections and satisfy both quartic identities, so each
-          frame sees a triangle with those sides, and the two are congruent
-          (up to the second frame's reflection, which negates its depths).
-        - In a reading, the second view's direction d is not e_z: a turn
-          about e_z keeps every projection, and b_of_c_coeffs has raised
-          DegenerateEliminationError.  Let n be the unit normal of the plane
-          Pi of e_z and d, which lies in both image planes, and u, w the unit
-          vectors of Pi normal to e_z and d.  RP's parts g = n.RP, dh = u.RP
-          and dw = w.RP are read from the images: c1 = g^2 + dh^2 and
-          c2 = g^2 + dw^2.
-        - Turning d within Pi to the angle phi in (0, pi) from e_z, with
-          each depth set to keep its w-offset, keeps both images
-          (ambiguity_family's rotation) and gives RP the depth difference
-          f(phi) = (dh*cos(phi) - dw) / sin(phi): |RP|^2 = c1 + f(phi)^2.
-        - f is continuous, |f| -> inf at one end of (0, pi) or both unless
-          dh = dw = 0, and inf f^2 = max(0, dw^2 - dh^2) (f = 0 at
-          cos(phi) = dw/dh, else f is extremal at cos(phi) = dh/dw).  So
-          |RP|^2 takes every value in (max(c1, c2), inf), or only c1 = c2
-          when dh = dw = 0.  As c_start > max(c1, c2), no length above it is
-          admissible unless it is.
-        The factor 1.5^2 keeps c_start far from the ray's end, where
-        rounding and the DEFAULT_TOL slack could decide.
-        """
-        roots = self.roots(self.c_start)
-        if not roots:
-            raise NoSolutionError("no feasible assumed length found for assignment")
-        return self.c_start, roots
 
-    def depths(self, b_sq: float, c_sq: float) -> tuple:
-        """(z_P, z_Q) over frame 1 and over frame 2 for a root b^2 at c^2."""
-        a_sq = self.coeffs.a_sq_of(b_sq, c_sq)
-        return tuple(depth_pair(a_sq - a, b_sq - b, c_sq - c)
-                     for a, b, c in (self.sq1, self.sq2))
+def _residual_rows(xy: np.ndarray, scale: float, c_sq=None) -> tuple:
+    """The 4-point core: per row of a (2, N, 4, 2) stack of both frames'
+    P, Q, R, T in the pair's units times its scale (see _pair_units), the
+    residual in units of scale, inf where there is none, and the failure
+    code (_FAILURES, 0 for none).  c_sq: as _triangle_rows takes it.
+
+    P, Q, R and c^2 = |RP|^2 fix a two-frame triangle interpretation.  T's
+    first-frame ray is expressed through two reference points, T_a in the
+    plane RPQ and T_b shifted along RP x RQ by one unit; mapped into the
+    second frame they predict a line that must contain T2.  The residual is
+    T2's distance to it, the least over the admissible b^2 roots and the
+    second frame's reflections (NaN if one is: a length whose square
+    overflows).
+    """
+    with np.errstate(all="ignore"):
+        admissible, (zp, zq), degenerate = _triangle_rows(xy, scale, c_sq)
+        # x and y of each point over each frame, [frame, row] columns; RP
+        # (u) and RQ (v), the basis, and RT (w)
+        p, q, r, t = (xy / scale).transpose(2, 3, 0, 1)[..., None, None]
+        (ux, uy), (vx, vy), (wx, wy), (rx, ry), (tx, ty) = p - r, q - r, t - r, r, t
+        # det [RP RQ] over each frame: the z component of RP x RQ at any depths
+        det = ux * vy - uy * vx
+        # T_a's coordinates in the frame-1 basis by Cramer's rule, mapped to frame 2
+        sa = (wx[0] * vy[0] - wy[0] * vx[0]) / det[0]
+        ta = (ux[0] * wy[0] - uy[0] * wx[0]) / det[0]
+        t2ax, t2ay = rx[1] + sa * ux[1] + ta * vx[1], ry[1] + sa * uy[1] + ta * vy[1]
+        # per frame, root and reflection: the unit normal of RP x RQ, whose
+        # norm is at least |det| (frame 1 keeps its reflection, the first)
+        zp, zq = (z[..., None] * np.array([1.0, -1.0]) for z in (zp, zq))
+        nx, ny = uy * zq - zp * vy, zp * vx - ux * zq
+        norm = np.hypot(np.hypot(nx, ny), det)
+        nx, ny = nx / norm, ny / norm
+        # T_b's coordinates in the frame-1 basis, mapped to frame 2
+        wbx, wby = wx[0] - nx[0, ..., :1], wy[0] - ny[0, ..., :1]
+        sb, tb = (wbx * vy[0] - wby * vx[0]) / det[0], (ux[0] * wby - uy[0] * wbx) / det[0]
+        t2bx = rx[1] + sb * ux[1] + tb * vx[1] + nx[1]
+        t2by = ry[1] + sb * uy[1] + tb * vy[1] + ny[1]
+        # T2's distance to the line through T2_a and T2_b, or to T2_a when
+        # the two are closer than DEGENERACY_EPS
+        dx, dy = t2bx - t2ax, t2by - t2ay
+        nd = np.hypot(dx, dy)
+        dist = np.where(nd < DEGENERACY_EPS, np.hypot(tx[1] - t2ax, ty[1] - t2ay),
+                        np.abs(dx * (ty[1] - t2ay) - dy * (tx[1] - t2ax)) / nd)
+        valid = admissible[..., None] & ~(norm[1] < DEGENERACY_EPS)
+    best = np.where(valid, dist, np.inf).min(axis=(1, 2))
+    failure = np.select(
+        [degenerate, np.abs(det[0, :, 0, 0]) < DEGENERACY_EPS,
+         ~np.isfinite(0.0 if c_sq is None else c_sq).reshape(-1), ~admissible.any(axis=1),
+         ~valid.any(axis=(1, 2))],
+        [_ELIMINATION, _BASIS, _OVERFLOW, _NO_LENGTH if c_sq is None else _NO_ROOT, _NO_BRANCH])
+    return np.where(failure == 0, best, np.inf), failure
 
 
 def collinearity_residual_4pt(frame1: FrameObservation, frame2: FrameObservation,
-                              assignment: Assignment, c_sq: float | None = None) -> float:
-    """Distance of the fourth point's second-frame image to its predicted line.
+                              assignment, c_sq: float | None = None) -> float:
+    """Distance of the fourth point's second-frame image to its predicted
+    line, in the frames' units, for an assignment of four (label, target)
+    pairs (P, Q, R, T) and an assumed squared length c^2 = |RP|^2, or the
+    policy's for None: one row of the 4-point core (_residual_rows).
 
-    The first three correspondences (P, Q, R) plus an assumed squared length
-    c^2 = |RP|^2 fix a two-frame triangle interpretation.  The fourth
-    point's first-frame ray is expressed through two reference points: T_a
-    in the plane RPQ and T_b shifted along RP x RQ by the frame pair's
-    scale.  Mapping both into the second frame predicts a line that must
-    contain T2.  The minimum over the two b-branches and the second frame's
-    reflection branches is returned.  With c_sq None the assumed length
-    follows the policy of _TrianglePair.assumed_length.
-
-    Raises InvalidInputError unless c_sq is None or finite and >= 0; then
-    DegenerateBasisError for nearly collinear P1, Q1, R1; then
+    Raises InvalidInputError unless the targets are distinct and c_sq is
+    None or finite and >= 0; then
+    DegenerateEliminationError when the frames' a^2 coefficients coincide;
+    then DegenerateBasisError for nearly collinear P1, Q1, R1; then
     NoSolutionError when the assumed c (or, under the policy, every c)
     admits no triangle, or InvalidInputError when c_sq overflows in the
     pair's units.
     """
+    pairs = tuple(tuple(pair) for pair in assignment)
+    if len({target for _, target in pairs}) != len(pairs):
+        raise InvalidInputError("assignment must be injective")
     if c_sq is not None:
         check_tolerance("c_sq", c_sq)
-    pair = _TrianglePair(frame1, frame2, assignment.source_labels,
-                         assignment.target_labels)
-    det1 = pair.det1
-    if abs(det1) < DEGENERACY_EPS:
-        raise DegenerateBasisError("P1, Q1, R1 nearly collinear")
-    if c_sq is None:
-        c_sq, roots = pair.assumed_length()
-    else:
-        c_sq = pair.unit_c_sq(c_sq)
-        roots = pair.roots(c_sq)
-        if not roots:
-            raise NoSolutionError("no b^2 root dominating the projections for assumed c")
-    (p1x, p1y), (q1x, q1y), (r1x, r1y), (t1x, t1y) = pair.pts1
-    (p2x, p2y), (q2x, q2y), (r2x, r2y), (t2x, t2y) = pair.pts2
-    # RP (u) and RQ (v) over each frame, the basis; RT (w) over frame 1
-    u1x, u1y, v1x, v1y = p1x - r1x, p1y - r1y, q1x - r1x, q1y - r1y
-    u2x, u2y, v2x, v2y = p2x - r2x, p2y - r2y, q2x - r2x, q2y - r2y
-    w1x, w1y = t1x - r1x, t1y - r1y
-    # T_a's coordinates in the frame-1 basis by Cramer's rule, mapped to frame 2
-    sa, ta = (w1x * v1y - w1y * v1x) / det1, (u1x * w1y - u1y * w1x) / det1
-    t2ax, t2ay = r2x + sa * u2x + ta * v2x, r2y + sa * u2y + ta * v2y
-
-    best = None
-    for b_sq in roots:
-        (zp1, zq1), (zp2, zq2) = pair.depths(b_sq, c_sq)
-        # unit normal of RP x RQ over frame 1; its norm is at least |det1|
-        n1x, n1y = u1y * zq1 - zp1 * v1y, zp1 * v1x - u1x * zq1
-        n1_norm = math.hypot(n1x, n1y, det1)
-        wbx, wby = w1x - n1x / n1_norm, w1y - n1y / n1_norm
-        sb, tb = (wbx * v1y - wby * v1x) / det1, (u1x * wby - u1y * wbx) / det1
-        for flip in (1.0, -1.0):
-            zp, zq = flip * zp2, flip * zq2
-            n2x, n2y = u2y * zq - zp * v2y, zp * v2x - u2x * zq
-            n2_norm = math.hypot(n2x, n2y, u2x * v2y - u2y * v2x)
-            if n2_norm < DEGENERACY_EPS:
-                continue
-            t2bx = r2x + sb * u2x + tb * v2x + n2x / n2_norm
-            t2by = r2y + sb * u2y + tb * v2y + n2y / n2_norm
-            dist = _line_distance(t2x, t2y, t2ax, t2ay, t2bx, t2by)
-            if best is None or dist < best:
-                best = dist
-    if best is None:
-        raise NoSolutionError("assumed c infeasible for every branch")
-    return best * pair.scale
+    unit, scale = _pair_units(frame1, frame2)
+    xy = np.array([frame.coords(labels)[None] * unit
+                   for frame, labels in zip((frame1, frame2), zip(*pairs))])
+    if c_sq is not None:
+        c_sq = c_sq * unit * unit / (scale * scale)
+    residual, failure = _residual_rows(xy, scale, c_sq)
+    _raise(int(failure[0]))
+    return float(residual[0]) * (scale / unit)
 
 
 @dataclass(frozen=True)
 class MatchReport:
     """The scored assignments of two unlabeled frames and the winner.
 
-    Every ordered assignment of the four probe labels (best.source_labels)
-    into the second frame is scored by the test that score names, and
+    Every ordered assignment of the four probe labels (the first of each
+    pair in best) into the second frame is scored by the test that score names, and
     ranking lists them as (target labels, score) in the frames' units,
     ascending, ties by target labels:
       "collinearity_4pt" (n = 4): the fourth probe's distance to the line
         its three partners predict, inf when no assumed length admits the
-        assignment (collinearity_residual_4pt);
+        assignment (the 4-point core, _residual_rows);
       "affine_epipolar" (n >= 5): over the points outside the probe, the
         worst distance from a point's nearest unused target to its epipolar
         line under the affine motion the probes fix, inf when that line is
@@ -384,7 +364,8 @@ class MatchReport:
         (coplanar probes) the line's direction comes from one further
         correspondence (_planar_direction), and a body whose points all
         fit the map scores their distances to it.
-    best is the winning probe assignment (see match_points) and
+    best is the winning probe assignment as (label, target) pairs (see
+    match_points) and
     best_residual its score: the first in the ranking whose full assignment
     is one-to-one and whose probe quadruple passes the 4-point test (at
     n = 4 the first in the ranking); no point may then have two targets on
@@ -392,7 +373,7 @@ class MatchReport:
     """
 
     ranking: tuple          # of (target labels, score), ascending
-    best: Assignment
+    best: tuple             # of (probe label, target label)
     best_residual: float
     margin: float           # the best other assignment's score minus best_residual
     n_scored: int
@@ -572,7 +553,8 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     probe = _probe_labels(frame1)
     rest = [lab for lab in labels1 if lab not in probe]
     sources, targets = list(probe) + rest, sorted(labels2)
-    scale = pair_scale(frame1, frame2)
+    unit, unit_scale = _pair_units(frame1, frame2)
+    scale = unit_scale / unit
     pts1 = _unit_points(frame1, sources, scale)
     pts2 = _unit_points(frame2, targets, scale)
     # lexicographic in the sorted targets, so that a stable sort by score
@@ -591,18 +573,16 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     def probe_map(k: int) -> dict:
         return dict(zip(probe, perm_labels[k]))
 
-    @functools.cache
-    def probe_residual(k: int) -> float:
-        # the 4-point residual in the frames' units, inf when none exists
-        try:
-            return collinearity_residual_4pt(
-                frame1, frame2, Assignment(tuple(zip(probe, perm_labels[k]))), None)
-        except (NoSolutionError, DegenerateBasisError, DegenerateEliminationError):
-            return math.inf
+    def probe_residuals(rows: list) -> np.ndarray:
+        # the 4-point residuals of these assignments in the frames' units,
+        # inf where none exists
+        xy = np.array([np.broadcast_to(frame1.coords(probe), (len(rows), 4, 2)),
+                       frame2.coords(targets)[perms[rows]]])
+        return _residual_rows(xy * unit, unit_scale)[0] * scale
 
     if n == 4:
         # ranked in the frames' units: dividing first could tie two residuals
-        residuals = np.array([probe_residual(k) for k in range(len(perms))])
+        residuals = probe_residuals(list(range(len(perms))))
         scores = residuals / scale
         order = np.argsort(residuals, kind="stable").tolist()
     else:
@@ -612,17 +592,26 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     # the walk: the assignments within the threshold, best first
     pos = int(np.count_nonzero(scores <= rigidity_tol))
 
-    def rigid_probe(k: int) -> bool:
-        return probe_residual(k) / scale <= rigidity_tol
+    def first_rigid(candidates):
+        # the first candidate whose probe quadruple passes the 4-point test,
+        # or None; past n = 4 the candidates the walk reaches are scored in
+        # batches of 1, 2, 4, ..., never twice as many as it reaches
+        candidates, size = iter(candidates), 1
+        while batch := list(itertools.islice(candidates, size)):
+            found = (residuals[batch] if n == 4 else probe_residuals(batch)) / scale
+            rigid = np.flatnonzero(found <= rigidity_tol).tolist()
+            if rigid:
+                return batch[rigid[0]]
+            size *= 2
+        return None
 
     def tied(k: int) -> list:
         # the first-frame points with two targets on their epipolar lines
         close = _line_tables(maps[k:k + 1], direction[k:k + 1], pts1, pts2)[0] <= rigidity_tol
         return np.flatnonzero(close.sum(axis=1) > 1).tolist()
 
-    k = next((k for k in order[:pos]
-              if (len(set(nearest[k].tolist())) == len(rest) or tied(k)) and rigid_probe(k)),
-             None)
+    k = first_rigid(k for k in order[:pos]
+                    if len(set(nearest[k].tolist())) == len(rest) or tied(k))
     if k is not None:
         shared = tied(k)
         if shared:
@@ -630,8 +619,8 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
                 f"point {sources[shared[0]]!r} has two targets within threshold "
                 f"of its epipolar line under probe assignment {probe_map(k)}: points on one "
                 "epipolar line make the correspondence ambiguous")
-        best = Assignment(tuple(zip(probe, perm_labels[k])))
-        full = best.as_dict()
+        best = tuple(zip(probe, perm_labels[k]))
+        full = dict(best)
         full.update((lab, targets[j]) for lab, j in zip(rest, nearest[k].tolist()))
         return MatchReport(
             ranking=tuple(zip((perm_labels[j] for j in order), residuals[order].tolist())),
@@ -646,7 +635,7 @@ def match_points(frame1: FrameObservation, frame2: FrameObservation,
     if n == 4:
         raise NoConsistentAssignmentError(
             f"best residual {scores[order[0]]:.3g} of the image scale exceeds threshold")
-    named = next((j for j in order[pos:] if rigid_probe(j)), None)
+    named = first_rigid(order[pos:])
     which = "best-ranked rigid probe assignment"
     if named is None:
         named, which = order[pos], "best-ranked probe assignment; none is rigid"
@@ -668,8 +657,7 @@ def rigidity_score(frame1: FrameObservation, frame2: FrameObservation,
     labels = tuple(labels)
     if len(labels) != 4:
         raise InvalidInputError("rigidity_score needs exactly 4 labels")
-    assignment = Assignment(tuple((lab, lab) for lab in labels))
-    return collinearity_residual_4pt(frame1, frame2, assignment, None)
+    return collinearity_residual_4pt(frame1, frame2, tuple(zip(labels, labels)), None)
 
 
 def residual_5pt(frame1: FrameObservation, frame2: FrameObservation,
@@ -875,16 +863,20 @@ def base_interpretation_from_frames(frame1: FrameObservation,
     labels = frame1.labels
     if len(labels) < 3:
         raise InvalidInputError("need at least 3 points")
-    pair = _TrianglePair(frame1, frame2, labels[:3], labels[:3])
-    img1, img2 = frame1.coords(), frame2.coords(labels)
-    c_sq = pair.c_start
-    for b_sq in pair.roots(c_sq):
-        (zp1, zq1), (zp2, zq2) = pair.depths(b_sq, c_sq)
-        e1 = np.column_stack([pair.pts1, (zp1, zq1, 0.0)])
+    unit, unit_scale = _pair_units(frame1, frame2)
+    xy = np.array([frame.coords(labels[:3])[None] * unit for frame in (frame1, frame2)])
+    admissible, (zp, zq), degenerate = _triangle_rows(xy, unit_scale)
+    if degenerate[0]:
+        _raise(_ELIMINATION)
+    pts1, pts2 = xy[:, 0] / unit_scale
+    img1, img2, scale = frame1.coords(), frame2.coords(labels), unit_scale / unit
+    for root in np.flatnonzero(admissible[0]).tolist():
+        (zp1, zp2), (zq1, zq2) = zp[:, 0, root].tolist(), zq[:, 0, root].tolist()
+        e1 = np.column_stack([pts1, (zp1, zq1, 0.0)])
         for flip in (1.0, -1.0):
-            e2 = np.column_stack([pair.pts2, (flip * zp2, flip * zq2, 0.0)])
-            interp = _fit_interpretation(e1, e2, labels, img1, img2, pair.scale)
-            if _reproduces(interp, frame1, frame2, pair.scale):
+            e2 = np.column_stack([pts2, (flip * zp2, flip * zq2, 0.0)])
+            interp = _fit_interpretation(e1, e2, labels, img1, img2, scale)
+            if _reproduces(interp, frame1, frame2, scale):
                 return interp
     raise InconsistentLengthsError(
         "no rigid two-frame interpretation found for these observations")

@@ -15,7 +15,7 @@ LAYERS = (
     "solvers.solve_p3f3.degenerate", "solvers.solve_p3f4.degenerate",
     "solvers.solve_p4f3.degenerate",
     "two_frame.match_points", "two_frame.match_points.degenerate",
-    "two_frame.rigidity_score", "two_frame.residual_5pt",
+    "two_frame.rigidity_score", "two_frame.residual_4pt", "two_frame.residual_5pt",
     "two_frame.base_interpretation_from_frames", "two_frame.ambiguity_family",
     "two_frame.extreme_scale", "two_frame.near_rigid",
 )

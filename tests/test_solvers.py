@@ -26,6 +26,7 @@ from conftest import (
     true_sq,
     view_axis_frames,
 )
+from scalar_reference import solve_quadratic
 
 SOLVER_SHAPES = ((sol.solve_p3f3, 3, 3), (sol.solve_p3f4, 3, 4), (sol.solve_p4f3, 4, 3))
 OFF_UNIT_SCALES = (1e-6, 1e-3, 1e3, 1e6)
@@ -106,32 +107,57 @@ class TestEq1Residual:
         assert abs(sol.eq1_residual(tri, GOLDEN_SQ)) >= 1.0
 
 
+def quadratic_roots(q2, q1, q0, tol):
+    """geometry.quadratic_roots on one equation, as a tuple like the reference's."""
+    roots, found = geo.quadratic_roots(q2, q1, q0, tol)
+    return tuple(roots[found].tolist())
+
+
 class TestSolveQuadratic:
     def test_distinct_roots(self):
-        roots = geo.solve_quadratic(1.0, -5.0, 6.0, 1e-9)
+        roots = quadratic_roots(1.0, -5.0, 6.0, 1e-9)
         assert roots == pytest.approx((2.0, 3.0))
 
     def test_double_root(self):
-        roots = geo.solve_quadratic(1.0, -4.0, 4.0, 1e-9)
+        roots = quadratic_roots(1.0, -4.0, 4.0, 1e-9)
         assert all(r == pytest.approx(2.0) for r in roots)
 
     def test_negative_discriminant(self):
-        assert geo.solve_quadratic(1.0, 0.0, 1.0, 1e-9) == ()
+        assert quadratic_roots(1.0, 0.0, 1.0, 1e-9) == ()
 
     def test_tiny_negative_discriminant_clamped(self):
         # disc = -1e-14 relative to coefficient scale ~ 1: treated as double root
-        roots = geo.solve_quadratic(1.0, 2.0, 1.0 + 1e-15, 1e-9)
+        roots = quadratic_roots(1.0, 2.0, 1.0 + 1e-15, 1e-9)
         assert roots == pytest.approx((-1.0,))
 
     def test_effectively_linear(self):
-        roots = geo.solve_quadratic(0.0, 2.0, -6.0, 1e-9)
+        roots = quadratic_roots(0.0, 2.0, -6.0, 1e-9)
         assert roots == (3.0,)
 
     def test_cancellation_stability(self):
         # roots 1e-8 and 1e8: naive formula loses the small root
-        roots = sorted(geo.solve_quadratic(1.0, -(1e8 + 1e-8), 1.0, 1e-12))
+        roots = sorted(quadratic_roots(1.0, -(1e8 + 1e-8), 1.0, 1e-12))
         assert roots[0] == pytest.approx(1e-8, rel=1e-9)
         assert roots[1] == pytest.approx(1e8, rel=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300])
+                                for _ in range(3)]), min_size=1, max_size=8),
+           st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]))
+    def test_same_roots_as_the_scalar_routine(self, rows, tol):
+        # one batched call gives each equation the scalar reference's roots
+        # with ==, also for exact double roots, clamped discriminants and
+        # linear equations
+        roots, found = geo.quadratic_roots(*np.array(rows).T, tol)
+        for (q2, q1, q0), r, f in zip(rows, roots, found):
+            assert tuple(r[f].tolist()) == solve_quadratic(q2, q1, q0, tol)
+
+    def test_clamped_and_linear_rows_in_one_call(self):
+        rows = [(1.0, 2.0, 1.0 + 1e-15), (0.0, 2.0, -6.0), (0.0, 0.0, 1.0), (1.0, 0.0, 1.0),
+                (1.0, -4.0, 4.0), (-1.0, 5e-324, 0.0)]
+        roots, found = geo.quadratic_roots(*np.array(rows).T, 1e-9)
+        assert [tuple(r[f].tolist()) for r, f in zip(roots, found)] \
+            == [solve_quadratic(*row, 1e-9) for row in rows]
 
 
 class TestFeasibility:
@@ -382,7 +408,7 @@ def reference_solve_p3f3(frames, tol=1e-9):
           + qp.coef_a * a0 + qp.coef_b * b0)
 
     candidates = []
-    for c_sq in geo.solve_quadratic(q2, q1, q0, tol):
+    for c_sq in solve_quadratic(q2, q1, q0, tol):
         polished = reference_newton_polish((a_c * c_sq + a0, b_c * c_sq + b0, c_sq), norm)
         candidates.append(
             reference_triangle_candidate([v * scale for v in polished], frames, tol))

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # every name the package root exported when it imported its submodules eagerly
 EAGER_EXPORTS = (
-    "AmbiguityMember", "Assignment", "BatchResult", "Candidate", "DofBalance",
+    "AmbiguityMember", "BatchResult", "Candidate", "DofBalance",
     "FrameObservation", "Interpretation", "MatchReport", "NoiseSpec", "Point3",
     "RecoveryResult", "RigidMotion", "Scene", "TetraDistances", "TriangleDistances",
     "add_noise", "ambiguity_family", "apply_motion", "b_of_c_coeffs",
@@ -246,4 +246,16 @@ def test_closed_stdout_still_exits_0(argv, tmp_path):
     proc = run_program(argv, tmp_path, stderr=subprocess.PIPE, text=True,
                        preexec_fn=lambda: os.close(1))
     assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child")
+@pytest.mark.parametrize("command", ["recover", "match", "noise-study", "ambiguity"])
+def test_closed_stdout_drops_the_report_and_exits_0(command, frames_files, tmp_path):
+    # each of these writes its report to stdout, which print skips when
+    # sys.stdout is None
+    argv = [arg.format(tmp=".", **frames_files) for arg in COMMANDS[command][0]]
+    proc = run_program(argv, tmp_path, stderr=subprocess.PIPE, text=True,
+                       preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

@@ -32,6 +32,7 @@ from conftest import (
     true_sq,
     view_axis_pair,
 )
+import scalar_reference as ref
 
 
 def two_frames(scene):
@@ -245,7 +246,7 @@ class TestSolveBGivenCReference:
 
 
 def identity_assignment(labels=("P", "Q", "R", "T")):
-    return tf.Assignment(tuple((lab, lab) for lab in labels))
+    return tuple((lab, lab) for lab in labels)
 
 
 class TestCollinearityResidual:
@@ -295,7 +296,7 @@ class TestCollinearityResidual:
     def test_collinear_basis_floor(self, height, answered):
         # |det1| 1.8e-12 and 4.4e-13, either side of DEGENERACY_EPS (1e-12)
         frame1, frame2 = self.nearly_collinear_pair(height)
-        pair = tf._TrianglePair(frame1, frame2, "PQRT", "PQRT")
+        pair = ref._TrianglePair(frame1, frame2, "PQRT", "PQRT")
         assert abs(pair.det1) == pytest.approx(0.885 * height, rel=1e-3)
         if answered:
             assert math.isfinite(
@@ -321,12 +322,27 @@ class TestCollinearityResidual:
         # the biquadratic's leading coefficient is ~5e-7 here and its roots
         # ~1.2 and ~6e6 apart, so a textbook small root loses ~7 digits
         frame1, frame2 = two_frames(sim.gen_scene(4, 2, 19))
-        assignment = tf.Assignment((("P", "R"), ("Q", "Q"), ("R", "P"), ("T", "T")))
+        assignment = (("P", "R"), ("Q", "Q"), ("R", "P"), ("T", "T"))
         res = tf.collinearity_residual_4pt(frame1, frame2, assignment, None)
         got = tf.collinearity_residual_4pt(
             scaled(frame1, factor), scaled(frame2, factor), assignment, None)
         assert res > 1e-3 * scale_of(frame1, frame2)
         assert got / factor == pytest.approx(res, rel=1e-13)
+
+
+def core_rows(frame1, frame2, assignments, c_sq=None):
+    """Per assignment, from one call of the 4-point core: the residual
+    collinearity_residual_4pt gives in the frames' units (inf where it
+    raises) and the core's failure code.  c_sq, in the frames' units, is
+    one length for all or one per assignment."""
+    unit, scale = tf._pair_units(frame1, frame2)
+    xy = np.array([[frame.coords(labels) for frame, labels in zip((frame1, frame2), zip(*pairs))]
+                   for pairs in assignments])
+    if c_sq is not None:
+        with np.errstate(over="ignore"):   # as Python floats overflow to inf
+            c_sq = np.asarray(c_sq, dtype=float).reshape(-1, 1) * unit * unit / (scale * scale)
+    residuals, failures = tf._residual_rows(xy.transpose(1, 0, 2, 3) * unit, scale, c_sq)
+    return (residuals * (scale / unit)).tolist(), failures.tolist()
 
 
 def reference_match(frame1, frame2, rigidity_tol=tf.DEFAULT_RIGIDITY_TOL):
@@ -338,21 +354,18 @@ def reference_match(frame1, frame2, rigidity_tol=tf.DEFAULT_RIGIDITY_TOL):
     probe = tf._probe_labels(frame1)
     scale = tf.pair_scale(frame1, frame2)
 
-    def residual(assignment):
-        got = outcome(tf.collinearity_residual_4pt, frame1, frame2, assignment, None)
-        return math.inf if isinstance(got, type) else got
-
-    scored = sorted(((residual(a), a.target_labels, a) for a in (
-        tf.Assignment(tuple(zip(probe, perm)))
-        for perm in itertools.permutations(labels2, 4))), key=lambda item: item[:2])
-    best_residual, _, best = scored[0]
+    perms = list(itertools.permutations(labels2, 4))
+    assignments = [tuple(zip(probe, perm)) for perm in perms]
+    scored = sorted(zip(core_rows(frame1, frame2, assignments)[0], perms, assignments),
+                    key=lambda item: item[:2])
+    best_residual, targets, best = scored[0]
     if best_residual / scale > rigidity_tol:
         raise NoConsistentAssignmentError("probe")
-    full = best.as_dict()
-    remaining2 = [lab for lab in labels2 if lab not in best.target_labels]
-    for lab in (lab for lab in labels1 if lab not in best.source_labels):
-        res, cand = min((residual(tf.Assignment(best.pairs[:3] + ((lab, cand),))), cand)
-                        for cand in remaining2)
+    full = dict(best)
+    remaining2 = [lab for lab in labels2 if lab not in targets]
+    for lab in (lab for lab in labels1 if lab not in probe):
+        extended = [best[:3] + ((lab, cand),) for cand in remaining2]
+        res, cand = min(zip(core_rows(frame1, frame2, extended)[0], remaining2))
         if res / scale > rigidity_tol:
             raise NoConsistentAssignmentError(lab)
         full[lab] = cand
@@ -372,7 +385,7 @@ def reference_residual_5pt(frame1, frame2, labels):
     uv_b = np.linalg.solve(np.column_stack([p1 - r1, q1 - r1]), s1 - r1)
     s2_a = t2 + np.column_stack([p2 - t2, q2 - t2]) @ uv_a
     s2_b = r2 + np.column_stack([p2 - r2, q2 - r2]) @ uv_b
-    return tf._line_distance(*s2.tolist(), *s2_a.tolist(), *s2_b.tolist()) * scale
+    return ref._line_distance(*s2.tolist(), *s2_a.tolist(), *s2_b.tolist()) * scale
 
 
 def reference_probe_labels(frame):
@@ -429,6 +442,10 @@ def match_outcome(match, frame1, frame2):
     except (NoConsistentAssignmentError, DegenerateBasisError) as exc:
         return type(exc)
     return result if isinstance(result, dict) else result.full_assignment
+
+
+def targets_of(pairs):
+    return tuple(target for _, target in pairs)
 
 
 def shuffled_pair(n, seed, scale=1.0, move=False):
@@ -520,7 +537,7 @@ class TestMatchPoints:
         assert report.full_assignment == relabel
         assert report.n_scored == len(report.ranking) == n * (n - 1) * (n - 2) * (n - 3)
         assert report.ranking == tuple(sorted(report.ranking, key=lambda r: (r[1], r[0])))
-        assert (report.best.target_labels, report.best_residual) == report.ranking[0]
+        assert (targets_of(report.best), report.best_residual) == report.ranking[0]
         assert report.best_residual < 1e-9 * scale_of(frame1, frame2)
         assert report.margin == report.ranking[1][1] - report.best_residual
 
@@ -529,7 +546,7 @@ class TestMatchPoints:
         report = tf.match_points(frame1, frame2)
         assert report.score == "collinearity_4pt"
         assert report.full_assignment == relabel
-        assert report.ranking[0] == (report.best.target_labels, report.best_residual)
+        assert report.ranking[0] == (targets_of(report.best), report.best_residual)
 
     def test_needs_four_points(self):
         scene = sim.gen_scene(3, 2, 1)
@@ -942,8 +959,8 @@ C_MAX_STEPS = 40
 
 def grid_c_sq(frame1, frame2, assignment):
     """The grid's c^2 values in caller units, from the policy's start."""
-    (p1, r1), (p2, r2) = (frame.coords([labels[0], labels[2]]) for frame, labels in (
-        (frame1, assignment.source_labels), (frame2, assignment.target_labels)))
+    (p1, r1), (p2, r2) = (frame.coords([labels[0], labels[2]])
+                          for frame, labels in zip((frame1, frame2), zip(*assignment)))
     c_sq = tf.C_START_FACTOR ** 2 * max(float((r1 - p1) @ (r1 - p1)),
                                         float((r2 - p2) @ (r2 - p2)))
     if c_sq == 0.0:
@@ -953,15 +970,23 @@ def grid_c_sq(frame1, frame2, assignment):
         c_sq *= C_GROW_FACTOR ** 2
 
 
-def unscreened_residual(frame1, frame2, assignment):
-    """The assumed-length walk without a screen: the full residual at every
-    step of the c grid until one does not raise NoSolutionError."""
-    for c_sq in grid_c_sq(frame1, frame2, assignment):
-        try:
-            return tf.collinearity_residual_4pt(frame1, frame2, assignment, c_sq)
-        except NoSolutionError:
-            pass
-    raise NoSolutionError("no feasible assumed length found for assignment")
+def unscreened_residuals(frame1, frame2, assignments):
+    """The assumed-length walk without a screen, per assignment: the full
+    residual at every step of the c grid, the first that does not raise
+    NoSolutionError, or the error it raises; all steps of all assignments
+    in one call of the 4-point core, so each row gets the floats a call of
+    collinearity_residual_4pt at its c^2 gives."""
+    rows = [(pairs, c_sq) for pairs in assignments
+            for c_sq in grid_c_sq(frame1, frame2, pairs)]
+    steps = zip(*core_rows(frame1, frame2, *zip(*rows)))
+    walks = []
+    for _ in assignments:
+        walk = [step for _, step in zip(range(C_MAX_STEPS), steps)]
+        res, failure = next((step for step in walk if tf._FAILURES[step[1]] is None
+                             or tf._FAILURES[step[1]][0] is not NoSolutionError),
+                            (None, tf._NO_LENGTH))
+        walks.append(res if failure == 0 else tf._FAILURES[failure][0])
+    return walks
 
 
 def outcome(fn, *args):
@@ -1040,9 +1065,10 @@ class TestScreenedWalk:
     def test_same_as_unscreened_walk(self):
         kinds = set()
         for frame1, frame2 in self.pairs():
-            for perm in itertools.permutations(frame2.labels):
-                assignment = tf.Assignment(tuple(zip(frame1.labels, perm)))
-                expect = outcome(unscreened_residual, frame1, frame2, assignment)
+            assignments = [tuple(zip(frame1.labels, perm))
+                           for perm in itertools.permutations(frame2.labels)]
+            for assignment, expect in zip(assignments,
+                                          unscreened_residuals(frame1, frame2, assignments)):
                 got = outcome(tf.collinearity_residual_4pt,
                               frame1, frame2, assignment, None)
                 assert got == expect, (assignment, expect, got)
@@ -1059,7 +1085,7 @@ class TestScreenedWalk:
         for seed in range(200):
             frame1, frame2 = make_pair(seed)
             assignment = identity_assignment()
-            expect = outcome(unscreened_residual, frame1, frame2, assignment)
+            (expect,) = unscreened_residuals(frame1, frame2, [assignment])
             got = outcome(tf.collinearity_residual_4pt, frame1, frame2, assignment, None)
             assert got == expect, (seed, expect, got)
             kinds.add(expect if isinstance(expect, type) else float)
@@ -1067,53 +1093,61 @@ class TestScreenedWalk:
 
     @staticmethod
     def counted(monkeypatch):
-        """The c^2 argument of every residual call made through the module
-        global, and the number of _TrianglePair setups."""
-        calls, setups = [], []
-        residual = tf.collinearity_residual_4pt
+        """The rows and the c^2 argument of every call of the 4-point core."""
+        calls = []
+        core = tf._residual_rows
 
-        def counted(*args, **kwargs):
-            calls.append(args[3])
-            return residual(*args, **kwargs)
+        def counted(xy, scale, c_sq=None):
+            calls.append((xy.shape[1], c_sq))
+            return core(xy, scale, c_sq)
 
-        class CountedPair(tf._TrianglePair):
-            def __init__(self, *args):
-                setups.append(args[2:4])
-                super().__init__(*args)
+        monkeypatch.setattr(tf, "_residual_rows", counted)
+        return calls
 
-        monkeypatch.setattr(tf, "collinearity_residual_4pt", counted)
-        monkeypatch.setattr(tf, "_TrianglePair", CountedPair)
-        return calls, setups
-
-    def test_rigid_match_calls_residual_once_per_assignment(self, monkeypatch):
-        calls, setups = self.counted(monkeypatch)
+    def test_rigid_match_scores_every_assignment_in_one_call(self, monkeypatch):
+        calls = self.counted(monkeypatch)
         frame1, frame2 = two_frames(sim.gen_scene(4, 2, 3))
         report = tf.match_points(frame1, frame2)
         assert report.n_scored == 24
-        assert calls == [None] * report.n_scored
-        assert len(setups) == report.n_scored
+        assert calls == [(report.n_scored, None)]
 
     @pytest.mark.parametrize("n", [5, 6, 8])
-    def test_rigid_match_calls_residual_once_from_five_points(
-            self, monkeypatch, n):
+    def test_rigid_match_scores_one_row_from_five_points(self, monkeypatch, n):
         # the affine pass ranks every assignment; only the winner's probe
         # quadruple gets the 4-point test
-        calls, setups = self.counted(monkeypatch)
+        calls = self.counted(monkeypatch)
         frame1, frame2 = two_frames(sim.gen_scene(n, 2, 3))
         report = tf.match_points(frame1, frame2)
         assert report.n_scored == n * (n - 1) * (n - 2) * (n - 3)
-        assert calls == [None] and len(setups) == 1
+        assert calls == [(1, None)]
 
-    def test_rigidity_score_sets_up_once(self, monkeypatch):
-        calls, setups = self.counted(monkeypatch)
+    def test_rigidity_score_is_one_row(self, monkeypatch):
+        calls = self.counted(monkeypatch)
         frame1, frame2 = two_frames(sim.gen_scene(4, 2, 3))
         tf.rigidity_score(frame1, frame2)
-        assert calls == [None] and len(setups) == 1
+        assert calls == [(1, None)]
+
+
+def admits(frame1, frame2, c_sq=None):
+    """Whether the core's triangle half admits a b^2 root for P, Q, R at c_sq
+    (in the frames' units) or, for None, at the policy's length; None when
+    the elimination is degenerate.  A list of c_sq gives a list, from one
+    call."""
+    unit, scale = tf._pair_units(frame1, frame2)
+    rows = np.atleast_1d(0.0 if c_sq is None else c_sq)
+    xy = np.array([np.broadcast_to(frame.coords("PQR") * unit, (len(rows), 3, 2))
+                   for frame in (frame1, frame2)])
+    unit_c = None if c_sq is None else rows[:, None] * unit * unit / (scale * scale)
+    admissible, _, degenerate = tf._triangle_rows(xy, scale, unit_c)
+    if degenerate[0]:
+        return None
+    admitted = admissible.any(axis=1).tolist()
+    return admitted if np.ndim(c_sq) else admitted[0]
 
 
 class TestAssumedLength:
     # the admissible |RP|^2 of a triangle pair fill the ray above RP's longer
-    # squared projection or none of it (_TrianglePair.assumed_length)
+    # squared projection or none of it (the proof is _triangle_rows')
     @staticmethod
     def longer_projection(frame1, frame2):
         return max(float(np.square(np.diff(frame.coords(["P", "R"]), axis=0)).sum())
@@ -1124,20 +1158,13 @@ class TestAssumedLength:
     def test_no_admissible_length_agrees_with_grid(self, coords):
         pts = np.array(coords).reshape(2, 4, 2)
         frame1, frame2 = frame_of(pts[0]), frame_of(pts[1])
-        try:
-            pair = tf._TrianglePair(frame1, frame2, "PQRT", "PQRT")
-        except DegenerateEliminationError:
+        policy = admits(frame1, frame2)
+        if policy is None:
             return
         longer = self.longer_projection(frame1, frame2) \
             or max(frame1.scale_sq(), frame2.scale_sq())
-        grid = [bool(pair.roots(pair.unit_c_sq(c_sq)))
-                for c_sq in longer * np.geomspace(1.01, 1e6, 60)]
-        try:
-            pair.assumed_length()
-        except NoSolutionError:
-            assert not any(grid)
-        else:
-            assert all(grid)
+        grid = admits(frame1, frame2, longer * np.geomspace(1.01, 1e6, 60))
+        assert all(grid) if policy else not any(grid)
 
     @pytest.mark.parametrize("below, admitted", [(5e-10, True), (2e-9, False)])
     def test_dominance_floor(self, below, admitted):
@@ -1145,9 +1172,10 @@ class TestAssumedLength:
         # more than DEFAULT_TOL (1e-9) of the pair's squared diameter: seed
         # 0's quadratic has a root there whose a^2 and b^2 dominate theirs
         # by 5.6e-4, so only the minimum on c^2 decides
-        pair = tf._TrianglePair(*two_frames(sim.gen_scene(4, 2, 0)), "PQRT", "PQRT")
-        longer = max(pair.sq1[2], pair.sq2[2])
-        assert bool(pair.roots(longer - below)) == admitted
+        frame1, frame2 = two_frames(sim.gen_scene(4, 2, 0))
+        scale_sq = tf.pair_scale(frame1, frame2) ** 2
+        longer = self.longer_projection(frame1, frame2) / scale_sq
+        assert admits(frame1, frame2, (longer - below) * scale_sq) == admitted
 
     def test_every_family_member_is_admissible(self):
         # each reading of a rigid pair admits a root at its own |RP|^2, from
@@ -1157,7 +1185,6 @@ class TestAssumedLength:
         for seed in range(50):
             scene = sim.gen_scene(4, 2, seed)
             frame1, frame2 = two_frames(scene)
-            pair = tf._TrianglePair(frame1, frame2, "PQRT", "PQRT")
             longer = self.longer_projection(frame1, frame2)
             base = tf.interpretation_from_scene(scene)
             for member in tf.ambiguity_family(frame1, frame2, base, angles):
@@ -1166,7 +1193,113 @@ class TestAssumedLength:
                 body = dict(member.points)
                 p, r = (np.array([body[lab].x, body[lab].y, body[lab].z]) for lab in "PR")
                 c_sq = float((r - p) @ (r - p))
-                assert pair.roots(pair.unit_c_sq(c_sq)), (seed, member.angle)
+                assert admits(frame1, frame2, c_sq), (seed, member.angle)
                 ratios.append(c_sq / longer)
         assert len(ratios) > 0.9 * 50 * len(angles)
         assert min(ratios) < 1.01 and max(ratios) > 1e3
+
+
+def scalar_outcome(frame1, frame2, pairs, c_sq=None):
+    """The scalar path's residual, or its error's type and text."""
+    try:
+        return ref.collinearity_residual_4pt(frame1, frame2, ref.Assignment(pairs), c_sq)
+    except (InvalidInputError, NoSolutionError, DegenerateBasisError,
+            DegenerateEliminationError) as exc:
+        return type(exc), str(exc)
+
+
+def core_outcomes(frame1, frame2, c_sq=None):
+    """Per ordering of frame2's labels against frame1's, in permutation
+    order: the core's residual in the frames' units, or the type and text
+    of the error collinearity_residual_4pt raises for it.  All orderings go
+    through the core in one call, as match_points passes them."""
+    assignments = [tuple(zip(frame1.labels, perm))
+                   for perm in itertools.permutations(frame2.labels)]
+    return [res if not failure else tf._FAILURES[failure]
+            for res, failure in zip(*core_rows(frame1, frame2, assignments, c_sq))]
+
+
+class TestSameAsScalarPath:
+    """The 4-point core against the scalar path it replaced (scalar_reference):
+    each row the same outcome, error texts included, and each residual
+    within MAX_ULPS units in the last place of the pair's diameter.  Only
+    the rounding of hypot (numpy's against Python's) and of one square
+    (x * x against x ** 2) differs, and the residual's cancellation
+    amplifies it: the largest gap is 19 ulps under the policy's length and
+    53 ulps at an assumed length of 1e6 times the projection, where depths
+    are 1e3 diameters.  A residual at rounding level, as a rigid pair's,
+    may so move by all of its own digits."""
+
+    MAX_ULPS = 64
+    EXTREME_SCALES = (1e-300, 1e-160, 1e160, 1e300)
+
+    def check(self, frame1, frame2, c_sq=None):
+        """Compare every ordering through the core, one row at a time and
+        in one call; return the largest gap in ulps of the pair's diameter
+        and the outcome kinds seen."""
+        ulp = tf.pair_scale(frame1, frame2) * np.finfo(float).eps
+        worst, kinds = 0.0, set()
+        batch = core_outcomes(frame1, frame2, c_sq)
+        for perm, core in zip(itertools.permutations(frame2.labels), batch):
+            pairs = tuple(zip(frame1.labels, perm))
+            expect = scalar_outcome(frame1, frame2, pairs, c_sq)
+            got = outcome_with_text(tf.collinearity_residual_4pt, frame1, frame2, pairs, c_sq)
+            assert got == core or (math.isnan(got) and math.isnan(core)), (perm, got, core)
+            if isinstance(expect, tuple):
+                assert got == expect, (perm, expect, got)
+                kinds.add(expect[0])
+            else:
+                assert isinstance(got, float), (perm, expect, got)
+                worst = max(worst, abs(got - expect) / ulp)
+                kinds.add(float)
+        assert worst <= self.MAX_ULPS, worst
+        return worst, kinds
+
+    def test_rigid_and_moved_pairs_under_every_ordering(self):
+        kinds = set()
+        for seed in range(40):
+            frame1, frame2 = two_frames(sim.gen_scene(4, 2, seed))
+            for other in (frame2, moved_one(frame2, seed)):
+                kinds |= self.check(frame1, other)[1]
+        assert kinds == {float, NoSolutionError}
+
+    def test_collinear_gauge_pairs(self):
+        kinds = set()
+        for seed in range(40):
+            kinds |= self.check(*collinear_gauge_pair(seed))[1]
+        assert DegenerateBasisError in kinds
+
+    def test_identical_frames(self):
+        frame1, _ = two_frames(sim.gen_scene(4, 2, 5))
+        _, kinds = self.check(frame1, frame1)
+        assert DegenerateEliminationError in kinds
+        with pytest.raises(DegenerateEliminationError, match="coincide"):
+            tf.collinearity_residual_4pt(frame1, frame1, identity_assignment())
+
+    @pytest.mark.parametrize("scale", EXTREME_SCALES)
+    def test_extreme_scale_pairs(self, scale):
+        for seed in range(5):
+            frame1, frame2 = two_frames(sim.gen_scene(4, 2, seed))
+            self.check(scaled(frame1, scale), scaled(frame2, scale))
+            self.check(scaled(frame1, scale), scaled(moved_one(frame2, seed), scale))
+
+    def test_explicit_c_grid(self):
+        # below, at and above the projections, and so large that it
+        # overflows in the pair's units
+        kinds = set()
+        for seed in range(10):
+            frame1, frame2 = two_frames(sim.gen_scene(4, 2, seed))
+            longer = TestAssumedLength.longer_projection(frame1, frame2)
+            for factor in (0.0, 0.5, 0.99, 1.01, 2.0, 10.0, 1e3, 1e6):
+                kinds |= self.check(frame1, frame2, factor * longer)[1]
+            kinds |= self.check(scaled(frame1, 1e-300), scaled(frame2, 1e-300), 1e300)[1]
+        assert {float, NoSolutionError, InvalidInputError} <= kinds
+
+
+def outcome_with_text(fn, *args):
+    """fn's result, or its error's type and text."""
+    try:
+        return fn(*args)
+    except (InvalidInputError, NoSolutionError, DegenerateBasisError,
+            DegenerateEliminationError) as exc:
+        return type(exc), str(exc)

@@ -12,7 +12,10 @@ moves there; the ``solvers.solve_<mode>.degenerate`` layers run each solver
 on that file's near-degenerate scenes, where the floors of the tolerance
 table decide between an answer and a refusal.  ``two_frame.extreme_scale``
 runs the two-frame functions on pairs in units from 1e-300 to 1e300, which
-only a pair scaled before it is squared gets right.  ``two_frame.near_rigid``
+only a pair scaled before it is squared gets right.  ``two_frame.residual_4pt``
+runs ``collinearity_residual_4pt`` on every ordering of rigid and moved
+4-point pairs, at the policy's assumed length and at two given ones, 0.5
+and 4 times the pair's squared diameter.  ``two_frame.near_rigid``
 runs ``base_interpretation_from_frames`` and ``ambiguity_family`` on pairs
 with one point moved by 1e-7, 5e-7 and 2e-6 of the pair's diameter, on
 either side of the one reproduction bound.  The inputs are seeded
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -125,7 +129,7 @@ def _match_answer(frame1, frame2):
     """match_points' answer without its scores: the full assignment, the
     winner's pairs, the scoring test and the ranking's target order."""
     report = tf.match_points(frame1, frame2)
-    return (report.full_assignment, report.best.pairs, report.score,
+    return (report.full_assignment, report.best, report.score,
             tuple(targets for targets, _ in report.ranking))
 
 
@@ -181,6 +185,12 @@ def collect() -> Digest:
             d.call("two_frame.match_points.degenerate", _match_answer, frame1, frame2)
     for _, frame1, frame2 in _pairs(4, range(20)):
         d.call("two_frame.rigidity_score", tf.rigidity_score, frame1, frame2)
+    for _, frame1, frame2 in _pairs(4, range(5)):
+        diameter_sq = tf.pair_scale(frame1, frame2) ** 2
+        for perm in itertools.permutations(frame2.labels):
+            for c_sq in (None, 0.5 * diameter_sq, 4.0 * diameter_sq):
+                d.call("two_frame.residual_4pt", tf.collinearity_residual_4pt,
+                       frame1, frame2, tuple(zip(frame1.labels, perm)), c_sq)
     for _, frame1, frame2 in _pairs(5, range(20)):
         d.call("two_frame.residual_5pt", tf.residual_5pt, frame1, frame2)
     for n in (3, 4, 5):
