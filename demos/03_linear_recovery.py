@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from orthosfm import (
-    Point3,
     RigidMotion,
     Scene,
     gen_motion,
@@ -27,13 +26,9 @@ from orthosfm import (
 # --- part 1: the worked triangle over four frames --------------------------
 A_SQ, B_SQ, C_SQ = 4.0, 9.0, 12.6878
 x = (A_SQ + C_SQ - B_SQ) / (2.0 * math.sqrt(A_SQ))
-body = (
-    ("P", Point3(0.0, 0.0, 0.0)),
-    ("Q", Point3(math.sqrt(A_SQ), 0.0, 0.0)),
-    ("R", Point3(x, math.sqrt(C_SQ - x * x), 0.0)),
-)
+points = [(0.0, 0.0, 0.0), (math.sqrt(A_SQ), 0.0, 0.0), (x, math.sqrt(C_SQ - x * x), 0.0)]
 motions = [RigidMotion.identity()] + [gen_motion(subseed(42, j)) for j in (1, 2, 3)]
-scene = Scene(body=body, motions=tuple(motions), seed=42)
+scene = Scene(labels="PQR", points=points, motions=tuple(motions), seed=42)
 
 sq = [projected_sq_distances(f, scene.labels) for f in render(scene)]
 best = solve_p3f4(sq).best

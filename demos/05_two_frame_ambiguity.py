@@ -24,29 +24,29 @@ from orthosfm import (
 )
 from orthosfm.two_frame import REFERENCE_AMBIGUITY_ANGLE
 
-body, motion = reference_ambiguity_scene()
-scene = Scene(body=body, motions=(RigidMotion.identity(), motion), seed=0)
+(labels, points), motion = reference_ambiguity_scene()
+scene = Scene(labels, points, motions=(RigidMotion.identity(), motion), seed=0)
 frame1, frame2 = render(scene)
 base = interpretation_from_scene(scene)
 
 print("base structure (first-frame coordinates):")
-for lab, p in base.points:
-    print(f"  {lab}: ({p.x:9.5f}, {p.y:9.5f}, {p.z:9.5f})")
+for lab, (x, y, z) in zip(base.labels, base.points):
+    print(f"  {lab}: ({x:9.5f}, {y:9.5f}, {z:9.5f})")
 print()
 
 angles = list(np.linspace(0.0, 1.4, 8)) + [REFERENCE_AMBIGUITY_ANGLE]
 members = ambiguity_family(frame1, frame2, base, angles)
 
 print(f"{'angle':>8} {'max reproj residual':>20} {'Q depth':>9} {'R depth':>9}")
-for m in members:
-    if m.points is None:
-        print(f"{m.angle:>8.4f} {'(rays parallel)':>20}")
+for angle, m in members:
+    if m is None:
+        print(f"{angle:>8.4f} {'(rays parallel)':>20}")
         continue
-    r1, r2 = m.as_interpretation().reprojection_residuals(frame1, frame2)
-    depths = {lab: p.z for lab, p in m.points}
+    r1, r2 = m.reprojection_residuals(frame1, frame2)
+    depths = dict(zip(m.labels, m.points[:, 2]))
     tag = "  <-- reference member" if abs(
-        m.angle - REFERENCE_AMBIGUITY_ANGLE) < 1e-12 else ""
-    print(f"{m.angle:>8.4f} {max(r1, r2):>20.2e} "
+        angle - REFERENCE_AMBIGUITY_ANGLE) < 1e-12 else ""
+    print(f"{angle:>8.4f} {max(r1, r2):>20.2e} "
           f"{depths['Q']:>9.5f} {depths['R']:>9.5f}{tag}")
 
 print()

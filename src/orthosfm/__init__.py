@@ -11,6 +11,9 @@ Library surface:
 * io_files  -- scene/frames/report file formats
 * cli       -- the orthosfm command-line tool
 
+A body is a label tuple and a read-only (n, 3) array, a Scene's or an
+Interpretation's labels and points, as a frame is one of (n, 2).
+
 The names below are loaded on first use (PEP 562), so ``import orthosfm``
 imports no numpy and leaves the process environment as it found it.
 """
@@ -20,14 +23,13 @@ import importlib
 # submodule -> the public names re-exported from it
 _EXPORTS = {
     "geometry": (
-        "DofBalance", "FrameObservation", "Point3", "RigidMotion",
-        "TetraDistances", "TriangleDistances", "apply_motion", "dof_balance",
-        "embed_depths", "projected_sq_distances"),
+        "DofBalance", "FrameObservation", "RigidMotion", "TetraDistances",
+        "TriangleDistances", "dof_balance", "embed_depths", "projected_sq_distances"),
     "solvers": (
         "BatchResult", "Candidate", "RecoveryResult", "eq1_residual",
         "feasibility_check", "solve_batch", "solve_p3f3", "solve_p3f4", "solve_p4f3"),
     "two_frame": (
-        "AmbiguityMember", "Interpretation", "MatchReport",
+        "Interpretation", "MatchReport",
         "ambiguity_family", "b_of_c_coeffs", "collinearity_residual_4pt", "match_points",
         "base_interpretation_from_frames", "interpretation_from_scene",
         "reference_ambiguity_scene", "residual_5pt", "rigidity_score", "solve_b_given_c"),

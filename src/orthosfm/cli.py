@@ -97,7 +97,11 @@ def _read_frames(path):
     from . import io_files
 
     with open(path, encoding="utf-8") as fh:
-        return io_files.frames_from_csv(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"frames file: not UTF-8 ({exc.reason})") from None
+    return io_files.frames_from_csv(text)
 
 
 def _pick_mode(n_points: int, n_frames: int) -> str:
@@ -282,20 +286,18 @@ def cmd_ambiguity(args) -> int:
     except (NoSolutionError, OrthoSfmError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    base_pts = dict(base.points)
     lines = ["angle,status,reproj_residual_frame1,reproj_residual_frame2,"
-             "max_displacement," + ",".join(
-                 f"{lab}_z" for lab, _ in base.points)]
-    for m in members:
-        if m.points is None:
-            lines.append(f"{m.angle!r},parallel_rays,,,," + "," * (len(base_pts) - 1))
+             "max_displacement," + ",".join(f"{lab}_z" for lab in base.labels)]
+    for angle, member in members:
+        if member is None:
+            lines.append(f"{angle!r},parallel_rays,,,," + "," * (len(base.labels) - 1))
             continue
-        r1, r2 = m.as_interpretation().reprojection_residuals(frame1, frame2)
-        disp = max(
-            float(np.linalg.norm(p.as_array() - base_pts[lab].as_array()))
-            for lab, p in m.points)
-        depths = ",".join(repr(p.z) for _, p in m.points)
-        lines.append(f"{m.angle!r},ok,{r1!r},{r2!r},{disp!r},{depths}")
+        r1, r2 = member.reprojection_residuals(frame1, frame2)
+        # each point's displacement as np.linalg.norm rounds it on one point
+        diff = member.points - base.points
+        disp = float(np.sqrt(np.vecdot(diff, diff)).max())
+        depths = ",".join(map(repr, member.points[:, 2].tolist()))
+        lines.append(f"{angle!r},ok,{r1!r},{r2!r},{disp!r},{depths}")
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -15,6 +15,8 @@ Conventions used throughout the library:
   time from one checked (k, n, 2) stack, or one at a time from labels and an
   (n, 2) array.  It is read one way, as an (m, 2) array in the order of the
   labels asked for (FrameObservation.coords).
+* A body is a label tuple and a read-only (n, 3) array, checked once as a
+  frame is (checked_body): a scene's or an interpretation's labels and points.
 """
 
 from __future__ import annotations
@@ -142,30 +144,13 @@ def quadratic_roots(q2, q1, q0, tol: float) -> tuple:
     return roots, found
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A 3D scene point; z is depth, orthogonal to the image plane."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise InvalidInputError(f"non-finite Point3 ({self.x}, {self.y}, {self.z})")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidMotion:
     """A proper rotation plus an in-plane translation.
 
     Depth translation has no effect on an orthographic image, so it is
-    excluded by construction rather than projected away.
+    excluded by construction rather than projected away.  Motions are
+    equal when their arrays are.
     """
 
     rotation: np.ndarray      # 3x3, orthonormal, det +1
@@ -179,6 +164,10 @@ class RigidMotion:
         check_motions(rot, tr)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tr)
+
+    def __eq__(self, other):
+        return isinstance(other, RigidMotion) and np.array_equal(self.rotation, other.rotation) \
+            and np.array_equal(self.translation, other.translation)
 
     @staticmethod
     def identity() -> "RigidMotion":
@@ -215,6 +204,35 @@ def check_motions(rotations: np.ndarray, translations: np.ndarray) -> None:
         raise InvalidInputError("rotation must be proper (det +1)")
 
 
+def _checked_points(labels_per_row, coords, dim: int, name: str, shape_error: str) -> tuple:
+    """The label tuples and the read-only (k, n, dim) float array of k point
+    sets, checked once over the whole stack: its shape (else shape_error), at
+    least 3 points, finite coordinates and distinct labels in each row.
+    name.format(i) names row i in an error ("frame {}" for frames, "body"
+    for a body)."""
+    labels = [tuple(labs) for labs in labels_per_row]
+    xyz = np.array(coords, dtype=float)
+    if xyz.ndim != 3 or xyz.shape[2] != dim or list(map(len, labels)) != [xyz.shape[1]] * len(xyz):
+        raise InvalidInputError(shape_error)
+    repeats = [labels.index(labs) for labs in set(labels) if len(set(labs)) < len(labs)]
+    if repeats:
+        raise InvalidInputError(f"{name.format(min(repeats))}: duplicate labels")
+    if xyz.shape[1] < 3:
+        raise InvalidInputError(f"{name.format(0)}: needs at least 3 points, has {xyz.shape[1]}")
+    if not np.isfinite(xyz).all():
+        raise InvalidInputError("non-finite coordinate")
+    xyz.flags.writeable = False
+    return labels, xyz
+
+
+def checked_body(labels, points) -> tuple:
+    """A body: its label tuple and a read-only (n, 3) float array of its
+    points, one row per label, checked as a frame is (_checked_points)."""
+    (labels,), (xyz,) = _checked_points(
+        [labels], [points], 3, "body", "a body needs one label per point and an (n, 3) array")
+    return labels, xyz
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class FrameObservation:
     """Labeled 2D projections of the traced points within one frame: a label
@@ -233,21 +251,10 @@ class FrameObservation:
     @classmethod
     def stack(cls, labels_per_frame, coords) -> tuple:
         """One frame per row of a (k, n, 2) coordinate stack, labelled by the
-        k label sequences, checked once over the whole stack: its shape, at
-        least 3 points, finite coordinates and distinct labels in each frame."""
-        labels = [tuple(labs) for labs in labels_per_frame]
-        xy = np.array(coords, dtype=float)
-        if xy.ndim != 3 or xy.shape[2] != 2 or list(map(len, labels)) != [xy.shape[1]] * len(xy):
-            raise InvalidInputError(
-                "FrameObservation.stack needs one label per point and a (k, n, 2) stack")
-        repeats = [labels.index(labs) for labs in set(labels) if len(set(labs)) < len(labs)]
-        if repeats:
-            raise InvalidInputError(f"frame {min(repeats)}: duplicate labels")
-        if xy.shape[1] < 3:
-            raise InvalidInputError(f"frame 0: needs at least 3 points, has {xy.shape[1]}")
-        if not np.isfinite(xy).all():
-            raise InvalidInputError("non-finite coordinate")
-        xy.flags.writeable = False
+        k label sequences, checked once over the whole stack (_checked_points)."""
+        labels, xy = _checked_points(
+            labels_per_frame, coords, 2, "frame {}",
+            "FrameObservation.stack needs one label per point and a (k, n, 2) stack")
         frames = tuple(object.__new__(cls) for _ in labels)
         for frame, labs, rows in zip(frames, labels, xy):
             vars(frame).update(labels=labs, _xy=rows)
@@ -379,12 +386,6 @@ class DofBalance:
 
     def __post_init__(self):
         object.__setattr__(self, "recoverable", self.unknowns <= self.information)
-
-
-def apply_motion(m: RigidMotion, p: Point3) -> Point3:
-    """Rotate and translate a point; translation acts in the image plane only."""
-    v = m.rotation @ p.as_array()
-    return Point3(v[0] + m.translation[0], v[1] + m.translation[1], v[2])
 
 
 def projected_sq_distances(frame: FrameObservation, labels) -> tuple:

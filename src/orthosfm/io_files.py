@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import FrameObservation, Point3, RigidMotion
+from .geometry import FrameObservation, RigidMotion
 
 if TYPE_CHECKING:
     from .scene_sim import Scene
@@ -25,8 +25,9 @@ if TYPE_CHECKING:
 def scene_to_json(scene: Scene) -> str:
     """The scene as json.dumps(doc, indent=2) + "\n" writes it, but faster:
     that encoder's indent mode runs in pure Python."""
-    points = [_json_block("{}", [f'"label": {json.dumps(str(lab))}', f'"x": {p.x!r}',
-                                 f'"y": {p.y!r}', f'"z": {p.z!r}'], 4) for lab, p in scene.body]
+    points = [_json_block("{}", [f'"label": {json.dumps(str(lab))}', f'"x": {x!r}',
+                                 f'"y": {y!r}', f'"z": {z!r}'], 4)
+              for lab, (x, y, z) in zip(scene.labels, scene.points.tolist())]
     motions = [_json_block("{}", [
         '"rotation": ' + _json_block("[]", map(repr, m.rotation.ravel().tolist()), 6),
         f'"tx": {tx!r}', f'"ty": {ty!r}'], 4)
@@ -53,10 +54,8 @@ def scene_from_json(text: str) -> Scene:
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"scene file: invalid JSON at line {exc.lineno}") from exc
     try:
-        body = tuple(
-            (entry["label"], Point3(float(entry["x"]), float(entry["y"]), float(entry["z"])))
-            for entry in doc["points"]
-        )
+        labels = [entry["label"] for entry in doc["points"]]
+        points = [[float(entry[axis]) for axis in "xyz"] for entry in doc["points"]]
         motions = tuple(
             RigidMotion(
                 np.array([float(v) for v in m["rotation"]]).reshape(3, 3),
@@ -67,7 +66,7 @@ def scene_from_json(text: str) -> Scene:
         seed = int(doc.get("seed", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"scene file: malformed field ({exc})") from exc
-    return Scene(body=body, motions=motions, seed=seed)
+    return Scene(labels, points, motions, seed)
 
 
 def frames_to_csv(frames) -> str:
@@ -84,9 +83,14 @@ def frames_to_csv(frames) -> str:
 
 
 def frames_from_csv(text: str) -> list:
-    """The frames of a frames file, every row checked: a parse error or a
-    non-finite coordinate names its line, a label fault its frame."""
-    rows = list(csv.reader(io.StringIO(text)))
+    """The frames of a frames file, every row checked: a parse error (csv's
+    own included) or a non-finite coordinate names its line, a label fault
+    its frame."""
+    try:
+        rows = list(reader := csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise InvalidInputError(f"frames file: line {reader.line_num}: {exc}") from None
+    del reader   # and with it a copy of the text, which would raise the peak memory
     if not rows or [h.strip() for h in rows[0]] != ["frame_index", "label", "x", "y"]:
         raise InvalidInputError("frames file: line 1: expected header frame_index,label,x,y")
     data = [row for row in rows[1:] if row]

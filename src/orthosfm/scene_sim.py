@@ -32,9 +32,9 @@ from .geometry import (
     TETRA_EDGES,
     TRIANGLE_EDGES,
     FrameObservation,
-    Point3,
     RigidMotion,
     check_motions,
+    checked_body,
 )
 
 DEFAULT_LABELS = ("P", "Q", "R", "T", "S")
@@ -54,27 +54,29 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED      # generate_state's
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
-    """A ground-truth body plus one rigid motion per frame (frame 1 identity)."""
+    """A ground-truth body (labels and points, geometry.checked_body) plus one
+    rigid motion per frame (frame 1 identity); equal when the fields are."""
 
-    body: tuple            # of (label, Point3)
+    labels: tuple
+    points: np.ndarray
     motions: tuple         # of RigidMotion
     seed: int
 
     def __post_init__(self):
-        if len(self.body) < 3:
-            raise InvalidInputError("a scene needs at least 3 points")
-        object.__setattr__(self, "body", tuple(self.body))
+        labels, points = checked_body(self.labels, self.points)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "motions", tuple(self.motions))
 
-    @property
-    def labels(self) -> tuple:
-        return tuple(lab for lab, _ in self.body)
+    def __eq__(self, other):
+        return isinstance(other, Scene) and self.labels == other.labels \
+            and np.array_equal(self.points, other.points) \
+            and self.motions == other.motions and self.seed == other.seed
 
     def true_sq_distance(self, label_a, label_b) -> float:
-        pts = dict(self.body)
-        d = pts[label_a].as_array() - pts[label_b].as_array()
+        d = self.points[self.labels.index(label_a)] - self.points[self.labels.index(label_b)]
         return float(d @ d)
 
 
@@ -83,8 +85,8 @@ class NoiseSpec:
     """Relative per-coordinate measurement noise.
 
     level is the maximum relative perturbation for the uniform distribution;
-    for gaussian it is treated as a 3-sigma bound.  It must be finite and
-    non-negative.
+    for gaussian it is treated as a 3-sigma bound.  It must be non-negative
+    and its range, 2 * level, finite (at most about 9e307).
     """
 
     level: float
@@ -92,9 +94,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.level) and self.level >= 0):
+        if not (math.isfinite(2.0 * self.level) and self.level >= 0):
             raise InvalidInputError(
-                f"noise level must be finite and >= 0, got {self.level!r}")
+                f"noise level must be >= 0 with a finite range 2 * level, got {self.level!r}")
         if self.distribution not in ("uniform", "gaussian"):
             raise InvalidInputError(f"unknown distribution {self.distribution!r}")
 
@@ -367,16 +369,12 @@ def _noise(rngs, spec: NoiseSpec, shape) -> np.ndarray:
 
 # ---------------------------------------------------------------- adapters
 
-def _labeled_body(pts: np.ndarray) -> tuple:
-    return tuple((lab, Point3(*p)) for lab, p in zip(_labels_for(len(pts)), pts.tolist()))
-
-
 def gen_body(n: int, seed) -> tuple:
     """Sample n labeled points in the unit cube, resampling until the
-    configuration is non-collinear (non-coplanar for n >= 4)."""
+    configuration is non-collinear (non-coplanar for n >= 4), as (labels, points)."""
     if n < 3:
         raise InvalidInputError("need at least 3 points")
-    return _labeled_body(_bodies(_generators(seed, [()]), n)[0])
+    return checked_body(_labels_for(n), _bodies(_generators(seed, [()]), n)[0])
 
 
 def gen_motion(seed) -> RigidMotion:
@@ -397,16 +395,15 @@ def gen_scene(n_points: int, n_frames: int, seed) -> Scene:
         n_points, n_frames, _generators(seed, _scene_keys([()], n_frames)))
     # _generators admitted only an int entropy, which Scene.seed records
     provenance = seed.entropy if isinstance(seed, np.random.SeedSequence) else int(seed)
-    return Scene(body=_labeled_body(bodies[0]), motions=RigidMotion.stack(rots[0], trans[0]),
-                 seed=int(provenance))
+    return Scene(_labels_for(n_points), bodies[0], RigidMotion.stack(rots[0], trans[0]),
+                 int(provenance))
 
 
 def render(scene: Scene) -> list:
     """Orthographic frames of the scene: frame j projects motion_j(body)."""
-    body = np.array([[p.x, p.y, p.z] for _, p in scene.body])
     rots = np.array([m.rotation for m in scene.motions])
     trans = np.array([m.translation for m in scene.motions])
-    images = _images(body[None], rots[None], trans[None])[0]
+    images = _images(scene.points[None], rots[None], trans[None])[0]
     return list(FrameObservation.stack([scene.labels] * len(images), images))
 
 

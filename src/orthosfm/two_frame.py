@@ -60,9 +60,9 @@ from .geometry import (
     REPROJECTION_BOUND,
     SQRT_EPS,
     FrameObservation,
-    Point3,
     RigidMotion,
     check_tolerance,
+    checked_body,
     depth_pair,
     quad_coeffs,
     quadratic_roots,
@@ -685,23 +685,32 @@ def residual_5pt(frame1: FrameObservation, frame2: FrameObservation,
     return float(_line_tables(maps, direction, pts1[4:], pts2)[0, 0, 4]) * scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Interpretation:
     """One consistent 3D reading of a two-frame observation pair: the body
-    in first-frame coordinates plus the motion carrying it into the second
-    frame."""
+    in first-frame coordinates, as labels and an (n, 3) array of points
+    (geometry.checked_body), plus the motion carrying it into the second
+    frame.  Interpretations are equal when their fields are, arrays by value."""
 
-    points: tuple          # of (label, Point3)
+    labels: tuple
+    points: np.ndarray
     motion: RigidMotion
+
+    def __post_init__(self):
+        labels, points = checked_body(self.labels, self.points)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "points", points)
+
+    def __eq__(self, other):
+        return isinstance(other, Interpretation) and self.labels == other.labels \
+            and np.array_equal(self.points, other.points) and self.motion == other.motion
 
     def reprojection_residuals(self, frame1, frame2) -> tuple:
         """Max image distance to each frame's observed points, each a hypot of
         differences, so no square leaves the float range."""
-        labels = [lab for lab, _ in self.points]
-        body = np.array([(pt.x, pt.y, pt.z) for _, pt in self.points])
-        images = (body[:, :2],
-                  body @ self.motion.rotation[:2].T + self.motion.translation)
-        return tuple(float(np.hypot(*(img - frame.coords(labels)).T).max())
+        images = (self.points[:, :2],
+                  self.points @ self.motion.rotation[:2].T + self.motion.translation)
+        return tuple(float(np.hypot(*(img - frame.coords(self.labels)).T).max())
                      for img, frame in zip(images, (frame1, frame2)))
 
 
@@ -709,18 +718,6 @@ def _reproduces(interp: Interpretation, frame1, frame2, scale: float) -> bool:
     """The one reproduction rule: interp's worst image distance, in either
     frame, is within REPROJECTION_BOUND of the pair's diameter, scale."""
     return max(interp.reprojection_residuals(frame1, frame2)) / scale <= REPROJECTION_BOUND
-
-
-@dataclass(frozen=True)
-class AmbiguityMember:
-    """One member of the two-frame ambiguity family."""
-
-    angle: float
-    points: tuple          # of (label, Point3)
-    motion: RigidMotion
-
-    def as_interpretation(self) -> Interpretation:
-        return Interpretation(self.points, self.motion)
 
 
 def _axis_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -746,9 +743,10 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
     returns the base interpretation.  Each angle's body is one array pass,
     and each point keeps its frame-1 observation as its (x, y).
 
-    The base, and each member, must reproduce both frames by the one rule
-    of _reproduces.  A member that does not, or whose rotated rays become
-    parallel to the first-frame rays, is returned with points=None.
+    Returns one (angle, Interpretation) pair per angle.  The base, and each
+    member, must reproduce both frames by the one rule of _reproduces.  A
+    member that does not, or whose rotated rays become parallel to the
+    first-frame rays, is None.
 
     Raises DegenerateBasisError for in-plane motion (rays already parallel),
     and InvalidInputError for a non-finite angle or a base that does not
@@ -772,8 +770,7 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
         raise DegenerateBasisError(
             "motion is in-plane: ambiguity axis undefined")
     axis /= axis_norm
-    labels = [lab for lab, _ in base.points]
-    body = np.array([(pt.x, pt.y, pt.z) for _, pt in base.points])
+    labels, body = base.labels, base.points
     anchor = body[0]
     targets = frame1.coords(labels)
 
@@ -783,7 +780,7 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
         new_dir = spin @ d
         dir_xy = new_dir[:2]
         if np.linalg.norm(dir_xy) < AXIS_EPS:
-            members.append(AmbiguityMember(angle, None, None))
+            members.append((angle, None))
             continue
         # each point where its first-frame ray meets the rotated bundle's
         # ray, written with its frame-1 observation as (x, y)
@@ -792,23 +789,17 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
         lifted = np.column_stack([targets, moved[:, 2] + s * new_dir[2]])
         new_rot = rot @ spin.T
         shift = rot @ anchor - new_rot @ anchor
-        member = AmbiguityMember(
-            angle, tuple((lab, Point3(*xyz)) for lab, xyz in zip(labels, lifted.tolist())),
-            RigidMotion(new_rot, base.motion.translation + shift[:2]))
-        if not _reproduces(member.as_interpretation(), frame1, frame2, scale):
-            member = AmbiguityMember(angle, None, None)
-        members.append(member)
+        member = Interpretation(labels, lifted,
+                                RigidMotion(new_rot, base.motion.translation + shift[:2]))
+        members.append((angle, member if _reproduces(member, frame1, frame2, scale) else None))
     return members
 
 
 # A worked two-frame configuration with a strikingly non-unique structure:
 # at REFERENCE_AMBIGUITY_ANGLE the family member moves Q and R several
 # units in depth while both images stay pixel-identical.
-REFERENCE_BODY = (
-    ("P", Point3(0.0, 0.0, 0.0)),
-    ("Q", Point3(2.0, -2.0, 3.46537)),
-    ("R", Point3(5.0, 4.0, 0.68697)),
-)
+REFERENCE_BODY = checked_body(
+    "PQR", [(0.0, 0.0, 0.0), (2.0, -2.0, 3.46537), (5.0, 4.0, 0.68697)])
 _REFERENCE_PHI = 2.7805551414450389    # azimuth of the pulled-back ray direction
 _REFERENCE_TILT = 0.4                  # tilt of that direction from the view axis
 REFERENCE_AMBIGUITY_ANGLE = 1.456756913094817
@@ -818,7 +809,8 @@ REFERENCE_ALTERNATE_DEPTHS = {"Q": 4.63902, "R": 4.37296}
 def reference_ambiguity_scene():
     """The frozen demonstration scene for the two-frame ambiguity.
 
-    Returns (body, motion): the 3-point body above and a rigid motion such
+    Returns (body, motion): the 3-point body above, as labels and points
+    (geometry.checked_body), and a rigid motion such
     that rotating the family by REFERENCE_AMBIGUITY_ANGLE yields a member
     whose Q and R depths are REFERENCE_ALTERNATE_DEPTHS while both frames
     reproject exactly.
@@ -839,7 +831,7 @@ def interpretation_from_scene(scene) -> Interpretation:
     """Ground-truth interpretation of a simulated scene's first two frames."""
     if len(scene.motions) < 2:
         raise InvalidInputError("scene needs at least 2 frames")
-    return Interpretation(points=scene.body, motion=scene.motions[1])
+    return Interpretation(scene.labels, scene.points, scene.motions[1])
 
 
 def base_interpretation_from_frames(frame1: FrameObservation,
@@ -902,6 +894,5 @@ def _fit_interpretation(e1: np.ndarray, e2: np.ndarray, labels, img1: np.ndarray
     col = rxy[:, 2]
     rhs = (img2 - img1 @ rxy[:, :2].T) / scale - translation
     z = rhs @ col / (col @ col) if col @ col > AXIS_EPS ** 2 else np.zeros(len(labels))
-    points = tuple((lab, Point3(x, y, depth * scale))
-                   for lab, (x, y), depth in zip(labels, img1, z))
-    return Interpretation(points, RigidMotion(rot, translation * scale))
+    return Interpretation(labels, np.column_stack([img1, z * scale]),
+                          RigidMotion(rot, translation * scale))

@@ -22,22 +22,18 @@ TETRA_PAIRS = TRIANGLE_PAIRS + (("T", "R"), ("T", "P"), ("T", "Q"))
 
 
 def golden_body():
-    """Planar embedding of the worked-example triangle."""
+    """Planar embedding of the worked-example triangle, as labels and points."""
     a_sq, b_sq, c_sq = GOLDEN_SQ
     x = (a_sq + c_sq - b_sq) / (2.0 * math.sqrt(a_sq))
     y = math.sqrt(c_sq - x * x)
-    return (
-        ("P", geo.Point3(0.0, 0.0, 0.0)),
-        ("Q", geo.Point3(math.sqrt(a_sq), 0.0, 0.0)),
-        ("R", geo.Point3(x, y, 0.0)),
-    )
+    return geo.checked_body("PQR", [(0.0, 0.0, 0.0), (math.sqrt(a_sq), 0.0, 0.0), (x, y, 0.0)])
 
 
 def golden_scene(n_frames: int, seed: int = 42) -> sim.Scene:
     motions = [geo.RigidMotion.identity()]
     for j in range(1, n_frames):
         motions.append(sim.gen_motion(sim.subseed(seed, j)))
-    return sim.Scene(body=golden_body(), motions=tuple(motions), seed=seed)
+    return sim.Scene(*golden_body(), motions=tuple(motions), seed=seed)
 
 
 def frames_sq(scene: sim.Scene, labels=None):
@@ -138,7 +134,7 @@ def shared_epipolar_pair(seed: int, n: int = 6):
     motion = sim.gen_motion(seed + 1000)
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(0.5, 1.5, 2) * rng.choice([-1.0, 1.0], 2)
-    body = np.array([p.as_array() for _, p in sim.gen_body(n - 1, seed)])
+    body = sim.gen_body(n - 1, seed)[1]
     body = np.vstack([body, body[-1] + a * np.eye(3)[2] + b * motion.rotation[2]])
     images = (body[:, :2], (body @ motion.rotation.T)[:, :2] + motion.translation)
     labels = ["P", "Q", "R", "T", "S", "U", "V", "W"][:n]
@@ -189,7 +185,7 @@ def near_degenerate_pair(kind, n, seed):
     relabeling."""
     rng = np.random.default_rng(seed)
     if isinstance(kind, float):
-        body = np.array([p.as_array() for _, p in sim.gen_body(n, seed)])
+        body = sim.gen_body(n, seed)[1]
         axis = rng.normal(size=3)
         motion = geo.RigidMotion(tf._axis_rotation(axis / np.linalg.norm(axis), kind),
                                  rng.uniform(-1.0, 1.0, 2))

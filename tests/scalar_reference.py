@@ -1,8 +1,10 @@
-"""The scalar two-frame path that the array core of orthosfm.two_frame
-replaced, kept verbatim as the tests' reference: the quadratic root routine,
-the depth-sign routine, the biquadratic, the per-assignment triangle set-up
-(_TrianglePair) and the 4-point residual, one assignment and one root at a
-time in Python floats."""
+"""The scalar paths that orthosfm's array code replaced, kept verbatim as the
+tests' reference: the per-point body (Point3, apply_motion) that bodies as
+(n, 3) arrays replaced, and the two-frame path that the array core of
+orthosfm.two_frame replaced: the quadratic root routine, the depth-sign
+routine, the biquadratic, the per-assignment triangle set-up (_TrianglePair)
+and the 4-point residual, one assignment and one root at a time in Python
+floats."""
 
 from __future__ import annotations
 
@@ -22,10 +24,35 @@ from orthosfm.geometry import (
     DEGENERACY_EPS,
     LINEAR_EPS,
     FrameObservation,
+    RigidMotion,
     check_tolerance,
     quad_coeffs,
 )
 from orthosfm.two_frame import C_START_FACTOR, BofCCoeffs, _pair_units
+
+
+@dataclass(frozen=True)
+class Point3:
+    """A 3D scene point; z is depth, orthogonal to the image plane."""
+
+    x: float
+    y: float
+    z: float
+
+    def __post_init__(self):
+        for name in ("x", "y", "z"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
+            raise InvalidInputError(f"non-finite Point3 ({self.x}, {self.y}, {self.z})")
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.x, self.y, self.z], dtype=float)
+
+
+def apply_motion(m: RigidMotion, p: Point3) -> Point3:
+    """Rotate and translate a point; translation acts in the image plane only."""
+    v = m.rotation @ p.as_array()
+    return Point3(v[0] + m.translation[0], v[1] + m.translation[1], v[2])
 
 
 def solve_quadratic(q2: float, q1: float, q0: float, tol: float):

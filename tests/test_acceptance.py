@@ -139,31 +139,31 @@ def test_criterion_6_two_frame_ambiguity():
         scale = math.sqrt(max(frame1.scale_sq(), frame2.scale_sq()))
         base = tf.interpretation_from_scene(scene)
         members = tf.ambiguity_family(frame1, frame2, base, angles)
-        realized = [m for m in members if m.points is not None]
+        realized = [(angle, m) for angle, m in members if m is not None]
         assert len(realized) >= 8, f"seed {seed}: only {len(realized)} members"
-        base_pts = dict(base.points)
-        for m in realized:
-            r1, r2 = m.as_interpretation().reprojection_residuals(frame1, frame2)
+        base_pts = dict(zip(base.labels, base.points))
+        for angle, m in realized:
+            r1, r2 = m.reprojection_residuals(frame1, frame2)
             assert max(r1, r2) < 1e-9 * scale, \
-                f"seed {seed} angle {m.angle}: reproj {max(r1, r2):.3g}"
+                f"seed {seed} angle {angle}: reproj {max(r1, r2):.3g}"
             disp = max(
-                float(np.linalg.norm(p.as_array() - base_pts[lab].as_array()))
-                for lab, p in m.points)
+                float(np.linalg.norm(p - base_pts[lab]))
+                for lab, p in zip(m.labels, m.points))
             assert disp > 1e-6 * scale, \
-                f"seed {seed} angle {m.angle}: structure not distinct"
+                f"seed {seed} angle {angle}: structure not distinct"
         checked += 1
 
     # the frozen worked configuration: depths of Q and R in the alternate
     # structure, images bit-identical
     body, motion = tf.reference_ambiguity_scene()
-    ref_scene = sim.Scene(body=body,
+    ref_scene = sim.Scene(*body,
                           motions=(geo.RigidMotion.identity(), motion), seed=0)
     frame1, frame2 = sim.render(ref_scene)
     base = tf.interpretation_from_scene(ref_scene)
-    (member,) = tf.ambiguity_family(
+    ((_, member),) = tf.ambiguity_family(
         frame1, frame2, base, [tf.REFERENCE_AMBIGUITY_ANGLE])
-    depths = {lab: p.z for lab, p in member.points}
-    imgs = {lab: (p.x, p.y) for lab, p in member.points}
+    depths = {lab: z for lab, (_, _, z) in zip(member.labels, member.points.tolist())}
+    imgs = {lab: (x, y) for lab, (x, y, _) in zip(member.labels, member.points.tolist())}
     assert abs(depths["Q"] - 4.63902) < 1e-4
     assert abs(depths["R"] - 4.37296) < 1e-4
     assert imgs["Q"] == (2.0, -2.0) and imgs["R"] == (5.0, 4.0)

@@ -10,25 +10,26 @@ from orthosfm import geometry as geo
 from orthosfm import scene_sim as sim
 from orthosfm.errors import InconsistentLengthsError, InvalidInputError, MissingLabelError
 
+import scalar_reference as ref
 from conftest import SCALE_SWEEP, TRIANGLE_PAIRS, frames_sq
 
 
 class TestApplyMotion:
     def test_identity(self):
         m = geo.RigidMotion.identity()
-        assert geo.apply_motion(m, geo.Point3(1, 2, 3)) == geo.Point3(1, 2, 3)
+        assert ref.apply_motion(m, ref.Point3(1, 2, 3)) == ref.Point3(1, 2, 3)
 
     def test_half_turn_about_z(self):
         rot = np.array([[-1.0, 0, 0], [0, -1.0, 0], [0, 0, 1.0]])
         m = geo.RigidMotion(rot, np.zeros(2))
-        out = geo.apply_motion(m, geo.Point3(1, 0, 0))
+        out = ref.apply_motion(m, ref.Point3(1, 0, 0))
         assert abs(out.x + 1) < 1e-15 and abs(out.y) < 1e-15 and out.z == 0
 
     def test_matches_manual_multiply(self, rng):
         for _ in range(20):
             m = sim.gen_motion(int(rng.integers(0, 2**32)))
-            p = geo.Point3(*rng.normal(size=3))
-            out = geo.apply_motion(m, p)
+            p = ref.Point3(*rng.normal(size=3))
+            out = ref.apply_motion(m, p)
             # independent element-wise oracle
             vec = (p.x, p.y, p.z)
             expect = [sum(m.rotation[i][j] * vec[j] for j in range(3)) for i in range(3)]
@@ -40,7 +41,7 @@ class TestApplyMotion:
 
     def test_translation_has_no_depth(self):
         m = sim.gen_motion(3)
-        p = geo.apply_motion(m, geo.Point3(0.2, 0.4, 0.6))
+        p = ref.apply_motion(m, ref.Point3(0.2, 0.4, 0.6))
         bare = m.rotation @ np.array([0.2, 0.4, 0.6])
         assert p.z == pytest.approx(bare[2], abs=0)
 
@@ -225,6 +226,33 @@ class TestFrameObservationStack:
             geo.FrameObservation((), np.zeros((0, 2)))
 
 
+class TestCheckedBody:
+    def test_labels_and_a_read_only_copy(self):
+        points = np.arange(9.0).reshape(3, 3)
+        labels, body = geo.checked_body("PQR", points)
+        points[:] = 0.0   # the caller's array is copied
+        assert labels == ("P", "Q", "R") and np.array_equal(body, np.arange(9.0).reshape(3, 3))
+        with pytest.raises(ValueError):
+            body[0, 0] = 1.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_coordinate(self, value):
+        points = np.ones((4, 3))
+        points[2, 1] = value
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            geo.checked_body("PQRT", points)
+
+    @pytest.mark.parametrize("labels, points, message", [
+        ("PQP", np.zeros((3, 3)), "body: duplicate labels"),
+        ("PQ", np.zeros((2, 3)), "body: needs at least 3 points, has 2"),
+        ("PQR", np.zeros((3, 2)), "one label per point and an \\(n, 3\\) array"),
+        ("PQ", np.zeros((3, 3)), "one label per point"),
+    ])
+    def test_rejects_a_malformed_body(self, labels, points, message):
+        with pytest.raises(InvalidInputError, match=message):
+            geo.checked_body(labels, points)
+
+
 class TestDofBalance:
     @pytest.mark.parametrize("p,k,unknowns,information,recoverable", [
         (3, 3, 18, 18, True),
@@ -281,8 +309,8 @@ class TestEmbedDepths:
                 scene.true_sq_distance("Q", "R"),
                 scene.true_sq_distance("R", "P"))
             sq = frames_sq(scene)[1]
-            moved = {lab: geo.apply_motion(scene.motions[1], p)
-                     for lab, p in scene.body}
+            moved = {lab: ref.apply_motion(scene.motions[1], ref.Point3(*p))
+                     for lab, p in zip(scene.labels, scene.points)}
             truth = (moved["Q"].z - moved["P"].z,
                      moved["R"].z - moved["Q"].z,
                      moved["P"].z - moved["R"].z)
@@ -419,11 +447,11 @@ class TestInvariants:
     def test_rigid_motion_preserves_distances(self):
         for seed in range(20):
             scene = sim.gen_scene(4, 3, seed)
-            pts = dict(scene.body)
+            pts = {lab: ref.Point3(*p) for lab, p in zip(scene.labels, scene.points)}
             for motion in scene.motions:
                 for la, lb in (("P", "Q"), ("Q", "R"), ("R", "T")):
                     before = pts[la].as_array() - pts[lb].as_array()
-                    after = (geo.apply_motion(motion, pts[la]).as_array()
-                             - geo.apply_motion(motion, pts[lb]).as_array())
+                    after = (ref.apply_motion(motion, pts[la]).as_array()
+                             - ref.apply_motion(motion, pts[lb]).as_array())
                     rel = abs(float(before @ before) - float(after @ after))
                     assert rel < 1e-12 * max(1.0, float(before @ before))

@@ -28,7 +28,7 @@ class TestSceneJson:
         scene = sim.gen_scene(4, 3, 17)
         back = io_files.scene_from_json(io_files.scene_to_json(scene))
         assert back.seed == scene.seed
-        assert back.body == scene.body
+        assert back == scene
         for m1, m2 in zip(back.motions, scene.motions):
             assert np.array_equal(m1.rotation, m2.rotation)
             assert np.array_equal(m1.translation, m2.translation)
@@ -45,7 +45,8 @@ class TestSceneJson:
 def scene_doc(scene):
     """The scene file's document, as json.dumps encodes it."""
     return {
-        "points": [{"label": str(lab), "x": p.x, "y": p.y, "z": p.z} for lab, p in scene.body],
+        "points": [{"label": str(lab), "x": x, "y": y, "z": z}
+                   for lab, (x, y, z) in zip(scene.labels, scene.points.tolist())],
         "motions": [{"rotation": [float(v) for v in m.rotation.reshape(-1)],
                      "tx": float(m.translation[0]), "ty": float(m.translation[1])}
                     for m in scene.motions],
@@ -66,14 +67,14 @@ class TestSceneJsonOracle:
             assert io_files.scene_to_json(back) == text
 
     def test_labels_that_need_escaping(self):
-        body = tuple((lab, geo.Point3(-0.0, 5e-324, 1e300 * k)) for k, lab in
-                     enumerate(['a"b', "c\\d", "e\nf", "\u00e9\t", "\U0001f600"]))
+        labels = ['a"b', "c\\d", "e\nf", "\u00e9\t", "\U0001f600"]
+        points = [(-0.0, 5e-324, 1e300 * k) for k in range(len(labels))]
         for motions in ((), sim.gen_scene(3, 3, 1).motions):
-            scene = sim.Scene(body=body, motions=motions, seed=2**70)
+            scene = sim.Scene(labels, points, motions=motions, seed=2**70)
             text = io_files.scene_to_json(scene)
             assert text == json.dumps(scene_doc(scene), indent=2) + "\n"
             back = io_files.scene_from_json(text)
-            assert back.body == scene.body and back.seed == scene.seed
+            assert back == scene and back.seed == scene.seed
             assert io_files.scene_to_json(back) == text
 
 
@@ -186,6 +187,12 @@ class TestFramesCsv:
         del rows[10]   # frame 2 loses its T
         with pytest.raises(InvalidInputError, match="frame 3 labels differ from frame 0"):
             io_files.frames_from_csv("\n".join(rows) + "\n")
+
+    def test_field_over_the_csv_limit_names_its_line(self):
+        text = f"frame_index,label,x,y\n0,P,0,0\n0,{'Q' * 200_000},1,0\n0,R,0,1\n"
+        with pytest.raises(InvalidInputError,
+                           match=r"^frames file: line 3: field larger than field limit"):
+            io_files.frames_from_csv(text)
 
     @pytest.mark.parametrize("index", ["-1", "7", str(10**30)])
     def test_index_out_of_range(self, index):
@@ -491,7 +498,7 @@ class TestCliSimulate:
             (tmp_path / "demo.scene.json").read_text())
         frames = io_files.frames_from_csv(
             (tmp_path / "demo.frames.csv").read_text())
-        assert len(scene.body) == 3 and len(frames) == 4
+        assert len(scene.points) == 3 and len(frames) == 4
 
     def test_deterministic_from_seed(self, tmp_path, capsys):
         for name in ("x", "y"):
@@ -539,7 +546,7 @@ class TestCliSimulate:
             "frames.csv": "968144d36228f6ee313d662e62dbd532370e46bf75584464fca1bca849aabbf6",
         }
 
-    @pytest.mark.parametrize("noise", ["-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("noise", ["-0.5", "nan", "inf", "1e308"])
     def test_rejects_invalid_noise(self, tmp_path, capsys, noise):
         prefix = tmp_path / "bad"
         assert cli.main(["simulate", "--points", "3", "--frames", "3", "--noise", noise,
@@ -597,7 +604,7 @@ class TestCliNoiseStudy:
             assert int(row[2]) == int(row[6]) + int(row[7])
         assert int(rows[1][7]) > 0
 
-    @pytest.mark.parametrize("levels", ["-0.1", "nan", "0.01,inf"])
+    @pytest.mark.parametrize("levels", ["-0.1", "nan", "0.01,inf", "0.01,1e308"])
     def test_rejects_invalid_levels(self, capsys, levels):
         assert cli.main(["noise-study", "--levels", levels, "--trials", "2"]) == cli.EXIT_INPUT
         captured = capsys.readouterr()
@@ -632,6 +639,17 @@ class TestCliAmbiguity:
         for row in ok_rows:
             fields = row.split(",")
             assert float(fields[2]) < 1e-6 and float(fields[3]) < 1e-6
+
+    @pytest.mark.parametrize("scene, digest", [
+        ((4, 2, 50), "a41952a8f709b31e8c301621f982a5b70fc1eb78d849e66860c4ca7c4955e23e"),
+        ((3, 2, 7), "b245dbdf9c87fb9080c93827d174b5ec09b792b9486f998a2e0c4267b76174ad"),
+    ])
+    def test_output_bytes_pinned(self, tmp_path, capsys, scene, digest):
+        # digests of the output written when each body point was its own object
+        f = tmp_path / "frames.csv"
+        write_frames(f, sim.gen_scene(*scene))
+        assert cli.main(["ambiguity", str(f)]) == cli.EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_needs_two_frames(self, tmp_path, capsys):
         f = tmp_path / "frames.csv"
@@ -679,6 +697,20 @@ def test_malformed_command_line_is_input_error(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1 and "usage:" not in err
+
+
+@pytest.mark.parametrize("command", ["recover", "match", "ambiguity"])
+@pytest.mark.parametrize("content, message", [
+    pytest.param(b"\xff\xfe", "frames file: not UTF-8 (invalid start byte)", id="not-utf8"),
+    pytest.param(f"frame_index,label,x,y\n0,{'P' * 200_000},0,0\n".encode(),
+                 "frames file: line 2: field larger than field limit (131072)",
+                 id="over-the-csv-field-limit"),
+])
+def test_unreadable_frames_file_is_input_error(tmp_path, capsys, command, content, message):
+    f = tmp_path / "frames.csv"
+    f.write_bytes(content)
+    assert cli.main([command, str(f)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_help_still_exits_0(capsys):

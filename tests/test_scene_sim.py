@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from orthosfm.errors import (
     InvalidInputError,
     SingularSystemError,
 )
+
+import scalar_reference as ref
 
 
 # ------------------------------------------------------------------
@@ -37,8 +40,13 @@ def reference_gen_body(n, seed, rejected):
     while True:
         pts = rng.uniform(0.0, 1.0, size=(n, 3))
         if reference_is_generic(pts):
-            return tuple((lab, geo.Point3(*map(float, p))) for lab, p in zip(labels, pts))
+            return labels, pts
         rejected["body"] += 1
+
+
+def same_body(got, want) -> bool:
+    """Bodies as (labels, points) equal: the labels and every float."""
+    return got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
 def reference_quat_to_matrix(q):
@@ -69,13 +77,13 @@ def reference_gen_scene(n_points, n_frames, seed, rejected):
     motions = [geo.RigidMotion.identity()] + [
         reference_gen_motion(sim.subseed(seed, j), rejected) for j in range(1, n_frames)]
     provenance = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
-    return sim.Scene(body=body, motions=tuple(motions), seed=int(provenance))
+    return sim.Scene(*body, motions=tuple(motions), seed=int(provenance))
 
 
 def reference_render(scene):
     frames = []
     for motion in scene.motions:
-        moved = [geo.apply_motion(motion, p) for _, p in scene.body]
+        moved = [ref.apply_motion(motion, ref.Point3(*p)) for p in scene.points]
         frames.append(geo.FrameObservation(scene.labels, [(q.x, q.y) for q in moved]))
     return frames
 
@@ -142,25 +150,24 @@ def reference_noise_study(mode, levels, trials, seed, rejected):
 
 class TestGenBody:
     def test_deterministic(self):
-        assert sim.gen_body(4, 99) == sim.gen_body(4, 99)
+        assert same_body(sim.gen_body(4, 99), sim.gen_body(4, 99))
 
     def test_distinct_seeds_distinct_bodies(self):
-        assert sim.gen_body(4, 1) != sim.gen_body(4, 2)
+        assert not same_body(sim.gen_body(4, 1), sim.gen_body(4, 2))
 
     def test_labels_and_bounds(self):
-        body = sim.gen_body(5, 0)
-        assert tuple(lab for lab, _ in body) == ("P", "Q", "R", "T", "S")
-        for _, p in body:
-            assert 0.0 <= p.x <= 1.0 and 0.0 <= p.y <= 1.0 and 0.0 <= p.z <= 1.0
+        labels, points = sim.gen_body(5, 0)
+        assert labels == ("P", "Q", "R", "T", "S")
+        for x, y, z in points.tolist():
+            assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 and 0.0 <= z <= 1.0
 
     def test_extra_labels_beyond_five(self):
-        body = sim.gen_body(7, 0)
-        assert [lab for lab, _ in body][5:] == ["X0", "X1"]
+        labels, _ = sim.gen_body(7, 0)
+        assert labels[5:] == ("X0", "X1")
 
     def test_genericity(self):
         for seed in range(50):
-            body = sim.gen_body(4, seed)
-            pts = np.array([p.as_array() for _, p in body])
+            pts = sim.gen_body(4, seed)[1]
             sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
             assert sv[2] >= 0.05 * sv[0]  # non-coplanar margin
 
@@ -174,8 +181,7 @@ class TestGenBody:
         else:
             pytest.fail("no rejected first draw in seeds 0-999")
         assert reference_is_generic(draws[1])
-        assert sim.gen_body(3, seed) == tuple(
-            (lab, geo.Point3(*p)) for lab, p in zip("PQR", draws[1].tolist()))
+        assert same_body(sim.gen_body(3, seed), (("P", "Q", "R"), draws[1]))
 
     def test_needs_three_points(self):
         with pytest.raises(InvalidInputError):
@@ -307,17 +313,25 @@ class TestGenScene:
 
     def test_counts(self):
         scene = sim.gen_scene(4, 5, 1)
-        assert len(scene.body) == 4 and len(scene.motions) == 5
+        assert len(scene.points) == 4 and len(scene.motions) == 5
 
     def test_true_sq_distance_oracle(self):
         scene = sim.gen_scene(3, 2, 2)
-        pts = dict(scene.body)
-        d = pts["P"].as_array() - pts["Q"].as_array()
+        pts = dict(zip(scene.labels, scene.points))
+        d = pts["P"] - pts["Q"]
         assert scene.true_sq_distance("P", "Q") == pytest.approx(float(d @ d))
 
     def test_needs_one_frame(self):
         with pytest.raises(InvalidInputError):
             sim.gen_scene(3, 0, 0)
+
+    def test_scenes_compare_by_value(self):
+        scene = sim.gen_scene(4, 2, 3)
+        assert sim.Scene(scene.labels, scene.points.copy(), scene.motions, scene.seed) == scene
+        assert sim.Scene(scene.labels, scene.points + 1e-12, scene.motions, scene.seed) != scene
+        assert sim.Scene(scene.labels, scene.points, scene.motions[::-1], scene.seed) != scene
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            sim.Scene(scene.labels, scene.points * np.inf, scene.motions, scene.seed)
 
 
 class TestRender:
@@ -326,15 +340,15 @@ class TestRender:
         frames = sim.render(scene)
         assert len(frames) == 3
         for frame, motion in zip(frames, scene.motions):
-            for lab, p in scene.body:
-                moved = geo.apply_motion(motion, p)
+            for lab, p in zip(scene.labels, scene.points):
+                moved = ref.apply_motion(motion, ref.Point3(*p))
                 assert frame.coords([lab])[0].tolist() == [moved.x, moved.y]
 
     def test_first_frame_is_plain_projection(self):
         scene = sim.gen_scene(3, 2, 4)
         frame = sim.render(scene)[0]
-        for lab, p in scene.body:
-            assert frame.coords([lab])[0].tolist() == [p.x, p.y]
+        for lab, (x, y, _) in zip(scene.labels, scene.points.tolist()):
+            assert frame.coords([lab])[0].tolist() == [x, y]
 
 
 class TestAddNoise:
@@ -381,10 +395,20 @@ class TestAddNoise:
         with pytest.raises(InvalidInputError):
             sim.NoiseSpec(level=0.1, distribution="cauchy")
 
-    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, -1e-300])
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, -1e-300, 1e308])
     def test_spec_rejects_non_finite_and_negative(self, level):
         with pytest.raises(InvalidInputError, match="noise level"):
             sim.NoiseSpec(level=level)
+
+
+    @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+    def test_largest_level_draws(self, distribution):
+        # one rule for both distributions: the range 2 * level must be finite
+        level = sys.float_info.max / 2.0
+        frames = [geo.FrameObservation("PQR", [(0.0, 0.5), (1.0, 0.25), (0.5, 1.0)])]
+        assert len(sim.add_noise(frames, sim.NoiseSpec(level, distribution, seed=1))) == 1
+        with pytest.raises(InvalidInputError, match="noise level"):
+            sim.NoiseSpec(math.nextafter(level, math.inf), distribution)
 
 
 class TestSameAsPerPointSimulator:
@@ -397,7 +421,7 @@ class TestSameAsPerPointSimulator:
             n_points, n_frames = 3 + seed % 4, 1 + (seed // 4) % 6
             expect = reference_gen_scene(n_points, n_frames, seed, rejected)
             scene = sim.gen_scene(n_points, n_frames, seed)
-            assert scene.body == expect.body and scene.seed == expect.seed
+            assert scene == expect
             assert len(scene.motions) == n_frames
             for got, want in zip(scene.motions, expect.motions):
                 assert np.array_equal(got.rotation, want.rotation)
@@ -413,8 +437,8 @@ class TestSameAsPerPointSimulator:
     def test_single_draw_adapters(self):
         rejected = {"body": 0, "motion": 0}
         for seed in range(200):
-            assert sim.gen_body(3 + seed % 4, seed) == \
-                reference_gen_body(3 + seed % 4, seed, rejected)
+            assert same_body(sim.gen_body(3 + seed % 4, seed),
+                             reference_gen_body(3 + seed % 4, seed, rejected))
             got, want = sim.gen_motion(seed), reference_gen_motion(seed, rejected)
             assert np.array_equal(got.rotation, want.rotation)
             assert np.array_equal(got.translation, want.translation)

@@ -210,13 +210,13 @@ class TestSolveP3F3:
 
     def test_pure_in_plane_motion_degenerate(self):
         # In-plane rotation leaves projected distances unchanged -> degenerate
-        body = golden_scene(1).body
+        scene = golden_scene(1)
         motions = []
         for ang in (0.0, 0.5, 1.2):
             c, s = math.cos(ang), math.sin(ang)
             rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
             motions.append(geo.RigidMotion(rot, np.array([ang, -ang])))
-        scene = sim.Scene(body=body, motions=tuple(motions), seed=0)
+        scene = sim.Scene(scene.labels, scene.points, motions=tuple(motions), seed=0)
         with pytest.raises(DegenerateEliminationError):
             sol.solve_p3f3(frames_sq(scene))
 

@@ -14,12 +14,14 @@ import orthosfm
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# every name the package root exported when it imported its submodules eagerly
+# every name the package root exported when it imported its submodules eagerly,
+# less the per-point body types (AmbiguityMember, Point3, apply_motion) that
+# bodies as arrays replaced
 EAGER_EXPORTS = (
-    "AmbiguityMember", "BatchResult", "Candidate", "DofBalance",
-    "FrameObservation", "Interpretation", "MatchReport", "NoiseSpec", "Point3",
+    "BatchResult", "Candidate", "DofBalance",
+    "FrameObservation", "Interpretation", "MatchReport", "NoiseSpec",
     "RecoveryResult", "RigidMotion", "Scene", "TetraDistances", "TriangleDistances",
-    "add_noise", "ambiguity_family", "apply_motion", "b_of_c_coeffs",
+    "add_noise", "ambiguity_family", "b_of_c_coeffs",
     "base_interpretation_from_frames", "collinearity_residual_4pt", "dof_balance",
     "embed_depths", "eq1_residual", "errors", "feasibility_check", "gen_body", "gen_motion",
     "gen_scene", "geometry", "interpretation_from_scene", "match_points",

@@ -595,10 +595,9 @@ class TestSameAsExhaustiveSearch:
         # a stretched body passes the affine epipolar test under the true
         # assignment; only the 4-point metric test refuses it
         for seed in range(10):
-            body = sim.gen_body(n, seed)
+            labels, pts = sim.gen_body(n, seed)
             stretch = np.diag(np.random.default_rng(seed).uniform(0.5, 1.5, 3))
             motion = sim.gen_motion(seed)
-            labels, pts = [lab for lab, _ in body], np.array([p.as_array() for _, p in body])
             frame1 = geo.FrameObservation(labels, pts[:, :2])
             moved = (pts @ stretch.T @ motion.rotation.T)[:, :2] + motion.translation
             frame2 = geo.FrameObservation(labels, moved)
@@ -637,7 +636,7 @@ class TestSameAsExhaustiveSearch:
         # one-to-one and the true probe assignment must not win
         kinds = []
         for seed in range(10):
-            probe = np.array([p.as_array() for _, p in sim.gen_body(4, seed)])
+            probe = sim.gen_body(4, seed)[1]
             motion = sim.gen_motion(seed)
             x = probe.mean(axis=0) + np.array([0.0, 0.0, 0.3])
             y = x + 0.2 * np.array([0.0, 0.0, 1.0]) + 0.1 * motion.rotation[2]
@@ -785,14 +784,14 @@ def reference_family_points(frame1, base, angle):
     d = rot.T @ np.array([0.0, 0.0, 1.0])
     axis = np.cross(np.array([0.0, 0.0, 1.0]), d)
     axis /= np.linalg.norm(axis)
-    anchor = base.points[0][1].as_array()
-    targets = frame1.coords([lab for lab, _ in base.points])
+    anchor = base.points[0]
+    targets = frame1.coords(base.labels)
     spin = tf._axis_rotation(axis, angle)
     new_dir = spin @ d
     dir_xy = new_dir[:2]
     points = []
-    for (_, pt), target in zip(base.points, targets):
-        moved = anchor + spin @ (pt.as_array() - anchor)
+    for pt, target in zip(base.points, targets):
+        moved = anchor + spin @ (pt - anchor)
         s = float(dir_xy @ (target - moved[:2])) / float(dir_xy @ dir_xy)
         points.append(moved + s * new_dir)
     return np.array(points)
@@ -800,12 +799,12 @@ def reference_family_points(frame1, base, angle):
 
 def reference_reprojection_residuals(interp, frame1, frame2):
     """The per-point loop that Interpretation.reprojection_residuals replaced."""
-    labels = [lab for lab, _ in interp.points]
-    obs1, obs2 = (frame.coords(labels).tolist() for frame in (frame1, frame2))
-    r1 = max(math.hypot(pt.x - x, pt.y - y) for (_, pt), (x, y) in zip(interp.points, obs1))
+    obs1, obs2 = (frame.coords(interp.labels).tolist() for frame in (frame1, frame2))
+    pts = [ref.Point3(*p) for p in interp.points]
+    r1 = max(math.hypot(pt.x - x, pt.y - y) for pt, (x, y) in zip(pts, obs1))
     r2 = 0.0
-    for (_, pt), (x, y) in zip(interp.points, obs2):
-        img = geo.apply_motion(interp.motion, pt)
+    for pt, (x, y) in zip(pts, obs2):
+        img = ref.apply_motion(interp.motion, pt)
         r2 = max(r2, math.hypot(img.x - x, img.y - y))
     return r1, r2
 
@@ -819,10 +818,9 @@ class TestAmbiguityFamily:
             scale = scale_of(frame1, frame2)
             angles = np.linspace(-1.2, 1.2, 9)
             members = tf.ambiguity_family(frame1, frame2, base, angles)
-            realized = [m for m in members if m.points is not None]
+            realized = [m for _, m in members if m is not None]
             assert len(realized) >= 8
-            for m in realized:
-                interp = m.as_interpretation()
+            for interp in realized:
                 r1, r2 = interp.reprojection_residuals(frame1, frame2)
                 assert max(r1, r2) < 1e-9 * scale
 
@@ -830,18 +828,16 @@ class TestAmbiguityFamily:
         scene = sim.gen_scene(3, 2, 6)
         frame1, frame2 = two_frames(scene)
         base = tf.interpretation_from_scene(scene)
-        (member,) = tf.ambiguity_family(frame1, frame2, base, [0.0])
-        for (lab, p), (lab2, q) in zip(member.points, base.points):
-            assert lab == lab2
-            assert np.allclose(p.as_array(), q.as_array(), atol=1e-9)
+        ((_, member),) = tf.ambiguity_family(frame1, frame2, base, [0.0])
+        assert member.labels == base.labels
+        assert np.allclose(member.points, base.points, atol=1e-9)
 
     def test_nonzero_angle_distinct_structure(self):
         scene = sim.gen_scene(3, 2, 6)
         frame1, frame2 = two_frames(scene)
         base = tf.interpretation_from_scene(scene)
-        (member,) = tf.ambiguity_family(frame1, frame2, base, [0.7])
-        base_z = np.array([p.z for _, p in base.points])
-        new_z = np.array([p.z for _, p in member.points])
+        ((_, member),) = tf.ambiguity_family(frame1, frame2, base, [0.7])
+        base_z, new_z = base.points[:, 2], member.points[:, 2]
         assert np.abs(new_z - base_z).max() > 1e-3
 
     def test_in_plane_motion_degenerate(self):
@@ -850,19 +846,24 @@ class TestAmbiguityFamily:
         c, s = math.cos(ang), math.sin(ang)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         motions = (geo.RigidMotion.identity(), geo.RigidMotion(rot, np.array([0.1, 0.2])))
-        scene = sim.Scene(body=body, motions=motions, seed=0)
+        scene = sim.Scene(*body, motions=motions, seed=0)
         frame1, frame2 = two_frames(scene)
         base = tf.interpretation_from_scene(scene)
         with pytest.raises(DegenerateBasisError):
             tf.ambiguity_family(frame1, frame2, base, [0.3])
 
+    def test_interpretations_compare_by_value(self):
+        scene = sim.gen_scene(4, 2, 3)
+        base = tf.interpretation_from_scene(scene)
+        assert tf.Interpretation(scene.labels, scene.points.copy(), scene.motions[1]) == base
+        assert tf.Interpretation(scene.labels, scene.points + 1e-12, scene.motions[1]) != base
+        assert tf.Interpretation(scene.labels, scene.points, scene.motions[0]) != base
+
     def test_bad_base_rejected(self):
         scene = sim.gen_scene(3, 2, 6)
         frame1, frame2 = two_frames(scene)
-        bad = tf.Interpretation(
-            points=tuple((lab, geo.Point3(p.x + 1.0, p.y, p.z))
-                         for lab, p in scene.body),
-            motion=scene.motions[1])
+        bad = tf.Interpretation(scene.labels, scene.points + [1.0, 0.0, 0.0],
+                                scene.motions[1])
         with pytest.raises(InvalidInputError):
             tf.ambiguity_family(frame1, frame2, bad, [0.1])
 
@@ -881,20 +882,19 @@ class TestAmbiguityFamily:
             scene = sim.gen_scene(3 + seed % 3, 2, seed)
             frame1, frame2 = two_frames(scene)
             base = tf.interpretation_from_scene(scene)
-            for member in tf.ambiguity_family(frame1, frame2, base, [0.0, 0.3, 1.0, 2.5]):
-                got = np.array([p.as_array() for _, p in member.points])
-                expect = reference_family_points(frame1, base, member.angle)
+            for angle, member in tf.ambiguity_family(frame1, frame2, base, [0.0, 0.3, 1.0, 2.5]):
+                got = member.points
+                expect = reference_family_points(frame1, base, angle)
                 assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), seed
-                assert (got[:, :2] == frame1.coords([lab for lab, _ in member.points])).all()
+                assert (got[:, :2] == frame1.coords(member.labels)).all()
 
     def test_residuals_match_the_point_loop(self):
         # a body moved off the frames, so the residuals are far from rounding
         for seed in range(20):
             scene = sim.gen_scene(4, 2, seed)
             frame1, frame2 = two_frames(scene)
-            interp = tf.Interpretation(
-                tuple((lab, geo.Point3(p.x + 0.1 * k, p.y - 0.2, p.z))
-                      for k, (lab, p) in enumerate(scene.body)), scene.motions[1])
+            shift = [(0.1 * k, -0.2, 0.0) for k in range(len(scene.labels))]
+            interp = tf.Interpretation(scene.labels, scene.points + shift, scene.motions[1])
             assert interp.reprojection_residuals(frame1, frame2) == pytest.approx(
                 reference_reprojection_residuals(interp, frame1, frame2), rel=1e-13)
 
@@ -902,19 +902,18 @@ class TestAmbiguityFamily:
 class TestReferenceAmbiguity:
     def test_reference_depths(self):
         body, motion = tf.reference_ambiguity_scene()
-        scene = sim.Scene(body=body,
+        scene = sim.Scene(*body,
                           motions=(geo.RigidMotion.identity(), motion), seed=0)
         frame1, frame2 = two_frames(scene)
         base = tf.interpretation_from_scene(scene)
-        (member,) = tf.ambiguity_family(
+        ((_, member),) = tf.ambiguity_family(
             frame1, frame2, base, [tf.REFERENCE_AMBIGUITY_ANGLE])
-        depths = {lab: p.z for lab, p in member.points}
+        depths = dict(zip(member.labels, member.points[:, 2].tolist()))
         assert depths["P"] == pytest.approx(0.0, abs=1e-9)
         for lab, expect in tf.REFERENCE_ALTERNATE_DEPTHS.items():
             assert depths[lab] == pytest.approx(expect, abs=1e-4)
         # and the images are untouched
-        interp = member.as_interpretation()
-        r1, r2 = interp.reprojection_residuals(frame1, frame2)
+        r1, r2 = member.reprojection_residuals(frame1, frame2)
         assert max(r1, r2) < 1e-9 * scale_of(frame1, frame2)
 
 
@@ -943,7 +942,7 @@ class TestBaseInterpretationFromFrames:
         # units-free choice among them returns the same body at every scale
         def depths(frame1, frame2):
             interp = tf.base_interpretation_from_frames(frame1, frame2)
-            return np.array([p.z for _, p in interp.points])
+            return interp.points[:, 2]
 
         for seed in range(100):
             frame1, frame2 = two_frames(sim.gen_scene(n, 2, seed))
@@ -1187,13 +1186,13 @@ class TestAssumedLength:
             frame1, frame2 = two_frames(scene)
             longer = self.longer_projection(frame1, frame2)
             base = tf.interpretation_from_scene(scene)
-            for member in tf.ambiguity_family(frame1, frame2, base, angles):
-                if member.points is None:
+            for angle, member in tf.ambiguity_family(frame1, frame2, base, angles):
+                if member is None:
                     continue
-                body = dict(member.points)
-                p, r = (np.array([body[lab].x, body[lab].y, body[lab].z]) for lab in "PR")
+                body = dict(zip(member.labels, member.points))
+                p, r = body["P"], body["R"]
                 c_sq = float((r - p) @ (r - p))
-                assert admits(frame1, frame2, c_sq), (seed, member.angle)
+                assert admits(frame1, frame2, c_sq), (seed, angle)
                 ratios.append(c_sq / longer)
         assert len(ratios) > 0.9 * 50 * len(angles)
         assert min(ratios) < 1.01 and max(ratios) > 1e3
