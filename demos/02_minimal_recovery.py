@@ -34,11 +34,10 @@ print("  truth:   " + ", ".join(f"{v:8.4f}" for v in truth))
 print()
 
 result = solve_p3f3(sq)
-print(f"{len(result.candidates)} candidate(s); "
-      f"{len(result.feasible_candidates)} physically feasible")
-for i, cand in enumerate(result.candidates):
-    got = np.array(cand.lengths.as_tuple())
+print(f"{len(result.lengths)} candidate(s); "
+      f"{result.feasible.sum()} physically feasible")
+for i, (got, feasible) in enumerate(zip(result.lengths, result.feasible.tolist())):
     err = np.abs(got - truth).max() / truth.max()
     print(f"  candidate {i}: (a2,b2,c2) = "
           + ", ".join(f"{v:.6f}" for v in got)
-          + f"  feasible={cand.feasible}  max rel err vs truth = {err:.2e}")
+          + f"  feasible={feasible}  max rel err vs truth = {err:.2e}")

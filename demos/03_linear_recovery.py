@@ -31,11 +31,11 @@ motions = [RigidMotion.identity()] + [gen_motion(subseed(42, j)) for j in (1, 2,
 scene = Scene(labels="PQR", points=points, motions=tuple(motions), seed=42)
 
 sq = [projected_sq_distances(f, scene.labels) for f in render(scene)]
-best = solve_p3f4(sq).best
+best = solve_p3f4(sq).lengths[0]
 print("worked triangle, 4 frames, unique linear solution:")
 print("  expected (a2, b2, c2) = (4, 9, 12.6878)")
 print("  recovered             = ("
-      + ", ".join(f"{v:.6f}" for v in best.lengths.as_tuple()) + ")")
+      + ", ".join(f"{v:.6f}" for v in best) + ")")
 print()
 
 # --- part 2: four points over three frames ---------------------------------
@@ -43,8 +43,7 @@ scene4 = gen_scene(n_points=4, n_frames=3, seed=5)
 pairs = (("P", "Q"), ("Q", "R"), ("R", "P"), ("T", "R"), ("T", "P"), ("T", "Q"))
 truth = np.array([scene4.true_sq_distance(a, b) for a, b in pairs])
 sq4 = [projected_sq_distances(f, scene4.labels) for f in render(scene4)]
-best4 = solve_p4f3(sq4).best
-got = np.array(best4.lengths.as_tuple())
+got = solve_p4f3(sq4).lengths[0]
 
 print("random 4-point body, 3 frames, six squared lengths from one 6x6 solve:")
 print(f"  {'edge':>5} {'truth':>10} {'recovered':>11} {'rel err':>9}")

@@ -2,17 +2,20 @@
 
 Library surface:
 
-* geometry  -- the base layer: value types, frames, rigid motion, DOF balance, depth
+* geometry  -- the base layer: frames, bodies, rigid motion, DOF balance, depth
   embedding, the tolerance table, the per-frame quartic identity, quadratic roots
 * solvers   -- the closed-form 3-frame and linear 4-frame / 4-point solvers:
-  one batched core over stacks of problems, with one-problem adapters
+  one batched core over stacks of problems, with one-problem adapters that
+  return its BatchResult
 * two_frame -- point matching, rigidity testing, and the two-frame ambiguity
 * scene_sim -- ground-truth simulation and noise injection
 * io_files  -- scene/frames/report file formats
 * cli       -- the orthosfm command-line tool
 
 A body is a label tuple and a read-only (n, 3) array, a Scene's or an
-Interpretation's labels and points, as a frame is one of (n, 2).
+Interpretation's labels and points, as a frame is one of (n, 2).  Lengths
+are arrays of squared lengths in geometry's edge order: a solver's answer
+is one row of its BatchResult's lengths.
 
 The names below are loaded on first use (PEP 562), so ``import orthosfm``
 imports no numpy and leaves the process environment as it found it.
@@ -23,11 +26,11 @@ import importlib
 # submodule -> the public names re-exported from it
 _EXPORTS = {
     "geometry": (
-        "DofBalance", "FrameObservation", "RigidMotion", "TetraDistances",
-        "TriangleDistances", "dof_balance", "embed_depths", "projected_sq_distances"),
+        "DofBalance", "FrameObservation", "RigidMotion", "dof_balance", "embed_depths",
+        "projected_sq_distances"),
     "solvers": (
-        "BatchResult", "Candidate", "RecoveryResult", "eq1_residual",
-        "feasibility_check", "solve_batch", "solve_p3f3", "solve_p3f4", "solve_p4f3"),
+        "BatchResult", "feasibility_check", "solve_batch", "solve_p3f3", "solve_p3f4",
+        "solve_p4f3"),
     "two_frame": (
         "Interpretation", "MatchReport",
         "ambiguity_family", "b_of_c_coeffs", "collinearity_residual_4pt", "match_points",

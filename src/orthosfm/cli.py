@@ -146,7 +146,7 @@ def cmd_recover(args) -> int:
              else ("a_sq", "b_sq", "c_sq", "d_sq", "f_sq", "g_sq"))
     report = {
         "solver": mode,
-        "status": "ok" if result.feasible_candidates else "no_feasible_candidate",
+        "status": "ok" if result.feasible.any() else "no_feasible_candidate",
         "dof": {
             "points": n_points,
             "frames": n_frames,
@@ -157,17 +157,18 @@ def cmd_recover(args) -> int:
         "used": {"points": list(labels[:use_points]), "frames": len(sq)},
         "candidates": [
             {
-                "lengths_sq": dict(zip(names, c.lengths.as_tuple())),
-                "feasible": c.feasible,
-                "residuals": list(c.residuals),
+                "lengths_sq": dict(zip(names, lengths)),
+                "feasible": feasible,
+                "residuals": residuals,
             }
-            for c in result.candidates
+            for lengths, feasible, residuals in zip(
+                result.lengths.tolist(), result.feasible.tolist(), result.residuals.tolist())
         ],
         "tolerance": args.tol,
         "timing_s": time.perf_counter() - start,
     }
     _write(io_files.report_to_json(report), args.out)
-    return EXIT_OK if result.feasible_candidates else EXIT_NO_SOLUTION
+    return EXIT_OK if result.feasible.any() else EXIT_NO_SOLUTION
 
 
 def cmd_match(args) -> int:
@@ -274,6 +275,8 @@ def cmd_ambiguity(args) -> int:
         angles = [float(v) for v in args.angles.split(",") if v.strip()]
     except ValueError:
         raise InvalidInputError("--angles must be comma-separated radians") from None
+    if not angles:
+        raise InvalidInputError("--angles needs at least one angle")
     # ambiguity_family rejects these too, but past here a library error exits 2
     if not all(map(math.isfinite, angles)):
         raise InvalidInputError(f"--angles must be finite, got {args.angles}")

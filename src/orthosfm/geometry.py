@@ -33,8 +33,8 @@ from .errors import InconsistentLengthsError, InvalidInputError, MissingLabelErr
 # The tolerance table: every threshold the library compares against, each on a
 # dimensionless quantity.  Per entry: what it bounds, where (in brackets), and why.
 # Slack per the largest squared length: of a length under its projection, a negative
-# discriminant, Cayley-Menger / scale^4 (solvers' tol default, embed_depths, two_frame,
-# validate).  5e6 ulps: above rounding, below any deficit.
+# discriminant (solvers' tol default, embed_depths, two_frame).  5e6 ulps: above
+# rounding, below any deficit.
 DEFAULT_TOL = 1e-9
 # Line distance per pair diameter (match_points, match --threshold default).  Rigid
 # pairs score 1e-15, a point moved by 0.2 of the body 1e-2: room for noise between.
@@ -88,32 +88,16 @@ def frame_constant(x: float, y: float, z: float) -> float:
     return x * x + y * y + z * z - 2.0 * (x * y + x * z + y * z)
 
 
-@dataclass(frozen=True)
-class QuadCoeffs3:
-    """Per-frame coefficients of the sign-free quartic identity.
+def quad_coeffs(frame_sq) -> tuple:
+    """Coefficients (coef_a, coef_b, coef_c, const) of one frame's sign-free
+    quartic identity in the unknown squared lengths A, B, C:
 
-    The identity reads
       A^2 + B^2 + C^2 - 2AB - 2AC - 2BC
         + coef_a*A + coef_b*B + coef_c*C + const = 0
-    in the unknown squared lengths A, B, C.
-    """
 
-    coef_a: float
-    coef_b: float
-    coef_c: float
-    const: float
-
-
-def quad_coeffs(frame_sq) -> QuadCoeffs3:
-    """Coefficients of one frame's identity; elementwise, so three array
-    columns give arrays of coefficients."""
+    Elementwise, so three array columns give arrays of coefficients."""
     x, y, z = frame_sq
-    return QuadCoeffs3(
-        coef_a=2.0 * (-x + y + z),
-        coef_b=2.0 * (x - y + z),
-        coef_c=2.0 * (x + y - z),
-        const=frame_constant(x, y, z),
-    )
+    return 2.0 * (-x + y + z), 2.0 * (x - y + z), 2.0 * (x + y - z), frame_constant(x, y, z)
 
 
 def quadratic_roots(q2, q1, q0, tol: float) -> tuple:
@@ -303,80 +287,6 @@ class FrameObservation:
 
 
 @dataclass(frozen=True)
-class TriangleDistances:
-    """Squared pairwise lengths of a traced triangle (a=|PQ|, b=|QR|, c=|RP|).
-
-    Construction does not enforce positivity so that solver candidates that
-    fail feasibility can still be represented; call validate() to check the
-    strict invariants.
-    """
-
-    a_sq: float
-    b_sq: float
-    c_sq: float
-
-    def as_tuple(self) -> tuple:
-        return (self.a_sq, self.b_sq, self.c_sq)
-
-    def validate(self) -> None:
-        a2, b2, c2 = self.as_tuple()
-        if not all(math.isfinite(v) and v > 0 for v in (a2, b2, c2)):
-            raise InvalidInputError(f"squared lengths must be finite and positive: {self}")
-        a, b, c = math.sqrt(a2), math.sqrt(b2), math.sqrt(c2)
-        if a + b < c or b + c < a or c + a < b:
-            raise InvalidInputError(f"triangle inequality violated: {self}")
-
-
-@dataclass(frozen=True)
-class TetraDistances:
-    """Squared pairwise lengths of four traced points.
-
-    Edge naming: a=|PQ|, b=|QR|, c=|RP|, d=|TR|, f=|TP|, g=|TQ|.
-    """
-
-    a_sq: float
-    b_sq: float
-    c_sq: float
-    d_sq: float
-    f_sq: float
-    g_sq: float
-
-    def as_tuple(self) -> tuple:
-        return (self.a_sq, self.b_sq, self.c_sq, self.d_sq, self.f_sq, self.g_sq)
-
-    def face_triangles(self) -> tuple:
-        """The four face triangles as TriangleDistances."""
-        a2, b2, c2, d2, f2, g2 = self.as_tuple()
-        return (
-            TriangleDistances(a2, b2, c2),   # P Q R
-            TriangleDistances(a2, g2, f2),   # P Q T (PQ, QT, TP)
-            TriangleDistances(b2, d2, g2),   # Q R T (QR, RT, TQ)
-            TriangleDistances(c2, f2, d2),   # R P T (RP, PT, TR)
-        )
-
-    def cayley_menger(self) -> float:
-        """Cayley-Menger determinant of the four points (288 * volume^2)."""
-        a2, b2, c2, d2, f2, g2 = self.as_tuple()
-        m = np.array([
-            [0.0, 1.0, 1.0, 1.0, 1.0],
-            [1.0, 0.0, a2, c2, f2],
-            [1.0, a2, 0.0, b2, g2],
-            [1.0, c2, b2, 0.0, d2],
-            [1.0, f2, g2, d2, 0.0],
-        ])
-        return float(np.linalg.det(m))
-
-    def validate(self) -> None:
-        if not all(math.isfinite(v) and v > 0 for v in self.as_tuple()):
-            raise InvalidInputError(f"squared lengths must be finite and positive: {self}")
-        for tri in self.face_triangles():
-            tri.validate()
-        scale = max(self.as_tuple())
-        if self.cayley_menger() < -DEFAULT_TOL * scale ** 4:
-            raise InvalidInputError("Cayley-Menger determinant negative: not embeddable in 3D")
-
-
-@dataclass(frozen=True)
 class DofBalance:
     """Unknown-vs-measurement count for p points over k frames."""
 
@@ -437,7 +347,7 @@ def depth_pair(a_dep, b_dep, c_dep) -> tuple:
     return z_p, np.where(c_dep + b_dep - a_dep < 0.0, -z_q, z_q)
 
 
-def embed_depths(true_sq: TriangleDistances, frame_sq):
+def embed_depths(true_sq, frame_sq):
     """Per-edge depth offsets consistent with one frame's projections.
 
     Given true squared lengths (a^2, b^2, c^2) and the frame's projected
@@ -449,7 +359,7 @@ def embed_depths(true_sq: TriangleDistances, frame_sq):
     Raises InconsistentLengthsError when the offsets do not close within
     tolerance, or when a projection exceeds its true length.
     """
-    true_vals = true_sq.as_tuple()
+    true_vals = tuple(true_sq)
     frame_vals = tuple(frame_sq)
     scale_sq = max(max(abs(v) for v in true_vals), max(abs(v) for v in frame_vals))
     deficits = [t - f for t, f in zip(true_vals, frame_vals)]

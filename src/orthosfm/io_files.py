@@ -64,9 +64,11 @@ def scene_from_json(text: str) -> Scene:
             for m in doc["motions"]
         )
         seed = int(doc.get("seed", 0))
+        return Scene(labels, points, motions, seed)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"scene file: malformed field ({exc})") from exc
-    return Scene(labels, points, motions, seed)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"scene file: {exc}") from exc
 
 
 def frames_to_csv(frames) -> str:

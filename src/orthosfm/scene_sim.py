@@ -480,6 +480,8 @@ def run_noise_study(mode: str, levels, trials: int, seed: int) -> list:
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     levels = list(levels)
+    if not levels:
+        raise InvalidInputError("need at least one noise level")
     specs = [NoiseSpec(level) for level in levels]
     first, second = np.array(TETRA_EDGES if n_points == 4 else TRIANGLE_EDGES).T
     # looked up per study so a wrapped core is the one that runs

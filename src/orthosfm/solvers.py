@@ -18,7 +18,7 @@ the canonical edge order (see geometry).  It divides each problem by its
 largest squared distance, so every threshold it compares (geometry's
 tolerance table) is dimensionless and the answer does not depend on the
 units of the input.  solve_p3f3, solve_p3f4 and solve_p4f3 run it on a
-one-row stack and return a RecoveryResult whose candidates are flagged for
+one-row stack and return its BatchResult, whose candidates are flagged for
 physical feasibility rather than silently dropped.  Each row of a stack
 gets exactly the floats it gets on its own.
 """
@@ -34,8 +34,8 @@ from .errors import (
     InvalidInputError,
     SingularSystemError,
 )
-from .geometry import (DEFAULT_TOL, SINGULAR_TOL, SQRT_EPS, TetraDistances, TriangleDistances,
-                       check_tolerance, frame_constant, quad_coeffs, quadratic_roots)
+from .geometry import (DEFAULT_TOL, SINGULAR_TOL, SQRT_EPS, check_tolerance, frame_constant,
+                       quad_coeffs, quadratic_roots)
 
 # Triples of 6-vector indices (a,b,c,d,f,g) forming the tetrahedron's
 # constrained triangles: (PQ,QT,TP), (TR,RQ,QT), (TR,RP,PT).
@@ -46,56 +46,15 @@ _TRIANGLE = ((0, 1, 2),)
 MODES = {"p3f3": (3, 3), "p3f4": (3, 4), "p4f3": (4, 3)}
 
 
-def eq1_residual(lengths: TriangleDistances, frame_sq) -> float:
-    """Value of the sign-free quartic identity for one frame.
-
-    Zero iff the candidate squared lengths are consistent with the frame's
-    projections (for some depth-sign assignment).  Computed in the deficit
-    form u^2+v^2+w^2-2uv-2uw-2vw with u = a^2-a_i^2 etc., which is exact
-    for planar frames.
-    """
-    u = lengths.a_sq - frame_sq[0]
-    v = lengths.b_sq - frame_sq[1]
-    w = lengths.c_sq - frame_sq[2]
-    return frame_constant(u, v, w)
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One recovered squared-length solution with diagnostics."""
-
-    lengths: object          # TriangleDistances or TetraDistances
-    feasible: bool
-    residuals: tuple         # per-frame quartic-identity residuals
-
-    @property
-    def max_residual(self) -> float:
-        return max(abs(r) for r in self.residuals)
-
-
-@dataclass(frozen=True)
-class RecoveryResult:
-    """Candidate solutions sorted by max per-frame residual, ascending."""
-
-    candidates: tuple
-
-    @property
-    def feasible_candidates(self) -> tuple:
-        return tuple(c for c in self.candidates if c.feasible)
-
-    @property
-    def best(self):
-        return self.candidates[0] if self.candidates else None
-
-
 @dataclass(frozen=True)
 class BatchResult:
-    """Every candidate of a stack of N problems, flat, in RecoveryResult order.
+    """Every candidate of a stack of N problems, flat, best first per problem.
 
-    Candidate i belongs to problem row[i]; rows ascend, and a row's
-    candidates are sorted by max |residual|.  degenerate[n] says problem n's
-    system was degenerate (p3f3) or singular (p3f4, p4f3); such a problem
-    has no candidates.
+    Candidate i is row i of lengths, feasible and residuals, and belongs to
+    problem row[i]; rows ascend, and a row's candidates are sorted by max
+    |residual|.  lengths holds squared lengths in geometry's edge order.
+    degenerate[n] says problem n's system was degenerate (p3f3) or singular
+    (p3f4, p4f3); such a problem has no candidates.
     """
 
     row: np.ndarray          # (M,) problem index
@@ -104,16 +63,26 @@ class BatchResult:
     residuals: np.ndarray    # (M, k) per-frame quartic-identity residuals
     degenerate: np.ndarray   # (N,) bool
 
+    # orthobench's tracer counts a one-problem result's candidates by these
+    @property
+    def candidates(self) -> np.ndarray:
+        """The (M, e) lengths, one row per candidate."""
+        return self.lengths
+
+    @property
+    def feasible_candidates(self) -> np.ndarray:
+        """The lengths of the feasible candidates."""
+        return self.lengths[self.feasible]
+
 
 def feasibility_check(candidate, frames, tol: float = DEFAULT_TOL):
     """Physical feasibility: squared lengths non-negative and at least as
     long as their projections in every frame, within tolerance.
 
-    Takes one candidate (e values) with its (k, e) frames, or stacks of
-    shape (M, e) and (M, k, e) for one flag per candidate.
+    Takes one candidate's e squared lengths with its (k, e) frames, or
+    stacks of shape (M, e) and (M, k, e) for one flag per candidate.
     """
-    cand = np.asarray(candidate.as_tuple() if hasattr(candidate, "as_tuple") else candidate,
-                      dtype=float)
+    cand = np.asarray(candidate, dtype=float)
     frames = np.asarray(frames, dtype=float)
     slack = tol * np.abs(frames).max(axis=(-2, -1))[..., None]
     return ~((cand < -slack).any(axis=-1)
@@ -173,13 +142,13 @@ def _difference_system(norm, triples):
     rhs = np.empty(mat.shape[:2])
     row = 0
     for f in range(1, k):
-        for triple, q0 in zip(triples, ref):
-            q = quad_coeffs(_columns(norm[:, f], triple))
+        for triple, (ref_a, ref_b, ref_c, ref_const) in zip(triples, ref):
+            coef_a, coef_b, coef_c, const = quad_coeffs(_columns(norm[:, f], triple))
             a, b, c = triple
-            mat[:, row, a] = q.coef_a - q0.coef_a
-            mat[:, row, b] = q.coef_b - q0.coef_b
-            mat[:, row, c] = q.coef_c - q0.coef_c
-            rhs[:, row] = q0.const - q.const
+            mat[:, row, a] = coef_a - ref_a
+            mat[:, row, b] = coef_b - ref_b
+            mat[:, row, c] = coef_c - ref_c
+            rhs[:, row] = ref_const - const
             row += 1
     return mat, rhs
 
@@ -228,8 +197,7 @@ def _newton_polish(sol, frames, iterations: int = 3):
     A candidate stops at its first step whose Jacobian is singular or that
     does not lower its max |residual|; the others go on.
     """
-    q = quad_coeffs(_columns(frames))
-    coefs = np.stack((q.coef_a, q.coef_b, q.coef_c), axis=-1)
+    coefs = np.stack(quad_coeffs(_columns(frames))[:3], axis=-1)
     x = sol.copy()
     r = _identity_values(x, frames)
     active = np.arange(len(x))
@@ -267,12 +235,12 @@ def _eliminate_p3f3(mat, rhs, norm, tol):
     b_c = (m_a2 * m_c1 - m_a1 * m_c2) / det
     b0 = (m_a1 * r2 - m_a2 * r1) / det
 
-    qp = quad_coeffs(_columns(norm[ok, 0]))
+    p_a, p_b, p_c, p_const = quad_coeffs(_columns(norm[ok, 0]))
     q2 = a_c * a_c + b_c * b_c + 1.0 - 2.0 * a_c * b_c - 2.0 * a_c - 2.0 * b_c
     q1 = (2.0 * a_c * a0 + 2.0 * b_c * b0 - 2.0 * (a_c * b0 + a0 * b_c)
-          - 2.0 * (a0 + b0) + qp.coef_a * a_c + qp.coef_b * b_c + qp.coef_c)
-    q0 = (a0 * a0 + b0 * b0 - 2.0 * a0 * b0 + qp.const
-          + qp.coef_a * a0 + qp.coef_b * b0)
+          - 2.0 * (a0 + b0) + p_a * a_c + p_b * b_c + p_c)
+    q0 = (a0 * a0 + b0 * b0 - 2.0 * a0 * b0 + p_const
+          + p_a * a0 + p_b * b0)
 
     roots, found = quadratic_roots(q2, q1, q0, tol)
     source, col = np.nonzero(found)
@@ -337,27 +305,24 @@ def solve_batch(mode: str, stack, tol: float = DEFAULT_TOL) -> BatchResult:
                        degenerate)
 
 
-def _solve_one(mode, frames, tol) -> RecoveryResult:
-    """solve_batch on the one-row stack [frames], as a RecoveryResult."""
+def _solve_one(mode, frames, tol) -> BatchResult:
+    """solve_batch on the one-row stack [frames]; a degenerate problem raises."""
     batch = solve_batch(mode, [frames], tol)
     if batch.degenerate[0]:
         if mode == "p3f3":
             raise DegenerateEliminationError("frame-difference elimination is singular")
         raise SingularSystemError("frame-difference system is singular")
-    make = TetraDistances if mode == "p4f3" else TriangleDistances
-    return RecoveryResult(tuple(
-        Candidate(make(*lengths), feasible, tuple(residuals))
-        for lengths, feasible, residuals in zip(
-            batch.lengths.tolist(), batch.feasible.tolist(), batch.residuals.tolist())))
+    return batch
 
 
-def solve_p3f3(frames, tol: float = DEFAULT_TOL) -> RecoveryResult:
+def solve_p3f3(frames, tol: float = DEFAULT_TOL) -> BatchResult:
     """Recover a triangle's squared lengths from 3 frames (minimal case).
 
     The two difference rows against frame 1 express A = a^2 and B = b^2 as
     affine functions of C = c^2; substituting into frame 1's quartic
     identity leaves a quadratic in C.  Returns 0, 1 or 2 candidates,
-    feasibility-flagged and sorted by max residual.
+    feasibility-flagged and sorted by max residual: the rows of a one-problem
+    BatchResult.
 
     Raises DegenerateEliminationError when the elimination is singular or
     nearly so (collinear points, frames identical up to in-plane motion, or
@@ -366,7 +331,7 @@ def solve_p3f3(frames, tol: float = DEFAULT_TOL) -> RecoveryResult:
     return _solve_one("p3f3", frames, tol)
 
 
-def solve_p3f4(frames, tol: float = DEFAULT_TOL) -> RecoveryResult:
+def solve_p3f4(frames, tol: float = DEFAULT_TOL) -> BatchResult:
     """Recover a triangle's squared lengths from 4 frames (linear case).
 
     Subtracting the first frame's quartic identity from each of the other
@@ -378,7 +343,7 @@ def solve_p3f4(frames, tol: float = DEFAULT_TOL) -> RecoveryResult:
     return _solve_one("p3f4", frames, tol)
 
 
-def solve_p4f3(frames, tol: float = DEFAULT_TOL) -> RecoveryResult:
+def solve_p4f3(frames, tol: float = DEFAULT_TOL) -> BatchResult:
     """Recover a tetrahedron's six squared lengths from 3 frames.
 
     Each frame constrains three edge triples -- (a,g,f), (d,b,g), (d,f,c) --

@@ -115,8 +115,7 @@ def _biquadratic(sq) -> tuple:
     """(coeffs, degenerate): b_of_c_coeffs elementwise, on an array of
     squared projections indexed [frame, edge, ...], and where the
     elimination is degenerate."""
-    q = quad_coeffs(sq.swapaxes(0, 1))
-    (a1, a2), (b1, b2), (c1, c2), (k1, k2) = q.coef_a, q.coef_b, q.coef_c, q.const
+    (a1, a2), (b1, b2), (c1, c2), (k1, k2) = quad_coeffs(sq.swapaxes(0, 1))
     denom = a1 - a2
     magnitude = np.abs(sq).max(axis=(0, 1))
     with np.errstate(all="ignore"):

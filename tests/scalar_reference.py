@@ -101,21 +101,21 @@ def b_of_c_coeffs(frame1_sq, frame2_sq) -> BofCCoeffs:
     frames coincide (identical frames, or a motion leaving the edge
     deficits equal).
     """
-    q1, q2 = quad_coeffs(frame1_sq), quad_coeffs(frame2_sq)
-    denom = q1.coef_a - q2.coef_a
+    (a1, b1, c1, k1), (a2, b2, c2, k2) = quad_coeffs(frame1_sq), quad_coeffs(frame2_sq)
+    denom = a1 - a2
     magnitude = max(abs(v) for f in (frame1_sq, frame2_sq) for v in f)
     if abs(denom) <= DEGENERACY_EPS * magnitude:
         raise DegenerateEliminationError("a^2 coefficients coincide between frames")
-    p = -(q1.coef_b - q2.coef_b) / denom
-    q = -(q1.coef_c - q2.coef_c) / denom
-    r = -(q1.const - q2.const) / denom
+    p = -(b1 - b2) / denom
+    q = -(c1 - c2) / denom
+    r = -(k1 - k2) / denom
     return BofCCoeffs(
         f_b2=(1.0 - p) ** 2,
         f_c2=(1.0 - q) ** 2,
         f_cb=2.0 * (p * q - p - q - 1.0),
-        f_b=2.0 * p * r - 2.0 * r + q1.coef_b + q1.coef_a * p,
-        f_c=2.0 * q * r - 2.0 * r + q1.coef_c + q1.coef_a * q,
-        f_Cst=r * r + q1.const + q1.coef_a * r,
+        f_b=2.0 * p * r - 2.0 * r + b1 + a1 * p,
+        f_c=2.0 * q * r - 2.0 * r + c1 + a1 * q,
+        f_Cst=r * r + k1 + a1 * r,
         p=p, q=q, r=r,
     )
 

@@ -270,44 +270,23 @@ class TestDofBalance:
             geo.dof_balance(0, 3)
 
 
-class TestDistanceTypes:
-    def test_triangle_inequality_enforced(self):
-        with pytest.raises(InvalidInputError):
-            geo.TriangleDistances(100.0, 1.0, 1.0).validate()
-
-    def test_valid_triangle(self):
-        geo.TriangleDistances(4.0, 9.0, 12.6878).validate()
-
-    def test_tetra_cayley_menger(self):
-        # regular tetrahedron, edge^2 = 1: CM determinant positive
-        t = geo.TetraDistances(1, 1, 1, 1, 1, 1)
-        t.validate()
-        assert t.cayley_menger() > 0
-
-    def test_tetra_flat_rejected(self):
-        # four collinear-ish points: impossible distance set
-        with pytest.raises(InvalidInputError):
-            geo.TetraDistances(1, 1, 4, 1, 9, 1).validate()
-
-
 class TestEmbedDepths:
     def test_planar_body_zero_offsets(self):
-        tri = geo.TriangleDistances(4.0, 9.0, 12.6878)
-        b1, b2 = geo.embed_depths(tri, tri.as_tuple())
+        tri = (4.0, 9.0, 12.6878)
+        b1, b2 = geo.embed_depths(tri, tri)
         assert all(abs(v) < 1e-12 for v in b1 + b2)
 
     def test_single_edge_three_four_five(self):
-        tri = geo.TriangleDistances(25.0, 25.0, 4.0)
+        tri = (25.0, 25.0, 4.0)
         b1, _ = geo.embed_depths(tri, (9.0, 9.0, 4.0))
         assert abs(b1[0]) == pytest.approx(4.0, rel=1e-12)
 
     def test_roundtrip_against_simulation(self):
         for seed in range(30):
             scene = sim.gen_scene(3, 2, seed)
-            tri = geo.TriangleDistances(
-                scene.true_sq_distance("P", "Q"),
-                scene.true_sq_distance("Q", "R"),
-                scene.true_sq_distance("R", "P"))
+            tri = (scene.true_sq_distance("P", "Q"),
+                   scene.true_sq_distance("Q", "R"),
+                   scene.true_sq_distance("R", "P"))
             sq = frames_sq(scene)[1]
             moved = {lab: ref.apply_motion(scene.motions[1], ref.Point3(*p))
                      for lab, p in zip(scene.labels, scene.points)}
@@ -321,7 +300,7 @@ class TestEmbedDepths:
             assert err < 1e-9 * max(1.0, max(abs(v) for v in truth))
 
     def test_inconsistent_projection_raises(self):
-        tri = geo.TriangleDistances(4.0, 9.0, 12.6878)
+        tri = (4.0, 9.0, 12.6878)
         with pytest.raises(InconsistentLengthsError):
             geo.embed_depths(tri, (5.0, 9.0, 12.6878))
 
@@ -329,7 +308,7 @@ class TestEmbedDepths:
     def test_open_depth_loop_raises_at_any_scale(self, s):
         # deficits (1, 1, 3.99)*s^2: the depth loop misses closure by
         # about 0.25% of the triangle's size, in any units
-        tri = geo.TriangleDistances(2.0 * s * s, 5.0 * s * s, 5.0 * s * s)
+        tri = (2.0 * s * s, 5.0 * s * s, 5.0 * s * s)
         with pytest.raises(InconsistentLengthsError):
             geo.embed_depths(tri, (1.0 * s * s, 4.0 * s * s, 1.01 * s * s))
         b1, _ = geo.embed_depths(tri, (1.0 * s * s, 4.0 * s * s, 1.0 * s * s))
@@ -347,8 +326,8 @@ class TestEmbedDepths:
             pts[j, 2] = pts[i, 2] + tie
             truth = [pts[b, 2] - pts[a, 2] for a, b in geo.TRIANGLE_EDGES]
             for s in SCALE_SWEEP:
-                tri = geo.TriangleDistances(*(float((pts[a] - pts[b]) @ (pts[a] - pts[b])) * s * s
-                                              for a, b in geo.TRIANGLE_EDGES))
+                tri = tuple(float((pts[a] - pts[b]) @ (pts[a] - pts[b])) * s * s
+                            for a, b in geo.TRIANGLE_EDGES)
                 frame = [float((pts[a, :2] - pts[b, :2]) @ (pts[a, :2] - pts[b, :2])) * s * s
                          for a, b in geo.TRIANGLE_EDGES]
                 branches = geo.embed_depths(tri, frame)
@@ -358,7 +337,7 @@ class TestEmbedDepths:
 # Reference: embed_depths as it was before it used geometry.depth_pair, with
 # its own search over the four sign assignments, kept verbatim.
 def reference_embed_depths(true_sq, frame_sq, tol=1e-9):
-    true_vals = true_sq.as_tuple()
+    true_vals = tuple(true_sq)
     frame_vals = tuple(frame_sq)
     scale_sq = max(max(abs(v) for v in true_vals), max(abs(v) for v in frame_vals))
     mags = []
@@ -399,8 +378,7 @@ class TestEmbedDepthsSameAsSignSearch:
             bodies = (scene, sim.gen_scene(3, 3, seed + 1))
             for body, sq in itertools.product(bodies, frames_sq(scene)):
                 for s in SCALE_SWEEP:
-                    tri = geo.TriangleDistances(
-                        *(body.true_sq_distance(*e) * s * s for e in TRIANGLE_PAIRS))
+                    tri = tuple(body.true_sq_distance(*e) * s * s for e in TRIANGLE_PAIRS)
                     frame = [v * s * s for v in sq]
                     got = embedding(geo.embed_depths, tri, frame)
                     assert got == embedding(reference_embed_depths, tri, frame), (seed, s)
@@ -420,15 +398,14 @@ class TestEmbedDepthsSameAsSignSearch:
             pts = dict(zip("PQR", np.column_stack([xy, z])))
             truth = tuple(pts[b][2] - pts[a][2] for a, b in TRIANGLE_PAIRS)
             for s in SCALE_SWEEP:
-                tri = geo.TriangleDistances(
-                    *(float((pts[a] - pts[b]) @ (pts[a] - pts[b])) * s * s
-                      for a, b in TRIANGLE_PAIRS))
+                tri = tuple(float((pts[a] - pts[b]) @ (pts[a] - pts[b])) * s * s
+                            for a, b in TRIANGLE_PAIRS)
                 frame = [float((pts[a][:2] - pts[b][:2]) @ (pts[a][:2] - pts[b][:2])) * s * s
                          for a, b in TRIANGLE_PAIRS]
                 for embed in (geo.embed_depths, reference_embed_depths):
                     branch, other = embed(tri, frame)
                     assert other == tuple(-v for v in branch)
-                    assert abs(sum(branch)) <= 1e-8 * math.sqrt(max(tri.as_tuple()))
+                    assert abs(sum(branch)) <= 1e-8 * math.sqrt(max(tri))
                     err = min(max(abs(g - t * s) for g, t in zip(b, truth))
                               for b in (branch, other))
                     assert err < 1e-12 * s, (edge, s, branch, truth)

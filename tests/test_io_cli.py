@@ -41,6 +41,19 @@ class TestSceneJson:
         with pytest.raises(InvalidInputError, match="malformed"):
             io_files.scene_from_json(json.dumps({"points": []}))
 
+    @pytest.mark.parametrize("points, rotation, message", [
+        ([], None, "a body needs one label per point"),
+        ([("P", 0, 0, 0), ("P", 1, 0, 0), ("Q", 0, 1, 0)], None, "body: duplicate labels"),
+        ([("P", "nan", 0, 0), ("Q", 1, 0, 0), ("R", 0, 1, 0)], None, "non-finite coordinate"),
+        ([("P", 0, 0, 0), ("Q", 1, 0, 0), ("R", 0, 1, 0)], [1, 0, 0, 0, 1, 0, 0, 0, 2],
+         r"rotation not orthonormal \(err=3\)"),
+    ], ids=["no-points", "duplicate-labels", "nan", "not-orthonormal"])
+    def test_malformed_body_or_motion_names_the_scene_file(self, points, rotation, message):
+        doc = {"points": [{"label": lab, "x": x, "y": y, "z": z} for lab, x, y, z in points],
+               "motions": [] if rotation is None else [{"rotation": rotation, "tx": 0, "ty": 0}]}
+        with pytest.raises(InvalidInputError, match=f"^scene file: {message}"):
+            io_files.scene_from_json(json.dumps(doc))
+
 
 def scene_doc(scene):
     """The scene file's document, as json.dumps encodes it."""
@@ -327,6 +340,26 @@ class TestCliRecover:
         assert report["used"] == {"points": ["P", "Q", "R"], "frames": 4}
 
 
+    @pytest.mark.parametrize("frames, args, digest", [
+        (lambda: sim.render(golden_scene(4)), [],
+         "a91e559a4c6c35588230a3c735fb4d5a6e560bcfc529dc3f6e03aec4350b6c94"),
+        (lambda: sim.render(golden_scene(3)), ["--mode", "p3f3"],
+         "cef4661c439e38da2e99cb9312ba0fe8bc136dcdc7849362ebf732e65cd9437d"),
+        (lambda: sim.render(sim.gen_scene(4, 3, 31)), [],
+         "14d0db365ee68c1d7050d50b4bfaecab6a106b6c25a3d06c2543e25a0fce781e"),
+        (lambda: sim.render(golden_scene(1)) * 3, ["--mode", "p3f3"],
+         "c4f737b700666edb0b7de9de21d80372d278e67b191cd7c5851607c42b2680c5"),
+    ], ids=["golden-p3f4", "golden-p3f3", "p4f3", "degenerate"])
+    def test_report_bytes_pinned(self, tmp_path, capsys, frames, args, digest):
+        # digests of the report, less its timing_s line, written when each
+        # candidate was its own object
+        f = tmp_path / "frames.csv"
+        f.write_text(io_files.frames_to_csv(frames()))
+        cli.main(["recover", str(f), *args])
+        report = [line for line in capsys.readouterr().out.splitlines(keepends=True)
+                  if '"timing_s"' not in line]
+        assert hashlib.sha256("".join(report).encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_rejects_invalid_tol(self, tmp_path, capsys, tol):
         f = tmp_path / "frames.csv"
@@ -604,7 +637,7 @@ class TestCliNoiseStudy:
             assert int(row[2]) == int(row[6]) + int(row[7])
         assert int(rows[1][7]) > 0
 
-    @pytest.mark.parametrize("levels", ["-0.1", "nan", "0.01,inf", "0.01,1e308"])
+    @pytest.mark.parametrize("levels", ["-0.1", "nan", "0.01,inf", "0.01,1e308", "", ","])
     def test_rejects_invalid_levels(self, capsys, levels):
         assert cli.main(["noise-study", "--levels", levels, "--trials", "2"]) == cli.EXIT_INPUT
         captured = capsys.readouterr()
@@ -655,6 +688,17 @@ class TestCliAmbiguity:
         f = tmp_path / "frames.csv"
         write_frames(f, sim.gen_scene(3, 3, 51))
         assert cli.main(["ambiguity", str(f)]) == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("angles", ["", ","])
+    def test_rejects_no_angles(self, tmp_path, capsys, angles):
+        f = tmp_path / "frames.csv"
+        write_frames(f, sim.gen_scene(3, 2, 4))
+        out = tmp_path / "family.csv"
+        assert cli.main(["ambiguity", str(f), f"--angles={angles}",
+                         "--out", str(out)]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "error: --angles needs at least one angle\n"
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_angles(self, tmp_path, capsys, angle):

@@ -126,13 +126,10 @@ def reference_noise_study(mode, levels, trials, seed, rejected):
             except (DegenerateEliminationError, SingularSystemError):
                 degenerate += 1
                 continue
-            if not result.candidates:
+            if not len(result.lengths):
                 no_candidate += 1
                 continue
-            best = min(
-                result.candidates,
-                key=lambda c: np.abs(np.array(c.lengths.as_tuple()) - truth).max())
-            rec = np.array(best.lengths.as_tuple())
+            rec = min(result.lengths, key=lambda lengths: np.abs(lengths - truth).max())
             errors.extend(np.abs(rec - truth) / np.abs(truth))
         errors = np.array(errors) if errors else np.array([np.nan])
         rows.append({
@@ -489,7 +486,7 @@ class TestRunNoiseStudy:
         assert rows[1]["failures"] == rows[1]["failures_no_candidate"] > 0
         assert rows[1]["failures_degenerate"] == 0
 
-    @pytest.mark.parametrize("levels", [[0.01, -0.1], [math.nan], [math.inf]])
+    @pytest.mark.parametrize("levels", [[0.01, -0.1], [math.nan], [math.inf], []])
     def test_invalid_level_raises_before_any_trial(self, levels, monkeypatch):
         def solve(mode, stack, tol=1e-9):
             raise AssertionError("a trial ran")

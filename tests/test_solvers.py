@@ -41,10 +41,15 @@ def assert_roundtrip(solve, n_points, n_frames, scale):
         truth = true_sq(scene, pairs) * scale ** 2
         frames = [[v * scale ** 2 for v in f] for f in frames_sq(scene)]
         result = solve(frames)
-        assert result.feasible_candidates, (seed, scale)
-        err = min(np.abs(np.array(c.lengths.as_tuple()) - truth).max()
-                  for c in result.feasible_candidates)
+        assert result.feasible.any(), (seed, scale)
+        err = min(np.abs(lengths - truth).max() for lengths in result.lengths[result.feasible])
         assert err < 1e-9 * truth.max(), (seed, scale)
+
+
+def eq1_residual(lengths, frame_sq) -> float:
+    """The frame's sign-free quartic identity at the squared lengths, in the
+    deficit form: geometry.frame_constant of the three deficits."""
+    return geo.frame_constant(*(t - f for t, f in zip(lengths, frame_sq)))
 
 
 class TestFrameConstant:
@@ -72,8 +77,7 @@ class TestFrameConstant:
 
 class TestQuadCoeffs:
     def test_hand_computed(self):
-        q = geo.quad_coeffs((1.0, 2.0, 3.0))
-        assert (q.coef_a, q.coef_b, q.coef_c, q.const) == (8.0, 4.0, 0.0, -8.0)
+        assert geo.quad_coeffs((1.0, 2.0, 3.0)) == (8.0, 4.0, 0.0, -8.0)
 
     def test_expanded_matches_deficit_form(self, rng):
         # The per-frame identity in expanded polynomial form must agree with
@@ -81,30 +85,28 @@ class TestQuadCoeffs:
         for _ in range(100):
             frame = tuple(rng.uniform(0.1, 5.0, size=3))
             cand = tuple(rng.uniform(0.1, 5.0, size=3))
-            q = geo.quad_coeffs(frame)
+            coef_a, coef_b, coef_c, const = geo.quad_coeffs(frame)
             A, B, C = cand
             expanded = (A * A + B * B + C * C - 2 * A * B - 2 * A * C - 2 * B * C
-                        + q.coef_a * A + q.coef_b * B + q.coef_c * C + q.const)
-            deficit = sol.eq1_residual(geo.TriangleDistances(*cand), frame)
+                        + coef_a * A + coef_b * B + coef_c * C + const)
+            deficit = eq1_residual(cand, frame)
             assert expanded == pytest.approx(deficit, abs=1e-10)
 
 
 class TestEq1Residual:
     def test_zero_for_planar_frame(self):
-        tri = geo.TriangleDistances(*GOLDEN_SQ)
-        assert sol.eq1_residual(tri, GOLDEN_SQ) == 0.0
+        assert eq1_residual(GOLDEN_SQ, GOLDEN_SQ) == 0.0
 
     def test_zero_at_truth_simulated(self):
         for seed in range(50):
             scene = sim.gen_scene(3, 3, seed)
-            tri = geo.TriangleDistances(*true_sq(scene))
-            scale = max(tri.as_tuple())
+            tri = true_sq(scene).tolist()
+            scale = max(tri)
             for frame in frames_sq(scene):
-                assert abs(sol.eq1_residual(tri, frame)) < 1e-10 * scale ** 2
+                assert abs(eq1_residual(tri, frame)) < 1e-10 * scale ** 2
 
     def test_nonzero_off_truth(self):
-        tri = geo.TriangleDistances(5.0, 9.0, 12.6878)
-        assert abs(sol.eq1_residual(tri, GOLDEN_SQ)) >= 1.0
+        assert abs(eq1_residual((5.0, 9.0, 12.6878), GOLDEN_SQ)) >= 1.0
 
 
 def quadratic_roots(q2, q1, q0, tol):
@@ -164,7 +166,7 @@ class TestFeasibility:
     def test_truth_is_feasible(self):
         scene = golden_scene(3)
         frames = frames_sq(scene)
-        assert sol.feasibility_check(geo.TriangleDistances(*GOLDEN_SQ), frames)
+        assert sol.feasibility_check(GOLDEN_SQ, frames)
 
     def test_negative_length_infeasible(self):
         assert not sol.feasibility_check((-1.0, 9.0, 12.0), [GOLDEN_SQ])
@@ -177,8 +179,7 @@ class TestSolveP3F3:
     def test_golden_recovery(self):
         scene = golden_scene(3)
         result = sol.solve_p3f3(frames_sq(scene))
-        best = result.feasible_candidates[0]
-        got = np.array(best.lengths.as_tuple())
+        got = result.lengths[result.feasible][0]
         assert np.abs(got - GOLDEN_SQ).max() < 1e-9 * max(GOLDEN_SQ)
 
     def test_roundtrip_seeded(self):
@@ -192,13 +193,13 @@ class TestSolveP3F3:
         scene = golden_scene(3, seed=7)
         frames = frames_sq(scene)
         scale = max(v for f in frames for v in f)
-        for cand in sol.solve_p3f3(frames).candidates:
-            assert cand.max_residual < 1e-8 * scale ** 2
+        for residuals in sol.solve_p3f3(frames).residuals:
+            assert np.abs(residuals).max() < 1e-8 * scale ** 2
 
     def test_at_most_two_candidates(self):
         for seed in range(50):
             scene = sim.gen_scene(3, 3, seed)
-            assert len(sol.solve_p3f3(frames_sq(scene)).candidates) <= 2
+            assert len(sol.solve_p3f3(frames_sq(scene)).lengths) <= 2
 
     def test_identical_frames_degenerate(self):
         with pytest.raises(DegenerateEliminationError):
@@ -224,14 +225,14 @@ class TestSolveP3F3:
 class TestSolveP3F4:
     def test_golden_recovery(self):
         scene = golden_scene(4)
-        best = sol.solve_p3f4(frames_sq(scene)).best
-        assert best.feasible
-        got = np.array(best.lengths.as_tuple())
+        result = sol.solve_p3f4(frames_sq(scene))
+        assert result.feasible[0]
+        got = result.lengths[0]
         assert np.abs(got - GOLDEN_SQ).max() < 1e-9 * max(GOLDEN_SQ)
 
     def test_unique_candidate(self):
         scene = golden_scene(4, seed=3)
-        assert len(sol.solve_p3f4(frames_sq(scene)).candidates) == 1
+        assert len(sol.solve_p3f4(frames_sq(scene)).lengths) == 1
 
     def test_roundtrip_seeded(self):
         assert_roundtrip(sol.solve_p3f4, 3, 4, 1.0)
@@ -262,8 +263,8 @@ class TestSolveP4F3:
 
     def test_residuals_cover_all_faces(self):
         scene = sim.gen_scene(4, 3, 11)
-        best = sol.solve_p4f3(frames_sq(scene)).best
-        assert len(best.residuals) == 3  # one per frame
+        result = sol.solve_p4f3(frames_sq(scene))
+        assert len(result.residuals[0]) == 3  # one per frame
 
     def test_repeated_frame_singular(self):
         scene = sim.gen_scene(4, 3, 5)
@@ -277,8 +278,8 @@ class TestSolveP4F3:
         # nan, which a residual of 0.0 would pass off as an exact fit
         scene = sim.gen_scene(4, 3, 5)
         frames = [[v * 1e160 for v in f] for f in frames_sq(scene)]
-        (cand,) = sol.solve_p4f3(frames).candidates
-        assert all(math.isnan(r) for r in cand.residuals), cand.residuals
+        (residuals,) = sol.solve_p4f3(frames).residuals.tolist()
+        assert all(math.isnan(r) for r in residuals), residuals
 
     def test_wrong_shape(self):
         with pytest.raises(InvalidInputError):
@@ -307,7 +308,7 @@ class TestSolverInput:
 # before the batched core, kept here verbatim so the core is checked with ==.
 
 def reference_feasibility_check(candidate, frames, tol=1e-9):
-    cand = tuple(candidate.as_tuple() if hasattr(candidate, "as_tuple") else candidate)
+    cand = tuple(candidate)
     slack = tol * max(abs(v) for f in frames for v in f)
     if any(v < -slack for v in cand):
         return False
@@ -328,9 +329,9 @@ def reference_newton_polish(sol_, frames, iterations=3):
     r = residuals(x)
     for _ in range(iterations):
         a, b, c = x
-        jac = [(2.0 * a - 2.0 * b - 2.0 * c + q.coef_a,
-                2.0 * b - 2.0 * a - 2.0 * c + q.coef_b,
-                2.0 * c - 2.0 * a - 2.0 * b + q.coef_c) for q in coeffs]
+        jac = [(2.0 * a - 2.0 * b - 2.0 * c + coef_a,
+                2.0 * b - 2.0 * a - 2.0 * c + coef_b,
+                2.0 * c - 2.0 * a - 2.0 * b + coef_c) for coef_a, coef_b, coef_c, _ in coeffs]
         try:
             step = np.linalg.solve(jac, [-v for v in r]).tolist()
         except np.linalg.LinAlgError:
@@ -363,11 +364,10 @@ def reference_difference_system(norm, triples):
     rhs = np.empty(len(mat))
     row = 0
     for frame in norm[1:]:
-        for triple, q0 in zip(triples, ref):
-            q = geo.quad_coeffs([frame[k] for k in triple])
-            mat[row, triple] = (q.coef_a - q0.coef_a, q.coef_b - q0.coef_b,
-                                q.coef_c - q0.coef_c)
-            rhs[row] = q0.const - q.const
+        for triple, (ref_a, ref_b, ref_c, ref_const) in zip(triples, ref):
+            coef_a, coef_b, coef_c, const = geo.quad_coeffs([frame[k] for k in triple])
+            mat[row, triple] = (coef_a - ref_a, coef_b - ref_b, coef_c - ref_c)
+            rhs[row] = ref_const - const
             row += 1
     return mat, rhs
 
@@ -381,9 +381,9 @@ def reference_solve_linear(norm, triples):
 
 
 def reference_triangle_candidate(sol_, frames, tol):
-    lengths = geo.TriangleDistances(*sol_)
-    residuals = tuple(sol.eq1_residual(lengths, f) for f in frames)
-    return sol.Candidate(lengths, reference_feasibility_check(lengths, frames, tol), residuals)
+    lengths = tuple(sol_)
+    residuals = tuple(eq1_residual(lengths, f) for f in frames)
+    return lengths, reference_feasibility_check(lengths, frames, tol), residuals
 
 
 def reference_solve_p3f3(frames, tol=1e-9):
@@ -400,26 +400,26 @@ def reference_solve_p3f3(frames, tol=1e-9):
     b_c = (m_a2 * m_c1 - m_a1 * m_c2) / det
     b0 = (m_a1 * r2 - m_a2 * r1) / det
 
-    qp = geo.quad_coeffs(norm[0])
+    p_a, p_b, p_c, p_const = geo.quad_coeffs(norm[0])
     q2 = a_c * a_c + b_c * b_c + 1.0 - 2.0 * a_c * b_c - 2.0 * a_c - 2.0 * b_c
     q1 = (2.0 * a_c * a0 + 2.0 * b_c * b0 - 2.0 * (a_c * b0 + a0 * b_c)
-          - 2.0 * (a0 + b0) + qp.coef_a * a_c + qp.coef_b * b_c + qp.coef_c)
-    q0 = (a0 * a0 + b0 * b0 - 2.0 * a0 * b0 + qp.const
-          + qp.coef_a * a0 + qp.coef_b * b0)
+          - 2.0 * (a0 + b0) + p_a * a_c + p_b * b_c + p_c)
+    q0 = (a0 * a0 + b0 * b0 - 2.0 * a0 * b0 + p_const
+          + p_a * a0 + p_b * b0)
 
     candidates = []
     for c_sq in solve_quadratic(q2, q1, q0, tol):
         polished = reference_newton_polish((a_c * c_sq + a0, b_c * c_sq + b0, c_sq), norm)
         candidates.append(
             reference_triangle_candidate([v * scale for v in polished], frames, tol))
-    candidates.sort(key=lambda c: c.max_residual)
-    return sol.RecoveryResult(tuple(candidates))
+    candidates.sort(key=lambda c: max(abs(r) for r in c[2]))
+    return tuple(candidates)
 
 
 def reference_solve_p3f4(frames, tol=1e-9):
     norm, scale = reference_normalized(frames, (4, 3), "solve_p3f4")
     sol_ = [v * scale for v in reference_solve_linear(norm, ((0, 1, 2),))]
-    return sol.RecoveryResult((reference_triangle_candidate(sol_, frames, tol),))
+    return (reference_triangle_candidate(sol_, frames, tol),)
 
 
 def reference_solve_p4f3(frames, tol=1e-9):
@@ -429,14 +429,14 @@ def reference_solve_p4f3(frames, tol=1e-9):
     for frame in frames:
         worst = 0.0
         for triple in sol._TETRA_TRIPLES + ((0, 1, 2),):
-            tri = geo.TriangleDistances(*(sol_[k] for k in triple))
-            face = abs(sol.eq1_residual(tri, [frame[k] for k in triple]))
+            tri = [sol_[k] for k in triple]
+            face = abs(eq1_residual(tri, [frame[k] for k in triple]))
             # a face that overflows to nan makes the frame's residual nan
             worst = face if math.isnan(face) else max(worst, face)
         residuals.append(worst)
-    lengths = geo.TetraDistances(*sol_)
+    lengths = tuple(sol_)
     feasible = reference_feasibility_check(lengths, frames, tol)
-    return sol.RecoveryResult((sol.Candidate(lengths, feasible, tuple(residuals)),))
+    return ((lengths, feasible, tuple(residuals)),)
 
 
 ADAPTERS = {"p3f3": (sol.solve_p3f3, reference_solve_p3f3),
@@ -446,15 +446,19 @@ ADAPTERS = {"p3f3": (sol.solve_p3f3, reference_solve_p3f3),
 
 def outcome(solve, frames, tol=1e-9):
     """Everything a solver call shows: each candidate's lengths, feasible flag
-    and residuals in order, or the exception type and message."""
+    and residuals in order, or the exception type and message.  A reference
+    solver returns these (lengths, feasible, residuals) tuples itself."""
     try:
         result = solve(frames, tol)
     except (InvalidInputError, DegenerateEliminationError, SingularSystemError) as exc:
         return type(exc), str(exc)
-    for c in result.candidates:
-        assert type(c.feasible) is bool and all(type(r) is float for r in c.residuals)
-    return tuple((type(c.lengths), c.lengths.as_tuple(), c.feasible, c.residuals)
-                 for c in result.candidates)
+    if isinstance(result, tuple):
+        return result
+    assert (result.lengths.dtype, result.feasible.dtype, result.residuals.dtype) \
+        == (float, bool, float)
+    return tuple((tuple(lengths), feasible, tuple(residuals)) for lengths, feasible, residuals
+                 in zip(result.lengths.tolist(), result.feasible.tolist(),
+                        result.residuals.tolist()))
 
 
 def seeded_frames(mode, seed, scale=1.0, level=0.0):
@@ -522,7 +526,7 @@ class TestSameAsScalarSolvers:
                 got = outcome(solve, frames)
             assert repr(got) == repr(outcome(reference, frames))
             overflowed += any(not math.isfinite(v * v)
-                              for cand in got if len(cand) == 4 for v in cand[1])
+                              for cand in got if len(cand) == 3 for v in cand[0])
         assert overflowed > 30, overflowed
 
     @settings(max_examples=300, deadline=None)
@@ -551,11 +555,9 @@ def stack_rows(batch, n):
 
 def alone(solve, frames):
     try:
-        result = solve(frames)
+        return stack_rows(solve(frames), 0)
     except (DegenerateEliminationError, SingularSystemError):
         return "degenerate"
-    return tuple((list(c.lengths.as_tuple()), c.feasible, list(c.residuals))
-                 for c in result.candidates)
 
 
 class TestStackEqualsRows:

@@ -16,14 +16,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # every name the package root exported when it imported its submodules eagerly,
 # less the per-point body types (AmbiguityMember, Point3, apply_motion) that
-# bodies as arrays replaced
+# bodies as arrays replaced, and the per-candidate and length types (Candidate,
+# RecoveryResult, TriangleDistances, TetraDistances) and eq1_residual that
+# lengths as arrays replaced
 EAGER_EXPORTS = (
-    "BatchResult", "Candidate", "DofBalance",
+    "BatchResult", "DofBalance",
     "FrameObservation", "Interpretation", "MatchReport", "NoiseSpec",
-    "RecoveryResult", "RigidMotion", "Scene", "TetraDistances", "TriangleDistances",
+    "RigidMotion", "Scene",
     "add_noise", "ambiguity_family", "b_of_c_coeffs",
     "base_interpretation_from_frames", "collinearity_residual_4pt", "dof_balance",
-    "embed_depths", "eq1_residual", "errors", "feasibility_check", "gen_body", "gen_motion",
+    "embed_depths", "errors", "feasibility_check", "gen_body", "gen_motion",
     "gen_scene", "geometry", "interpretation_from_scene", "match_points",
     "projected_sq_distances", "reference_ambiguity_scene", "render", "residual_5pt",
     "rigidity_score", "scene_sim", "solve_b_given_c", "solve_batch", "solve_p3f3",
