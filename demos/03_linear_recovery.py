@@ -12,23 +12,21 @@ import math
 import numpy as np
 
 from orthosfm import (
-    RigidMotion,
     Scene,
-    gen_motion,
     gen_scene,
     projected_sq_distances,
     render,
     solve_p3f4,
     solve_p4f3,
-    subseed,
 )
 
 # --- part 1: the worked triangle over four frames --------------------------
 A_SQ, B_SQ, C_SQ = 4.0, 9.0, 12.6878
 x = (A_SQ + C_SQ - B_SQ) / (2.0 * math.sqrt(A_SQ))
 points = [(0.0, 0.0, 0.0), (math.sqrt(A_SQ), 0.0, 0.0), (x, math.sqrt(C_SQ - x * x), 0.0)]
-motions = [RigidMotion.identity()] + [gen_motion(subseed(42, j)) for j in (1, 2, 3)]
-scene = Scene(labels="PQR", points=points, motions=tuple(motions), seed=42)
+# the motions of a random 4-frame scene, the identity first
+moves = gen_scene(n_points=3, n_frames=4, seed=42)
+scene = Scene("PQR", points, moves.rotations, moves.translations, seed=42)
 
 sq = [projected_sq_distances(f, scene.labels) for f in render(scene)]
 best = solve_p3f4(sq).lengths[0]

@@ -15,7 +15,6 @@ family member at the reference angle, where Q and R move to depths
 import numpy as np
 
 from orthosfm import (
-    RigidMotion,
     Scene,
     ambiguity_family,
     interpretation_from_scene,
@@ -24,8 +23,8 @@ from orthosfm import (
 )
 from orthosfm.two_frame import REFERENCE_AMBIGUITY_ANGLE
 
-(labels, points), motion = reference_ambiguity_scene()
-scene = Scene(labels, points, motions=(RigidMotion.identity(), motion), seed=0)
+(labels, points), (rotation, translation) = reference_ambiguity_scene()
+scene = Scene(labels, points, [np.eye(3), rotation], [np.zeros(2), translation], seed=0)
 frame1, frame2 = render(scene)
 base = interpretation_from_scene(scene)
 

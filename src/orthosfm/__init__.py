@@ -2,7 +2,7 @@
 
 Library surface:
 
-* geometry  -- the base layer: frames, bodies, rigid motion, DOF balance, depth
+* geometry  -- the base layer: frames, bodies, motions, DOF balance, depth
   embedding, the tolerance table, the per-frame quartic identity, quadratic roots
 * solvers   -- the closed-form 3-frame and linear 4-frame / 4-point solvers:
   one batched core over stacks of problems, with one-problem adapters that
@@ -13,9 +13,12 @@ Library surface:
 * cli       -- the orthosfm command-line tool
 
 A body is a label tuple and a read-only (n, 3) array, a Scene's or an
-Interpretation's labels and points, as a frame is one of (n, 2).  Lengths
-are arrays of squared lengths in geometry's edge order: a solver's answer
-is one row of its BatchResult's lengths.
+Interpretation's labels and points, as a frame is one of (n, 2).  A motion
+is a read-only (3, 3) rotation and (2,) translation: a Scene holds one per
+frame as its (k, 3, 3) rotations and (k, 2) translations, an Interpretation
+one as its rotation and translation.  Lengths are arrays of squared lengths
+in geometry's edge order: a solver's answer is one row of its BatchResult's
+lengths.
 
 The names below are loaded on first use (PEP 562), so ``import orthosfm``
 imports no numpy and leaves the process environment as it found it.
@@ -26,7 +29,7 @@ import importlib
 # submodule -> the public names re-exported from it
 _EXPORTS = {
     "geometry": (
-        "DofBalance", "FrameObservation", "RigidMotion", "dof_balance", "embed_depths",
+        "DofBalance", "FrameObservation", "dof_balance", "embed_depths",
         "projected_sq_distances"),
     "solvers": (
         "BatchResult", "feasibility_check", "solve_batch", "solve_p3f3", "solve_p3f4",
@@ -37,7 +40,7 @@ _EXPORTS = {
         "base_interpretation_from_frames", "interpretation_from_scene",
         "reference_ambiguity_scene", "residual_5pt", "rigidity_score", "solve_b_given_c"),
     "scene_sim": (
-        "NoiseSpec", "Scene", "add_noise", "gen_body", "gen_motion", "gen_scene",
+        "Scene", "add_noise", "gen_body", "gen_motion", "gen_scene",
         "render", "subseed"),
     "errors": (),
 }

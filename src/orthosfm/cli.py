@@ -230,11 +230,11 @@ def cmd_simulate(args) -> int:
     if args.points < 3 or args.frames < 2:
         raise InvalidInputError("need --points >= 3 and --frames >= 2")
     seed = _default_seed(args.seed)
-    spec = scene_sim.NoiseSpec(level=args.noise, seed=scene_sim.subseed(seed, 10**6))
+    # before simulating, so a bad level costs no draws
+    scene_sim.check_noise_level(args.noise)
     scene = scene_sim.gen_scene(args.points, args.frames, seed)
-    frames = scene_sim.render(scene)
-    if spec.level > 0:
-        frames = scene_sim.add_noise(frames, spec)
+    frames = scene_sim.add_noise(scene_sim.render(scene), args.noise,
+                                 scene_sim.subseed(seed, 10**6))
     prefix = args.out or f"scene_{seed}"
     with open(prefix + ".scene.json", "w", encoding="utf-8") as fh:
         fh.write(io_files.scene_to_json(scene))

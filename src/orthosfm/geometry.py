@@ -17,6 +17,9 @@ Conventions used throughout the library:
   labels asked for (FrameObservation.coords).
 * A body is a label tuple and a read-only (n, 3) array, checked once as a
   frame is (checked_body): a scene's or an interpretation's labels and points.
+* A motion is a proper (3, 3) rotation and an in-plane (2,) translation; k
+  motions are a read-only (k, 3, 3) and (k, 2) array pair, checked once
+  (checked_motions): a scene's one per frame, an interpretation's one.
 """
 
 from __future__ import annotations
@@ -128,64 +131,31 @@ def quadratic_roots(q2, q1, q0, tol: float) -> tuple:
     return roots, found
 
 
-@dataclass(frozen=True, eq=False)
-class RigidMotion:
-    """A proper rotation plus an in-plane translation.
-
-    Depth translation has no effect on an orthographic image, so it is
-    excluded by construction rather than projected away.  Motions are
-    equal when their arrays are.
-    """
-
-    rotation: np.ndarray      # 3x3, orthonormal, det +1
-    translation: np.ndarray   # (tx, ty)
-
-    def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=float)
-        tr = np.asarray(self.translation, dtype=float)
-        if rot.shape != (3, 3) or tr.shape != (2,):
-            raise InvalidInputError("RigidMotion needs a 3x3 rotation and a 2-vector")
-        check_motions(rot, tr)
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", tr)
-
-    def __eq__(self, other):
-        return isinstance(other, RigidMotion) and np.array_equal(self.rotation, other.rotation) \
-            and np.array_equal(self.translation, other.translation)
-
-    @staticmethod
-    def identity() -> "RigidMotion":
-        return RigidMotion(np.eye(3), np.zeros(2))
-
-    @classmethod
-    def stack(cls, rotations: np.ndarray, translations: np.ndarray) -> tuple:
-        """One motion per row of an (M, 3, 3) rotation stack and an (M, 2)
-        translation stack, checked once over the whole stack."""
-        rot = np.array(rotations, dtype=float)
-        tr = np.array(translations, dtype=float)
-        if rot.shape[1:] != (3, 3) or tr.shape != (len(rot), 2):
-            raise InvalidInputError("RigidMotion.stack needs (M, 3, 3) and (M, 2) arrays")
-        check_motions(rot, tr)
-        motions = []
-        for r, t in zip(rot, tr):
-            motion = object.__new__(cls)
-            object.__setattr__(motion, "rotation", r)
-            object.__setattr__(motion, "translation", t)
-            motions.append(motion)
-        return tuple(motions)
-
-
 def check_motions(rotations: np.ndarray, translations: np.ndarray) -> None:
-    """Raise InvalidInputError unless every rotation of a stack (or a single
-    3x3 rotation) is finite, orthonormal and proper (det +1) and every
-    translation is finite."""
+    """Raise InvalidInputError unless every rotation of a stack is finite,
+    orthonormal and proper (det +1) and every translation is finite."""
     if not (np.isfinite(rotations).all() and np.isfinite(translations).all()):
-        raise InvalidInputError("non-finite RigidMotion")
+        raise InvalidInputError("non-finite motion")
     err = np.abs(np.swapaxes(rotations, -1, -2) @ rotations - np.eye(3)).max(initial=0.0)
     if err > ORTHONORMALITY_TOL:
         raise InvalidInputError(f"rotation not orthonormal (err={err:.3g})")
     if np.abs(np.linalg.det(rotations) - 1.0).max(initial=0.0) > ORTHONORMALITY_TOL:
         raise InvalidInputError("rotation must be proper (det +1)")
+
+
+def checked_motions(rotations, translations) -> tuple:
+    """A stack of k >= 0 rigid motions: read-only (k, 3, 3) rotations and
+    (k, 2) in-plane translations as float arrays, checked once over the whole
+    stack (check_motions)."""
+    try:
+        rot, tr = np.array(rotations, dtype=float), np.array(translations, dtype=float)
+    except (TypeError, ValueError):
+        rot = tr = None
+    if rot is None or rot.shape[1:] != (3, 3) or tr.shape != (len(rot), 2):
+        raise InvalidInputError("motions need a (k, 3, 3) rotation and a (k, 2) translation stack")
+    check_motions(rot, tr)
+    rot.flags.writeable = tr.flags.writeable = False
+    return rot, tr
 
 
 def _checked_points(labels_per_row, coords, dim: int, name: str, shape_error: str) -> tuple:
@@ -195,8 +165,12 @@ def _checked_points(labels_per_row, coords, dim: int, name: str, shape_error: st
     name.format(i) names row i in an error ("frame {}" for frames, "body"
     for a body)."""
     labels = [tuple(labs) for labs in labels_per_row]
-    xyz = np.array(coords, dtype=float)
-    if xyz.ndim != 3 or xyz.shape[2] != dim or list(map(len, labels)) != [xyz.shape[1]] * len(xyz):
+    try:
+        xyz = np.array(coords, dtype=float)
+    except (TypeError, ValueError):
+        xyz = None
+    if xyz is None or xyz.ndim != 3 or xyz.shape[2] != dim \
+            or list(map(len, labels)) != [xyz.shape[1]] * len(xyz):
         raise InvalidInputError(shape_error)
     repeats = [labels.index(labs) for labs in set(labels) if len(set(labs)) < len(labs)]
     if repeats:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import FrameObservation, RigidMotion
+from .geometry import FrameObservation
 
 if TYPE_CHECKING:
     from .scene_sim import Scene
@@ -28,10 +28,10 @@ def scene_to_json(scene: Scene) -> str:
     points = [_json_block("{}", [f'"label": {json.dumps(str(lab))}', f'"x": {x!r}',
                                  f'"y": {y!r}', f'"z": {z!r}'], 4)
               for lab, (x, y, z) in zip(scene.labels, scene.points.tolist())]
-    motions = [_json_block("{}", [
-        '"rotation": ' + _json_block("[]", map(repr, m.rotation.ravel().tolist()), 6),
-        f'"tx": {tx!r}', f'"ty": {ty!r}'], 4)
-        for m in scene.motions for tx, ty in [m.translation.tolist()]]
+    motions = [_json_block("{}", ['"rotation": ' + _json_block("[]", map(repr, rot), 6),
+                                  f'"tx": {tx!r}', f'"ty": {ty!r}'], 4)
+               for rot, (tx, ty) in zip(scene.rotations.reshape(-1, 9).tolist(),
+                                        scene.translations.tolist())]
     return _json_block("{}", ['"points": ' + _json_block("[]", points, 2),
                               '"motions": ' + _json_block("[]", motions, 2),
                               f'"seed": {int(scene.seed)}'], 0) + "\n"
@@ -56,15 +56,13 @@ def scene_from_json(text: str) -> Scene:
     try:
         labels = [entry["label"] for entry in doc["points"]]
         points = [[float(entry[axis]) for axis in "xyz"] for entry in doc["points"]]
-        motions = tuple(
-            RigidMotion(
-                np.array([float(v) for v in m["rotation"]]).reshape(3, 3),
-                np.array([float(m["tx"]), float(m["ty"])]),
-            )
-            for m in doc["motions"]
-        )
+        motions = doc["motions"]
+        rotations = np.reshape([[float(v) for v in m["rotation"]] for m in motions],
+                               (len(motions), 3, 3))
+        translations = np.reshape([[float(m["tx"]), float(m["ty"])] for m in motions],
+                                  (len(motions), 2))
         seed = int(doc.get("seed", 0))
-        return Scene(labels, points, motions, seed)
+        return Scene(labels, points, rotations, translations, seed)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"scene file: malformed field ({exc})") from exc
     except InvalidInputError as exc:

@@ -13,9 +13,10 @@ One array core does the work for any number of scenes at once: bodies are
 (N, p, 3) arrays, rotations (N, k, 3, 3), translations (N, k, 2) and images
 (N, k, p, 2).  Each stream still makes its own draws in its own order, so a
 scene is the same whether it is simulated alone or in a stack.  gen_body,
-gen_motion, gen_scene, render and add_noise are thin adapters that turn
-the arrays into the public value types; run_noise_study stays on arrays,
-and it alone loads solvers, so simulating a scene loads no solver.
+gen_motion, gen_scene, render and add_noise are thin adapters that check
+one stream's arrays (geometry's checked_body and checked_motions) or turn
+them into frames; run_noise_study stays on arrays, and it alone loads
+solvers, so simulating a scene loads no solver.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .geometry import (
     TETRA_EDGES,
     TRIANGLE_EDGES,
     FrameObservation,
-    RigidMotion,
     check_motions,
     checked_body,
+    checked_motions,
 )
 
 DEFAULT_LABELS = ("P", "Q", "R", "T", "S")
@@ -57,48 +58,40 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 @dataclass(frozen=True, eq=False)
 class Scene:
     """A ground-truth body (labels and points, geometry.checked_body) plus one
-    rigid motion per frame (frame 1 identity); equal when the fields are."""
+    rigid motion per frame, as (k, 3, 3) rotations and (k, 2) translations
+    (geometry.checked_motions; frame 1 the identity); equal when the fields
+    are, arrays by value."""
 
     labels: tuple
     points: np.ndarray
-    motions: tuple         # of RigidMotion
+    rotations: np.ndarray
+    translations: np.ndarray
     seed: int
 
     def __post_init__(self):
         labels, points = checked_body(self.labels, self.points)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "motions", tuple(self.motions))
+        rotations, translations = checked_motions(self.rotations, self.translations)
+        vars(self).update(labels=labels, points=points, rotations=rotations,
+                          translations=translations)
 
     def __eq__(self, other):
         return isinstance(other, Scene) and self.labels == other.labels \
             and np.array_equal(self.points, other.points) \
-            and self.motions == other.motions and self.seed == other.seed
+            and np.array_equal(self.rotations, other.rotations) \
+            and np.array_equal(self.translations, other.translations) \
+            and self.seed == other.seed
 
     def true_sq_distance(self, label_a, label_b) -> float:
         d = self.points[self.labels.index(label_a)] - self.points[self.labels.index(label_b)]
         return float(d @ d)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Relative per-coordinate measurement noise.
-
-    level is the maximum relative perturbation for the uniform distribution;
-    for gaussian it is treated as a 3-sigma bound.  It must be non-negative
-    and its range, 2 * level, finite (at most about 9e307).
-    """
-
-    level: float
-    distribution: str = "uniform"
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (math.isfinite(2.0 * self.level) and self.level >= 0):
-            raise InvalidInputError(
-                f"noise level must be >= 0 with a finite range 2 * level, got {self.level!r}")
-        if self.distribution not in ("uniform", "gaussian"):
-            raise InvalidInputError(f"unknown distribution {self.distribution!r}")
+def check_noise_level(level) -> None:
+    """Raise InvalidInputError unless the relative noise level is >= 0 and
+    its range, 2 * level, finite (at most about 9e307)."""
+    if not (math.isfinite(2.0 * level) and level >= 0):
+        raise InvalidInputError(
+            f"noise level must be >= 0 with a finite range 2 * level, got {level!r}")
 
 
 def _labels_for(n: int) -> tuple:
@@ -356,15 +349,10 @@ def _images(bodies: np.ndarray, rots: np.ndarray, trans: np.ndarray) -> np.ndarr
     return moved[..., :2] + trans[:, :, None, :]
 
 
-def _noise(rngs, spec: NoiseSpec, shape) -> np.ndarray:
-    """Relative noise of the given shape from each stream, stacked."""
-    eps = []
-    for rng in rngs:
-        if spec.distribution == "uniform":
-            eps.append(rng.uniform(-spec.level, spec.level, size=shape))
-        else:
-            eps.append(rng.normal(0.0, spec.level / 3.0, size=shape))
-    return np.array(eps)
+def _noise(rngs, level: float, shape) -> np.ndarray:
+    """Relative noise, uniform in [-level, level], of the given shape from
+    each stream, stacked."""
+    return np.array([rng.uniform(-level, level, size=shape) for rng in rngs])
 
 
 # ---------------------------------------------------------------- adapters
@@ -377,11 +365,13 @@ def gen_body(n: int, seed) -> tuple:
     return checked_body(_labels_for(n), _bodies(_generators(seed, [()]), n)[0])
 
 
-def gen_motion(seed) -> RigidMotion:
+def gen_motion(seed) -> tuple:
     """A rigid motion with rotation uniform on SO(3) and translation uniform
     in [-1, 1]^2, rejecting near-degenerate motions (tiny rotation, or an
-    axis so close to the viewing direction that the motion is in-plane)."""
-    return RigidMotion.stack(*_motions(_generators(seed, [()])))[0]
+    axis so close to the viewing direction that the motion is in-plane), as
+    (rotation, translation)."""
+    (rotation,), (translation,) = checked_motions(*_motions(_generators(seed, [()])))
+    return rotation, translation
 
 
 def gen_scene(n_points: int, n_frames: int, seed) -> Scene:
@@ -395,29 +385,26 @@ def gen_scene(n_points: int, n_frames: int, seed) -> Scene:
         n_points, n_frames, _generators(seed, _scene_keys([()], n_frames)))
     # _generators admitted only an int entropy, which Scene.seed records
     provenance = seed.entropy if isinstance(seed, np.random.SeedSequence) else int(seed)
-    return Scene(_labels_for(n_points), bodies[0], RigidMotion.stack(rots[0], trans[0]),
-                 int(provenance))
+    return Scene(_labels_for(n_points), bodies[0], rots[0], trans[0], int(provenance))
 
 
 def render(scene: Scene) -> list:
     """Orthographic frames of the scene: frame j projects motion_j(body)."""
-    rots = np.array([m.rotation for m in scene.motions])
-    trans = np.array([m.translation for m in scene.motions])
-    images = _images(scene.points[None], rots[None], trans[None])[0]
+    images = _images(scene.points[None], scene.rotations[None], scene.translations[None])[0]
     return list(FrameObservation.stack([scene.labels] * len(images), images))
 
 
-def add_noise(frames, spec: NoiseSpec) -> list:
-    """Multiplicative per-coordinate noise: x -> x * (1 + eps).
-
-    Uniform: eps ~ U(-level, level).  Gaussian: eps ~ N(0, (level/3)^2),
-    so the stated level is a 3-sigma bound.  Level 0 returns the (immutable)
-    frames themselves.
+def add_noise(frames, level: float, seed) -> list:
+    """Multiplicative per-coordinate noise, x -> x * (1 + eps) with eps
+    uniform in [-level, level], drawn from the stream of seed.  The level is
+    checked first (check_noise_level); level 0 returns the (immutable) frames
+    themselves.
     """
-    if spec.level == 0.0 or not frames:
+    check_noise_level(level)
+    if level == 0 or not frames:
         return list(frames)
     coords = np.concatenate([f.coords() for f in frames])
-    noise = _noise(_generators(spec.seed, [()]), spec, coords.shape)[0]
+    noise = _noise(_generators(seed, [()]), level, coords.shape)[0]
     noisy = coords * (1.0 + noise)
     sizes = [len(f.labels) for f in frames]
     if len(set(sizes)) == 1:
@@ -476,28 +463,31 @@ def run_noise_study(mode: str, levels, trials: int, seed: int) -> list:
     """
     from . import solvers
 
+    if mode not in solvers.MODES:
+        raise InvalidInputError(f"unknown mode {mode!r}")
     n_points, n_frames = solvers.MODES[mode]
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise InvalidInputError(f"trials must be >= 1 and an integer, got {trials!r}")
     levels = list(levels)
     if not levels:
         raise InvalidInputError("need at least one noise level")
-    specs = [NoiseSpec(level) for level in levels]
+    for level in levels:
+        check_noise_level(level)
     first, second = np.array(TETRA_EDGES if n_points == 4 else TRIANGLE_EDGES).T
     # looked up per study so a wrapped core is the one that runs
     solve = solvers.solve_batch
     rows = []
-    for li, (level, spec) in enumerate(zip(levels, specs)):
+    for li, level in enumerate(levels):
         keys = _scene_keys([(li, t, 0) for t in range(trials)], n_frames)
-        if spec.level > 0:
+        if level > 0:
             keys += [(li, t, 1) for t in range(trials)]
         rngs = _generators(seed, keys)
         n_scene = trials * n_frames
         bodies, rots, trans = _scenes(n_points, n_frames, rngs[:n_scene])
         check_motions(rots, trans)
         images = _images(bodies, rots, trans)
-        if spec.level > 0:
-            images = images * (1.0 + _noise(rngs[n_scene:], spec, images.shape[1:]))
+        if level > 0:
+            images = images * (1.0 + _noise(rngs[n_scene:], level, images.shape[1:]))
         d = images[:, :, first] - images[:, :, second]
         # dx*dx + dy*dy as projected_sq_distances rounds it; np.vecdot on
         # 2-vectors does not

@@ -60,9 +60,9 @@ from .geometry import (
     REPROJECTION_BOUND,
     SQRT_EPS,
     FrameObservation,
-    RigidMotion,
     check_tolerance,
     checked_body,
+    checked_motions,
     depth_pair,
     quad_coeffs,
     quadratic_roots,
@@ -689,26 +689,31 @@ class Interpretation:
     """One consistent 3D reading of a two-frame observation pair: the body
     in first-frame coordinates, as labels and an (n, 3) array of points
     (geometry.checked_body), plus the motion carrying it into the second
-    frame.  Interpretations are equal when their fields are, arrays by value."""
+    frame, as a (3, 3) rotation and a (2,) translation
+    (geometry.checked_motions).  Interpretations are equal when their fields
+    are, arrays by value."""
 
     labels: tuple
     points: np.ndarray
-    motion: RigidMotion
+    rotation: np.ndarray
+    translation: np.ndarray
 
     def __post_init__(self):
         labels, points = checked_body(self.labels, self.points)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "points", points)
+        (rotation,), (translation,) = checked_motions([self.rotation], [self.translation])
+        vars(self).update(labels=labels, points=points, rotation=rotation,
+                          translation=translation)
 
     def __eq__(self, other):
         return isinstance(other, Interpretation) and self.labels == other.labels \
-            and np.array_equal(self.points, other.points) and self.motion == other.motion
+            and np.array_equal(self.points, other.points) \
+            and np.array_equal(self.rotation, other.rotation) \
+            and np.array_equal(self.translation, other.translation)
 
     def reprojection_residuals(self, frame1, frame2) -> tuple:
         """Max image distance to each frame's observed points, each a hypot of
         differences, so no square leaves the float range."""
-        images = (self.points[:, :2],
-                  self.points @ self.motion.rotation[:2].T + self.motion.translation)
+        images = (self.points[:, :2], self.points @ self.rotation[:2].T + self.translation)
         return tuple(float(np.hypot(*(img - frame.coords(self.labels)).T).max())
                      for img, frame in zip(images, (frame1, frame2)))
 
@@ -761,7 +766,7 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
         raise InvalidInputError(
             f"base interpretation does not reproduce the frames "
             f"(residuals {res1:.3g}, {res2:.3g})")
-    rot = base.motion.rotation
+    rot = base.rotation
     d = rot.T @ np.array([0.0, 0.0, 1.0])
     axis = np.cross(np.array([0.0, 0.0, 1.0]), d)
     axis_norm = np.linalg.norm(axis)
@@ -788,8 +793,7 @@ def ambiguity_family(frame1: FrameObservation, frame2: FrameObservation,
         lifted = np.column_stack([targets, moved[:, 2] + s * new_dir[2]])
         new_rot = rot @ spin.T
         shift = rot @ anchor - new_rot @ anchor
-        member = Interpretation(labels, lifted,
-                                RigidMotion(new_rot, base.motion.translation + shift[:2]))
+        member = Interpretation(labels, lifted, new_rot, base.translation + shift[:2])
         members.append((angle, member if _reproduces(member, frame1, frame2, scale) else None))
     return members
 
@@ -809,10 +813,10 @@ def reference_ambiguity_scene():
     """The frozen demonstration scene for the two-frame ambiguity.
 
     Returns (body, motion): the 3-point body above, as labels and points
-    (geometry.checked_body), and a rigid motion such
-    that rotating the family by REFERENCE_AMBIGUITY_ANGLE yields a member
-    whose Q and R depths are REFERENCE_ALTERNATE_DEPTHS while both frames
-    reproject exactly.
+    (geometry.checked_body), and a rigid motion, as a (3, 3) rotation and a
+    (2,) translation (geometry.checked_motions), such that rotating the
+    family by REFERENCE_AMBIGUITY_ANGLE yields a member whose Q and R depths
+    are REFERENCE_ALTERNATE_DEPTHS while both frames reproject exactly.
     """
     d = np.array([
         math.sin(_REFERENCE_TILT) * math.cos(_REFERENCE_PHI),
@@ -823,14 +827,15 @@ def reference_ambiguity_scene():
     axis = np.cross(d, ez)
     axis /= np.linalg.norm(axis)
     rot = _axis_rotation(axis, math.atan2(np.linalg.norm(np.cross(d, ez)), float(d @ ez)))
-    return REFERENCE_BODY, RigidMotion(rot, np.zeros(2))
+    (rotation,), (translation,) = checked_motions([rot], [np.zeros(2)])
+    return REFERENCE_BODY, (rotation, translation)
 
 
 def interpretation_from_scene(scene) -> Interpretation:
     """Ground-truth interpretation of a simulated scene's first two frames."""
-    if len(scene.motions) < 2:
+    if len(scene.rotations) < 2:
         raise InvalidInputError("scene needs at least 2 frames")
-    return Interpretation(scene.labels, scene.points, scene.motions[1])
+    return Interpretation(scene.labels, scene.points, scene.rotations[1], scene.translations[1])
 
 
 def base_interpretation_from_frames(frame1: FrameObservation,
@@ -893,5 +898,4 @@ def _fit_interpretation(e1: np.ndarray, e2: np.ndarray, labels, img1: np.ndarray
     col = rxy[:, 2]
     rhs = (img2 - img1 @ rxy[:, :2].T) / scale - translation
     z = rhs @ col / (col @ col) if col @ col > AXIS_EPS ** 2 else np.zeros(len(labels))
-    return Interpretation(labels, np.column_stack([img1, z * scale]),
-                          RigidMotion(rot, translation * scale))
+    return Interpretation(labels, np.column_stack([img1, z * scale]), rot, translation * scale)

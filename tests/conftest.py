@@ -30,10 +30,11 @@ def golden_body():
 
 
 def golden_scene(n_frames: int, seed: int = 42) -> sim.Scene:
-    motions = [geo.RigidMotion.identity()]
+    motions = [(np.eye(3), np.zeros(2))]
     for j in range(1, n_frames):
         motions.append(sim.gen_motion(sim.subseed(seed, j)))
-    return sim.Scene(*golden_body(), motions=tuple(motions), seed=seed)
+    rotations, translations = zip(*motions)
+    return sim.Scene(*golden_body(), rotations, translations, seed=seed)
 
 
 def frames_sq(scene: sim.Scene, labels=None):
@@ -131,12 +132,12 @@ def shared_epipolar_pair(seed: int, n: int = 6):
     off x_(n-1) by a along that direction.  So both points' epipolar lines
     coincide and swapping their targets is just as rigid.  The second frame
     is relabeled by a seeded permutation."""
-    motion = sim.gen_motion(seed + 1000)
+    rotation, translation = sim.gen_motion(seed + 1000)
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(0.5, 1.5, 2) * rng.choice([-1.0, 1.0], 2)
     body = sim.gen_body(n - 1, seed)[1]
-    body = np.vstack([body, body[-1] + a * np.eye(3)[2] + b * motion.rotation[2]])
-    images = (body[:, :2], (body @ motion.rotation.T)[:, :2] + motion.translation)
+    body = np.vstack([body, body[-1] + a * np.eye(3)[2] + b * rotation[2]])
+    images = (body[:, :2], (body @ rotation.T)[:, :2] + translation)
     labels = ["P", "Q", "R", "T", "S", "U", "V", "W"][:n]
     relabel = dict(zip(labels, rng.permutation(labels).tolist()))
     return [geo.FrameObservation(list(map(name, labels)), image)
@@ -164,11 +165,11 @@ def coplanar_probe_pair(n, seed, planar=False, lift=0.0, tie=False):
     azimuth, tilt = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 0.5)
     axis = np.array([math.cos(azimuth), math.sin(azimuth), 0.0])
     body = body @ tf._axis_rotation(axis, tilt).T
-    motion = sim.gen_motion(seed)
+    rotation, translation = sim.gen_motion(seed)
     if tie:
         a, b = rng.uniform(0.1, 0.3, 2) * rng.choice([-1.0, 1.0], 2)
-        body = np.vstack([body, body[-1] + a * np.eye(3)[2] + b * motion.rotation[2]])
-    images = (body[:, :2], (body @ motion.rotation.T)[:, :2] + motion.translation)
+        body = np.vstack([body, body[-1] + a * np.eye(3)[2] + b * rotation[2]])
+    images = (body[:, :2], (body @ rotation.T)[:, :2] + translation)
     labels = [f"L{i}" for i in range(n)]
     relabel = dict(zip(labels, (labels[i] for i in rng.permutation(n))))
     frame1, frame2 = (geo.FrameObservation(list(map(name, labels)), image)
@@ -187,16 +188,16 @@ def near_degenerate_pair(kind, n, seed):
     if isinstance(kind, float):
         body = sim.gen_body(n, seed)[1]
         axis = rng.normal(size=3)
-        motion = geo.RigidMotion(tf._axis_rotation(axis / np.linalg.norm(axis), kind),
-                                 rng.uniform(-1.0, 1.0, 2))
+        rotation = tf._axis_rotation(axis / np.linalg.norm(axis), kind)
+        translation = rng.uniform(-1.0, 1.0, 2)
     else:
         if kind == "planar":
             body = np.column_stack([rng.uniform(-1.0, 1.0, (n, 2)), np.zeros(n)]) \
                 @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
         else:
             body = rng.normal(size=3) + rng.uniform(-1.0, 1.0, (n, 1)) * rng.normal(size=3)
-        motion = sim.gen_motion(seed)
-    images = (body[:, :2], (body @ motion.rotation.T)[:, :2] + motion.translation)
+        rotation, translation = sim.gen_motion(seed)
+    images = (body[:, :2], (body @ rotation.T)[:, :2] + translation)
     labels = [f"L{i}" for i in range(n)]
     relabel = dict(zip(labels, (labels[i] for i in rng.permutation(n))))
     frame1, frame2 = (geo.FrameObservation(list(map(name, labels)), image)

@@ -24,7 +24,6 @@ from orthosfm.geometry import (
     DEGENERACY_EPS,
     LINEAR_EPS,
     FrameObservation,
-    RigidMotion,
     check_tolerance,
     quad_coeffs,
 )
@@ -49,10 +48,10 @@ class Point3:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
-def apply_motion(m: RigidMotion, p: Point3) -> Point3:
+def apply_motion(rotation: np.ndarray, translation: np.ndarray, p: Point3) -> Point3:
     """Rotate and translate a point; translation acts in the image plane only."""
-    v = m.rotation @ p.as_array()
-    return Point3(v[0] + m.translation[0], v[1] + m.translation[1], v[2])
+    v = rotation @ p.as_array()
+    return Point3(v[0] + translation[0], v[1] + translation[1], v[2])
 
 
 def solve_quadratic(q2: float, q1: float, q0: float, tol: float):

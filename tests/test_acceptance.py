@@ -155,9 +155,8 @@ def test_criterion_6_two_frame_ambiguity():
 
     # the frozen worked configuration: depths of Q and R in the alternate
     # structure, images bit-identical
-    body, motion = tf.reference_ambiguity_scene()
-    ref_scene = sim.Scene(*body,
-                          motions=(geo.RigidMotion.identity(), motion), seed=0)
+    body, (rotation, translation) = tf.reference_ambiguity_scene()
+    ref_scene = sim.Scene(*body, [np.eye(3), rotation], [np.zeros(2), translation], seed=0)
     frame1, frame2 = sim.render(ref_scene)
     base = tf.interpretation_from_scene(ref_scene)
     ((_, member),) = tf.ambiguity_family(

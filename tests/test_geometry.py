@@ -16,54 +16,62 @@ from conftest import SCALE_SWEEP, TRIANGLE_PAIRS, frames_sq
 
 class TestApplyMotion:
     def test_identity(self):
-        m = geo.RigidMotion.identity()
-        assert ref.apply_motion(m, ref.Point3(1, 2, 3)) == ref.Point3(1, 2, 3)
+        assert ref.apply_motion(np.eye(3), np.zeros(2), ref.Point3(1, 2, 3)) == ref.Point3(1, 2, 3)
 
     def test_half_turn_about_z(self):
         rot = np.array([[-1.0, 0, 0], [0, -1.0, 0], [0, 0, 1.0]])
-        m = geo.RigidMotion(rot, np.zeros(2))
-        out = ref.apply_motion(m, ref.Point3(1, 0, 0))
+        out = ref.apply_motion(rot, np.zeros(2), ref.Point3(1, 0, 0))
         assert abs(out.x + 1) < 1e-15 and abs(out.y) < 1e-15 and out.z == 0
 
     def test_matches_manual_multiply(self, rng):
         for _ in range(20):
-            m = sim.gen_motion(int(rng.integers(0, 2**32)))
+            rotation, translation = sim.gen_motion(int(rng.integers(0, 2**32)))
             p = ref.Point3(*rng.normal(size=3))
-            out = ref.apply_motion(m, p)
+            out = ref.apply_motion(rotation, translation, p)
             # independent element-wise oracle
             vec = (p.x, p.y, p.z)
-            expect = [sum(m.rotation[i][j] * vec[j] for j in range(3)) for i in range(3)]
-            expect[0] += m.translation[0]
-            expect[1] += m.translation[1]
+            expect = [sum(rotation[i][j] * vec[j] for j in range(3)) for i in range(3)]
+            expect[0] += translation[0]
+            expect[1] += translation[1]
             assert abs(out.x - expect[0]) < 1e-12
             assert abs(out.y - expect[1]) < 1e-12
             assert abs(out.z - expect[2]) < 1e-12
 
     def test_translation_has_no_depth(self):
-        m = sim.gen_motion(3)
-        p = ref.apply_motion(m, ref.Point3(0.2, 0.4, 0.6))
-        bare = m.rotation @ np.array([0.2, 0.4, 0.6])
+        rotation, translation = sim.gen_motion(3)
+        p = ref.apply_motion(rotation, translation, ref.Point3(0.2, 0.4, 0.6))
+        bare = rotation @ np.array([0.2, 0.4, 0.6])
         assert p.z == pytest.approx(bare[2], abs=0)
 
     def test_rejects_improper_rotation(self):
         flip = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(InvalidInputError):
-            geo.RigidMotion(flip, np.zeros(2))
+            geo.checked_motions([flip], [np.zeros(2)])
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(InvalidInputError):
-            geo.RigidMotion(np.eye(3) * 1.001, np.zeros(2))
+            geo.checked_motions([np.eye(3) * 1.001], [np.zeros(2)])
 
 
-class TestRigidMotionStack:
+class TestCheckedMotions:
     def test_same_as_one_by_one(self):
         motions = [sim.gen_motion(seed) for seed in range(5)]
-        rots = np.array([m.rotation for m in motions])
-        trans = np.array([m.translation for m in motions])
-        for got, want in zip(geo.RigidMotion.stack(rots, trans), motions):
-            assert np.array_equal(got.rotation, want.rotation)
-            assert np.array_equal(got.translation, want.translation)
-        assert geo.RigidMotion.stack(np.empty((0, 3, 3)), np.empty((0, 2))) == ()
+        rots, trans = geo.checked_motions(*zip(*motions))
+        for got, want in zip(zip(rots, trans), motions):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        rots, trans = geo.checked_motions(np.empty((0, 3, 3)), np.empty((0, 2)))
+        assert rots.shape == (0, 3, 3) and trans.shape == (0, 2)
+
+    def test_read_only_copies(self):
+        rots, trans = np.array([np.eye(3)] * 2), np.zeros((2, 2))
+        got_rots, got_trans = geo.checked_motions(rots, trans)
+        rots[:] = 0.0   # the caller's arrays are copied
+        trans[:] = 1.0
+        assert np.array_equal(got_rots, [np.eye(3)] * 2) and not got_trans.any()
+        for array in (got_rots, got_trans):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
 
     @pytest.mark.parametrize("bad, message", [
         (np.diag([1.0, 1.0, -1.0]), "proper"),
@@ -72,11 +80,18 @@ class TestRigidMotionStack:
     def test_one_bad_row_rejects_the_stack(self, bad, message):
         rots = np.array([np.eye(3), bad, np.eye(3)])
         with pytest.raises(InvalidInputError, match=message):
-            geo.RigidMotion.stack(rots, np.zeros((3, 2)))
+            geo.checked_motions(rots, np.zeros((3, 2)))
 
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(InvalidInputError):
-            geo.RigidMotion.stack(np.array([np.eye(3)] * 2), np.zeros((3, 2)))
+    @pytest.mark.parametrize("rotations, translations", [
+        (np.array([np.eye(3)] * 2), np.zeros((3, 2))),      # two rotations, three shifts
+        (np.eye(3), np.zeros(2)),                           # one motion, not a stack
+        (np.array([np.eye(3)]), np.zeros((1, 3))),          # a shift in depth
+        ([[[1, 0, 0], [0, 1, 0], [0, 0]]], [[0, 0]]),       # a ragged rotation
+        ([np.eye(3)], [["a", 0]]),                          # a non-numeric shift
+    ])
+    def test_rejects_mismatched_shapes(self, rotations, translations):
+        with pytest.raises(InvalidInputError, match="motions need"):
+            geo.checked_motions(rotations, translations)
 
 
 class TestProjectedSqDistances:
@@ -209,6 +224,16 @@ class TestFrameObservationStack:
         with pytest.raises(InvalidInputError, match="stack needs"):
             geo.FrameObservation.stack(labels, np.zeros(shape))
 
+    @pytest.mark.parametrize("coords", [
+        [["a", 0], [1, 0], [0, 1]],           # a non-numeric coordinate
+        [[0, 0], [1, 0], [0]],                # a ragged point
+    ])
+    def test_rejects_non_numeric_or_ragged_coords(self, coords):
+        with pytest.raises(InvalidInputError, match="stack needs"):
+            geo.FrameObservation("PQR", coords)
+        with pytest.raises(InvalidInputError, match="stack needs"):
+            geo.FrameObservation.stack(["PQR"], [coords])
+
     def test_frames_are_read_only_views_of_one_copy(self):
         xy = np.arange(18.0).reshape(3, 3, 2)
         frames = geo.FrameObservation.stack([("P", "Q", "R")] * 3, xy)
@@ -247,6 +272,8 @@ class TestCheckedBody:
         ("PQ", np.zeros((2, 3)), "body: needs at least 3 points, has 2"),
         ("PQR", np.zeros((3, 2)), "one label per point and an \\(n, 3\\) array"),
         ("PQ", np.zeros((3, 3)), "one label per point"),
+        ("PQR", [[0, 0, 0], [1, 0, 0], [0, 1]], "one label per point and an \\(n, 3\\) array"),
+        ("PQR", [["a", 0, 0], [1, 0, 0], [0, 1, 0]], "one label per point and an \\(n, 3\\) array"),
     ])
     def test_rejects_a_malformed_body(self, labels, points, message):
         with pytest.raises(InvalidInputError, match=message):
@@ -288,7 +315,8 @@ class TestEmbedDepths:
                    scene.true_sq_distance("Q", "R"),
                    scene.true_sq_distance("R", "P"))
             sq = frames_sq(scene)[1]
-            moved = {lab: ref.apply_motion(scene.motions[1], ref.Point3(*p))
+            moved = {lab: ref.apply_motion(scene.rotations[1], scene.translations[1],
+                                           ref.Point3(*p))
                      for lab, p in zip(scene.labels, scene.points)}
             truth = (moved["Q"].z - moved["P"].z,
                      moved["R"].z - moved["Q"].z,
@@ -425,10 +453,10 @@ class TestInvariants:
         for seed in range(20):
             scene = sim.gen_scene(4, 3, seed)
             pts = {lab: ref.Point3(*p) for lab, p in zip(scene.labels, scene.points)}
-            for motion in scene.motions:
+            for motion in zip(scene.rotations, scene.translations):
                 for la, lb in (("P", "Q"), ("Q", "R"), ("R", "T")):
                     before = pts[la].as_array() - pts[lb].as_array()
-                    after = (ref.apply_motion(motion, pts[la]).as_array()
-                             - ref.apply_motion(motion, pts[lb]).as_array())
+                    after = (ref.apply_motion(*motion, pts[la]).as_array()
+                             - ref.apply_motion(*motion, pts[lb]).as_array())
                     rel = abs(float(before @ before) - float(after @ after))
                     assert rel < 1e-12 * max(1.0, float(before @ before))

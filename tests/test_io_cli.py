@@ -29,9 +29,8 @@ class TestSceneJson:
         back = io_files.scene_from_json(io_files.scene_to_json(scene))
         assert back.seed == scene.seed
         assert back == scene
-        for m1, m2 in zip(back.motions, scene.motions):
-            assert np.array_equal(m1.rotation, m2.rotation)
-            assert np.array_equal(m1.translation, m2.translation)
+        assert np.array_equal(back.rotations, scene.rotations)
+        assert np.array_equal(back.translations, scene.translations)
 
     def test_invalid_json_diagnostic(self):
         with pytest.raises(InvalidInputError, match="line"):
@@ -60,9 +59,9 @@ def scene_doc(scene):
     return {
         "points": [{"label": str(lab), "x": x, "y": y, "z": z}
                    for lab, (x, y, z) in zip(scene.labels, scene.points.tolist())],
-        "motions": [{"rotation": [float(v) for v in m.rotation.reshape(-1)],
-                     "tx": float(m.translation[0]), "ty": float(m.translation[1])}
-                    for m in scene.motions],
+        "motions": [{"rotation": [float(v) for v in rot.reshape(-1)],
+                     "tx": float(tr[0]), "ty": float(tr[1])}
+                    for rot, tr in zip(scene.rotations, scene.translations)],
         "seed": scene.seed,
     }
 
@@ -82,8 +81,10 @@ class TestSceneJsonOracle:
     def test_labels_that_need_escaping(self):
         labels = ['a"b', "c\\d", "e\nf", "\u00e9\t", "\U0001f600"]
         points = [(-0.0, 5e-324, 1e300 * k) for k in range(len(labels))]
-        for motions in ((), sim.gen_scene(3, 3, 1).motions):
-            scene = sim.Scene(labels, points, motions=motions, seed=2**70)
+        moved = sim.gen_scene(3, 3, 1)
+        for motions in ((np.empty((0, 3, 3)), np.empty((0, 2))),
+                        (moved.rotations, moved.translations)):
+            scene = sim.Scene(labels, points, *motions, seed=2**70)
             text = io_files.scene_to_json(scene)
             assert text == json.dumps(scene_doc(scene), indent=2) + "\n"
             back = io_files.scene_from_json(text)
@@ -579,8 +580,24 @@ class TestCliSimulate:
             "frames.csv": "968144d36228f6ee313d662e62dbd532370e46bf75584464fca1bca849aabbf6",
         }
 
+    def test_noiseless_output_bytes_pinned(self, tmp_path, capsys):
+        # level 0 writes the rendered frames unchanged
+        prefix = str(tmp_path / "pin")
+        assert cli.main(["simulate", "--points", "4", "--frames", "3", "--noise", "0",
+                         "--seed", "3", "--out", prefix]) == cli.EXIT_OK
+        digests = {suffix: hashlib.sha256((tmp_path / f"pin.{suffix}").read_bytes()).hexdigest()
+                   for suffix in ("scene.json", "frames.csv")}
+        assert digests == {
+            "scene.json": "bc98f165df07666fd232f036f62c7dc432372cd804c1e7c697beb29cb00a0137",
+            "frames.csv": "5b63591bd26f0414400cd1bb7e104e0699dffee74fc347f60ebc9e9a07c5988e",
+        }
+
     @pytest.mark.parametrize("noise", ["-0.5", "nan", "inf", "1e308"])
-    def test_rejects_invalid_noise(self, tmp_path, capsys, noise):
+    def test_rejects_invalid_noise(self, tmp_path, capsys, noise, monkeypatch):
+        def simulate(*args):
+            raise AssertionError("simulated a scene")
+
+        monkeypatch.setattr(sim, "gen_scene", simulate)
         prefix = tmp_path / "bad"
         assert cli.main(["simulate", "--points", "3", "--frames", "3", "--noise", noise,
                          "--out", str(prefix)]) == cli.EXIT_INPUT

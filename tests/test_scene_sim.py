@@ -21,7 +21,7 @@ import scalar_reference as ref
 
 # ------------------------------------------------------------------
 # Reference: the per-point simulator and noise-study loop that the array
-# core replaced, one Generator, one RigidMotion and one Point per object.
+# core replaced, one Generator per motion and one Point per point.
 # `rejected` counts the draws each generator threw away.
 
 def reference_is_generic(pts):
@@ -69,34 +69,32 @@ def reference_gen_motion(seed, rejected):
                 math.hypot(axis[0], axis[1]) < sim.MIN_AXIS_TILT:
             rejected["motion"] += 1
             continue
-        return geo.RigidMotion(rot, rng.uniform(-1.0, 1.0, size=2))
+        return rot, rng.uniform(-1.0, 1.0, size=2)
 
 
 def reference_gen_scene(n_points, n_frames, seed, rejected):
     body = reference_gen_body(n_points, sim.subseed(seed, 0), rejected)
-    motions = [geo.RigidMotion.identity()] + [
+    motions = [(np.eye(3), np.zeros(2))] + [
         reference_gen_motion(sim.subseed(seed, j), rejected) for j in range(1, n_frames)]
+    rotations, translations = zip(*motions)
     provenance = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
-    return sim.Scene(*body, motions=tuple(motions), seed=int(provenance))
+    return sim.Scene(*body, rotations, translations, seed=int(provenance))
 
 
 def reference_render(scene):
     frames = []
-    for motion in scene.motions:
-        moved = [ref.apply_motion(motion, ref.Point3(*p)) for p in scene.points]
+    for motion in zip(scene.rotations, scene.translations):
+        moved = [ref.apply_motion(*motion, ref.Point3(*p)) for p in scene.points]
         frames.append(geo.FrameObservation(scene.labels, [(q.x, q.y) for q in moved]))
     return frames
 
 
-def reference_add_noise(frames, spec):
-    rng = np.random.default_rng(spec.seed)
+def reference_add_noise(frames, level, seed):
+    rng = np.random.default_rng(seed)
     noisy = []
     for frame in frames:
         coords = frame.coords()
-        if spec.distribution == "uniform":
-            eps = rng.uniform(-spec.level, spec.level, size=coords.shape)
-        else:
-            eps = rng.normal(0.0, spec.level / 3.0, size=coords.shape)
+        eps = rng.uniform(-level, level, size=coords.shape)
         coords = coords * (1.0 + eps)
         noisy.append(geo.FrameObservation(frame.labels, coords.tolist()))
     return noisy
@@ -116,8 +114,7 @@ def reference_noise_study(mode, levels, trials, seed, rejected):
             labels = scene.labels
             frames = reference_render(scene)
             if level > 0:
-                frames = reference_add_noise(frames, sim.NoiseSpec(
-                    level=level, seed=sim.subseed(seed, li, t, 1)))
+                frames = reference_add_noise(frames, level, sim.subseed(seed, li, t, 1))
             sq = [geo.projected_sq_distances(f, labels) for f in frames]
             truth = np.array([scene.true_sq_distance(labels[i], labels[j])
                               for i, j in edges])
@@ -187,21 +184,21 @@ class TestGenBody:
 
 class TestGenMotion:
     def test_deterministic(self):
-        m1, m2 = sim.gen_motion(7), sim.gen_motion(7)
-        assert np.array_equal(m1.rotation, m2.rotation)
-        assert np.array_equal(m1.translation, m2.translation)
+        (rot1, trans1), (rot2, trans2) = sim.gen_motion(7), sim.gen_motion(7)
+        assert np.array_equal(rot1, rot2)
+        assert np.array_equal(trans1, trans2)
 
     def test_rejection_thresholds(self):
         for seed in range(100):
-            m = sim.gen_motion(seed)
-            angle, axis = sim.rotation_angle_axis(m.rotation)
+            rotation, _ = sim.gen_motion(seed)
+            angle, axis = sim.rotation_angle_axis(rotation)
             assert angle >= sim.MIN_ROTATION_ANGLE
             assert math.hypot(axis[0], axis[1]) >= sim.MIN_AXIS_TILT
 
     def test_translation_bounds(self):
         for seed in range(50):
-            t = sim.gen_motion(seed).translation
-            assert np.all(np.abs(t) <= 1.0)
+            _, t = sim.gen_motion(seed)
+            assert t.shape == (2,) and np.all(np.abs(t) <= 1.0)
 
 
 class TestRotationAngleAxis:
@@ -292,7 +289,7 @@ class TestGenerators:
                      lambda: sim.gen_motion(seed),
                      lambda: sim.add_noise(
                          [geo.FrameObservation("PQR", [(1.0, 2.0), (3.0, 4.0), (5.0, 7.0)])],
-                         sim.NoiseSpec(0.1, seed=seed)),
+                         0.1, seed),
                      lambda: sim.run_noise_study("p3f3", [0.01], 2, seed)):
             with pytest.raises(InvalidInputError):
                 call()
@@ -305,12 +302,13 @@ class TestGenerators:
 class TestGenScene:
     def test_first_frame_identity(self):
         scene = sim.gen_scene(3, 3, 0)
-        assert np.array_equal(scene.motions[0].rotation, np.eye(3))
-        assert np.array_equal(scene.motions[0].translation, np.zeros(2))
+        assert np.array_equal(scene.rotations[0], np.eye(3))
+        assert np.array_equal(scene.translations[0], np.zeros(2))
 
     def test_counts(self):
         scene = sim.gen_scene(4, 5, 1)
-        assert len(scene.points) == 4 and len(scene.motions) == 5
+        assert len(scene.points) == 4
+        assert scene.rotations.shape == (5, 3, 3) and scene.translations.shape == (5, 2)
 
     def test_true_sq_distance_oracle(self):
         scene = sim.gen_scene(3, 2, 2)
@@ -324,11 +322,31 @@ class TestGenScene:
 
     def test_scenes_compare_by_value(self):
         scene = sim.gen_scene(4, 2, 3)
-        assert sim.Scene(scene.labels, scene.points.copy(), scene.motions, scene.seed) == scene
-        assert sim.Scene(scene.labels, scene.points + 1e-12, scene.motions, scene.seed) != scene
-        assert sim.Scene(scene.labels, scene.points, scene.motions[::-1], scene.seed) != scene
+        motions = scene.rotations, scene.translations
+        assert sim.Scene(scene.labels, scene.points.copy(), *motions, scene.seed) == scene
+        assert sim.Scene(scene.labels, scene.points + 1e-12, *motions, scene.seed) != scene
+        assert sim.Scene(scene.labels, scene.points, scene.rotations[::-1],
+                         scene.translations, scene.seed) != scene
+        assert sim.Scene(scene.labels, scene.points, scene.rotations,
+                         scene.translations[::-1], scene.seed) != scene
         with pytest.raises(InvalidInputError, match="non-finite"):
-            sim.Scene(scene.labels, scene.points * np.inf, scene.motions, scene.seed)
+            sim.Scene(scene.labels, scene.points * np.inf, *motions, scene.seed)
+
+    @pytest.mark.parametrize("rotations, translations", [
+        (("junk",), np.zeros((1, 2))),
+        (np.array([np.eye(3)] * 2), np.zeros((1, 2))),
+        (np.array([np.eye(3) * 1.001]), np.zeros((1, 2))),
+    ])
+    def test_rejects_a_non_motion(self, rotations, translations):
+        body = sim.gen_body(3, 0)
+        with pytest.raises(InvalidInputError):
+            sim.Scene(*body, rotations, translations, 0)
+
+    def test_motions_are_read_only(self):
+        scene = sim.gen_scene(3, 2, 4)
+        for array in (scene.rotations, scene.translations):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
 
 
 class TestRender:
@@ -336,9 +354,9 @@ class TestRender:
         scene = sim.gen_scene(4, 3, 3)
         frames = sim.render(scene)
         assert len(frames) == 3
-        for frame, motion in zip(frames, scene.motions):
+        for frame, motion in zip(frames, zip(scene.rotations, scene.translations)):
             for lab, p in zip(scene.labels, scene.points):
-                moved = ref.apply_motion(motion, ref.Point3(*p))
+                moved = ref.apply_motion(*motion, ref.Point3(*p))
                 assert frame.coords([lab])[0].tolist() == [moved.x, moved.y]
 
     def test_first_frame_is_plain_projection(self):
@@ -347,12 +365,16 @@ class TestRender:
         for lab, (x, y, _) in zip(scene.labels, scene.points.tolist()):
             assert frame.coords([lab])[0].tolist() == [x, y]
 
+    def test_no_motions_no_frames(self):
+        scene = sim.Scene(*sim.gen_body(3, 0), np.empty((0, 3, 3)), np.empty((0, 2)), 0)
+        assert sim.render(scene) == []
+
 
 class TestAddNoise:
     def test_level_zero_identity(self):
         scene = sim.gen_scene(3, 2, 5)
         frames = sim.render(scene)
-        noisy = sim.add_noise(frames, sim.NoiseSpec(level=0.0, seed=1))
+        noisy = sim.add_noise(frames, 0.0, 1)
         for f, g in zip(frames, noisy):
             assert f == g
 
@@ -360,7 +382,7 @@ class TestAddNoise:
         scene = sim.gen_scene(4, 3, 6)
         frames = sim.render(scene)
         level = 0.05
-        noisy = sim.add_noise(frames, sim.NoiseSpec(level=level, seed=2))
+        noisy = sim.add_noise(frames, level, 2)
         for f, g in zip(frames, noisy):
             assert f.labels == g.labels
             for p, q in zip(f.coords().tolist(), g.coords().tolist()):
@@ -370,42 +392,33 @@ class TestAddNoise:
     def test_deterministic_per_seed(self):
         scene = sim.gen_scene(3, 2, 7)
         frames = sim.render(scene)
-        spec = sim.NoiseSpec(level=0.01, seed=9)
-        n1 = sim.add_noise(frames, spec)
-        n2 = sim.add_noise(frames, spec)
+        n1 = sim.add_noise(frames, 0.01, 9)
+        n2 = sim.add_noise(frames, 0.01, 9)
         assert all(a == b for a, b in zip(n1, n2))
-        n3 = sim.add_noise(frames, sim.NoiseSpec(level=0.01, seed=10))
+        n3 = sim.add_noise(frames, 0.01, 10)
         assert any(a != b for a, b in zip(n1, n3))
 
-    def test_gaussian_sigma(self):
-        # level is a 3-sigma bound: empirical sigma of eps ~ level/3
-        frames = [geo.FrameObservation([f"X{i}" for i in range(500)], np.ones((500, 2)))]
-        level = 0.3
-        noisy = sim.add_noise(frames, sim.NoiseSpec(
-            level=level, distribution="gaussian", seed=3))
-        eps = noisy[0].coords() - 1.0
-        assert np.std(eps) == pytest.approx(level / 3.0, rel=0.15)
-
     def test_spec_validation(self):
+        frames = sim.render(sim.gen_scene(3, 2, 5))
         with pytest.raises(InvalidInputError):
-            sim.NoiseSpec(level=-0.1)
-        with pytest.raises(InvalidInputError):
-            sim.NoiseSpec(level=0.1, distribution="cauchy")
+            sim.add_noise(frames, -0.1, 0)
 
     @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, -1e-300, 1e308])
     def test_spec_rejects_non_finite_and_negative(self, level):
+        frames = sim.render(sim.gen_scene(3, 2, 5))
         with pytest.raises(InvalidInputError, match="noise level"):
-            sim.NoiseSpec(level=level)
+            sim.add_noise(frames, level, 0)
+        # before anything else: no frames, nothing to draw
+        with pytest.raises(InvalidInputError, match="noise level"):
+            sim.add_noise([], level, 0)
 
-
-    @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
-    def test_largest_level_draws(self, distribution):
-        # one rule for both distributions: the range 2 * level must be finite
+    def test_largest_level_draws(self):
+        # the range 2 * level must be finite
         level = sys.float_info.max / 2.0
         frames = [geo.FrameObservation("PQR", [(0.0, 0.5), (1.0, 0.25), (0.5, 1.0)])]
-        assert len(sim.add_noise(frames, sim.NoiseSpec(level, distribution, seed=1))) == 1
+        assert len(sim.add_noise(frames, level, 1)) == 1
         with pytest.raises(InvalidInputError, match="noise level"):
-            sim.NoiseSpec(math.nextafter(level, math.inf), distribution)
+            sim.add_noise(frames, math.nextafter(level, math.inf), 1)
 
 
 class TestSameAsPerPointSimulator:
@@ -419,15 +432,13 @@ class TestSameAsPerPointSimulator:
             expect = reference_gen_scene(n_points, n_frames, seed, rejected)
             scene = sim.gen_scene(n_points, n_frames, seed)
             assert scene == expect
-            assert len(scene.motions) == n_frames
-            for got, want in zip(scene.motions, expect.motions):
-                assert np.array_equal(got.rotation, want.rotation)
-                assert np.array_equal(got.translation, want.translation)
+            assert len(scene.rotations) == len(scene.translations) == n_frames
+            assert np.array_equal(scene.rotations, expect.rotations)
+            assert np.array_equal(scene.translations, expect.translations)
             frames = sim.render(scene)
             assert frames == reference_render(expect)
-            for distribution in ("uniform", "gaussian"):
-                spec = sim.NoiseSpec(0.01, distribution, sim.subseed(seed, 10**6))
-                assert sim.add_noise(frames, spec) == reference_add_noise(frames, spec)
+            noise = 0.01, sim.subseed(seed, 10**6)
+            assert sim.add_noise(frames, *noise) == reference_add_noise(frames, *noise)
         # the seeds reach the redraw path of both generators
         assert rejected["body"] > 0 and rejected["motion"] > 0, rejected
 
@@ -437,17 +448,15 @@ class TestSameAsPerPointSimulator:
             assert same_body(sim.gen_body(3 + seed % 4, seed),
                              reference_gen_body(3 + seed % 4, seed, rejected))
             got, want = sim.gen_motion(seed), reference_gen_motion(seed, rejected)
-            assert np.array_equal(got.rotation, want.rotation)
-            assert np.array_equal(got.translation, want.translation)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
         assert rejected["body"] > 0 and rejected["motion"] > 0, rejected
 
     def test_noise_on_frames_of_different_sizes(self):
         frames = [geo.FrameObservation([f"X{i}" for i in range(n)],
                                        [(1.0 + i, 2.0 - j) for i in range(n)])
                   for j, n in enumerate((3, 7, 4))]
-        for distribution in ("uniform", "gaussian"):
-            spec = sim.NoiseSpec(0.2, distribution, 11)
-            assert sim.add_noise(frames, spec) == reference_add_noise(frames, spec)
+        assert sim.add_noise(frames, 0.2, 11) == reference_add_noise(frames, 0.2, 11)
 
     @pytest.mark.parametrize("mode", ["p3f3", "p3f4", "p4f3"])
     def test_noise_study_rows(self, mode):
@@ -497,6 +506,18 @@ class TestRunNoiseStudy:
     def test_needs_a_trial(self):
         with pytest.raises(InvalidInputError, match="trials"):
             sim.run_noise_study("p3f4", [0.01], 0, 0)
+
+    @pytest.mark.parametrize("mode, trials, message", [
+        ("p9", 2, "unknown mode 'p9'"),
+        ("p3f4", 2.5, "trials must be >= 1 and an integer, got 2.5"),
+    ])
+    def test_rejects_mode_or_trials_before_any_draw(self, mode, trials, message, monkeypatch):
+        def draw(*args):
+            raise AssertionError("drew from a stream")
+
+        monkeypatch.setattr(sim, "_generators", draw)
+        with pytest.raises(InvalidInputError, match=message):
+            sim.run_noise_study(mode, [0.1], trials, 0)
 
 
 # ties, both zeros and subnormals, among any finite or infinite floats

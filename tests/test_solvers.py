@@ -212,12 +212,12 @@ class TestSolveP3F3:
     def test_pure_in_plane_motion_degenerate(self):
         # In-plane rotation leaves projected distances unchanged -> degenerate
         scene = golden_scene(1)
-        motions = []
+        rotations, translations = [], []
         for ang in (0.0, 0.5, 1.2):
             c, s = math.cos(ang), math.sin(ang)
-            rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-            motions.append(geo.RigidMotion(rot, np.array([ang, -ang])))
-        scene = sim.Scene(scene.labels, scene.points, motions=tuple(motions), seed=0)
+            rotations.append(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))
+            translations.append(np.array([ang, -ang]))
+        scene = sim.Scene(scene.labels, scene.points, rotations, translations, seed=0)
         with pytest.raises(DegenerateEliminationError):
             sol.solve_p3f3(frames_sq(scene))
 
@@ -466,7 +466,7 @@ def seeded_frames(mode, seed, scale=1.0, level=0.0):
     scene = sim.gen_scene(n_points, n_frames, seed)
     frames = sim.render(scene)
     if level:
-        frames = sim.add_noise(frames, sim.NoiseSpec(level, seed=sim.subseed(seed, 1)))
+        frames = sim.add_noise(frames, level, sim.subseed(seed, 1))
     return [[v * scale ** 2 for v in geo.projected_sq_distances(f, scene.labels)]
             for f in frames]
 

@@ -18,11 +18,12 @@ ROOT = Path(__file__).resolve().parent.parent
 # less the per-point body types (AmbiguityMember, Point3, apply_motion) that
 # bodies as arrays replaced, and the per-candidate and length types (Candidate,
 # RecoveryResult, TriangleDistances, TetraDistances) and eq1_residual that
-# lengths as arrays replaced
+# lengths as arrays replaced, and the motion and noise types (RigidMotion,
+# NoiseSpec) that motions as arrays and add_noise's level and seed replaced
 EAGER_EXPORTS = (
     "BatchResult", "DofBalance",
-    "FrameObservation", "Interpretation", "MatchReport", "NoiseSpec",
-    "RigidMotion", "Scene",
+    "FrameObservation", "Interpretation", "MatchReport",
+    "Scene",
     "add_noise", "ambiguity_family", "b_of_c_coeffs",
     "base_interpretation_from_frames", "collinearity_residual_4pt", "dof_balance",
     "embed_depths", "errors", "feasibility_check", "gen_body", "gen_motion",

@@ -88,12 +88,12 @@ class TestOrthonormality:
     @pytest.mark.parametrize("off, accepted", [(1e-10, True), (1e-8, False)])
     def test_rotation_off_orthonormal(self, off, accepted):
         # R^T R - I is about off on the diagonal
-        rotation = sim.gen_motion(0).rotation * (1.0 + off / 2.0)
+        rotation = sim.gen_motion(0)[0] * (1.0 + off / 2.0)
         if accepted:
-            geo.RigidMotion(rotation, np.zeros(2))
+            geo.checked_motions([rotation], [np.zeros(2)])
         else:
             with pytest.raises(InvalidInputError, match="orthonormal"):
-                geo.RigidMotion(rotation, np.zeros(2))
+                geo.checked_motions([rotation], [np.zeros(2)])
 
 
 class TestDepthLoopClosure:
@@ -161,9 +161,9 @@ def tilted_pair(tilt):
     body = sim.gen_body(4, 0)
     rotation = tf._axis_rotation(np.array([0.0, 0.0, 1.0]), 0.7) @ tf._axis_rotation(
         np.array([1.0, 0.0, 0.0]), tilt)
-    motion = geo.RigidMotion(rotation, np.array([0.3, -0.2]))
-    frames = sim.render(sim.Scene(*body, (geo.RigidMotion.identity(), motion), 0))
-    return frames, tf.Interpretation(*body, motion)
+    translation = np.array([0.3, -0.2])
+    frames = sim.render(sim.Scene(*body, [np.eye(3), rotation], [np.zeros(2), translation], 0))
+    return frames, tf.Interpretation(*body, rotation, translation)
 
 
 class TestAmbiguityAxis:

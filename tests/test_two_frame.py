@@ -512,7 +512,7 @@ class TestMatchPoints:
             frame1, frame2 = (scaled(f, 1e3) for f in two_frames(scene))
             probe = tf._probe_labels(frame1)
             extra = [lab for lab in frame1.labels if lab not in probe][-1]
-            ray = scene.motions[1].rotation[:2, 2]
+            ray = scene.rotations[1][:2, 2]
             shift = 0.05 * scale_of(frame1, frame2) * np.array([-ray[1], ray[0]]) \
                 / np.linalg.norm(ray)
             moved = shifted(frame2, extra, shift)
@@ -597,9 +597,9 @@ class TestSameAsExhaustiveSearch:
         for seed in range(10):
             labels, pts = sim.gen_body(n, seed)
             stretch = np.diag(np.random.default_rng(seed).uniform(0.5, 1.5, 3))
-            motion = sim.gen_motion(seed)
+            rotation, translation = sim.gen_motion(seed)
             frame1 = geo.FrameObservation(labels, pts[:, :2])
-            moved = (pts @ stretch.T @ motion.rotation.T)[:, :2] + motion.translation
+            moved = (pts @ stretch.T @ rotation.T)[:, :2] + translation
             frame2 = geo.FrameObservation(labels, moved)
             expect = match_outcome(reference_match, frame1, frame2)
             assert expect is NoConsistentAssignmentError, seed
@@ -637,12 +637,12 @@ class TestSameAsExhaustiveSearch:
         kinds = []
         for seed in range(10):
             probe = sim.gen_body(4, seed)[1]
-            motion = sim.gen_motion(seed)
+            rotation, translation = sim.gen_motion(seed)
             x = probe.mean(axis=0) + np.array([0.0, 0.0, 0.3])
-            y = x + 0.2 * np.array([0.0, 0.0, 1.0]) + 0.1 * motion.rotation[2]
+            y = x + 0.2 * np.array([0.0, 0.0, 1.0]) + 0.1 * rotation[2]
             body = np.vstack([probe, x, y])
-            image2 = (body @ motion.rotation.T)[:, :2] + motion.translation
-            ray = motion.rotation[:2, 2] / np.linalg.norm(motion.rotation[:2, 2])
+            image2 = (body @ rotation.T)[:, :2] + translation
+            ray = rotation[:2, 2] / np.linalg.norm(rotation[:2, 2])
             image2[4] += 0.05 * np.array([-ray[1], ray[0]])
             labels = ("P", "Q", "R", "T", "X", "Y")
             frame1, frame2 = (geo.FrameObservation(labels, image)
@@ -780,7 +780,7 @@ class TestResidual5pt:
 def reference_family_points(frame1, base, angle):
     """The per-point loop that ambiguity_family's array pass replaced: each
     point's (x, y, z) at angle, its (x, y) computed, not the observation."""
-    rot = base.motion.rotation
+    rot = base.rotation
     d = rot.T @ np.array([0.0, 0.0, 1.0])
     axis = np.cross(np.array([0.0, 0.0, 1.0]), d)
     axis /= np.linalg.norm(axis)
@@ -804,7 +804,7 @@ def reference_reprojection_residuals(interp, frame1, frame2):
     r1 = max(math.hypot(pt.x - x, pt.y - y) for pt, (x, y) in zip(pts, obs1))
     r2 = 0.0
     for pt, (x, y) in zip(pts, obs2):
-        img = ref.apply_motion(interp.motion, pt)
+        img = ref.apply_motion(interp.rotation, interp.translation, pt)
         r2 = max(r2, math.hypot(img.x - x, img.y - y))
     return r1, r2
 
@@ -845,8 +845,7 @@ class TestAmbiguityFamily:
         ang = 0.8
         c, s = math.cos(ang), math.sin(ang)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        motions = (geo.RigidMotion.identity(), geo.RigidMotion(rot, np.array([0.1, 0.2])))
-        scene = sim.Scene(*body, motions=motions, seed=0)
+        scene = sim.Scene(*body, [np.eye(3), rot], [np.zeros(2), np.array([0.1, 0.2])], seed=0)
         frame1, frame2 = two_frames(scene)
         base = tf.interpretation_from_scene(scene)
         with pytest.raises(DegenerateBasisError):
@@ -855,15 +854,30 @@ class TestAmbiguityFamily:
     def test_interpretations_compare_by_value(self):
         scene = sim.gen_scene(4, 2, 3)
         base = tf.interpretation_from_scene(scene)
-        assert tf.Interpretation(scene.labels, scene.points.copy(), scene.motions[1]) == base
-        assert tf.Interpretation(scene.labels, scene.points + 1e-12, scene.motions[1]) != base
-        assert tf.Interpretation(scene.labels, scene.points, scene.motions[0]) != base
+        motion = scene.rotations[1], scene.translations[1]
+        assert tf.Interpretation(scene.labels, scene.points.copy(), *motion) == base
+        assert tf.Interpretation(scene.labels, scene.points + 1e-12, *motion) != base
+        assert tf.Interpretation(scene.labels, scene.points, scene.rotations[0],
+                                 scene.translations[1]) != base
+        assert tf.Interpretation(scene.labels, scene.points, scene.rotations[1],
+                                 scene.translations[0]) != base
+
+    @pytest.mark.parametrize("rotation, translation", [
+        ("junk", np.zeros(2)),
+        (np.eye(3), np.zeros(3)),
+        (np.diag([1.0, 1.0, -1.0]), np.zeros(2)),
+        (np.eye(3), [math.nan, 0.0]),
+    ])
+    def test_rejects_a_non_motion(self, rotation, translation):
+        scene = sim.gen_scene(3, 2, 3)
+        with pytest.raises(InvalidInputError):
+            tf.Interpretation(scene.labels, scene.points, rotation, translation)
 
     def test_bad_base_rejected(self):
         scene = sim.gen_scene(3, 2, 6)
         frame1, frame2 = two_frames(scene)
         bad = tf.Interpretation(scene.labels, scene.points + [1.0, 0.0, 0.0],
-                                scene.motions[1])
+                                scene.rotations[1], scene.translations[1])
         with pytest.raises(InvalidInputError):
             tf.ambiguity_family(frame1, frame2, bad, [0.1])
 
@@ -894,16 +908,16 @@ class TestAmbiguityFamily:
             scene = sim.gen_scene(4, 2, seed)
             frame1, frame2 = two_frames(scene)
             shift = [(0.1 * k, -0.2, 0.0) for k in range(len(scene.labels))]
-            interp = tf.Interpretation(scene.labels, scene.points + shift, scene.motions[1])
+            interp = tf.Interpretation(scene.labels, scene.points + shift,
+                                       scene.rotations[1], scene.translations[1])
             assert interp.reprojection_residuals(frame1, frame2) == pytest.approx(
                 reference_reprojection_residuals(interp, frame1, frame2), rel=1e-13)
 
 
 class TestReferenceAmbiguity:
     def test_reference_depths(self):
-        body, motion = tf.reference_ambiguity_scene()
-        scene = sim.Scene(*body,
-                          motions=(geo.RigidMotion.identity(), motion), seed=0)
+        body, (rotation, translation) = tf.reference_ambiguity_scene()
+        scene = sim.Scene(*body, [np.eye(3), rotation], [np.zeros(2), translation], seed=0)
         frame1, frame2 = two_frames(scene)
         base = tf.interpretation_from_scene(scene)
         ((_, member),) = tf.ambiguity_family(

@@ -62,7 +62,6 @@ EXTREME_SCALES = (1e-300, 1e-160, 1e160, 1e300)
 NEAR_DEGENERATE = ([("tilt", t) for t in (0.0, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)]
                    + [("angle", a) for a in (0.0, 1e-9, 1e-6, 1e-3)]
                    + [("repeated", None), ("collinear", None)])
-NOISE = sim.NoiseSpec(1e-2, seed=3)
 
 
 def _plain(obj):
@@ -165,7 +164,7 @@ def collect() -> Digest:
         solve = getattr(solvers, f"solve_{mode}")
         for seed in range(15):
             frames = sim.render(sim.gen_scene(n_points, n_frames, seed))
-            for frames in (frames, sim.add_noise(frames, NOISE)):
+            for frames in (frames, sim.add_noise(frames, 1e-2, 3)):
                 for s in SCALES:
                     sq = [geo.projected_sq_distances(scaled(f, s), f.labels) for f in frames]
                     d.call(f"solvers.solve_{mode}", solve, sq)
